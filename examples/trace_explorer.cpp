@@ -101,34 +101,31 @@ int main(int argc, char** argv) {
   SimConfig cfg;
   cfg.horizon = slots;
   cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 5));
-  GenericSimulator sim(factory, adv, cfg);
-  const SimResult res = sim.run();
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_generic(factory, adv, cfg);
 
   std::cout << "trace_explorer: " << n << " nodes, jam " << jam << ", " << res.slots
             << " slots, " << res.successes << " delivered\n\n"
             << "timeline ('.' silence, '*' collision, 'S' success, 'X' jammed):\n";
 
-  const slot_t width = 80;
-  for (slot_t row = 1; row <= res.slots; row += width) {
-    std::cout << "  ";
-    for (slot_t s = row; s < row + width && s <= res.slots; ++s) {
-      const SlotOutcome& out = sim.trace().outcome(s);
-      char c = '.';
-      if (out.jammed) c = 'X';
-      else if (out.success()) c = 'S';
-      else if (out.senders >= 2) c = '*';
-      std::cout << c;
-    }
-    std::cout << "\n";
+  const std::size_t width = 80;
+  for (std::size_t i = 0; i < res.slot_outcomes.size(); ++i) {
+    const SlotOutcome& out = res.slot_outcomes[i];
+    char c = '.';
+    if (out.jammed) c = 'X';
+    else if (out.success()) c = 'S';
+    else if (out.senders >= 2) c = '*';
+    if (i % width == 0) std::cout << "  ";
+    std::cout << c;
+    if (i % width == width - 1 || i + 1 == res.slot_outcomes.size()) std::cout << "\n";
   }
 
   std::cout << "\nchannel view: successes by slot parity (channel 0 = even slots,\n"
                "channel 1 = odd slots — the algorithm's control/data roles alternate):\n";
   std::uint64_t succ_even = 0, succ_odd = 0;
-  for (slot_t s = 1; s <= res.slots; ++s) {
-    const SlotOutcome& out = sim.trace().outcome(s);
+  for (const SlotOutcome& out : res.slot_outcomes) {
     if (!out.success()) continue;
-    (parity_channel(s) == 0 ? succ_even : succ_odd) += 1;
+    (parity_channel(out.slot) == 0 ? succ_even : succ_odd) += 1;
   }
   std::cout << "  channel 0 (even): " << succ_even << " successes\n"
             << "  channel 1 (odd) : " << succ_odd << " successes\n";

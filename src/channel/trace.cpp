@@ -8,23 +8,11 @@ void Trace::record(const SlotOutcome& out) {
   CR_DCHECK(storage_ != Storage::kDisabled);
   CR_CHECK(out.slot == slots_ + 1);
   ++slots_;
-  if (storage_ == Storage::kFull) outcomes_.push_back(out);
   if (out.success()) {
     ++total_successes_;
     last_success_slot_ = out.slot;
   }
   if (out.jammed) ++total_jammed_;
-}
-
-void Trace::advance(slot_t n) {
-  CR_CHECK(storage_ == Storage::kCounting);
-  slots_ += n;
-}
-
-const SlotOutcome& Trace::outcome(slot_t s) const {
-  CR_CHECK(storage_ == Storage::kFull);
-  CR_CHECK(s >= 1 && s <= slots());
-  return outcomes_[s - 1];
 }
 
 }  // namespace cr

@@ -1,14 +1,15 @@
 // Feedback history.
 //
-// Trace stores ground-truth outcomes (for metrics/tests). PublicHistory is a
-// read-only facade over a Trace exposing exactly the information the model
-// makes public: per-slot binary feedback plus success bookkeeping. Adversary
+// Trace keeps the running counters of a run's feedback history (slots,
+// successes, jams, last success). PublicHistory is a read-only facade over a
+// Trace exposing exactly the information the model makes public. Adversary
 // strategies receive PublicHistory only — the type system enforces the
-// paper's "Eve has no collision detection either" rule.
+// paper's "Eve has no collision detection either" rule. Per-slot outcomes
+// are not kept here: a run that wants them asks for
+// RecordingConfig::full_trace(), which fills SimResult::slot_outcomes.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "channel/types.hpp"
 
@@ -16,16 +17,13 @@ namespace cr {
 
 class Trace {
  public:
-  /// Storage policy: kCounting keeps only the running counters (slots,
-  /// successes, jams, last success) and drops per-slot outcomes — what a
-  /// lockstep sweep holding thousands of concurrent replications needs,
-  /// since the registry's composed adversaries consult exactly those
-  /// counters. outcome(s) is unavailable in counting mode (CR_CHECK).
-  /// kDisabled keeps nothing at all: the owner promises no component ever
-  /// reads the history (the lockstep plan path, whose adversaries are
-  /// precomputed), and the engine skips record() entirely — the Trace is a
-  /// dead field. Calling record()/advance() on a disabled trace is a bug.
-  enum class Storage : std::uint8_t { kFull = 0, kCounting = 1, kDisabled = 2 };
+  /// Storage policy: kCounting keeps the running counters — everything the
+  /// registry's composed adversaries consult. kDisabled keeps nothing at
+  /// all: the owner promises no component ever reads the history (the
+  /// lockstep plan path, whose adversaries are precomputed, and snapshot-
+  /// bearing cores), and the engine skips record() entirely — the Trace is
+  /// a dead field. Calling record() on a disabled trace is a bug.
+  enum class Storage : std::uint8_t { kCounting, kDisabled };
 
   Trace() = default;
   explicit Trace(Storage storage) : storage_(storage) {}
@@ -34,19 +32,8 @@ class Trace {
   /// starting at slot 1.
   void record(const SlotOutcome& out);
 
-  /// Account `n` slots that were provably protocol-silent without recording
-  /// them individually (the lockstep engine's idle-skip). Counting mode only:
-  /// a full trace stores per-slot outcomes and cannot have gaps. The skipped
-  /// slots carry no successes; jam accounting for them is the caller's
-  /// responsibility (the engine tallies skipped jams outside the trace).
-  void advance(slot_t n);
-
   slot_t slots() const { return slots_; }
-  bool empty() const { return slots_ == 0; }
   Storage storage() const { return storage_; }
-
-  /// Ground truth for slot s in [1, slots()]. Requires Storage::kFull.
-  const SlotOutcome& outcome(slot_t s) const;
 
   std::uint64_t total_successes() const { return total_successes_; }
   std::uint64_t total_jammed() const { return total_jammed_; }
@@ -54,8 +41,7 @@ class Trace {
   slot_t last_success_slot() const { return last_success_slot_; }
 
  private:
-  std::vector<SlotOutcome> outcomes_;
-  Storage storage_ = Storage::kFull;
+  Storage storage_ = Storage::kCounting;
   slot_t slots_ = 0;
   std::uint64_t total_successes_ = 0;
   std::uint64_t total_jammed_ = 0;
@@ -69,9 +55,6 @@ class PublicHistory {
 
   /// Number of completed slots (the upcoming slot is slots()+1).
   slot_t slots() const { return trace_->slots(); }
-
-  Feedback feedback(slot_t s) const { return trace_->outcome(s).feedback(); }
-  bool was_success(slot_t s) const { return feedback(s) == Feedback::kSuccess; }
 
   std::uint64_t total_successes() const { return trace_->total_successes(); }
   slot_t last_success_slot() const { return trace_->last_success_slot(); }

@@ -13,6 +13,10 @@
 //                                    # snapshot; exit 1 when any fast-engine
 //                                    # cell regresses past --tolerance
 //
+// Baseline rows match on (scenario, horizon, engine, threads), so compare
+// snapshots taken at the same --threads; a cell with no matching baseline
+// row is listed as missing, never silently dropped (perf_deltas, perf.hpp).
+//
 // The snapshot name is derived, not hardcoded: the next BENCH_<n+1>.json
 // after the baseline (when --baseline names a BENCH_<n>.json) or after the
 // highest BENCH_<n>.json in the working directory. --json still overrides,
@@ -37,6 +41,7 @@
 #include <vector>
 
 #include "cli/benches/benches.hpp"
+#include "cli/benches/perf.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
 #include "engine/fast_cjz.hpp"
@@ -52,28 +57,6 @@ namespace {
 struct PerfCell {
   std::string scenario;
   slot_t horizon = 0;
-};
-
-struct PerfRow {
-  std::string scenario;
-  std::string engine;
-  slot_t horizon = 0;
-  int reps = 0;
-  int threads = 1;
-  double seconds = 0.0;
-  double slots_per_sec = 0.0;
-  double runs_per_sec = 0.0;
-  double mean_successes = 0.0;
-  double mean_sends = 0.0;
-  double speedup_vs_fast_cjz = 0.0;  ///< lockstep rows only; 0 = not applicable
-
-  /// Memory-cell rows only (engine "fast_cjz_sparse"); all zero elsewhere.
-  bool memory_cell = false;
-  std::uint64_t peak_live_nodes = 0;     ///< max simultaneously live nodes
-  std::uint64_t node_table_slots = 0;    ///< resident node-table slots at finish
-  std::uint64_t resident_bytes = 0;      ///< node_table_slots * sizeof(Node)
-  std::uint64_t dense_extrap_bytes = 0;  ///< arrivals * sizeof(Node) — dense cost
-  std::uint64_t peak_rss_kb = 0;         ///< getrusage ru_maxrss after the run
 };
 
 /// BENCH_<n>.json -> n; -1 when `name` is not of that shape.
@@ -113,8 +96,8 @@ std::string derive_snapshot_path(const std::string& baseline_path) {
   return "BENCH_" + std::to_string(highest + 1) + ".json";
 }
 
-/// A baseline cell's slots/sec, or 0 when the snapshot has no matching
-/// (scenario, horizon, engine) row.
+/// A baseline cell's slots/sec, or 0 when the snapshot has no row with the
+/// same (scenario, horizon, engine, threads) key.
 double baseline_slots_per_sec(const JsonValue& snapshot, const PerfRow& row) {
   const JsonValue* cells = snapshot.find("cells");
   if (cells == nullptr || !cells->is_array()) return 0.0;
@@ -124,13 +107,16 @@ double baseline_slots_per_sec(const JsonValue& snapshot, const PerfRow& row) {
     const JsonValue* horizon = cell->find("horizon");
     const JsonValue* engine = cell->find("engine");
     const JsonValue* slots = cell->find("slots_per_sec");
-    if (scenario == nullptr || horizon == nullptr || engine == nullptr || slots == nullptr)
+    const JsonValue* threads = cell->find("threads");
+    if (scenario == nullptr || horizon == nullptr || engine == nullptr || slots == nullptr ||
+        threads == nullptr)
       continue;
     if (!scenario->is_string() || !horizon->is_number() || !engine->is_string() ||
-        !slots->is_number())
+        !slots->is_number() || !threads->is_number())
       continue;
     if (scenario->as_string() == row.scenario && engine->as_string() == row.engine &&
-        static_cast<slot_t>(horizon->as_number()) == row.horizon)
+        static_cast<slot_t>(horizon->as_number()) == row.horizon &&
+        static_cast<int>(threads->as_number()) == row.threads)
       return slots->as_number();
   }
   return 0.0;
@@ -305,27 +291,32 @@ int run(int argc, const char* const* argv) {
   }
 
   // Baseline comparison: per-cell slots/sec delta against the prior
-  // snapshot. Only the fast engines gate — the reference engine's 4-rep
-  // cells are too noisy to regress meaningfully.
+  // snapshot, keyed on the thread count too.
   int regressions = 0;
   if (baseline != nullptr) {
     out << "\ndelta vs " << baseline_path << " (tolerance "
         << format_double(tolerance * 100.0, 0) << "%):\n";
-    Table delta_table({"scenario", "horizon", "engine", "baseline", "current", "delta"});
-    for (const PerfRow& row : rows) {
-      const double before = baseline_slots_per_sec(*baseline, row);
-      if (before <= 0.0) continue;
-      const double delta = (row.slots_per_sec - before) / before;
-      const bool gates = row.engine != "generic";
-      const bool regressed = gates && delta < -tolerance;
-      if (regressed) ++regressions;
+    Table delta_table(
+        {"scenario", "horizon", "engine", "threads", "baseline", "current", "delta"});
+    int missing = 0;
+    for (const PerfDelta& d : perf_deltas(*baseline, rows, tolerance)) {
+      const PerfRow& row = *d.row;
+      if (d.missing()) ++missing;
+      if (d.regressed) ++regressions;
+      const std::string verdict =
+          d.missing() ? "missing from baseline"
+                      : std::string(d.delta >= 0.0 ? "+" : "") +
+                            format_double(d.delta * 100.0, 1) + "%" +
+                            (d.regressed ? "  REGRESSION" : "");
       delta_table.add_row({row.scenario, Cell(static_cast<std::uint64_t>(row.horizon)),
-                           row.engine, Cell(before, 0), Cell(row.slots_per_sec, 0),
-                           std::string(delta >= 0.0 ? "+" : "") +
-                               format_double(delta * 100.0, 1) + "%" +
-                               (regressed ? "  REGRESSION" : "")});
+                           row.engine, Cell(static_cast<std::int64_t>(row.threads)),
+                           d.missing() ? std::string("-") : format_double(d.baseline, 0),
+                           Cell(row.slots_per_sec, 0), verdict});
     }
     delta_table.print(out);
+    if (missing > 0)
+      out << "\n" << missing << " cell(s) have no baseline row with the same (scenario, "
+          << "horizon, engine, threads) and are not gated\n";
     if (regressions > 0)
       out << "\n" << regressions << " cell(s) regressed more than "
           << format_double(tolerance * 100.0, 0) << "% — exiting nonzero\n";
@@ -388,6 +379,26 @@ int run(int argc, const char* const* argv) {
 
 }  // namespace
 
+std::vector<PerfDelta> perf_deltas(const JsonValue& snapshot, const std::vector<PerfRow>& rows,
+                                   double tolerance) {
+  std::vector<PerfDelta> deltas;
+  deltas.reserve(rows.size());
+  for (const PerfRow& row : rows) {
+    PerfDelta d;
+    d.row = &row;
+    d.baseline = baseline_slots_per_sec(snapshot, row);
+    // The reference engine's 4-rep cells are too noisy to regress
+    // meaningfully; only the fast engines gate.
+    d.gated = row.engine != "generic";
+    if (!d.missing()) {
+      d.delta = (row.slots_per_sec - d.baseline) / d.baseline;
+      d.regressed = d.gated && d.delta < -tolerance;
+    }
+    deltas.push_back(d);
+  }
+  return deltas;
+}
+
 BenchSpec perf() {
   BenchSpec spec;
   spec.name = "perf";
@@ -401,8 +412,8 @@ BenchSpec perf() {
       "a prior snapshot";
   spec.flags = {
       {"json", "JSON snapshot path (default: next BENCH_<n+1>.json; empty string disables)"},
-      {"baseline", "prior snapshot to diff against (per-cell slots/sec deltas; exit 1 on "
-                   "fast-engine regressions past --tolerance)"},
+      {"baseline", "prior snapshot to diff against (per-cell slots/sec deltas, rows matched "
+                   "on thread count too; exit 1 on fast-engine regressions past --tolerance)"},
       {"tolerance", "allowed fractional slots/sec regression vs --baseline (default 0.15)"},
   };
   spec.csv_columns = {"scenario", "horizon", "engine", "reps", "seconds",

@@ -100,7 +100,7 @@ class CjzCore {
  public:
   /// `fs` must outlive the core (owned by the caller).
   CjzCore(const FunctionSet* fs, const SimConfig& config, CjzOptions options, Streams streams,
-          Trace::Storage trace_storage = Trace::Storage::kFull)
+          Trace::Storage trace_storage = Trace::Storage::kCounting)
       : fs_(fs),
         config_(config),
         options_(options),
@@ -318,7 +318,7 @@ class CjzCore {
     calendar_.drain_below(slot);
   }
 
-  Trace& trace() { return trace_; }
+  /// History counters an adversary reads through PublicHistory.
   const Trace& trace() const { return trace_; }
   /// Counters accumulated so far (valid between steps; finish() moves them).
   const SimResult& partial_result() const { return result_; }
@@ -335,8 +335,8 @@ class CjzCore {
   /// Serialize the complete core state at a slot boundary — call only after
   /// step(k) returned and before step(k+1). Counter-stream cores only: their
   /// per-slot streams are rebound as a pure function of (seed, slot), so no
-  /// generator state crosses the boundary. The Trace ring is NOT serialized;
-  /// snapshot-bearing cores must run with Trace::Storage::kDisabled
+  /// generator state crosses the boundary. The Trace counters are NOT
+  /// serialized; snapshot-bearing cores must run with Trace::Storage::kDisabled
   /// (enforced on load). Leads with a config echo so restoring into a
   /// differently-configured core is a named error, never silent divergence.
   void save(SnapshotWriter& w) const {
@@ -532,12 +532,16 @@ class CjzCore {
     slot_t arrival = 0;
     slot_t from = 0;      ///< backoff channel-origin (phases 1–2)
     std::uint64_t sends = 0;  ///< attributed channel accesses (energy)
-    std::uint64_t stage = 0;
     std::uint32_t gen = 0;
+    /// Backoff stage k (window 2^k slots), so always < kMaxStages.
+    std::uint8_t stage = 0;
     std::uint8_t phase = 1;
     std::uint8_t channel = 0;  ///< backoff channel parity (phases 1–2)
     bool alive = true;
   };
+  static_assert(sizeof(Node) == 40, "Node is a hot per-arrival record; keep it at 40 bytes");
+  /// A stage window 2^stage must fit in a slot_t.
+  static constexpr std::uint64_t kMaxStages = 64;
 
   struct Cohort {
     slot_t l3 = 0;
@@ -621,7 +625,13 @@ class CjzCore {
         n.arrival = r.u64("node.arrival");
         n.from = r.u64("node.from");
         n.sends = r.u64("node.sends");
-        n.stage = r.u64("node.stage");
+        const std::uint64_t stage = r.u64("node.stage");
+        if (r.ok() && stage >= kMaxStages) {
+          r.fail("snapshot: node.stage out of range (blob " + std::to_string(stage) +
+                 ", max " + std::to_string(kMaxStages - 1) + ")");
+          return;
+        }
+        n.stage = static_cast<std::uint8_t>(stage);
         n.gen = r.u32("node.gen");
         n.phase = r.u8("node.phase");
         n.channel = r.u8("node.channel");
@@ -651,7 +661,8 @@ class CjzCore {
 
   void begin_stage(std::uint32_t idx, std::uint64_t k, auto& rng) {
     Node& n = nodes_[idx];
-    n.stage = k;
+    CR_DCHECK(k < kMaxStages);
+    n.stage = static_cast<std::uint8_t>(k);
     const std::uint64_t len = static_cast<std::uint64_t>(1) << k;
     const std::uint64_t vstart = len - 1;
 

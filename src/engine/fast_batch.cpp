@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "channel/channel.hpp"
+#include "channel/trace.hpp"
 #include "common/check.hpp"
 #include "common/stream_tags.hpp"
 
@@ -23,8 +24,8 @@ SimResult FastBatchSimulator::run() {
   const bool attribute = config_.recording.wants_node_stats();
   const bool sparse = config_.node_table == NodeTableKind::kSparse;
 
-  trace_ = Trace{};
-  PublicHistory history(trace_);
+  Trace trace;
+  PublicHistory history(trace);
   SimResult result;
 
   std::vector<Cohort> cohorts;
@@ -69,7 +70,7 @@ SimResult FastBatchSimulator::run() {
     }
 
     const SlotOutcome out = resolve_slot(slot, senders, action.jam, winner);
-    trace_.record(out);
+    trace.record(out);
     if (config_.recording.wants_trace()) result.slot_outcomes.push_back(out);
     if (out.jammed) ++result.jammed_slots;
     if (observer_ != nullptr) observer_->on_slot(out, action.inject, live_now);

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
-#include "channel/trace.hpp"
 #include "engine/attribution.hpp"
 #include "engine/sim_result.hpp"
 #include "protocols/batch.hpp"
@@ -40,9 +39,6 @@ class FastBatchSimulator {
   /// Execute the run described by the constructor arguments.
   SimResult run();
 
-  /// Ground-truth trace of the last run (valid after run()).
-  const Trace& trace() const { return trace_; }
-
  private:
   struct Cohort {
     slot_t arrival = 0;
@@ -56,7 +52,6 @@ class FastBatchSimulator {
   Adversary& adversary_;
   SimConfig config_;
   SlotObserver* observer_ = nullptr;
-  Trace trace_;
   SubsetScratch attr_scratch_;
 };
 

@@ -24,9 +24,7 @@ SimResult FastCjzSimulator::run() {
     if (core.step(slot, action, observer_)) break;
   }
   memory_stats_ = core.memory_stats();
-  SimResult result = core.finish(observer_);
-  trace_ = std::move(core.trace());
-  return result;
+  return core.finish(observer_);
 }
 
 SimResult run_fast_cjz(const FunctionSet& fs, Adversary& adversary, const SimConfig& config,

@@ -33,7 +33,6 @@
 #pragma once
 
 #include "adversary/adversary.hpp"
-#include "channel/trace.hpp"
 #include "common/functions.hpp"
 #include "engine/cjz_core.hpp"
 #include "engine/sim_result.hpp"
@@ -55,9 +54,6 @@ class FastCjzSimulator {
   /// Execute the run described by the constructor arguments.
   SimResult run();
 
-  /// Ground-truth trace of the last run (valid after run()).
-  const Trace& trace() const { return trace_; }
-
   /// Resident node-table footprint of the last run (valid after run()).
   /// With SimConfig::node_table == kSparse, node_table_slots tracks peak
   /// live nodes instead of total arrivals — the memory cell in `cr perf`
@@ -70,7 +66,6 @@ class FastCjzSimulator {
   SimConfig config_;
   CjzOptions options_;
   SlotObserver* observer_ = nullptr;
-  Trace trace_;
   CjzCoreMemoryStats memory_stats_;
 };
 

@@ -3,6 +3,8 @@
 #include <utility>
 #include <vector>
 
+#include "channel/channel.hpp"
+#include "channel/trace.hpp"
 #include "common/check.hpp"
 #include "common/stream_tags.hpp"
 
@@ -28,8 +30,8 @@ SimResult GenericSimulator::run() {
   Rng rng_adv = root.fork(streams::kAdversary);
   Rng rng_nodes = root.fork(streams::kGenericNodes);
 
-  trace_ = Trace{};
-  PublicHistory history(trace_);
+  Trace trace;
+  PublicHistory history(trace);
   Channel channel;
 
   SimResult result;
@@ -65,7 +67,7 @@ SimResult GenericSimulator::run() {
     }
 
     const SlotOutcome out = channel.resolve();
-    trace_.record(out);
+    trace.record(out);
     if (config_.recording.wants_trace()) result.slot_outcomes.push_back(out);
     if (out.jammed) ++result.jammed_slots;
     if (out.success()) {

@@ -15,8 +15,6 @@
 #include <memory>
 
 #include "adversary/adversary.hpp"
-#include "channel/channel.hpp"
-#include "channel/trace.hpp"
 #include "engine/sim_result.hpp"
 #include "protocols/protocol.hpp"
 
@@ -33,15 +31,11 @@ class GenericSimulator {
 
   SimResult run();
 
-  /// Ground-truth trace of the last run (valid after run()).
-  const Trace& trace() const { return trace_; }
-
  private:
   ProtocolFactory& factory_;
   Adversary& adversary_;
   SimConfig config_;
   SlotObserver* observer_ = nullptr;
-  Trace trace_;
 };
 
 /// Convenience one-shot runner.

@@ -44,8 +44,7 @@ struct Rep {
 
   Rep(const ProtocolSpec& spec, const SimConfig& cfg, const LockstepSweep& sweep,
       std::uint64_t s)
-      : core(&spec.fs, cfg, spec.cjz_options, CounterCjzStreams(s),
-             Trace::Storage::kCounting),
+      : core(&spec.fs, cfg, spec.cjz_options, CounterCjzStreams(s)),
         arrival(sweep.make_arrival(s)),
         jammer(sweep.make_jammer(s)),
         // Mirror ComposedAdversary's lazy forks: the engine's adversary

@@ -1,5 +1,6 @@
 #include "exp/harness.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -25,14 +26,16 @@ void parallel_for_reps(int reps, int threads, const std::function<void(int)>& bo
   // same cache line (false sharing measurably throttles short runs, where
   // the store traffic is a visible fraction of the work). Each index still
   // runs exactly once and the output does not depend on which worker ran it
-  // (results are stored by index).
-  constexpr int kBlock = 8;
+  // (results are stored by index). Blocks shrink for few-rep sweeps so every
+  // worker gets a claim once reps >= threads; a block as large as reps
+  // would run the whole sweep on the first worker.
+  const int block = std::clamp(reps / (2 * threads), 1, 8);
   std::atomic<int> next_block{0};
   auto worker = [&] {
     for (;;) {
-      const int lo = next_block.fetch_add(kBlock);
+      const int lo = next_block.fetch_add(block);
       if (lo >= reps) return;
-      const int hi = lo + kBlock < reps ? lo + kBlock : reps;
+      const int hi = lo + block < reps ? lo + block : reps;
       for (int r = lo; r < hi; ++r) body(r);
     }
   };

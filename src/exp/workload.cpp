@@ -325,7 +325,7 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
   // and a throwaway rng are safe to hand them.
   const FunctionSet fs = functions_for_regime(spec.g_regime, spec.gamma);
   const WorkloadContext ctx{fs, horizon, 0};
-  Trace dummy_trace(Trace::Storage::kCounting);
+  Trace dummy_trace;
   const PublicHistory dummy_history(dummy_trace);
   Rng dummy_rng(1);
 

@@ -94,13 +94,15 @@ struct ClaimSpec {
   /// Human-readable acceptance bound at full evidence sizes, e.g.
   /// "per-regime ratio spread <= 2.5x".
   std::string bound;
-  /// Bound at --quick sizes when it differs (empty = same as `bound`).
-  std::string quick_bound;
+  /// Bound at --quick sizes when it differs (empty = same as `bound`). The
+  /// optional fields carry default initializers so designated-initializer
+  /// registrations may omit them without -Wmissing-field-initializers.
+  std::string quick_bound{};
   /// Evidence cell ids in a full suite run (suites/paper_repro.json).
   std::vector<std::string> cells;
   /// Evidence cell ids in a --quick run of suites/quick.json, when the cell
   /// grid differs there (empty = same ids as `cells`).
-  std::vector<std::string> quick_cells;
+  std::vector<std::string> quick_cells{};
   /// CSV columns the check reads (docs: the claim table names its inputs).
   std::vector<std::string> columns;
   /// The executable check. Reads evidence via `ctx`, records observed

@@ -8,7 +8,7 @@
 /// factors the moving parts every such test needs:
 ///
 ///   1. materialize(): run the scenario's REAL adversary against a live core
-///      (kFull trace, so history-reading adversaries see real feedback) and
+///      (counting trace, so history-reading adversaries see real feedback) and
 ///      record the per-slot AdversaryAction sequence. Replays feed the
 ///      recorded actions, which (a) decouples the differential from
 ///      PublicHistory — snapshot-bearing cores run trace-disabled — and
@@ -65,8 +65,7 @@ inline ReplayCase materialize(Scenario& sc) {
   rc.options = sc.protocol.cjz_options;
   const Rng root(rc.config.seed);
   Rng rng_adv = root.fork(streams::kAdversary);
-  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed),
-                   Trace::Storage::kFull);
+  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed));
   PublicHistory history(core.trace());
   for (slot_t slot = 1; slot <= rc.config.horizon; ++slot) {
     const AdversaryAction action = sc.adversary->on_slot(slot, history, rng_adv);

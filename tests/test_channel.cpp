@@ -1,5 +1,6 @@
 // Unit tests for channel semantics: the no-collision-detection feedback
-// model, slot resolution truth table, and the trace/public-history facade.
+// model, slot resolution truth table, and the trace counters behind the
+// public-history facade.
 #include <gtest/gtest.h>
 
 #include "channel/channel.hpp"
@@ -88,6 +89,7 @@ TEST(Channel, Reusable) {
 
 TEST(Trace, RecordsInOrder) {
   Trace trace;
+  EXPECT_EQ(trace.storage(), Trace::Storage::kCounting);
   trace.record(resolve_slot(1, 0, false, kNoNode));
   trace.record(resolve_slot(2, 1, false, 11));
   trace.record(resolve_slot(3, 1, true, 12));
@@ -95,20 +97,24 @@ TEST(Trace, RecordsInOrder) {
   EXPECT_EQ(trace.total_successes(), 1u);
   EXPECT_EQ(trace.total_jammed(), 1u);
   EXPECT_EQ(trace.last_success_slot(), 2u);
-  EXPECT_EQ(trace.outcome(2).winner, 11u);
+}
+
+TEST(TraceDeathTest, RejectsOutOfOrderSlots) {
+  Trace trace;
+  trace.record(resolve_slot(1, 0, false, kNoNode));
+  EXPECT_DEATH(trace.record(resolve_slot(3, 0, false, kNoNode)), "out.slot == slots_ \\+ 1");
 }
 
 TEST(PublicHistory, ExposesOnlyPublicView) {
   Trace trace;
   PublicHistory hist(trace);
   EXPECT_EQ(hist.slots(), 0u);
+  EXPECT_EQ(hist.last_success_slot(), 0u);
   trace.record(resolve_slot(1, 5, false, kNoNode));   // collision
   trace.record(resolve_slot(2, 0, true, kNoNode));    // jammed silence
+  EXPECT_EQ(hist.total_successes(), 0u) << "collision and jam are not successes";
   trace.record(resolve_slot(3, 1, false, 77));        // success
   EXPECT_EQ(hist.slots(), 3u);
-  EXPECT_EQ(hist.feedback(1), Feedback::kSilenceOrCollision);
-  EXPECT_EQ(hist.feedback(2), Feedback::kSilenceOrCollision);
-  EXPECT_TRUE(hist.was_success(3));
   EXPECT_EQ(hist.total_successes(), 1u);
   EXPECT_EQ(hist.last_success_slot(), 3u);
 }

@@ -84,16 +84,21 @@ TEST(FastCjz, ConservationAndTraceConsistency) {
   cfg.horizon = 300'000;
   cfg.seed = 31;
   cfg.stop_when_empty = true;
-  FastCjzSimulator sim(fs, adv, cfg);
-  const SimResult res = sim.run();
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_fast_cjz(fs, adv, cfg);
   EXPECT_EQ(res.successes + res.live_at_end, res.arrivals);
-  EXPECT_EQ(sim.trace().total_successes(), res.successes);
-  EXPECT_EQ(sim.trace().total_jammed(), res.jammed_slots);
+  ASSERT_EQ(res.slot_outcomes.size(), res.slots);
+  std::uint64_t successes = 0, jammed = 0;
   for (slot_t s = 1; s <= res.slots; ++s) {
-    const SlotOutcome& out = sim.trace().outcome(s);
+    const SlotOutcome& out = res.slot_outcomes[s - 1];
+    EXPECT_EQ(out.slot, s);
     if (out.jammed) { EXPECT_FALSE(out.success()); }
     if (out.success()) { EXPECT_EQ(out.senders, 1u); }
+    successes += out.success() ? 1 : 0;
+    jammed += out.jammed ? 1 : 0;
   }
+  EXPECT_EQ(successes, res.successes);
+  EXPECT_EQ(jammed, res.jammed_slots);
 }
 
 TEST(FastCjz, NodeStatsRecorded) {
@@ -238,10 +243,11 @@ TEST(FastBatch, PairCollidesAtArrival) {
   cfg.horizon = 10'000;
   cfg.seed = 41;
   cfg.stop_when_empty = true;
-  FastBatchSimulator sim(profiles::h_data(), adv, cfg);
-  const SimResult res = sim.run();
-  EXPECT_EQ(sim.trace().outcome(1).senders, 2u);
-  EXPECT_FALSE(sim.trace().outcome(1).success());
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_fast_batch(profiles::h_data(), adv, cfg);
+  ASSERT_FALSE(res.slot_outcomes.empty());
+  EXPECT_EQ(res.slot_outcomes[0].senders, 2u);
+  EXPECT_FALSE(res.slot_outcomes[0].success());
   EXPECT_EQ(res.successes, 2u) << "both eventually get through";
 }
 
@@ -250,11 +256,11 @@ TEST(FastBatch, ConservationUnderJamming) {
   SimConfig cfg;
   cfg.horizon = 200'000;
   cfg.seed = 43;
-  FastBatchSimulator sim(profiles::h_data(), adv, cfg);
-  const SimResult res = sim.run();
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_fast_batch(profiles::h_data(), adv, cfg);
   EXPECT_EQ(res.successes + res.live_at_end, 200u);
-  for (slot_t s = 1; s <= res.slots; ++s) {
-    const SlotOutcome& out = sim.trace().outcome(s);
+  ASSERT_EQ(res.slot_outcomes.size(), res.slots);
+  for (const SlotOutcome& out : res.slot_outcomes) {
     if (out.jammed) { EXPECT_FALSE(out.success()); }
   }
 }

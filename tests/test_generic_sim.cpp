@@ -102,9 +102,11 @@ TEST(GenericSim, JammedSlotCountMatchesTrace) {
   auto adv = make_adv(batch_arrival(8, 1), periodic_jammer(4, 1));
   SimConfig cfg;
   cfg.horizon = 4000;
-  GenericSimulator sim(factory, adv, cfg);
-  const SimResult res = sim.run();
-  EXPECT_EQ(res.jammed_slots, sim.trace().total_jammed());
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_generic(factory, adv, cfg);
+  std::uint64_t jammed = 0;
+  for (const SlotOutcome& out : res.slot_outcomes) jammed += out.jammed ? 1 : 0;
+  EXPECT_EQ(res.jammed_slots, jammed);
   EXPECT_EQ(res.jammed_slots, 1000u);
 }
 

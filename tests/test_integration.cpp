@@ -114,11 +114,11 @@ TEST(Integration, JammedSlotsNeverSucceed) {
   SimConfig cfg;
   cfg.horizon = 20'000;
   cfg.seed = 29;
-  GenericSimulator sim(factory, adv, cfg);
-  const SimResult res = sim.run();
-  for (slot_t s = 1; s <= res.slots; ++s) {
-    const SlotOutcome& out = sim.trace().outcome(s);
-    if (out.jammed) { EXPECT_FALSE(out.success()) << "slot " << s; }
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_generic(factory, adv, cfg);
+  ASSERT_EQ(res.slot_outcomes.size(), res.slots);
+  for (const SlotOutcome& out : res.slot_outcomes) {
+    if (out.jammed) { EXPECT_FALSE(out.success()) << "slot " << out.slot; }
     if (out.success()) { EXPECT_EQ(out.senders, 1u); }
   }
 }

@@ -35,8 +35,8 @@ TEST_P(CjzBatchProperty, DrainsAndAccountsCorrectly) {
   cfg.horizon = 2'000'000;
   cfg.seed = 1000 + n;
   cfg.stop_when_empty = true;
-  FastCjzSimulator sim(fs, adv, cfg);
-  const SimResult res = sim.run();
+  cfg.recording = RecordingConfig::full_trace();
+  const SimResult res = run_fast_cjz(fs, adv, cfg);
 
   EXPECT_EQ(res.successes, n) << "all messages delivered";
   EXPECT_EQ(res.live_at_end, 0u);
@@ -44,9 +44,10 @@ TEST_P(CjzBatchProperty, DrainsAndAccountsCorrectly) {
   EXPECT_LE(res.active_slots, res.slots);
   EXPECT_EQ(res.arrivals, n);
   // No success in a jammed slot; winners are unique senders.
-  for (slot_t s = 1; s <= res.slots; ++s) {
-    const SlotOutcome& out = sim.trace().outcome(s);
-    if (out.jammed) { ASSERT_FALSE(out.success()) << "slot " << s; }
+  ASSERT_EQ(res.slot_outcomes.size(), res.slots);
+  for (const SlotOutcome& out : res.slot_outcomes) {
+    if (out.jammed) { ASSERT_FALSE(out.success()) << "slot " << out.slot; }
+    if (out.success()) { ASSERT_EQ(out.senders, 1u) << "slot " << out.slot; }
   }
 }
 

@@ -10,8 +10,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <thread>
+#include <vector>
 
 #include "engine/engine.hpp"
 #include "exp/harness.hpp"
@@ -173,6 +176,24 @@ TEST(ParallelReplicate, EveryRepRunsExactlyOnce) {
       /*threads=*/4);
   EXPECT_EQ(calls.load(), 100);
   EXPECT_EQ(results.size(), 100u);
+}
+
+TEST(ParallelReplicate, FewRepsRunConcurrently) {
+  // Two reps on two threads must overlap: each body waits for the other to
+  // start. A scheduler that hands both reps to one worker serializes them,
+  // so the first body times out (bounded, so the failure cannot hang).
+  std::atomic<int> started{0};
+  const auto overlapped = replicate_map(
+      2, 0,
+      [&](std::uint64_t) {
+        started.fetch_add(1);
+        const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+        while (started.load() < 2 && std::chrono::steady_clock::now() < deadline)
+          std::this_thread::yield();
+        return started.load() == 2 ? 1 : 0;
+      },
+      /*threads=*/2);
+  EXPECT_EQ(overlapped, (std::vector<int>{1, 1}));
 }
 
 TEST(ParallelReplicate, ThreadCountAboveRepsIsClamped) {

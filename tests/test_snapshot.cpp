@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -188,6 +189,35 @@ TEST_F(SnapshotRejection, ConfigMismatch) {
   other.config.node_table = NodeTableKind::kDense;
   restore_and_continue(other, blob_, &error);
   EXPECT_NE(error.find("config mismatch on config.node_table"), std::string::npos);
+}
+
+TEST_F(SnapshotRejection, NodeStageOutOfRange) {
+  // The wire carries a node's backoff stage as a u64, but a stage indexes a
+  // 2^stage-slot window, so the core keeps it in a byte and anything >= 64
+  // is corrupt. A recording-free blob has a fixed-size prefix before the
+  // first node record (config echo, result counters, three empty result
+  // vectors, core counters, nodes.next_id/size); patch that node's stage
+  // and re-seal the checksum so only the range check can object.
+  const ReplayCase rc = make_case("batch", RecordingConfig::none(), NodeTableKind::kDense);
+  std::vector<std::uint8_t> b = snapshot_at(rc, 1);
+  constexpr std::size_t kHeader = 32;
+  constexpr std::size_t kFirstNode = kHeader + 30 + 8 * 8 + 3 * 8 + 3 * 8 + 2 * 8;
+  constexpr std::size_t kStage = kFirstNode + 4 * 8;  // after id, arrival, from, sends
+  ASSERT_GT(b.size(), kStage + 8);
+  std::uint64_t arrival = 0, stage = 0;
+  std::memcpy(&arrival, b.data() + kFirstNode + 8, sizeof(arrival));
+  std::memcpy(&stage, b.data() + kStage, sizeof(stage));
+  ASSERT_EQ(arrival, 1u) << "blob layout changed: first node record not where expected";
+  ASSERT_EQ(stage, 0u);
+
+  stage = 64;
+  std::memcpy(b.data() + kStage, &stage, sizeof(stage));
+  const std::uint64_t sum = fnv1a64(b.data() + kHeader, b.size() - kHeader);
+  std::memcpy(b.data() + 24, &sum, sizeof(sum));
+  std::string error;
+  restore_and_continue(rc, b, &error);
+  EXPECT_NE(error.find("node.stage out of range (blob 64, max 63)"), std::string::npos)
+      << error;
 }
 
 TEST_F(SnapshotRejection, ImplausibleCountIsRejected) {
