@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <tuple>
 
 #include "adversary/arrivals.hpp"
@@ -66,6 +67,12 @@ struct RegimeCase {
   int regime;  // 0 const, 1 log, 2 exp-sqrt-log
 };
 
+// Without this, gtest prints the struct's raw bytes — including the `name`
+// pointer, which ASLR moves on every build — and CTest's discovered test name
+// ends in that value ("/0  # GetParam() = 16-byte object <...>"). Printing the
+// name makes CTest's pretty name the stable ".../const", ".../log", ...
+void PrintTo(const RegimeCase& c, std::ostream* os) { *os << c.name; }
+
 class ThroughputRegime : public ::testing::TestWithParam<RegimeCase> {};
 
 TEST_P(ThroughputRegime, SmoothAdversaryRatioBounded) {
@@ -90,10 +97,7 @@ TEST_P(ThroughputRegime, SmoothAdversaryRatioBounded) {
 
 INSTANTIATE_TEST_SUITE_P(Regimes, ThroughputRegime,
                          ::testing::Values(RegimeCase{"const", 0}, RegimeCase{"log", 1},
-                                           RegimeCase{"exp_sqrt_log", 2}),
-                         [](const ::testing::TestParamInfo<RegimeCase>& info) {
-                           return info.param.name;
-                         });
+                                           RegimeCase{"exp_sqrt_log", 2}));
 
 // ---------------------------------------------------------------------------
 // h_data batch property (the paper's Remark after Claim 3.5.1): a constant
