@@ -1,9 +1,9 @@
 // RNG substrate microbenchmarks: scalar draws vs the batched block APIs the
-// lockstep plan path leans on (Rng::fill coin buffers, CounterRng::fill /
-// Stream::fill paired Philox blocks, fill_keys / binomial_keys replication
-// sweeps). Run by hand; the bit-exactness of every batched call against its
-// scalar loop is asserted in tests/test_rng.cpp — this file only tracks the
-// throughput gap that justifies the batching.
+// plan path and the CJZ core lean on (Rng::fill coin buffers,
+// CounterRng::fill / Stream::fill paired Philox blocks). Run by hand; the
+// bit-exactness of every batched call against its scalar loop is asserted in
+// tests/test_rng.cpp — this file only tracks the throughput gap that
+// justifies the batching.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -74,55 +74,6 @@ void BM_StreamFill(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_StreamFill)->Arg(64)->Arg(4096);
-
-void BM_FillKeys(benchmark::State& state) {
-  const auto r = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> keys(r);
-  for (std::size_t i = 0; i < r; ++i) keys[i] = CounterRng(i + 1).key();
-  std::vector<std::uint64_t> out(r);
-  std::uint64_t hi = 0;
-  for (auto _ : state) {
-    CounterRng::fill_keys(keys.data(), r, hi++, 0, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(r));
-}
-BENCHMARK(BM_FillKeys)->Arg(1024);
-
-void BM_BinomialKeysInversion(benchmark::State& state) {
-  const auto r = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> keys(r);
-  for (std::size_t i = 0; i < r; ++i) keys[i] = CounterRng(i + 1).key();
-  std::vector<std::uint64_t> out(r);
-  std::uint64_t hi = 0;
-  for (auto _ : state) {
-    CounterRng::binomial_keys(keys.data(), r, hi++, 10000, 0.001, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(r));
-}
-BENCHMARK(BM_BinomialKeysInversion)->Arg(1024);
-
-void BM_BinomialKeysScalarLoop(benchmark::State& state) {
-  const auto r = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> keys(r);
-  for (std::size_t i = 0; i < r; ++i) keys[i] = CounterRng(i + 1).key();
-  std::vector<std::uint64_t> out(r);
-  std::uint64_t hi = 0;
-  for (auto _ : state) {
-    ++hi;
-    for (std::size_t i = 0; i < r; ++i) {
-      auto stream = CounterRng(keys[i]).stream(hi);
-      out[i] = stream.binomial(10000, 0.001);
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(r));
-}
-BENCHMARK(BM_BinomialKeysScalarLoop)->Arg(1024);
 
 }  // namespace
 

@@ -21,6 +21,8 @@
 
 namespace cr {
 
+struct LockstepPlan;  // engine/lockstep.hpp
+
 struct AdversaryAction {
   bool jam = false;
   std::uint64_t inject = 0;  ///< nodes arriving at the beginning of this slot
@@ -34,6 +36,12 @@ class Adversary {
   virtual AdversaryAction on_slot(slot_t slot, const PublicHistory& history, Rng& rng) = 0;
 
   virtual std::string name() const = 0;
+
+  /// This adversary's whole behaviour, precomputed for a sweep's plan path
+  /// (engine/lockstep.hpp), or null. Only sweeps attach one
+  /// (replicate_workload); an engine that can use it may skip on_slot()
+  /// entirely, one that cannot ignores it.
+  virtual const LockstepPlan* plan() const { return nullptr; }
 };
 
 /// Arrival side of a composed adversary.
@@ -64,9 +72,15 @@ class ComposedAdversary final : public Adversary {
   AdversaryAction on_slot(slot_t slot, const PublicHistory& history, Rng& rng) override;
   std::string name() const override;
 
+  /// Attach the sweep's precomputed plan for these two components (not
+  /// owned; it must outlive every run of this adversary).
+  void set_plan(const LockstepPlan* plan) { plan_ = plan; }
+  const LockstepPlan* plan() const override { return plan_; }
+
  private:
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<Jammer> jammer_;
+  const LockstepPlan* plan_ = nullptr;
   /// Per-component streams, forked lazily from the first on_slot rng (which
   /// the engine hands over unconsumed — fork() itself draws nothing).
   bool streams_forked_ = false;

@@ -1,11 +1,10 @@
 // P1 "perf" — engine throughput trajectory.
 //
 // Times every engine that can run a scenario against that scenario at fixed
-// seeds and reports slots/sec and runs/sec, plus the lockstep-vs-fast_cjz
-// aggregate speedup per cell (the growth target this subcommand exists to
-// track). Numbers go to the narrative table, the optional --csv, and a JSON
-// snapshot that CI archives per commit so throughput regressions show up as
-// a trajectory, not an anecdote.
+// seeds and reports slots/sec and runs/sec per cell. Numbers go to the
+// narrative table, the optional --csv, and a JSON snapshot that CI archives
+// per commit so throughput regressions show up as a trajectory, not an
+// anecdote.
 //
 //   cr perf                          # full sweep (R=1000 per fast-engine cell)
 //   cr perf --quick                  # CI smoke: small horizons, R=64
@@ -24,12 +23,12 @@
 //
 // Measurement notes: each (engine, scenario) cell is timed around the same
 // replication entry point the benches use (replicate_scenario), so the
-// numbers include adversary construction and per-run setup — what a real
-// sweep pays. The reference engine runs a reduced rep count (its per-run
-// cost is orders of magnitude higher and runs/sec normalises it out);
-// slots/sec counts simulated slots, so the lockstep engine's plan path and
-// analytic tail skip (engine/lockstep.hpp) legitimately count the slots
-// they prove they can skip.
+// numbers include adversary construction, plan building and per-run setup —
+// what a real sweep pays. The reference engine runs a reduced rep count (its
+// per-run cost is orders of magnitude higher and runs/sec normalises it
+// out); slots/sec counts simulated slots, so fast_cjz's plan path and
+// analytic tail (engine/lockstep.hpp) count the slots they prove they can
+// skip.
 #include <sys/resource.h>
 
 #include <chrono>
@@ -145,11 +144,11 @@ int run(int argc, const char* const* argv) {
   }
 
   // The paper_repro workload axis: batch cells at two horizons (the large
-  // one is where quiescent tails dominate a scalar sweep), plus the two
+  // one is where quiescent tails dominate a per-slot sweep), plus the two
   // always-active workloads where no tail skip is possible — honest
-  // lower-bound cells for the lockstep engine's plan path. Quick mode keeps
-  // a subset of the SAME cells (fewer reps) so a CI smoke's --baseline diff
-  // against a committed full snapshot has matching rows.
+  // lower-bound cells for the plan path. Quick mode keeps a subset of the
+  // SAME cells (fewer reps) so a CI smoke's --baseline diff against a
+  // committed full snapshot has matching rows.
   const std::vector<PerfCell> cells =
       driver.quick()
           ? std::vector<PerfCell>{{"batch", slot_t{1} << 16}, {"worst_case", slot_t{1} << 16}}
@@ -157,7 +156,7 @@ int run(int argc, const char* const* argv) {
                                   {"batch", slot_t{1} << 20},
                                   {"worst_case", slot_t{1} << 16},
                                   {"bernoulli_stream", slot_t{1} << 16}};
-  const std::vector<std::string> engines = {"generic", "fast_cjz", "lockstep"};
+  const std::vector<std::string> engines = {"generic", "fast_cjz"};
 
   out << "P1: engine throughput at fixed seeds, " << reps << " reps per fast-engine cell, "
       << threads << " thread(s)\n\n";
@@ -246,17 +245,6 @@ int run(int argc, const char* const* argv) {
     rows.push_back(row);
   }
 
-  // Attach the headline ratio to the lockstep rows so the JSON snapshot
-  // carries it as a machine-readable field, not just table narrative.
-  for (PerfRow& row : rows) {
-    if (row.engine != "lockstep") continue;
-    for (const PerfRow& fast : rows) {
-      if (fast.engine == "fast_cjz" && fast.scenario == row.scenario &&
-          fast.horizon == row.horizon && fast.slots_per_sec > 0.0)
-        row.speedup_vs_fast_cjz = row.slots_per_sec / fast.slots_per_sec;
-    }
-  }
-
   Table table({"scenario", "horizon", "engine", "reps", "seconds", "slots/sec", "runs/sec",
                "successes", "sends"});
   for (const PerfRow& row : rows)
@@ -265,14 +253,6 @@ int run(int argc, const char* const* argv) {
                    Cell(row.slots_per_sec, 0), Cell(row.runs_per_sec, 1),
                    Cell(row.mean_successes, 1), Cell(row.mean_sends, 1)});
   table.print(out);
-
-  // Headline: lockstep aggregate throughput over the threaded fast_cjz sweep
-  // of the same cell (both sides used the same --threads).
-  out << "\nlockstep speedup over fast_cjz (aggregate slots/sec, same thread count):\n";
-  for (const PerfRow& row : rows)
-    if (row.engine == "lockstep" && row.speedup_vs_fast_cjz > 0.0)
-      out << "  " << row.scenario << " @ " << static_cast<std::uint64_t>(row.horizon) << ": "
-          << format_double(row.speedup_vs_fast_cjz, 2) << "x\n";
 
   // Memory headline: sparse node-table footprint vs what a dense table would
   // have resident at the same arrival count.
@@ -347,11 +327,6 @@ int run(int argc, const char* const* argv) {
                     row.reps, row.threads, row.seconds, row.slots_per_sec, row.runs_per_sec,
                     row.mean_successes, row.mean_sends);
       json << buf;
-      if (row.speedup_vs_fast_cjz > 0.0) {
-        std::snprintf(buf, sizeof(buf), ", \"speedup_vs_fast_cjz\": %.3f",
-                      row.speedup_vs_fast_cjz);
-        json << buf;
-      }
       if (row.memory_cell) {
         std::snprintf(buf, sizeof(buf),
                       ", \"peak_live_nodes\": %llu, \"node_table_slots\": %llu, "
@@ -370,10 +345,10 @@ int run(int argc, const char* const* argv) {
     out << "\nperf snapshot written to " << json_path << "\n";
   }
 
-  out << "\nReading: slots/sec counts simulated slots (the lockstep engine's plan\n"
-         "path and analytic tail skip count the slots they certify away); runs/sec\n"
-         "is the end-to-end replication rate a sweep observes. Compare rows within\n"
-         "a scenario cell.\n";
+  out << "\nReading: slots/sec counts simulated slots (fast_cjz's plan path and\n"
+         "analytic tail count the slots they certify away); runs/sec is the\n"
+         "end-to-end replication rate a sweep observes. Compare rows within a\n"
+         "scenario cell.\n";
   return regressions > 0 ? 1 : 0;
 }
 
@@ -403,13 +378,12 @@ BenchSpec perf() {
   BenchSpec spec;
   spec.name = "perf";
   spec.id = "P1";
-  spec.summary = "engine throughput per scenario (slots/sec, runs/sec, lockstep speedup)";
+  spec.summary = "engine throughput per scenario (slots/sec, runs/sec)";
   spec.claim = "— (performance trajectory, not a paper claim)";
   spec.outcome =
-      "per (scenario × engine) timing rows plus the lockstep-vs-fast_cjz aggregate "
-      "speedup and a sparse node-table memory cell (resident bytes vs dense "
-      "extrapolation, peak RSS); JSON snapshot for CI trend tracking; delta gate vs "
-      "a prior snapshot";
+      "per (scenario × engine) timing rows plus a sparse node-table memory cell "
+      "(resident bytes vs dense extrapolation, peak RSS); JSON snapshot for CI trend "
+      "tracking; delta gate vs a prior snapshot";
   spec.flags = {
       {"json", "JSON snapshot path (default: next BENCH_<n+1>.json; empty string disables)"},
       {"baseline", "prior snapshot to diff against (per-cell slots/sec deltas, rows matched "

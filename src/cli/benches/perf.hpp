@@ -27,7 +27,6 @@ struct PerfRow {
   double runs_per_sec = 0.0;
   double mean_successes = 0.0;
   double mean_sends = 0.0;
-  double speedup_vs_fast_cjz = 0.0;  ///< lockstep rows only; 0 = not applicable
 
   /// Memory-cell rows only (engine "fast_cjz_sparse"); all zero elsewhere.
   bool memory_cell = false;

@@ -68,103 +68,4 @@ std::uint64_t Rng::geometric(double p) { return rng_detail::geometric(*this, p);
 
 double Rng::normal01() { return rng_detail::normal01(*this); }
 
-// --- CounterRng batched sweeps ---------------------------------------------
-// block() itself lives in the header so these loops (and the engine's hot
-// paths) inline it; the cross-replication sweeps below stay out of line —
-// they are called once per chunk, not once per draw.
-
-void CounterRng::fill_keys(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                           std::uint64_t index, std::uint64_t* out) {
-  const std::uint64_t blk = index >> 1;
-  const bool second = (index & 1) != 0;
-  std::size_t i = 0;
-  for (; i + 2 <= r; i += 2) {
-    // Two independent key chains per iteration keep the multiplier busy.
-    const Block a = CounterRng(keys[i]).block(blk, hi);
-    const Block b = CounterRng(keys[i + 1]).block(blk, hi);
-    out[i] = second ? a.w1 : a.w0;
-    out[i + 1] = second ? b.w1 : b.w0;
-  }
-  for (; i < r; ++i) out[i] = CounterRng(keys[i]).at(hi, index);
-}
-
-void CounterRng::fill_keys_unit(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                                std::uint64_t index, double* out) {
-  const std::uint64_t blk = index >> 1;
-  const bool second = (index & 1) != 0;
-  std::size_t i = 0;
-  for (; i + 2 <= r; i += 2) {
-    const Block a = CounterRng(keys[i]).block(blk, hi);
-    const Block b = CounterRng(keys[i + 1]).block(blk, hi);
-    out[i] = static_cast<double>((second ? a.w1 : a.w0) >> 11) * 0x1.0p-53;
-    out[i + 1] = static_cast<double>((second ? b.w1 : b.w0) >> 11) * 0x1.0p-53;
-  }
-  for (; i < r; ++i)
-    out[i] = static_cast<double>(CounterRng(keys[i]).at(hi, index) >> 11) * 0x1.0p-53;
-}
-
-void CounterRng::binomial_keys(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                               std::uint64_t n, double p, std::uint64_t* out) {
-  // Mirror of rng_detail::binomial with the per-key-invariant work hoisted:
-  // branch classification and the pow(q, n) inversion anchor depend only on
-  // (n, p), so they are computed once for the whole key sweep. Each out[i]
-  // is bit-identical to CounterRng(keys[i]).stream(hi).binomial(n, p).
-  if (n == 0 || p <= 0.0) {
-    for (std::size_t i = 0; i < r; ++i) out[i] = 0;
-    return;
-  }
-  if (p >= 1.0) {
-    for (std::size_t i = 0; i < r; ++i) out[i] = n;
-    return;
-  }
-  const bool flip = p > 0.5;
-  const double q = flip ? 1.0 - p : p;
-
-  if (n <= 64) {
-    std::uint64_t words[64];
-    for (std::size_t i = 0; i < r; ++i) {
-      CounterRng(keys[i]).fill(hi, 0, words, n);
-      std::uint64_t hits = 0;
-      for (std::uint64_t w = 0; w < n; ++w)
-        hits += (static_cast<double>(words[w] >> 11) * 0x1.0p-53 < q) ? 1 : 0;
-      out[i] = flip ? n - hits : hits;
-    }
-    return;
-  }
-
-  const double mean = static_cast<double>(n) * q;
-  const double f0 =
-      mean <= rng_detail::kInversionMeanCutoff ? std::pow(1.0 - q, static_cast<double>(n)) : 0.0;
-  if (mean <= rng_detail::kInversionMeanCutoff && f0 > 0.0) {
-    // BINV, one uniform per key; the inversion walk is pure arithmetic.
-    const double s = q / (1.0 - q);
-    const double a = static_cast<double>(n);
-    for (std::size_t i = 0; i < r; ++i) {
-      double u = static_cast<double>(CounterRng(keys[i]).at(hi, 0) >> 11) * 0x1.0p-53;
-      double f = f0;
-      std::uint64_t k = 0;
-      while (u > f) {
-        u -= f;
-        ++k;
-        if (k > n) {
-          k = n;
-          break;
-        }
-        f *= s * (a - static_cast<double>(k) + 1.0) / static_cast<double>(k);
-        if (f <= 0.0) break;
-      }
-      out[i] = flip ? n - k : k;
-    }
-    return;
-  }
-
-  // Normal-approximation tail (or pow underflow): per-key word consumption
-  // can vary in the u1 <= 0 rejection loop, so run the scalar cursor.
-  for (std::size_t i = 0; i < r; ++i) {
-    Stream st = CounterRng(keys[i]).stream(hi);
-    const std::uint64_t k = rng_detail::binomial(st, n, q);
-    out[i] = flip ? n - k : k;
-  }
-}
-
 }  // namespace cr

@@ -6,13 +6,14 @@
 // (common/stream_tags.hpp):
 //
 //   * cr::Rng — sequential xoshiro256** (public-domain algorithm by Blackman
-//     & Vigna) seeded via splitmix64. The default for every engine: state
-//     advances draw by draw, so the i-th value depends on the i-1 before it.
+//     & Vigna) seeded via splitmix64: state advances draw by draw, so the
+//     i-th value depends on the i-1 before it. Adversary components and the
+//     generic and fast_batch engines draw from it.
 //   * cr::CounterRng — counter-based (Philox-style 2x64 block cipher). Any
 //     (seed, stream-tag, hi-counter, draw-index) value is a pure function of
 //     those four numbers, computable independently and out of order — which
-//     is what lets the lockstep engine give every (replication, slot) its
-//     own stream without storing any generator state per replication.
+//     is what lets the CJZ core give every slot its own stream without
+//     carrying generator state from one slot to the next.
 //
 // Both substrates derive sub-streams with the same fork(tag) seed
 // arithmetic, so a (seed, tag) pair names the same logical stream on either.
@@ -30,12 +31,11 @@
 //
 // Batched draws: both substrates expose block APIs that produce the same
 // values as repeated scalar draws — Rng::fill/skip walk the sequential state
-// in one call, CounterRng::fill / Stream::fill / Stream::skip evaluate
-// Philox blocks two at a time so the ten-round latency chains overlap, and
-// CounterRng::fill_keys / binomial_keys sweep one counter position across a
-// whole (seed .. seed+R) replication axis in one pass. Every batched call is
-// bit-identical to the equivalent scalar loop (asserted in tests/test_rng.cpp);
-// the lockstep engine leans on this equivalence for its skip certificates.
+// in one call, and CounterRng::fill / Stream::fill / Stream::skip evaluate
+// Philox blocks two at a time so the ten-round latency chains overlap. Every
+// batched call is bit-identical to the equivalent scalar loop (asserted in
+// tests/test_rng.cpp); the plan path (engine/lockstep.hpp) leans on this
+// equivalence to fill adversary coins in blocks.
 #pragma once
 
 #include <cmath>
@@ -199,7 +199,7 @@ class Rng {
 
   /// Fill out[0..n) with the next n words — bit-identical to n sequential
   /// next_u64() calls. One call amortises the cross-TU call cost over the
-  /// whole block (the lockstep engine fills adversary-coin buffers this way).
+  /// whole block (the plan path fills adversary-coin buffers this way).
   void fill(std::uint64_t* out, std::size_t n);
 
   /// Uniform double in [0, 1) with 53 random bits.
@@ -246,10 +246,10 @@ class Rng {
 ///     at(hi, index) = word[index & 1] of Philox(key, block = index >> 1, hi)
 ///
 /// — no state advances, so any draw is computable without generating its
-/// predecessors. stream(hi) binds the hi counter (the lockstep engine uses
-/// the slot number) and hands back a sequential cursor over index = 0, 1,
-/// ... that offers the same distribution methods as Rng; its draw sequence
-/// equals {at(hi, 0), at(hi, 1), ...} by construction (asserted in
+/// predecessors. stream(hi) binds the hi counter (the CJZ core uses the slot
+/// number) and hands back a sequential cursor over index = 0, 1, ... that
+/// offers the same distribution methods as Rng; its draw sequence equals
+/// {at(hi, 0), at(hi, 1), ...} by construction (asserted in
 /// tests/test_rng.cpp).
 class CounterRng {
  public:
@@ -316,25 +316,6 @@ class CounterRng {
     }
     for (; i < n; ++i, ++index) out[i] = at(hi, index);
   }
-
-  /// Batched cross-replication draw: out[i] = the word at position (hi,
-  /// index) of the stream keyed keys[i]. One vectorizable pass — the Philox
-  /// chains of neighbouring keys are independent and evaluated pairwise.
-  static void fill_keys(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                        std::uint64_t index, std::uint64_t* out);
-
-  /// Same sweep producing uniform doubles in [0, 1): out[i] equals
-  /// Stream(keys[i], hi) read at `index` through uniform01's 53-bit mapping.
-  static void fill_keys_unit(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                             std::uint64_t index, double* out);
-
-  /// Batched small-mean binomial across the replication axis: out[i] is
-  /// bit-identical to CounterRng(keys[i]).stream(hi).binomial(n, p) — the
-  /// classification (flip, coin-by-coin vs inversion vs normal) and the
-  /// pow(q, n) anchor of the inversion branch are hoisted out of the loop,
-  /// which is what makes retiring thousands of quiescent replications cheap.
-  static void binomial_keys(const std::uint64_t* keys, std::size_t r, std::uint64_t hi,
-                            std::uint64_t n, double p, std::uint64_t* out);
 
   /// Sequential cursor over one (key, hi) stream. Satisfies
   /// UniformRandomBitGenerator; the distribution methods delegate to the

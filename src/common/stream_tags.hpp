@@ -30,17 +30,17 @@ inline constexpr std::uint64_t kArrival = 0xA0u;
 inline constexpr std::uint64_t kJammer = 0x1Au;
 /// Generic engine → per-node protocol draws (one shared stream).
 inline constexpr std::uint64_t kGenericNodes = 0x0Du;
-/// fast_cjz / lockstep → main protocol stream (backoff offsets, cohort
-/// binomials, winner selection).
+/// fast_cjz / cr stream (the CJZ core) → main protocol stream (backoff
+/// offsets, cohort binomials, winner selection).
 inline constexpr std::uint64_t kCjzMain = 0xF0u;
 /// fast_batch → main protocol stream (cohort binomials).
 inline constexpr std::uint64_t kBatchMain = 0xB0u;
 /// Cohort engines → send attribution under RecordingTier::kNodeStats. A
 /// dedicated stream so the recording tier never perturbs the trajectory.
 inline constexpr std::uint64_t kAttribution = 0xA7u;
-/// Lockstep many-run sweeps → analytic quiescent-tail jam draws (the one
-/// Binomial(remaining, p) replacing per-slot i.i.d. coins once a replication
-/// has drained and its certificate rules out further arrivals).
+/// Plan-path sweeps → analytic quiescent-tail jam draws (the one
+/// Binomial(remaining, p) replacing per-slot i.i.d. coins once a seed has
+/// drained and its plan rules out further arrivals).
 inline constexpr std::uint64_t kLockstepTail = 0x7Au;
 /// `cr stream --synth` → synthetic arrival-feed generator (gaps, batch
 /// sizes, jam coins of the generated trace; independent of every engine

@@ -15,7 +15,7 @@
 /// 16 bytes and compare a single integer. The comparator is value-equivalent
 /// to the old (slot, kind) field comparison, and std::push_heap/pop_heap
 /// move elements purely by comparator outcomes, so the pop order — ties
-/// included — is identical to the unpacked representation. (Lockstep
+/// included — is identical to the unpacked representation. (Plan-path
 /// bit-exactness and the golden CSVs depend on that order.)
 #pragma once
 
@@ -78,13 +78,12 @@ class Calendar {
     return heap_.empty() ? 0 : static_cast<slot_t>(heap_.front().key >> 1);
   }
 
-  /// Pop and discard every event scheduled strictly before `slot`. The
-  /// lockstep plan path jumps over spans where every pending event is
-  /// provably stale (no node is alive); discarding them with the same
-  /// pop_heap sequence the per-slot loop would have used keeps the heap
-  /// array — and therefore the pop order of later TIED events — identical
-  /// to stepping every slot, which is what plan/generic bit-exactness
-  /// rests on.
+  /// Pop and discard every event scheduled strictly before `slot`. The plan
+  /// path jumps over spans where every pending event is provably stale (no
+  /// node is alive); discarding them with the same pop_heap sequence the
+  /// per-slot loop would have used keeps the heap array — and therefore the
+  /// pop order of later TIED events — identical to stepping every slot,
+  /// which is what the plan path's bit-exactness rests on.
   void drain_below(slot_t slot) {
     while (!heap_.empty() && static_cast<slot_t>(heap_.front().key >> 1) < slot) {
       std::pop_heap(heap_.begin(), heap_.end(), Later{});
@@ -92,8 +91,7 @@ class Calendar {
     }
   }
 
-  /// Pre-size the backing store (the lockstep engine knows a chunk's reps
-  /// share similar event populations).
+  /// Pre-size the backing store.
   void reserve(std::size_t n) { heap_.reserve(n); }
 
   /// Serialize the heap ARRAY verbatim, in storage order — never re-heapified

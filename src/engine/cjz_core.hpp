@@ -1,26 +1,20 @@
 /// \file
-/// CJZ cohort engine core, templated over the RNG-stream policy.
+/// CJZ cohort engine core on the counter-based RNG substrate.
 ///
 /// The cohort/calendar simulation of the CJZ algorithm (see
 /// engine/fast_cjz.hpp for the two structural facts it exploits) is written
-/// once here and instantiated per randomness substrate:
-///
-///   * SequentialCjzStreams — the classic substrate: one xoshiro256** main
-///     stream and one attribution stream, each advancing draw by draw.
-///     FastCjzSimulator wraps CjzCore<SequentialCjzStreams>; its draw
-///     sequences are bit-identical to the pre-refactor engine.
-///   * CounterCjzStreams — the lockstep substrate: Philox counter streams
-///     keyed by (seed, tag) with the slot number as the hi counter, so every
-///     slot's draws are a pure function of (seed, slot, draw-index) and no
-///     generator state lives between slots. This is what lets one lockstep
-///     pass advance thousands of replications per slot and skip quiescent
-///     tails without replaying them.
+/// once here. Its randomness comes from Philox counter streams keyed by
+/// (seed, tag) with the slot number as the hi counter, so every slot's draws
+/// are a pure function of (seed, slot, draw-index) and no generator state
+/// lives between slots. That is what lets the plan path (engine/lockstep.hpp)
+/// skip protocol-silent slots without replaying them, and what makes every
+/// core snapshot-capable: save()/load() carry no RNG state at all.
 ///
 /// The core is slot-callable: the driver owns the adversary interaction and
 /// calls step(slot, action) once per slot (in order, starting at 1), then
-/// finish(). This split is what the lockstep engine needs — it interleaves
-/// step() calls of many replications inside one slot loop — while the scalar
-/// engines keep their simple run() loop.
+/// finish(). FastCjzSimulator steps every slot of a single run, the plan path
+/// steps only the slots where something happens, and StreamSim steps a
+/// horizon-free feed.
 #pragma once
 
 #include <algorithm>
@@ -43,50 +37,6 @@
 
 namespace cr {
 
-/// Sequential stream policy: forked xoshiro streams, shared across slots.
-struct SequentialCjzStreams {
-  Rng main_rng;
-  Rng attr_rng;
-
-  /// `root` is the run's seed Rng; forks are pure (root is not consumed).
-  explicit SequentialCjzStreams(const Rng& root)
-      : main_rng(root.fork(streams::kCjzMain)), attr_rng(root.fork(streams::kAttribution)) {}
-
-  void begin_slot(slot_t) {}
-  Rng& main() { return main_rng; }
-  Rng& attr() { return attr_rng; }
-
-  /// Sequential streams carry generator state across slots, which CjzCore
-  /// snapshots do not serialize — see CounterCjzStreams::kSnapshotSafe.
-  static constexpr bool kSnapshotSafe = false;
-};
-
-/// Counter stream policy: per-slot Philox streams; any slot's draws are
-/// computable without the slots before it.
-struct CounterCjzStreams {
-  CounterRng main_base;
-  CounterRng attr_base;
-  CounterRng::Stream main_stream;
-  CounterRng::Stream attr_stream;
-
-  explicit CounterCjzStreams(std::uint64_t seed)
-      : main_base(CounterRng(seed).fork(streams::kCjzMain)),
-        attr_base(CounterRng(seed).fork(streams::kAttribution)) {}
-
-  void begin_slot(slot_t slot) {
-    main_stream = main_base.stream(slot);
-    attr_stream = attr_base.stream(slot);
-  }
-  CounterRng::Stream& main() { return main_stream; }
-  CounterRng::Stream& attr() { return attr_stream; }
-
-  /// begin_slot() rebinds both streams as a pure function of (seed, slot),
-  /// so at a slot boundary NO generator state needs to cross a snapshot —
-  /// the keystone of CjzCore::save()/load() bit-identity (determinism
-  /// rule 8 in docs/ARCHITECTURE.md).
-  static constexpr bool kSnapshotSafe = true;
-};
-
 /// Resident node-table footprint of a core — what NodeTableKind buys.
 struct CjzCoreMemoryStats {
   std::uint64_t peak_live_nodes = 0;   ///< max simultaneous live nodes seen
@@ -95,16 +45,17 @@ struct CjzCoreMemoryStats {
 };
 
 /// One CJZ run's state and per-slot transition. One instance per run.
-template <typename Streams>
 class CjzCore {
  public:
-  /// `fs` must outlive the core (owned by the caller).
-  CjzCore(const FunctionSet* fs, const SimConfig& config, CjzOptions options, Streams streams,
+  /// `fs` must outlive the core (owned by the caller). The RNG streams are
+  /// forked from config.seed.
+  CjzCore(const FunctionSet* fs, const SimConfig& config, CjzOptions options,
           Trace::Storage trace_storage = Trace::Storage::kCounting)
       : fs_(fs),
         config_(config),
         options_(options),
-        streams_(std::move(streams)),
+        main_base_(CounterRng(config.seed).fork(streams::kCjzMain)),
+        attr_base_(CounterRng(config.seed).fork(streams::kAttribution)),
         trace_(trace_storage),
         nodes_(config.node_table == NodeTableKind::kSparse) {
     // backoff_sends goes through a std::function; memoize the per-stage send
@@ -141,8 +92,9 @@ class CjzCore {
       }
     }
 
-    streams_.begin_slot(slot);
-    auto& rng = streams_.main();
+    main_ = main_base_.stream(slot);
+    attr_ = attr_base_.stream(slot);
+    auto& rng = main_;
 
     for (std::uint64_t i = 0; i < action.inject; ++i) {
       const std::uint32_t idx = nodes_.acquire();
@@ -225,7 +177,7 @@ class CjzCore {
       for (std::size_t di = 0; di < cohort_draws_.size(); ++di) {
         if (cohort_winner && di == 0) continue;
         attribute_cohort_sends(cohorts_[cohort_draws_[di].first], cohort_draws_[di].second,
-                               streams_.attr());
+                               attr_);
       }
       if (cohort_winner) ++nodes_[winner_idx].sends;
     }
@@ -293,7 +245,11 @@ class CjzCore {
 
   std::uint64_t live() const { return live_; }
 
-  /// Lockstep idle-skip hint: assuming no arrivals, the earliest slot at
+  /// Pre-size a dense node table for `arrivals` nodes (no-op for sparse
+  /// tables, which hold only live nodes).
+  void reserve_nodes(std::uint64_t arrivals) { nodes_.reserve(arrivals); }
+
+  /// Plan-path idle-skip hint: assuming no arrivals, the earliest slot at
   /// which step() could consume a random draw or change any counter beyond
   /// the slot count itself. Returns 0 ("step every slot") while any cohort
   /// holds members — cohort binomials are drawn each slot — and otherwise
@@ -333,16 +289,13 @@ class CjzCore {
   }
 
   /// Serialize the complete core state at a slot boundary — call only after
-  /// step(k) returned and before step(k+1). Counter-stream cores only: their
-  /// per-slot streams are rebound as a pure function of (seed, slot), so no
-  /// generator state crosses the boundary. The Trace counters are NOT
-  /// serialized; snapshot-bearing cores must run with Trace::Storage::kDisabled
-  /// (enforced on load). Leads with a config echo so restoring into a
-  /// differently-configured core is a named error, never silent divergence.
+  /// step(k) returned and before step(k+1). The per-slot streams are rebound
+  /// as a pure function of (seed, slot), so no generator state crosses the
+  /// boundary. The Trace counters are NOT serialized; snapshot-bearing cores
+  /// must run with Trace::Storage::kDisabled (enforced on load). Leads with a
+  /// config echo so restoring into a differently-configured core is a named
+  /// error, never silent divergence.
   void save(SnapshotWriter& w) const {
-    static_assert(Streams::kSnapshotSafe,
-                  "snapshots require the counter-stream policy (sequential streams "
-                  "carry RNG state between slots that save() does not serialize)");
     w.u64(config_.horizon);
     w.u64(config_.seed);
     w.u8(config_.stop_when_empty ? 1 : 0);
@@ -406,9 +359,6 @@ class CjzCore {
   /// never out of bounds). Does not call expect_end() — callers may append
   /// their own fields after the core block.
   void load(SnapshotReader& r) {
-    static_assert(Streams::kSnapshotSafe,
-                  "snapshots require the counter-stream policy (sequential streams "
-                  "carry RNG state between slots that load() cannot rebuild)");
     if (trace_.storage() != Trace::Storage::kDisabled) {
       r.fail("snapshot: restore requires a trace-disabled core (trace contents are "
              "not serialized)");
@@ -594,6 +544,9 @@ class CjzCore {
 
     std::size_t slot_count() const { return slots_.size(); }
     std::uint64_t issued_ids() const { return next_id_; }
+    void reserve(std::uint64_t n) {
+      if (!reuse_) slots_.reserve(static_cast<std::size_t>(n));
+    }
 
     void save(SnapshotWriter& w) const {
       w.u64(next_id_);
@@ -659,7 +612,7 @@ class CjzCore {
     node_id next_id_ = 0;
   };
 
-  void begin_stage(std::uint32_t idx, std::uint64_t k, auto& rng) {
+  void begin_stage(std::uint32_t idx, std::uint64_t k, CounterRng::Stream& rng) {
     Node& n = nodes_[idx];
     CR_DCHECK(k < kMaxStages);
     n.stage = static_cast<std::uint8_t>(k);
@@ -704,7 +657,7 @@ class CjzCore {
       calendar_.push({next_begin, CalendarEvent::Kind::kStageBegin, idx, n.gen});
   }
 
-  void handle_success(slot_t slot, auto& rng) {
+  void handle_success(slot_t slot, CounterRng::Stream& rng) {
     const int sp = parity_channel(slot);
 
     // Start the new cohort from the largest merging population (moved, not
@@ -773,7 +726,7 @@ class CjzCore {
 
   /// kNodeStats tier: charge `c` of `cohort`'s members with one send each
   /// (uniform subset; see engine/attribution.hpp).
-  void attribute_cohort_sends(const Cohort& cohort, std::uint64_t c, auto& rng_attr) {
+  void attribute_cohort_sends(const Cohort& cohort, std::uint64_t c, CounterRng::Stream& rng_attr) {
     const auto m = static_cast<std::uint64_t>(cohort.members.size());
     CR_DCHECK(c <= m);
     visit_uniform_subset(m, c, rng_attr, attr_scratch_,
@@ -783,7 +736,12 @@ class CjzCore {
   const FunctionSet* fs_;
   SimConfig config_;
   CjzOptions options_;
-  Streams streams_;
+  /// Stream families of the main protocol draws and of send attribution;
+  /// step() binds this slot's cursor of each (hi counter = slot number).
+  CounterRng main_base_;
+  CounterRng attr_base_;
+  CounterRng::Stream main_;
+  CounterRng::Stream attr_;
 
   Trace trace_;
   SimResult result_;

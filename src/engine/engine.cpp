@@ -8,7 +8,6 @@
 #include "engine/fast_batch.hpp"
 #include "engine/fast_cjz.hpp"
 #include "engine/generic_sim.hpp"
-#include "engine/lockstep.hpp"
 
 namespace cr {
 
@@ -68,7 +67,9 @@ class GenericEngine final : public Engine {
   }
 };
 
-/// Cohort engine specialised to the CJZ algorithm.
+/// Cohort engine specialised to the CJZ algorithm. Sweeps reach its plan
+/// path through the adversary (FastCjzSimulator::run), so run() is called
+/// once per seed on every path.
 class FastCjzEngine final : public Engine {
  public:
   std::string name() const override { return "fast_cjz"; }
@@ -100,33 +101,12 @@ class FastBatchEngine final : public Engine {
   }
 };
 
-/// CJZ engine on the counter-based RNG substrate (see engine/lockstep.hpp).
-/// Single runs rank below fast_cjz — per-slot stream rebinding costs a
-/// little — so preferred() keeps picking fast_cjz; the engine's edge is the
-/// many-seed sweep path (run_lockstep_many), which the exp layer dispatches
-/// to explicitly.
-class LockstepEngine final : public Engine {
- public:
-  std::string name() const override { return "lockstep"; }
-  bool supports(const ProtocolSpec& spec) const override {
-    return spec.kind == ProtocolSpec::Kind::kCjz;
-  }
-  int speed_rank() const override { return 50; }
-
-  SimResult run(const ProtocolSpec& spec, Adversary& adversary, const SimConfig& config,
-                SlotObserver* observer) const override {
-    CR_CHECK(supports(spec));
-    return run_lockstep_single(spec, adversary, config, observer);
-  }
-};
-
 }  // namespace
 
 EngineRegistry::EngineRegistry() {
   register_engine(std::make_unique<GenericEngine>());
   register_engine(std::make_unique<FastCjzEngine>());
   register_engine(std::make_unique<FastBatchEngine>());
-  register_engine(std::make_unique<LockstepEngine>());
 }
 
 EngineRegistry& EngineRegistry::instance() {

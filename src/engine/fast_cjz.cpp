@@ -5,6 +5,7 @@
 #include "common/rng.hpp"
 #include "common/stream_tags.hpp"
 #include "engine/cjz_core.hpp"
+#include "engine/lockstep.hpp"
 
 namespace cr {
 
@@ -13,10 +14,14 @@ FastCjzSimulator::FastCjzSimulator(FunctionSet fs, Adversary& adversary, SimConf
     : fs_(std::move(fs)), adversary_(adversary), config_(config), options_(options) {}
 
 SimResult FastCjzSimulator::run() {
-  const Rng root(config_.seed);
-  Rng rng_adv = root.fork(streams::kAdversary);
+  // The plan path cannot feed an observer (it skips slots) nor materialize a
+  // per-slot trace or stop early; such runs keep the per-slot loop.
+  const LockstepPlan* plan = adversary_.plan();
+  if (plan != nullptr && observer_ == nullptr && plan_path_allowed(config_))
+    return run_plan(fs_, options_, config_, *plan, &memory_stats_);
 
-  CjzCore<SequentialCjzStreams> core(&fs_, config_, options_, SequentialCjzStreams(root));
+  Rng rng_adv = Rng(config_.seed).fork(streams::kAdversary);
+  CjzCore core(&fs_, config_, options_);
   PublicHistory history(core.trace());
 
   for (slot_t slot = 1; slot <= config_.horizon; ++slot) {

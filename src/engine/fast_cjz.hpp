@@ -26,10 +26,10 @@
 /// across recording tiers.
 ///
 /// The cohort/calendar machinery itself lives in engine/cjz_core.hpp
-/// (CjzCore<Streams>, shared with the lockstep engine); this class is the
-/// sequential-substrate driver: it owns the adversary loop and instantiates
-/// the core over SequentialCjzStreams, which reproduces the historical
-/// xoshiro draw sequences bit for bit.
+/// (CjzCore, on the counter-based RNG substrate); this class is the driver.
+/// A single run steps the core once per slot against the live adversary; a
+/// sweep's run whose adversary carries a plan takes the event-driven plan
+/// path instead (engine/lockstep.hpp).
 #pragma once
 
 #include "adversary/adversary.hpp"

@@ -1,144 +1,84 @@
 /// \file
-/// Lockstep many-replication engine for the CJZ algorithm.
+/// The plan path: event-driven CJZ runs for sweeps whose adversary is known
+/// before the sweep starts.
 ///
-/// The scalar engines execute one replication at a time; a Monte-Carlo sweep
-/// over R seeds pays R full passes over the slot axis plus R times the
-/// per-run setup, and the threaded harness buys back at most a core-count
-/// factor. The lockstep engine turns the loop inside out: it holds R
-/// replications of the SAME workload concurrently and advances all of them
-/// in one pass, which is only possible on the counter-based RNG substrate
-/// (CounterRng) — every (replication, slot) pair owns a stream that is a
-/// pure function of (seed, stream-tag, slot), so no generator state has to
-/// persist per replication between slots.
+/// When neither workload component reads the history, the adversary's entire
+/// behaviour is computable up front: deterministic arrivals/jams go into one
+/// schedule and jam bitmap every seed shares, i.i.d. components become
+/// per-seed coin parameters. replicate_workload builds one LockstepPlan per
+/// sweep and hands it to each seed's adversary (Adversary::plan());
+/// FastCjzSimulator::run then calls run_plan(). Single runs never carry one.
 ///
-/// Two execution paths share the CjzCore transition:
-///
-///   1. The generic path holds the live adversary components and calls them
-///      per (replication, slot) — correct for ANY registered component,
-///      including history-reading ones, and bit-exact to running the
-///      single-run counter path once per seed. Its optional analytic
-///      quiescent-tail skip (quiet_after / tail_jam, certified by the exp
-///      layer) replaces the i.i.d. jam coins of a provably-silent tail with
-///      one Binomial draw on the dedicated kLockstepTail stream — counters
-///      then match the per-slot loop exactly except jammed_slots, which
-///      matches in distribution.
-///
-///   2. The plan path (LockstepPlan) handles the common case where neither
-///      component reads the history: the adversary's entire behaviour is
-///      precomputed — deterministic arrivals/jams into a shared schedule and
-///      jam-slot list, i.i.d. coins into per-replication bitmaps batched
-///      through Rng::fill — and each replication advances event-driven: the
-///      next stepped slot is min(next certified arrival, the core's
-///      next_event_slot()), so protocol-silent slots are never stepped at
-///      all, even mid-run between arrivals. The per-slot Philox streams make
-///      the skipped slots free *and* exact: a slot with no arrival, no due
-///      calendar event and no cohort members consumes no draws and changes
-///      nothing but the slot/active/jam counters, which the engine fixes up
-///      arithmetically (jams from the precomputed bitmap — exact, not
-///      sampled). Plan-path results are bit-identical to the generic path in
-///      exact mode (asserted per-seed in tests/test_lockstep.cpp); it
-///      subsumes the analytic tail and is what makes always-active sweeps
-///      (paced or Bernoulli arrivals to the horizon) fast, not just
-///      skippable ones.
-///
-/// The single-run entry point (run_lockstep_single, wrapped by the
-/// "lockstep" EngineRegistry entry) executes one replication on the counter
-/// substrate — same trajectory law as fast_cjz, different draws.
+/// run_plan() steps only slots with an arrival due, a calendar wake-up or a
+/// live cohort. A skipped slot provably consumes no draw on the counter
+/// substrate (CjzCore::next_event_slot), so only its slot/active/jam counters
+/// move, and those are fixed up arithmetically. The i.i.d. coins come from
+/// the live components' streams, in their slot order and word consumption,
+/// so a plan-path run is bit-identical to the per-slot loop at the same seed
+/// — except for the analytic tail: once the seed has no live node past
+/// `quiet_after`, one Binomial(remaining, tail_jam) draw on the kLockstepTail
+/// stream replaces the remaining jam coins, and jammed_slots then matches
+/// the per-slot loop in distribution only.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
-#include "adversary/adversary.hpp"
-#include "engine/engine.hpp"
+#include "common/functions.hpp"
+#include "engine/cjz_core.hpp"
 #include "engine/sim_result.hpp"
+#include "protocols/cjz_node.hpp"
 
 namespace cr {
 
-/// One replication on the counter substrate (registered as engine
-/// "lockstep"). `spec` must be kCjz.
-SimResult run_lockstep_single(const ProtocolSpec& spec, Adversary& adversary,
-                              const SimConfig& config, SlotObserver* observer = nullptr);
-
-/// Precomputed adversary behaviour for a whole sweep (the plan path above).
-/// Only valid for workloads whose components never read the PublicHistory;
-/// the exp layer builds it from the component names (lockstep_plan in
-/// exp/workload.hpp) and leaves `valid` false for anything it cannot prove.
-///
-/// Draw-for-draw exactness contract: a replication's i.i.d. coins are drawn
-/// from the same forked xoshiro streams, in the same slot order, with the
-/// same one-word-per-coin consumption as the live components would draw them
-/// on the generic path — so the plan path reproduces the generic path's
-/// results bit-for-bit, it does not merely approximate them.
+/// Precomputed adversary behaviour for one sweep. Only valid for workloads
+/// whose components never read the PublicHistory; the exp layer builds it
+/// from the component names (lockstep_plan in exp/workload.hpp) and leaves
+/// `valid` false for anything it cannot prove.
 struct LockstepPlan {
   bool valid = false;
+  /// The horizon the plan was built for (run_plan checks the run's).
+  slot_t horizon = 0;
 
-  /// Arrival side. Either a shared deterministic schedule (strictly
-  /// increasing slots, counts > 0; shared because the plannable arrival
-  /// components are seed-independent), or per-replication Bernoulli coins:
+  /// Arrival side. Either a shared deterministic schedule of (slot, count)
+  /// pairs, slots increasing and counts > 0 (shared because the plannable
+  /// arrival components are seed-independent), or per-seed Bernoulli coins:
   /// floor(rate) certain arrivals plus one frac(rate)-coin per slot of
-  /// [from, to].
+  /// [arrival_from, arrival_to], arrival_from >= 1.
   bool bernoulli_arrivals = false;
   std::vector<std::pair<slot_t, std::uint64_t>> schedule;
   double arrival_rate = 0.0;
   slot_t arrival_from = 1;
   slot_t arrival_to = 0;
 
-  /// Jam side. Either a shared deterministic jammed-slot list (increasing),
-  /// or per-replication i.i.d. coins at `jam_rate`.
+  /// Jam side. Either a shared deterministic jam bitmap (bit s = slot s
+  /// jammed), or per-seed i.i.d. coins at `jam_rate`.
   bool iid_jams = false;
-  std::vector<slot_t> jam_slots;
+  std::vector<std::uint64_t> jam_bits;
   double jam_rate = 0.0;
-};
 
-/// Description of a many-seed sweep. Replication r runs with seed
-/// base_seed + r; its adversary is rebuilt per replication from the two
-/// factories with streams forked exactly like ComposedAdversary forks them
-/// (kAdversary -> kArrival/kJammer, jam decided before arrivals), so each
-/// replication's adversary behaviour is bit-identical to handing the same
-/// components to a scalar engine at the same seed.
-struct LockstepSweep {
-  int reps = 1;
-  std::uint64_t base_seed = 1;
-  /// Worker threads; replications are split into contiguous chunks so each
-  /// thread's lockstep pass touches a disjoint index range (results are
-  /// seed-ordered and independent of the thread count).
-  int threads = 1;
-
-  /// Per-replication component factories (seed = that replication's seed,
-  /// forwarded so construction-time randomness — e.g. uniform_random's slot
-  /// schedule — varies across replications like it does across scalar runs).
-  /// Always required: the generic path is the fallback whenever the plan is
-  /// absent or the run options rule it out.
-  std::function<std::unique_ptr<ArrivalProcess>(std::uint64_t seed)> make_arrival;
-  std::function<std::unique_ptr<Jammer>(std::uint64_t seed)> make_jammer;
-
-  /// Precomputed adversary plan; `plan.valid == false` means generic path.
-  /// The engine additionally requires that no per-slot trace is recorded and
-  /// no stop flag is set (both need every slot materialized / jam coins only
-  /// up to the stop slot) — otherwise it silently uses the generic path.
-  LockstepPlan plan;
-
-  /// Quiescent-tail certificate for the generic path (see file comment).
-  /// analytic_tail enables the skip; it applies only when tail_jam >= 0, the
-  /// recording tier does not keep per-slot outcomes, and
-  /// config.stop_when_empty is false. The plan path ignores these: its jam
-  /// accounting is exact everywhere.
-  bool analytic_tail = false;
-  /// No arrivals can occur at any slot > quiet_after.
+  /// Analytic tail: no arrival can occur at any slot > quiet_after, and the
+  /// slots past it are jammed i.i.d. at tail_jam (< 0: not certifiable — no
+  /// tail).
   slot_t quiet_after = 0;
-  /// I.i.d. jam probability on slots > quiet_after once quiet (< 0: unknown
-  /// — disables the analytic tail).
   double tail_jam = -1.0;
+
+  /// Size `jam_bits` for `horizon` (all clear); call before add_jam().
+  void clear_jams(slot_t horizon);
+  /// Mark slot `slot` (in [1, horizon]) jammed in the shared bitmap.
+  void add_jam(slot_t slot);
 };
 
-/// Run the sweep: R replications of `spec` × `config` advanced in lockstep.
-/// Returns one SimResult per replication, ordered by seed (index r <->
-/// seed base_seed + r). `config.seed` is ignored (per-rep seeds rule).
-std::vector<SimResult> run_lockstep_many(const ProtocolSpec& spec, const SimConfig& config,
-                                         const LockstepSweep& sweep);
+/// Can a run with `config` take the plan path? It needs every counter to be
+/// reconstructible from the plan: a per-slot trace wants every slot
+/// materialized, and a stop flag truncates the jam coins at the stop slot.
+bool plan_path_allowed(const SimConfig& config);
+
+/// One seed (config.seed) of `plan` on the event-driven loop. `plan.valid`,
+/// plan_path_allowed(config) and plan.horizon == config.horizon must hold.
+/// `memory` (optional) receives the core's node-table footprint.
+SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& config,
+                   const LockstepPlan& plan, CjzCoreMemoryStats* memory = nullptr);
 
 }  // namespace cr

@@ -80,7 +80,7 @@ struct SimConfig {
   /// Safety valve: abort (CR_CHECK) if the live population exceeds this.
   std::uint64_t max_live_nodes = 10'000'000;
   /// Node-table storage policy (cohort engines; the generic reference engine
-  /// and the lockstep sweep always use their native layouts).
+  /// always uses its native layout).
   NodeTableKind node_table = NodeTableKind::kDense;
 };
 

@@ -25,8 +25,7 @@ using ull = unsigned long long;
 
 StreamSim::StreamSim(const StreamOptions& opts)
     : opts_(opts),
-      core_(&fs_, stream_config(opts), CjzOptions{}, CounterCjzStreams(opts.seed),
-            Trace::Storage::kDisabled),
+      core_(&fs_, stream_config(opts), CjzOptions{}, Trace::Storage::kDisabled),
       windowed_(opts.window) {
   windowed_.set_sink([this](const WindowStats& ws) { emit_window(ws); });
 }

@@ -14,8 +14,8 @@
 /// cohort core (nodes, cohorts, calendar heap verbatim), the open metrics
 /// window, and the feed cursor (events applied + the one popped-but-pending
 /// event) — into a versioned CRSNAP blob (common/snapshot.hpp). The RNG
-/// needs no serialization at all: the core runs on CounterCjzStreams, whose
-/// per-slot Philox streams are rebound as a pure function of (seed, slot).
+/// needs no serialization at all: the core's per-slot Philox streams are
+/// rebound as a pure function of (seed, slot).
 /// Restoring a checkpoint and re-feeding the same trace (skipping
 /// feed_skip() events) continues BIT-IDENTICALLY to the uninterrupted run —
 /// determinism rule 8 in docs/ARCHITECTURE.md, enforced end-to-end by the
@@ -192,7 +192,7 @@ class StreamSim {
 
   StreamOptions opts_;
   FunctionSet fs_;  ///< paper-default functions; must outlive core_
-  CjzCore<CounterCjzStreams> core_;
+  CjzCore core_;
   WindowedMetrics windowed_;
   slot_t cur_slot_ = 0;
   std::uint64_t windows_emitted_ = 0;

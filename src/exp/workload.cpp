@@ -8,7 +8,6 @@
 #include "adversary/component_registry.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "engine/lockstep.hpp"
 #include "exp/harness.hpp"
 #include "protocols/baselines.hpp"
 #include "protocols/batch.hpp"
@@ -172,7 +171,7 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
   return out;
 }
 
-Scenario build_workload(const WorkloadSpec& spec) {
+Scenario build_workload(const WorkloadSpec& spec, const LockstepPlan* plan) {
   const std::string error = validate_workload(spec);
   if (!error.empty()) std::fprintf(stderr, "build_workload: %s\n", error.c_str());
   CR_CHECK(error.empty());
@@ -187,8 +186,10 @@ Scenario build_workload(const WorkloadSpec& spec) {
   const JammerEntry& jammer = JammerRegistry::instance().at(spec.jammer.name);
   const auto jammer_params = ParamValidation::check(jammer.schema, spec.jammer.params,
                                                     "jammer \"" + spec.jammer.name + "\"");
-  sc.adversary = std::make_unique<ComposedAdversary>(arrival.make(arrival_params.values, ctx),
-                                                     jammer.make(jammer_params.values, ctx));
+  auto adversary = std::make_unique<ComposedAdversary>(arrival.make(arrival_params.values, ctx),
+                                                       jammer.make(jammer_params.values, ctx));
+  adversary->set_plan(plan);
+  sc.adversary = std::move(adversary);
   sc.config.horizon = spec.horizon;
   sc.config.seed = spec.seed;
   sc.protocol = workload_protocol(spec.protocol, sc.fs);
@@ -272,52 +273,11 @@ ParamValues component_values(const Entry& entry, const ComponentSpec& component,
 
 }  // namespace
 
-LockstepCertificate lockstep_certificate(const WorkloadSpec& spec) {
-  CR_CHECK(validate_workload(spec).empty());
-  LockstepCertificate cert;
-
-  // Arrival side: the last slot an arrival can occur at. Anything without a
-  // provable bound keeps the horizon — correct, and the skip simply never
-  // fires.
-  slot_t quiet = spec.horizon;
-  if (spec.arrival.name == "none") {
-    quiet = 0;
-  } else if (spec.arrival.name == "batch") {
-    const auto values = component_values(ArrivalRegistry::instance().at("batch"),
-                                         spec.arrival, "arrival");
-    quiet = static_cast<slot_t>(values.get_uint("at"));
-  } else if (spec.arrival.name == "bernoulli") {
-    const auto values = component_values(ArrivalRegistry::instance().at("bernoulli"),
-                                         spec.arrival, "arrival");
-    const std::uint64_t to = values.get_uint("to");
-    quiet = to == 0 ? spec.horizon : static_cast<slot_t>(to);
-  }
-
-  // Jammer side: the i.i.d. rate past the quiet point, when certifiable.
-  double tail = -1.0;
-  if (spec.jammer.name == "none") {
-    tail = 0.0;
-  } else if (spec.jammer.name == "iid") {
-    const auto values = component_values(JammerRegistry::instance().at("iid"),
-                                         spec.jammer, "jammer");
-    tail = values.get_double("fraction");
-  } else if (spec.jammer.name == "prefix") {
-    const auto values = component_values(JammerRegistry::instance().at("prefix"),
-                                         spec.jammer, "jammer");
-    tail = 0.0;
-    quiet = std::max(quiet, static_cast<slot_t>(values.get_uint("count")));
-  }
-
-  cert.eligible = tail >= 0.0;
-  cert.quiet_after = quiet;
-  cert.tail_jam = tail;
-  return cert;
-}
-
 LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
   CR_CHECK(validate_workload(spec).empty());
   LockstepPlan plan;
   const slot_t horizon = spec.horizon;
+  plan.horizon = horizon;
 
   // Materialization scaffolding for the deterministic components: they
   // ignore the history and the rng by contract (that is exactly what the
@@ -329,23 +289,29 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
   const PublicHistory dummy_history(dummy_trace);
   Rng dummy_rng(1);
 
-  // Arrival side.
+  // Arrival side. quiet_after is the last slot an arrival can occur at;
+  // anything without a provable bound keeps the horizon — correct, and the
+  // tail simply never fires.
   bool arrival_ok = false;
+  plan.quiet_after = horizon;
   const std::string& arrival_name = spec.arrival.name;
   if (arrival_name == "bernoulli") {
     const auto values = component_values(ArrivalRegistry::instance().at("bernoulli"),
                                          spec.arrival, "arrival");
     plan.bernoulli_arrivals = true;
     plan.arrival_rate = values.get_double("rate");
-    plan.arrival_from = static_cast<slot_t>(values.get_uint("from"));
+    // BernoulliArrivals is first asked at slot 1, so a window opening at
+    // from=0 draws its first coin for slot 1.
+    plan.arrival_from = std::max<slot_t>(static_cast<slot_t>(values.get_uint("from")), 1);
     const std::uint64_t to = values.get_uint("to");
     plan.arrival_to = to == 0 ? horizon : static_cast<slot_t>(to);
+    plan.quiet_after = plan.arrival_to;
     arrival_ok = true;
   } else if (arrival_name == "none" || arrival_name == "batch" || arrival_name == "paced" ||
              arrival_name == "bursty") {
     // Deterministic and seed-independent: one slot-ordered walk materializes
-    // the schedule every replication shares ("paced" is stateful, so the
-    // walk must visit every slot in order — it does).
+    // the schedule every seed shares ("paced" is stateful, so the walk must
+    // visit every slot in order — it does).
     const ArrivalEntry& entry = ArrivalRegistry::instance().at(arrival_name);
     const auto values = component_values(entry, spec.arrival, "arrival");
     const auto component = entry.make(values, ctx);
@@ -353,10 +319,13 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
       const std::uint64_t count = component->arrivals(s, dummy_history, dummy_rng);
       if (count > 0) plan.schedule.emplace_back(s, count);
     }
+    if (arrival_name == "none") plan.quiet_after = 0;
+    if (arrival_name == "batch") plan.quiet_after = static_cast<slot_t>(values.get_uint("at"));
     arrival_ok = true;
   }
 
-  // Jam side.
+  // Jam side. tail_jam is the i.i.d. jam rate past quiet_after, when
+  // certifiable; budget- and history-coupled jammers cannot be.
   bool jammer_ok = false;
   const std::string& jammer_name = spec.jammer.name;
   if (jammer_name == "iid") {
@@ -364,14 +333,22 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
                                          "jammer");
     plan.iid_jams = true;
     plan.jam_rate = values.get_double("fraction");
+    plan.tail_jam = plan.jam_rate;
     jammer_ok = true;
   } else if (jammer_name == "none" || jammer_name == "prefix" || jammer_name == "periodic" ||
              jammer_name == "budget_paced") {
     const JammerEntry& entry = JammerRegistry::instance().at(jammer_name);
     const auto values = component_values(entry, spec.jammer, "jammer");
     const auto component = entry.make(values, ctx);
+    plan.clear_jams(horizon);
     for (slot_t s = 1; s <= horizon; ++s)
-      if (component->jams(s, dummy_history, dummy_rng)) plan.jam_slots.push_back(s);
+      if (component->jams(s, dummy_history, dummy_rng)) plan.add_jam(s);
+    if (jammer_name == "none") plan.tail_jam = 0.0;
+    if (jammer_name == "prefix") {
+      plan.tail_jam = 0.0;
+      plan.quiet_after =
+          std::max(plan.quiet_after, static_cast<slot_t>(values.get_uint("count")));
+    }
     jammer_ok = true;
   }
 
@@ -379,63 +356,23 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
   return plan;
 }
 
-LockstepSweep lockstep_sweep(const WorkloadSpec& spec, int reps, std::uint64_t base_seed,
-                             int threads) {
-  const ArrivalEntry& arrival = ArrivalRegistry::instance().at(spec.arrival.name);
-  const ParamValues arrival_values = component_values(arrival, spec.arrival, "arrival");
-  const JammerEntry& jammer = JammerRegistry::instance().at(spec.jammer.name);
-  const ParamValues jammer_values = component_values(jammer, spec.jammer, "jammer");
-  const FunctionSet fs = functions_for_regime(spec.g_regime, spec.gamma);
-  const slot_t horizon = spec.horizon;
-
-  LockstepSweep sweep;
-  sweep.reps = reps;
-  sweep.base_seed = base_seed;
-  sweep.threads = threads;
-  // Captures are by value (the entries are registry singletons; ParamValues
-  // and FunctionSet are value types), so the sweep can outlive this frame.
-  // The per-seed context mirrors build_workload's exactly.
-  sweep.make_arrival = [&arrival, arrival_values, fs, horizon](std::uint64_t seed) {
-    const WorkloadContext ctx{fs, horizon, seed};
-    return arrival.make(arrival_values, ctx);
-  };
-  sweep.make_jammer = [&jammer, jammer_values, fs, horizon](std::uint64_t seed) {
-    const WorkloadContext ctx{fs, horizon, seed};
-    return jammer.make(jammer_values, ctx);
-  };
-  const LockstepCertificate cert = lockstep_certificate(spec);
-  sweep.analytic_tail = cert.eligible;
-  sweep.quiet_after = cert.quiet_after;
-  sweep.tail_jam = cert.tail_jam;
-  sweep.plan = lockstep_plan(spec);
-  return sweep;
-}
-
 std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSpec& spec,
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template) {
   CR_CHECK(reps > 0);
-
-  if (engine.name() == "lockstep") {
-    WorkloadSpec probe_spec = spec;
-    probe_spec.seed = base_seed;
-    const Scenario probe = build_workload(probe_spec);
-    CR_CHECK(engine.supports(probe.protocol));
-
-    SimConfig config = config_template;
-    config.horizon = spec.horizon;
-    config.seed = base_seed;
-
-    const LockstepSweep sweep = lockstep_sweep(spec, reps, base_seed, threads);
-    return run_lockstep_many(probe.protocol, config, sweep);
-  }
+  // One plan per sweep, shared read-only by every seed's adversary. The
+  // engine decides per run whether to use it: fast_cjz takes the plan path,
+  // the other engines step the adversary slot by slot as always.
+  LockstepPlan plan;
+  if (plan_path_allowed(config_template)) plan = lockstep_plan(spec);
+  const LockstepPlan* shared = plan.valid ? &plan : nullptr;
 
   return replicate(
       reps, base_seed,
       [&](std::uint64_t seed) {
         WorkloadSpec per = spec;
         per.seed = seed;
-        Scenario sc = build_workload(per);
+        Scenario sc = build_workload(per, shared);
         sc.config = config_template;
         sc.config.horizon = per.horizon;
         sc.config.seed = seed;

@@ -90,7 +90,11 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
 /// Materialise the workload: resolve both components through the registries,
 /// compose them into a ComposedAdversary and attach the named protocol on
 /// the regime's FunctionSet. CR_CHECKs validate_workload(spec) is clean.
-Scenario build_workload(const WorkloadSpec& spec);
+/// `plan`, when given, must be lockstep_plan() of this spec (any seed) and
+/// outlive the scenario's runs; it is attached to the adversary
+/// (Adversary::plan()), which is how replicate_workload shares one plan
+/// across a sweep.
+Scenario build_workload(const WorkloadSpec& spec, const LockstepPlan* plan = nullptr);
 
 /// The WorkloadSpec behind one of the five registered scenario presets
 /// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"): the
@@ -99,57 +103,27 @@ Scenario build_workload(const WorkloadSpec& spec);
 /// the scenario name.
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p);
 
-/// Quiescent-tail certificate for the lockstep engine, derived from the
-/// workload's component names and parameters (see engine/lockstep.hpp):
-/// `quiet_after` is a slot after which the arrival component provably emits
-/// nothing (batch: its arrival slot; bernoulli: its window end; otherwise
-/// the horizon, which is trivially correct and disables the skip), and
-/// `tail_jam` is the i.i.d. jam probability past that point (none: 0, iid:
-/// its fraction, prefix: 0 past the prefix). History- or budget-coupled
-/// jammers cannot be certified — `eligible` is false and lockstep sweeps
-/// fall back to the exact per-slot loop.
-struct LockstepCertificate {
-  bool eligible = false;
-  slot_t quiet_after = 0;
-  double tail_jam = -1.0;
-};
-LockstepCertificate lockstep_certificate(const WorkloadSpec& spec);
-
-/// Precomputed adversary plan for the lockstep plan path (see
-/// engine/lockstep.hpp LockstepPlan), derived from the component names:
-/// seed- and history-independent components ("none"/"batch"/"paced"/"bursty"
-/// arrivals; "none"/"prefix"/"periodic"/"budget_paced" jammers) are walked
-/// once over the slot axis into a shared schedule / jam-slot list, and the
-/// i.i.d. components ("bernoulli" arrivals, "iid" jammers) become
-/// per-replication coin parameters the engine batches through Rng::fill.
-/// Anything else — history-reading ("reactive") or seed-dependent
-/// ("uniform_random") — leaves `valid` false and the sweep runs the generic
-/// per-slot path. Plan-path results are bit-identical to the generic path
-/// (tests/test_lockstep.cpp PlanPath* tests).
+/// Precomputed adversary plan for the plan path (LockstepPlan in
+/// engine/lockstep.hpp), derived from the component names: seed- and
+/// history-independent components ("none"/"batch"/"paced"/"bursty" arrivals;
+/// "none"/"prefix"/"periodic"/"budget_paced" jammers) are walked once into a
+/// shared schedule / jam bitmap, and the i.i.d. ones ("bernoulli" arrivals,
+/// "iid" jammers) become per-seed coin parameters. Anything else
+/// ("reactive" reads the history, "uniform_random" depends on the seed)
+/// leaves `valid` false. The analytic-tail certificate (`quiet_after`,
+/// `tail_jam`) is filled whatever `valid` says.
 LockstepPlan lockstep_plan(const WorkloadSpec& spec);
-
-/// The LockstepSweep replicate_workload hands to run_lockstep_many for
-/// `spec`: registry-built per-seed component factories, the quiescent-tail
-/// certificate, and the adversary plan. Exposed so tests can run the same
-/// sweep with the plan toggled off and assert the plan path is bit-identical
-/// to the generic per-slot path. The returned sweep owns everything its
-/// factories capture (safe to outlive this call).
-LockstepSweep lockstep_sweep(const WorkloadSpec& spec, int reps, std::uint64_t base_seed,
-                             int threads);
 
 /// Replicate `spec` over seeds base_seed .. base_seed+reps-1 on `engine` and
 /// return the results in seed order. `config_template` supplies the run
 /// options other than horizon and seed (recording tier, stop flags, node
 /// cap), which are taken from the spec and the seed sweep.
 ///
-/// For every scalar engine this is exactly the classic harness loop —
-/// build_workload per seed, run_scenario, replicate() across threads — and
-/// is byte-identical to it. For engine "lockstep" it dispatches to
-/// run_lockstep_many: one lockstep pass advances all replications together,
-/// with the analytic quiescent-tail skip enabled whenever
-/// lockstep_certificate(spec) is eligible (aggregate statistics match the
-/// scalar engines; per-seed bit-exactness is not preserved across
-/// substrates).
+/// Every seed runs build_workload + run_scenario on replicate()'s threads, so
+/// `engine.run` is called exactly once per seed. When
+/// plan_path_allowed(config_template) holds and lockstep_plan(spec) is valid,
+/// the plan is built once and attached to every seed's adversary, and
+/// fast_cjz takes the plan path (engine/lockstep.hpp); other engines ignore it.
 std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSpec& spec,
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template = {});

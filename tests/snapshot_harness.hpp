@@ -2,10 +2,10 @@
 /// Reusable stop/restore differential harness (determinism rule 8 in
 /// docs/ARCHITECTURE.md).
 ///
-/// The contract under test: stepping a CjzCore<CounterCjzStreams> to slot k,
-/// serializing it, loading the blob into a fresh core and continuing must
-/// produce a SimResult BIT-IDENTICAL to never having stopped. The harness
-/// factors the moving parts every such test needs:
+/// The contract under test: stepping a CjzCore to slot k, serializing it,
+/// loading the blob into a fresh core and continuing must produce a
+/// SimResult BIT-IDENTICAL to never having stopped. The harness factors the
+/// moving parts every such test needs:
 ///
 ///   1. materialize(): run the scenario's REAL adversary against a live core
 ///      (counting trace, so history-reading adversaries see real feedback) and
@@ -42,8 +42,6 @@ namespace cr::snaptest {
 /// these blobs carry a bare core, not a stream driver).
 inline constexpr std::uint32_t kHarnessSnapshotVersion = 1;
 
-using CounterCore = CjzCore<CounterCjzStreams>;
-
 /// Everything a replay needs, with the stateful adversary already consumed:
 /// the scenario's protocol parameters plus the per-slot action sequence its
 /// adversary produced against a live core.
@@ -54,18 +52,17 @@ struct ReplayCase {
   std::vector<AdversaryAction> actions;  ///< actions[i] drives slot i+1
 };
 
-/// Record `sc`'s adversary against a live counter-substrate core. Consumes
-/// the scenario's adversary — build a fresh Scenario per call. The recording
-/// stops where the run stops (horizon or a tripped stop condition), so
-/// actions.size() is the uninterrupted run's slot count.
+/// Record `sc`'s adversary against a live core. Consumes the scenario's
+/// adversary — build a fresh Scenario per call. The recording stops where the
+/// run stops (horizon or a tripped stop condition), so actions.size() is the
+/// uninterrupted run's slot count.
 inline ReplayCase materialize(Scenario& sc) {
   ReplayCase rc;
   rc.fs = sc.protocol.fs;
   rc.config = sc.config;
   rc.options = sc.protocol.cjz_options;
-  const Rng root(rc.config.seed);
-  Rng rng_adv = root.fork(streams::kAdversary);
-  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed));
+  Rng rng_adv = Rng(rc.config.seed).fork(streams::kAdversary);
+  CjzCore core(&rc.fs, rc.config, rc.options);
   PublicHistory history(core.trace());
   for (slot_t slot = 1; slot <= rc.config.horizon; ++slot) {
     const AdversaryAction action = sc.adversary->on_slot(slot, history, rng_adv);
@@ -78,8 +75,7 @@ inline ReplayCase materialize(Scenario& sc) {
 /// The recorded actions end-to-end on a fresh trace-disabled core — the
 /// reference every interrupted run must reproduce bit for bit.
 inline SimResult replay(const ReplayCase& rc, SlotObserver* observer = nullptr) {
-  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed),
-                   Trace::Storage::kDisabled);
+  CjzCore core(&rc.fs, rc.config, rc.options, Trace::Storage::kDisabled);
   for (std::size_t i = 0; i < rc.actions.size(); ++i)
     if (core.step(static_cast<slot_t>(i + 1), rc.actions[i], observer)) break;
   return core.finish(observer);
@@ -88,8 +84,7 @@ inline SimResult replay(const ReplayCase& rc, SlotObserver* observer = nullptr) 
 /// Replay to slot k (clamped to the recorded run length) and seal the core
 /// state into a CRSNAP blob.
 inline std::vector<std::uint8_t> snapshot_at(const ReplayCase& rc, slot_t k) {
-  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed),
-                   Trace::Storage::kDisabled);
+  CjzCore core(&rc.fs, rc.config, rc.options, Trace::Storage::kDisabled);
   for (std::size_t i = 0; i < rc.actions.size() && static_cast<slot_t>(i + 1) <= k; ++i)
     if (core.step(static_cast<slot_t>(i + 1), rc.actions[i], nullptr)) break;
   SnapshotWriter w;
@@ -104,8 +99,7 @@ inline SimResult restore_and_continue(const ReplayCase& rc,
                                       const std::vector<std::uint8_t>& blob,
                                       std::string* error) {
   error->clear();
-  CounterCore core(&rc.fs, rc.config, rc.options, CounterCjzStreams(rc.config.seed),
-                   Trace::Storage::kDisabled);
+  CjzCore core(&rc.fs, rc.config, rc.options, Trace::Storage::kDisabled);
   SnapshotReader r(blob, kHarnessSnapshotVersion);
   core.load(r);
   if (r.ok()) r.expect_end();

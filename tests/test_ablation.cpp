@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <ostream>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
@@ -65,6 +66,12 @@ struct VariantCase {
   CjzOptions opts;
 };
 
+// Without this, gtest prints the struct's raw bytes — the `name` pointer,
+// which ASLR moves on every build, and uninitialised padding — so CTest's
+// discovered names would change from build to build. Printing the name makes
+// them the stable ".../paper", ".../no_swap", ...
+void PrintTo(const VariantCase& c, std::ostream* os) { *os << c.name; }
+
 class VariantDrains : public ::testing::TestWithParam<VariantCase> {};
 
 TEST_P(VariantDrains, FastEngineDrainsBatchUnderJamming) {
@@ -96,8 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
                       VariantCase{"no_phase2",
                                   {.swap_channels_on_restart = true, .use_phase2 = false}},
                       VariantCase{"neither",
-                                  {.swap_channels_on_restart = false, .use_phase2 = false}}),
-    [](const ::testing::TestParamInfo<VariantCase>& info) { return info.param.name; });
+                                  {.swap_channels_on_restart = false, .use_phase2 = false}}));
 
 TEST(CjzVariants, CrossEngineAgreementForNoPhase2) {
   const std::uint64_t n = 48;

@@ -72,12 +72,13 @@ TEST(PerfGate, ThreadMismatchIsNotCompared) {
 }
 
 TEST(PerfGate, MissingRowIsReportedNotDropped) {
-  const std::vector<PerfRow> rows = {row("fast_cjz", 1, 1000.0), row("lockstep", 1, 5000.0)};
+  const std::vector<PerfRow> rows = {row("fast_cjz", 1, 1000.0),
+                                     row("fast_cjz_sparse", 1, 5000.0)};
   const auto deltas = perf_deltas(snapshot(kBaseline), rows, 0.15);
   ASSERT_EQ(deltas.size(), 2u);
   EXPECT_FALSE(deltas[0].missing());
   EXPECT_TRUE(deltas[1].missing());
-  EXPECT_EQ(deltas[1].row->engine, "lockstep");
+  EXPECT_EQ(deltas[1].row->engine, "fast_cjz_sparse");
 }
 
 TEST(PerfGate, GenericEngineIsExempt) {

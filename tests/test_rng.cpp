@@ -196,7 +196,7 @@ TEST(Rng, SplitmixAdvancesState) {
 }
 
 // ---------------------------------------------------------------------------
-// CounterRng — the counter-based substrate the lockstep engine runs on.
+// CounterRng — the counter-based substrate the CJZ core runs on.
 
 TEST(CounterRng, AtMatchesStreamSequence) {
   // stream(hi) is a sequential cursor over at(hi, 0), at(hi, 1), ... — the
@@ -227,8 +227,8 @@ TEST(CounterRng, DeterministicAcrossInstances) {
 
 TEST(CounterRng, ForkMatchesRngForkSeed) {
   // Both substrates share rng_detail::fork_seed, so a (seed, tag) pair names
-  // the same logical stream on either — including chained forks. This is
-  // what lets the lockstep engine reuse the sequential engines' tags.
+  // the same logical stream on either — including chained forks, so one tag
+  // registry serves both substrates.
   for (const std::uint64_t seed : {1ull, 999ull, 0x9e3779b97f4a7c15ull}) {
     for (const std::uint64_t tag : streams::kAllTags) {
       EXPECT_EQ(Rng(seed).fork(tag).seed(), CounterRng(seed).fork(tag).key());
@@ -252,7 +252,7 @@ TEST(CounterRng, StreamTagsAreUnique) {
 }
 
 TEST(CounterRng, DistinctHiCountersDecorrelated) {
-  // Adjacent hi counters (slots, in the lockstep engine) must behave as
+  // Adjacent hi counters (slots, in the CJZ core) must behave as
   // independent streams: leading bits agree about half the time.
   const CounterRng rng(2026);
   int agree = 0;
@@ -292,7 +292,7 @@ TEST(CounterRng, StreamBinomialMean) {
 
 // ---------------------------------------------------------------------------
 // Batched draws — every block API must be bit-identical to the scalar loop
-// it replaces. The lockstep plan path's exactness contract rests on these.
+// it replaces. The plan path's exactness contract rests on these.
 
 TEST(RngBatch, FillMatchesSequentialDraws) {
   // fill(out, n) == n next_u64() calls, and the state afterwards continues
@@ -398,60 +398,6 @@ TEST(CounterRngBatch, StreamBinomialMatchesTemplateEverywhere) {
     EXPECT_EQ(batched.index(), scalar.index())
         << "word consumption diverged at n=" << c.n << " p=" << c.p;
   }
-}
-
-TEST(CounterRngBatch, FillKeysMatchesPerKeyAt) {
-  // fill_keys sweeps one (hi, index) position across a replication axis of
-  // keys; each lane must equal the key's own at() — including r == 0.
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t s = 0; s < 37; ++s) keys.push_back(CounterRng(1000 + s).key());
-  for (const std::size_t r : {std::size_t{0}, std::size_t{1}, std::size_t{5}, keys.size()}) {
-    for (const std::uint64_t index : {0ull, 1ull, 6ull, 7ull}) {
-      std::vector<std::uint64_t> out(r + 1, 0xDEADull);
-      CounterRng::fill_keys(keys.data(), r, 3, index, out.data());
-      for (std::size_t i = 0; i < r; ++i)
-        ASSERT_EQ(out[i], CounterRng(keys[i]).at(3, index)) << "r=" << r << " i=" << i;
-      EXPECT_EQ(out[r], 0xDEADull);
-    }
-  }
-}
-
-TEST(CounterRngBatch, FillKeysUnitMatchesUniform01Mapping) {
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t s = 0; s < 19; ++s) keys.push_back(CounterRng(7 * s + 1).key());
-  std::vector<double> out(keys.size(), -1.0);
-  CounterRng::fill_keys_unit(keys.data(), keys.size(), 12, 4, out.data());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const std::uint64_t w = CounterRng(keys[i]).at(12, 4);
-    ASSERT_EQ(out[i], static_cast<double>(w >> 11) * 0x1.0p-53) << "i=" << i;
-  }
-}
-
-TEST(CounterRngBatch, BinomialKeysMatchesScalarStreams) {
-  // binomial_keys hoists the branch classification out of the replication
-  // loop; every lane must still equal the key's own scalar stream.binomial —
-  // across all branches and the edge parameters.
-  struct Case {
-    std::uint64_t n;
-    double p;
-  };
-  const Case cases[] = {{0, 0.3},   {12, 0.0},  {12, 1.0},  {40, 0.2},  {40, 0.8},
-                        {300, 0.02}, {300, 0.98}, {50000, 0.3}, {50000, 0.7}};
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t s = 0; s < 33; ++s) keys.push_back(CounterRng(0x5EED + s).key());
-  std::uint64_t hi = 100;
-  for (const Case& c : cases) {
-    ++hi;
-    std::vector<std::uint64_t> out(keys.size(), 0xDEADull);
-    CounterRng::binomial_keys(keys.data(), keys.size(), hi, c.n, c.p, out.data());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      auto stream = CounterRng(keys[i]).stream(hi);
-      ASSERT_EQ(out[i], stream.binomial(c.n, c.p)) << "n=" << c.n << " p=" << c.p
-                                                   << " i=" << i;
-    }
-  }
-  // r == 0 is a no-op, not a crash.
-  CounterRng::binomial_keys(keys.data(), 0, hi, 10, 0.5, nullptr);
 }
 
 }  // namespace

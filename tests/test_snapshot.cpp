@@ -165,9 +165,7 @@ TEST_F(SnapshotRejection, CorruptedPayloadByte) {
 TEST_F(SnapshotRejection, TrailingBytesInsidePayload) {
   // A well-formed blob whose payload has extra bytes after the last field:
   // re-serialize the core state with an extra word appended before sealing.
-  CounterCjzStreams streams(rc_.config.seed);
-  snaptest::CounterCore core(&rc_.fs, rc_.config, rc_.options, std::move(streams),
-                             Trace::Storage::kDisabled);
+  CjzCore core(&rc_.fs, rc_.config, rc_.options, Trace::Storage::kDisabled);
   for (std::size_t i = 0; i < 64 && i < rc_.actions.size(); ++i)
     core.step(static_cast<slot_t>(i + 1), rc_.actions[i], nullptr);
   SnapshotWriter w;
