@@ -4,9 +4,7 @@
 /// flag declarations and CSV column schema here, and the `cr` tool derives
 /// everything else from it:
 ///
-///   * `cr bench <name> [flags]` dispatches to the registered run function
-///     (the legacy bench_<name> binaries are thin wrappers over the same
-///     entries);
+///   * `cr bench <name> [flags]` dispatches to the registered run function;
 ///   * `cr suite run <manifest>` validates manifest cells against the
 ///     declared flags before running anything;
 ///   * `cr list --md` renders docs/EXPERIMENTS.md from these specs, and the
@@ -54,9 +52,6 @@ struct BenchSpec {
   /// manifest-parse time, so a bad cell fails BEFORE anything executes.
   std::string (*validate_cell)(const std::vector<std::pair<std::string, std::string>>& flags) =
       nullptr;
-
-  /// Name of the legacy standalone binary ("bench_" + name).
-  std::string legacy_binary() const { return "bench_" + name; }
 };
 
 /// Name-keyed registry of all CLI benches. Seeded with the 12 paper

@@ -22,6 +22,7 @@
 #include <thread>
 
 #include "cli/benches/benches.hpp"
+#include "common/file_io.hpp"
 #include "engine/stream.hpp"
 #include "exp/bench_driver.hpp"
 
@@ -89,15 +90,13 @@ int run(int argc, const char* const* argv) {
   StreamSim sim(opts);
 
   if (!restore_path.empty()) {
-    std::ifstream f(restore_path, std::ios::binary);
-    if (!f) {
+    std::string bytes;
+    if (!read_file(restore_path, &bytes)) {
       std::fprintf(stderr, "cr stream: cannot open snapshot \"%s\"\n", restore_path.c_str());
       return 2;
     }
-    std::vector<std::uint8_t> blob((std::istreambuf_iterator<char>(f)),
-                                   std::istreambuf_iterator<char>());
     std::string error;
-    if (!sim.restore(blob, &error)) {
+    if (!sim.restore(reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size(), &error)) {
       std::fprintf(stderr, "cr stream: restore failed: %s\n", error.c_str());
       return 2;
     }
@@ -106,16 +105,16 @@ int run(int argc, const char* const* argv) {
                  static_cast<unsigned long long>(sim.feed_skip()));
   }
 
+  // The first failed checkpoint write. The run goes on (the previous
+  // checkpoint stays intact: a kill mid-write or a short write never
+  // replaces it), but the exit code says the checkpoint is stale.
+  std::string checkpoint_error;
   if (!checkpoint_path.empty()) {
-    sim.set_checkpoint_sink([&checkpoint_path](const std::vector<std::uint8_t>& blob) {
-      // Write-then-rename so a kill mid-checkpoint leaves the previous
-      // checkpoint intact instead of a truncated blob.
-      const std::string tmp = checkpoint_path + ".tmp";
-      std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-      f.write(reinterpret_cast<const char*>(blob.data()),
-              static_cast<std::streamsize>(blob.size()));
-      f.close();
-      std::rename(tmp.c_str(), checkpoint_path.c_str());
+    sim.set_checkpoint_sink([&](const std::vector<std::uint8_t>& blob) {
+      std::string error;
+      const std::string_view bytes(reinterpret_cast<const char*>(blob.data()), blob.size());
+      if (!write_file_atomic(checkpoint_path, bytes, &error) && checkpoint_error.empty())
+        checkpoint_error = error;
     });
   }
 
@@ -204,6 +203,11 @@ int run(int argc, const char* const* argv) {
                table.c_str(), static_cast<unsigned long long>(mem.peak_live_nodes),
                static_cast<unsigned long long>(mem.node_table_slots),
                static_cast<unsigned long long>(mem.node_bytes));
+  if (!checkpoint_error.empty()) {
+    std::fprintf(stderr, "cr stream: checkpoint %s: %s\n", checkpoint_path.c_str(),
+                 checkpoint_error.c_str());
+    return 2;
+  }
   return 0;
 }
 

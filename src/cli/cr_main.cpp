@@ -10,10 +10,8 @@
 //   cr suite expand <manifest> […]     print the cell plan, run nothing
 //   cr help                            this text
 //
-// Subsumes the 12 former bench_* binaries (still built as thin wrappers —
-// see the migration table in README.md) behind the BenchRegistry, so new
-// experiments, their docs and their suite cells all come from one
-// registration.
+// Every experiment lives behind the BenchRegistry, so new experiments,
+// their docs and their suite cells all come from one registration.
 #include <cstdio>
 #include <iostream>
 #include <string>

@@ -133,9 +133,6 @@ std::string experiments_markdown() {
      << "cr suite run suites/quick.json   # a manifest-driven grid of cells\n"
      << "```\n"
      << "\n"
-     << "The legacy `bench_<name>` binaries still build as thin wrappers over\n"
-     << "the same registry entries (see the migration table in README.md).\n"
-     << "\n"
      << "## Uniform driver flags\n"
      << "\n"
      << "Every bench shares the `BenchDriver` contract\n"

@@ -5,16 +5,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
-#include <ostream>
 #include <map>
-#include <random>
+#include <ostream>
 #include <set>
-#include <sstream>
 
 #include "cli/bench_registry.hpp"
+#include "common/file_io.hpp"
 #include "common/snapshot.hpp"
 #include "common/source_digest.hpp"
 #include "common/table.hpp"
@@ -69,22 +66,7 @@ bool scalar_flag_text(const JsonValue& value, std::string* out) {
   return false;
 }
 
-/// Strict decimal seed parse: digits only, capped at INT64_MAX — the seed
-/// travels through Cli::get_int (strtoll) in the bench, so anything larger
-/// would pass validation here only to abort at run time.
-bool parse_seed(const std::string& text, std::uint64_t* out) {
-  if (text.empty() || text.size() > 19) return false;
-  std::uint64_t value = 0;
-  const std::uint64_t max = static_cast<std::uint64_t>(INT64_MAX);
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (max - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
+}  // namespace
 
 std::string sanitize_for_path(const std::string& text) {
   std::string out;
@@ -96,31 +78,6 @@ std::string sanitize_for_path(const std::string& text) {
   }
   return out;
 }
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 std::string git_head_sha(const std::string& dir) {
   if (dir.empty()) return "unknown";
@@ -171,134 +128,65 @@ int run_cell_isolated(const std::string& bench, const std::vector<std::string>& 
   return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : 1;
 }
 
-std::string utc_now() {
-  const std::time_t now = std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-/// Worker-unique tmp suffix (PID + random hex): two workers racing the same
-/// out_dir — or the same process writing twice — never collide on a tmp
-/// path, so nobody can rename someone else's partial write into place.
-std::string unique_tmp_suffix() {
-  static thread_local std::mt19937_64 gen(
-      std::random_device{}() ^ (static_cast<std::uint64_t>(::getpid()) << 32) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count()));
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%08llx",
-                static_cast<unsigned long long>(gen() & 0xFFFFFFFFull));
-  return ".tmp-" + std::to_string(::getpid()) + "-" + buf;
-}
-
-bool read_file_bytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  *out = buf.str();
-  return true;
-}
-
 }  // namespace
 
 std::string file_fnv16(const std::string& path) {
   std::string bytes;
-  if (!read_file_bytes(path, &bytes)) return "";
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(
-                    reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size())));
-  return buf;
+  return read_file(path, &bytes) ? fnv1a_hex16(bytes) : "";
 }
 
-CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts) {
-  namespace fs = std::filesystem;
-  CellRunResult result;
+std::string run_cell(const SuiteCell& cell, const CellRunOptions& opts, RunManifest::Cell* record) {
+  std::string note;
   const std::string csv_path = opts.out_dir + "/" + cell.id + ".csv";
-  const std::string tmp_path = csv_path + unique_tmp_suffix();
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   };
 
+  // Every CSV is published with write_file_atomic, so a concurrent reader (a
+  // peer worker, a resuming run) never sees a partial one.
+  std::string error;
   CellKey key;
   if (opts.cache != nullptr) {
-    key.config_hash = opts.config_hash;
-    key.cell_id = cell.id;
-    key.source_digest = source_digest();
-    key.quick = opts.quick;
+    key = {opts.config_hash, cell.id, source_digest(), opts.quick};
     CacheLookup found = opts.cache->lookup(key);
-    result.cache_note = found.diagnostic;
-    if (found.hit) {
-      // Restore through the same tmp+rename protocol as a computed cell so
-      // a concurrent reader never sees a partial CSV.
-      std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-      out << found.csv;
-      out.flush();
-      if (out) {
-        out.close();
-        std::error_code ec;
-        fs::rename(tmp_path, csv_path, ec);
-        if (!ec) {
-          result.status = "hit";
-          result.seconds = elapsed();
-          char buf[24];
-          std::snprintf(buf, sizeof buf, "%016llx",
-                        static_cast<unsigned long long>(
-                            fnv1a64(reinterpret_cast<const std::uint8_t*>(found.csv.data()),
-                                    found.csv.size())));
-          result.csv_fnv = buf;
-          return result;
-        }
-      }
-      std::error_code ec;
-      fs::remove(tmp_path, ec);
-      // Restore failed (I/O): fall through and recompute.
+    note = found.diagnostic;
+    if (found.hit && write_file_atomic(csv_path, found.csv, &error)) {
+      record->status = "hit";
+      record->seconds = elapsed();
+      record->csv_fnv = fnv1a_hex16(found.csv);
+      return note;
     }
+    if (found.hit)
+      note = "cannot restore " + csv_path + " from the cache (" + error + "); recomputing";
   }
 
+  // The bench writes a worker-unique scratch file: two workers running the
+  // same cell never write into each other's output.
+  const std::string scratch_path = csv_path + ".tmp-" + unique_suffix();
   std::vector<std::string> args;
   for (const auto& [flag, value] : cell.flags) args.push_back("--" + flag + "=" + value);
   if (cell.has_seed) args.push_back("--seed=" + std::to_string(cell.seed));
   if (opts.quick) args.push_back("--quick");
   if (opts.threads > 0) args.push_back("--threads=" + std::to_string(opts.threads));
   args.push_back("--quiet");
-  args.push_back("--csv=" + tmp_path);
+  args.push_back("--csv=" + scratch_path);
 
   const int rc = run_cell_isolated(cell.bench, args);
-  result.seconds = elapsed();
+  record->seconds = elapsed();
   std::string csv_bytes;
-  if (rc == 0 && read_file_bytes(tmp_path, &csv_bytes)) {
-    std::error_code ec;
-    fs::rename(tmp_path, csv_path, ec);
-    if (ec) {
-      fs::remove(tmp_path, ec);
-      result.status = "failed";
-      return result;
-    }
-    result.status = "ok";
-    char buf[24];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      fnv1a64(reinterpret_cast<const std::uint8_t*>(csv_bytes.data()),
-                              csv_bytes.size())));
-    result.csv_fnv = buf;
-    if (opts.cache != nullptr) {
-      std::string store_error;
-      if (!opts.cache->store(key, csv_bytes, opts.git_sha, result.seconds, &store_error) &&
-          result.cache_note.empty())
-        result.cache_note = store_error;
-    }
-  } else {
-    std::error_code ec;
-    fs::remove(tmp_path, ec);
-    result.status = "failed";
-  }
-  return result;
+  const bool published = rc == 0 && read_file(scratch_path, &csv_bytes) &&
+                         write_file_atomic(csv_path, csv_bytes, &error);
+  std::error_code ec;
+  std::filesystem::remove(scratch_path, ec);
+  record->status = published ? "ok" : "failed";
+  record->csv_fnv = published ? fnv1a_hex16(csv_bytes) : "";
+  std::string store_error;
+  if (published && opts.cache != nullptr &&
+      !opts.cache->store(key, csv_bytes, opts.git_sha, record->seconds, &store_error) &&
+      note.empty())
+    note = store_error;
+  return note;
 }
 
 PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& config_hash,
@@ -310,30 +198,24 @@ PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& c
   for (const auto& entry : fs::directory_iterator(out_dir, ec)) {
     const std::string fname = entry.path().filename().string();
     if (fname.rfind("manifest", 0) != 0 || entry.path().extension() != ".json") continue;
-    const JsonParseResult prior = JsonValue::parse_file(entry.path().string());
-    if (!prior.ok() || !prior.value->is_object()) continue;
-    const JsonValue* hash = prior.value->find("config_hash");
-    const JsonValue* prior_quick = prior.value->find("quick");
-    const bool same_hash =
-        hash != nullptr && hash->is_string() && hash->as_string() == config_hash;
-    const bool same_quick = prior_quick != nullptr && prior_quick->is_bool() &&
-                            prior_quick->as_bool() == quick;
-    if (!same_hash || !same_quick) {
+    // An unreadable manifest (say, one cut short by a kill) may have recorded
+    // checksums that would have rejected the CSVs beside it: it vouches for
+    // nothing, so it blocks resume like a foreign configuration does.
+    const ManifestParse prior = RunManifest::load(entry.path().string());
+    if (!prior.ok()) {
       out.compatible = false;
-      out.message = fname + std::string(" records a different configuration") +
+      out.message = "unreadable run manifest " + prior.error;
+      return out;
+    }
+    const bool same_hash = prior.manifest.config_hash == config_hash;
+    if (!same_hash || prior.manifest.quick != quick) {
+      out.compatible = false;
+      out.message = entry.path().string() + " records a different configuration" +
                     (same_hash ? " (--quick mode differs)" : " (config hash differs)");
       return out;
     }
-    const JsonValue* cells = prior.value->find("cells");
-    if (cells == nullptr || !cells->is_array()) continue;
-    for (const auto& cell : cells->items()) {
-      if (!cell->is_object()) continue;
-      const JsonValue* id = cell->find("id");
-      const JsonValue* fnv = cell->find("csv_fnv");
-      if (id != nullptr && id->is_string() && fnv != nullptr && fnv->is_string() &&
-          !fnv->as_string().empty())
-        out.cell_csv_fnv.emplace(id->as_string(), fnv->as_string());
-    }
+    for (const RunManifest::Cell& cell : prior.manifest.cells)
+      if (!cell.csv_fnv.empty()) out.cell_csv_fnv.emplace(cell.id, cell.csv_fnv);
   }
   return out;
 }
@@ -425,10 +307,11 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
         return fail(block.bench + ": \"seeds\" must be a non-empty array of integers");
       for (const auto& s : seeds->items()) {
         // Parse the RAW literal so 1.9 (fractional), -1, and values the
-        // bench-side --seed parse could not hold are rejected here instead
-        // of truncating through double or failing the cell at run time.
+        // bench-side --seed parse (Cli::get_int, strtoll) could not hold are
+        // rejected here instead of truncating through double or failing the
+        // cell at run time.
         std::uint64_t seed = 0;
-        if (!s->is_number() || !parse_seed(s->raw_number(), &seed))
+        if (!s->exact_u64(&seed) || seed > static_cast<std::uint64_t>(INT64_MAX))
           return fail(block.bench + ": \"seeds\" must contain integers in [0, 2^63), got " +
                       (s->is_number() ? s->raw_number() : "a non-number"));
         block.seeds.push_back(seed);
@@ -569,14 +452,11 @@ bool cell_in_shard(std::size_t cell_index, const ShardSpec& shard) {
 }
 
 std::string suite_config_hash(const std::vector<SuiteCell>& cells) {
-  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+  std::uint64_t hash = kFnv1a64Basis;
   auto mix = [&hash](const std::string& text) {
-    for (const char c : text) {
-      hash ^= static_cast<unsigned char>(c);
-      hash *= 1099511628211ull;  // FNV-1a prime
-    }
-    hash ^= 0xFFu;  // field separator
-    hash *= 1099511628211ull;
+    static constexpr std::uint8_t kSeparator = 0xFF;
+    hash = fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()), text.size(), hash);
+    hash = fnv1a64(&kSeparator, 1, hash);
   };
   for (const SuiteCell& cell : cells) {
     mix(cell.bench);
@@ -586,42 +466,30 @@ std::string suite_config_hash(const std::vector<SuiteCell>& cells) {
     }
     mix(cell.has_seed ? std::to_string(cell.seed) : "default");
   }
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash));
-  return buf;
+  return hex16(hash);
+}
+
+RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCell>& cells,
+                               bool quick, const ShardSpec& shard) {
+  RunManifest manifest;
+  manifest.suite = spec.name;
+  manifest.description = spec.description;
+  manifest.git_sha = git_head_sha(spec.source_dir);
+  manifest.config_hash = suite_config_hash(cells);
+  manifest.shard = std::to_string(shard.index) + "/" + std::to_string(shard.count);
+  manifest.quick = quick;
+  manifest.started_utc = utc_now();
+  for (const SuiteCell& cell : cells)
+    manifest.cells.push_back({cell.id, cell.bench,
+                              cell.has_seed ? std::optional(cell.seed) : std::nullopt,
+                              cell_in_shard(cell.index, shard) ? "pending" : "shard", 0.0, ""});
+  return manifest;
 }
 
 int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
   namespace fs = std::filesystem;
   const std::vector<SuiteCell> cells = expand_suite(spec);
   const std::string outdir = opts.output_dir.empty() ? spec.output_dir : opts.output_dir;
-  const std::string config_hash = suite_config_hash(cells);
-
-  log << "suite " << spec.name << ": " << cells.size() << " cells";
-  if (opts.shard.count > 1)
-    log << " (shard " << opts.shard.index << "/" << opts.shard.count << ")";
-  log << " -> " << outdir << "  [config " << config_hash << "]\n";
-
-  struct CellOutcome {
-    const SuiteCell* cell;
-    /// "pending" | "ok" | "hit" (cache) | "cached" (resume) | "failed" |
-    /// "shard" | "planned"
-    std::string status;
-    double seconds = 0.0;
-    std::string csv_fnv;  ///< 16-hex checksum of the cell's CSV, when known
-  };
-  std::vector<CellOutcome> outcomes;
-  outcomes.reserve(cells.size());
-  for (const SuiteCell& cell : cells)
-    outcomes.push_back(
-        {&cell, cell_in_shard(cell.index, opts.shard) ? "pending" : "shard", 0.0, ""});
-
-  std::string manifest_path = outdir + "/manifest.json";
-  if (opts.shard.count > 1)
-    manifest_path = outdir + "/manifest." + std::to_string(opts.shard.index) + "of" +
-                    std::to_string(opts.shard.count) + ".json";
-  const std::string started = utc_now();
-  const std::string git_sha = git_head_sha(spec.source_dir);
   // Run manifest: provenance for the CSVs sitting next to it. Written once
   // up front (all in-shard cells "pending") so even a killed run leaves a
   // record of what configuration produced the outputs, and rewritten with
@@ -630,68 +498,59 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
   // manifests record each shard's view). Each finished cell records its CSV
   // checksum (csv_fnv) so resume and `cr suite merge` can validate outputs
   // instead of trusting any same-named file.
-  const auto write_manifest = [&](double wall) {
-    std::ofstream manifest(manifest_path);
-    manifest << "{\n"
-             << "  \"suite\": \"" << json_escape(spec.name) << "\",\n"
-             << "  \"description\": \"" << json_escape(spec.description) << "\",\n"
-             << "  \"git_sha\": \"" << json_escape(git_sha) << "\",\n"
-             << "  \"config_hash\": \"" << config_hash << "\",\n"
-             << "  \"shard\": \"" << opts.shard.index << "/" << opts.shard.count << "\",\n"
-             << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"
-             << "  \"started_utc\": \"" << started << "\",\n"
-             << "  \"finished_utc\": \"" << utc_now() << "\",\n"
-             << "  \"wall_seconds\": " << format_double(wall, 3) << ",\n"
-             << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-      const CellOutcome& outcome = outcomes[i];
-      manifest << "    {\"id\": \"" << json_escape(outcome.cell->id) << "\", \"bench\": \""
-               << json_escape(outcome.cell->bench) << "\", \"seed\": "
-               << (outcome.cell->has_seed ? std::to_string(outcome.cell->seed) : "null")
-               << ", \"status\": \"" << outcome.status << "\", \"seconds\": "
-               << format_double(outcome.seconds, 3) << ", \"csv_fnv\": "
-               << (outcome.csv_fnv.empty() ? "null" : "\"" + outcome.csv_fnv + "\"") << "}"
-               << (i + 1 < outcomes.size() ? "," : "") << "\n";
-    }
-    manifest << "  ]\n}\n";
+  RunManifest manifest = begin_run_manifest(spec, cells, opts.quick, opts.shard);
+  const std::string& config_hash = manifest.config_hash;
+
+  log << "suite " << spec.name << ": " << cells.size() << " cells";
+  if (opts.shard.count > 1)
+    log << " (shard " << opts.shard.index << "/" << opts.shard.count << ")";
+  log << " -> " << outdir << "  [config " << config_hash << "]\n";
+
+  std::string manifest_path = outdir + "/manifest.json";
+  if (opts.shard.count > 1)
+    manifest_path = outdir + "/manifest." + std::to_string(opts.shard.index) + "of" +
+                    std::to_string(opts.shard.count) + ".json";
+  const auto publish_manifest = [&](double wall) {
+    manifest.finished_utc = utc_now();
+    manifest.wall_seconds = wall;
+    std::string error;
+    if (write_file_atomic(manifest_path, manifest.to_json(), &error)) return true;
+    log << "suite " << spec.name << ": cannot write " << manifest_path << ": " << error << "\n";
+    return false;
   };
 
   PriorOutputs prior;
   if (!opts.dry_run) {
     fs::create_directories(outdir);
-    // Stale-output guard: any manifest already in outdir must describe the
-    // same expansion (config_hash) and the same --quick mode. Otherwise the
-    // CSVs sitting there came from a DIFFERENT configuration — resuming
-    // over them would silently mix old and new results (and restamp the
-    // new config_hash over the old data). --force reruns every cell, so it
-    // may proceed regardless.
+    // Stale-output guard: any manifest already in outdir must be readable
+    // and describe the same expansion (config_hash) and the same --quick
+    // mode. Otherwise the CSVs sitting there came from a DIFFERENT (or an
+    // unknown) configuration — resuming over them would silently mix old and
+    // new results (and restamp the new config_hash over the old data).
+    // --force reruns every cell, so it may proceed regardless.
     if (!opts.force) {
       prior = scan_prior_outputs(outdir, config_hash, opts.quick);
       if (!prior.compatible) {
-        log << "suite " << spec.name << ": " << outdir << "/" << prior.message
+        log << "suite " << spec.name << ": " << prior.message
             << " — refusing to resume over stale outputs; rerun with --force or a fresh "
                "--out\n";
         return 1;
       }
     }
-    write_manifest(0.0);
+    if (!publish_manifest(0.0)) return 1;
   }
   CellCache cache(opts.cache_dir);
   const bool use_cache = !opts.cache_dir.empty() && !opts.dry_run;
-  CellRunOptions cell_opts;
-  cell_opts.out_dir = outdir;
-  cell_opts.quick = opts.quick;
-  cell_opts.threads = opts.threads;
-  cell_opts.cache = use_cache ? &cache : nullptr;
-  cell_opts.config_hash = config_hash;
-  cell_opts.git_sha = git_sha;
+  const CellRunOptions cell_opts{.out_dir = outdir, .quick = opts.quick, .threads = opts.threads,
+                                 .cache = use_cache ? &cache : nullptr,
+                                 .config_hash = config_hash, .git_sha = manifest.git_sha};
 
   const auto suite_t0 = std::chrono::steady_clock::now();
   int failures = 0;
   std::size_t ran = 0, resumed = 0, hits = 0;
 
   for (const SuiteCell& cell : cells) {
-    CellOutcome& outcome = outcomes[cell.index];
+    RunManifest::Cell& outcome = manifest.cells[cell.index];
     const std::string csv_path = outdir + "/" + cell.id + ".csv";
     if (!cell_in_shard(cell.index, opts.shard)) continue;
 
@@ -731,15 +590,11 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
       fs::remove(csv_path, ec);
     }
 
-    const CellRunResult result = run_cell(cell, cell_opts);
-    if (!result.cache_note.empty())
-      log << "  [cache] " << result.cache_note << "\n";
-    outcome.status = result.status;
-    outcome.seconds = result.seconds;
-    outcome.csv_fnv = result.csv_fnv;
-    if (result.status == "failed") {
+    const std::string note = run_cell(cell, cell_opts, &outcome);
+    if (!note.empty()) log << "  [cache] " << note << "\n";
+    if (outcome.status == "failed") {
       ++failures;
-    } else if (result.status == "hit") {
+    } else if (outcome.status == "hit") {
       ++hits;
     } else {
       ++ran;
@@ -754,7 +609,7 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
     log << "dry run: nothing executed\n";
     return 0;
   }
-  write_manifest(wall);
+  const bool recorded = publish_manifest(wall);
 
   log << "suite " << spec.name << ": " << ran << " ran, " << resumed << " cached, " << hits
       << " cache hits, " << failures << " failed in " << format_double(wall, 2) << "s"
@@ -762,7 +617,7 @@ int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& 
   if (use_cache)
     log << "cache " << opts.cache_dir << ": " << hits << " hits, " << ran + failures
         << " misses\n";
-  return failures == 0 ? 0 : 1;
+  return failures == 0 && recorded ? 0 : 1;
 }
 
 }  // namespace cr

@@ -34,10 +34,10 @@
 ///   * resume — a cell whose output CSV already exists is skipped
 ///     ("cached"), so a killed run continues where it left off and a
 ///     completed run is a fast no-op (--force reruns everything);
-///   * provenance — a run manifest (JSON) is written next to the CSVs with
-///     the git SHA, a config hash over the FULL expansion (shard-independent,
-///     so shards of the same suite can be matched up), wall-clock timings and
-///     the per-cell status.
+///   * provenance — a run manifest (dist/run_manifest.hpp) is written
+///     next to the CSVs with the git SHA, a config hash over the FULL
+///     expansion (shard-independent, so shards of the same suite can be
+///     matched up), wall-clock timings and the per-cell status and checksum.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "common/json.hpp"
+#include "dist/run_manifest.hpp"
 
 namespace cr {
 
@@ -145,26 +146,23 @@ struct CellRunOptions {
   std::string git_sha;          ///< audit metadata for cache stores
 };
 
-/// Outcome of run_cell.
-struct CellRunResult {
-  std::string status;      ///< "ok" (computed) | "hit" (cache) | "failed"
-  double seconds = 0.0;
-  std::string csv_fnv;     ///< 16-hex FNV-1a of the CSV bytes; empty on failure
-  std::string cache_note;  ///< non-empty when a corrupt cache entry was rejected
-};
-
 /// Execute one cell: consult the cache (when configured), otherwise run the
-/// bench in a forked child writing to a WORKER-UNIQUE tmp path
-/// (<csv>.tmp-<pid>-<random>), then atomically rename into place — two
-/// workers racing the same out_dir can never observe each other's partial
-/// writes. A fresh result is stored back into the cache. A cache hit
-/// restores the CSV byte-identically to recomputation (determinism rule 9).
-CellRunResult run_cell(const SuiteCell& cell, const CellRunOptions& opts);
+/// bench in a forked child writing to a WORKER-UNIQUE scratch path
+/// (<csv>.tmp-<pid>-<random>). The CSV is then published with
+/// write_file_atomic — two workers racing the same out_dir can never observe
+/// each other's partial writes. A fresh result is stored back into the
+/// cache. A cache hit restores the CSV byte-identically to recomputation
+/// (determinism rule 9). Sets `record`'s status ("ok" computed, "hit" from
+/// the cache, or "failed"), seconds and csv_fnv (empty on failure). Returns
+/// a note when a cache entry was rejected or could not be restored or
+/// stored, "" otherwise.
+std::string run_cell(const SuiteCell& cell, const CellRunOptions& opts, RunManifest::Cell* record);
 
 /// What an output directory already contains, per its manifest*.json files.
 struct PriorOutputs {
-  bool compatible = true;  ///< false: a manifest records a different config
-  std::string message;     ///< why, when !compatible
+  /// false: a manifest is unreadable or records a different configuration
+  bool compatible = true;
+  std::string message;  ///< why, naming the manifest file, when !compatible
   /// Recorded per-cell CSV checksums (cell id -> 16-hex FNV-1a) from every
   /// compatible manifest — what resume validates same-named CSVs against.
   std::map<std::string, std::string> cell_csv_fnv;
@@ -172,7 +170,9 @@ struct PriorOutputs {
 
 /// Scan `out_dir` for manifest*.json files and compare their recorded
 /// config_hash/--quick mode against this run's; collects recorded per-cell
-/// CSV checksums from compatible manifests along the way.
+/// CSV checksums from compatible manifests along the way. A manifest that
+/// does not parse as a RunManifest is incompatible: the diagnostic names the
+/// file and the parser error.
 PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& config_hash,
                                 bool quick);
 
@@ -183,6 +183,16 @@ std::string file_fnv16(const std::string& path);
 /// shard-independent, hex-formatted. Stored in the run manifest so outputs
 /// can be matched to the exact suite configuration that produced them.
 std::string suite_config_hash(const std::vector<SuiteCell>& cells);
+
+/// The run manifest `cr suite run` and `cr suite work` start from: header
+/// stamped now (git SHA of the suite's repo, config hash of `cells`), one
+/// record per cell, "pending" inside `shard` and "shard" outside it.
+RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCell>& cells,
+                               bool quick, const ShardSpec& shard);
+
+/// `text` with every byte outside [A-Za-z0-9._-] replaced by '_': cell ids
+/// and worker tokens, which become file names.
+std::string sanitize_for_path(const std::string& text);
 
 /// Short SHA of the git repository containing `dir` (via `git -C`), or
 /// "unknown" outside a repo / when `dir` is empty. Run manifests record the

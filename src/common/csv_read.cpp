@@ -3,8 +3,9 @@
 #include <cerrno>
 #include <charconv>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
+
+#include "common/file_io.hpp"
 
 namespace cr {
 namespace {
@@ -126,15 +127,13 @@ std::optional<CsvTable> read_csv(std::string_view text, std::string* error) {
 }
 
 std::optional<CsvTable> read_csv_file(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!read_file(path, &text)) {
     *error = path + ": cannot open";
     return std::nullopt;
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
   std::string local;
-  auto table = read_csv(buffer.str(), &local);
+  auto table = read_csv(text, &local);
   if (!table) *error = path + ": " + local;
   return table;
 }

@@ -1,33 +1,18 @@
 #include "common/file_lock.hpp"
 
-#include <fcntl.h>
 #include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <ctime>
 #include <fstream>
-#include <sstream>
+
+#include "common/file_io.hpp"
 
 namespace cr {
-
-namespace {
-
-std::string utc_now_stamp() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-}  // namespace
 
 const std::string& lease_hostname() {
   static const std::string host = [] {
@@ -47,23 +32,14 @@ bool process_alive(std::int64_t pid) {
 }
 
 bool lease_try_acquire(const std::string& path, const std::string& name) {
-  const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_WRONLY, 0644);
-  if (fd < 0) return false;  // EEXIST (held) or I/O error — either way, no lease
-  std::ostringstream body;
-  body << "pid " << static_cast<std::int64_t>(::getpid()) << "\n"
-       << "host " << lease_hostname() << "\n"
-       << "name " << name << "\n"
-       << "started_utc " << utc_now_stamp() << "\n";
-  const std::string text = body.str();
+  std::FILE* lease = std::fopen(path.c_str(), "wx");  // x: O_CREAT|O_EXCL
+  if (lease == nullptr) return false;  // EEXIST (held) or I/O error — either way, no lease
   // A short write leaves a malformed lease, which reads as stale — safe:
   // some worker (possibly this one) will take it over.
-  ssize_t written = 0;
-  while (written < static_cast<ssize_t>(text.size())) {
-    const ssize_t n = ::write(fd, text.data() + written, text.size() - written);
-    if (n <= 0) break;
-    written += n;
-  }
-  ::close(fd);
+  std::fprintf(lease, "pid %lld\nhost %s\nname %s\nstarted_utc %s\n",
+               static_cast<long long>(::getpid()), lease_hostname().c_str(), name.c_str(),
+               utc_now().c_str());
+  std::fclose(lease);
   return true;
 }
 

@@ -1,11 +1,13 @@
 #include "common/json.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/file_io.hpp"
 
 namespace cr {
 
@@ -22,6 +24,15 @@ double JsonValue::as_number() const {
 const std::string& JsonValue::raw_number() const {
   CR_CHECK(kind_ == Kind::kNumber);
   return text_;
+}
+
+bool JsonValue::exact_u64(std::uint64_t* out) const {
+  if (kind_ != Kind::kNumber) return false;
+  std::uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(text_.data(), text_.data() + text_.size(), value);
+  if (ec != std::errc() || end != text_.data() + text_.size()) return false;
+  *out = value;
+  return true;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -300,17 +311,37 @@ JsonParseResult JsonValue::parse(const std::string& text) {
 }
 
 JsonParseResult JsonValue::parse_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::string text;
+  if (!read_file(path, &text)) {
     JsonParseResult out;
     out.error = path + ": cannot open file";
     return out;
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  JsonParseResult out = parse(buf.str());
+  JsonParseResult out = parse(text);
   if (!out.ok()) out.error = path + ": " + out.error;
   return out;
+}
+
+std::string json_quote(const std::string& text) {
+  std::string out = "\"";
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out + '"';
 }
 
 }  // namespace cr

@@ -17,6 +17,8 @@
 ///
 /// No external dependency: the container must not grow one (see ROADMAP),
 /// and manifests are small enough that a recursive-descent parser is plenty.
+///
+/// json_quote() is the one escaper every JSON artifact writer shares.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +58,10 @@ class JsonValue {
   double as_number() const;
   /// kNumber only: the literal as written in the source ("0.25", "4096").
   const std::string& raw_number() const;
+  /// The raw literal as an exact uint64 (seeds above 2^53 do not survive a
+  /// double). False, leaving `*out` alone, for any other kind, a sign, a
+  /// fraction, an exponent or a value past 2^64-1.
+  bool exact_u64(std::uint64_t* out) const;
   /// kString only: the decoded string.
   const std::string& as_string() const;
   /// kNumber or kString: the natural flag-value text (raw literal for
@@ -84,5 +90,11 @@ class JsonValue {
   std::vector<std::shared_ptr<JsonValue>> items_;
   std::vector<std::pair<std::string, std::shared_ptr<JsonValue>>> members_;
 };
+
+/// `text` as a JSON string literal, quotes included: `"` and `\` are
+/// backslash-escaped, \n \r \t use their short escapes, other control bytes
+/// become \u00XX, and every other byte (UTF-8 included) passes through.
+/// JsonValue::parse decodes the result back to `text` exactly.
+std::string json_quote(const std::string& text);
 
 }  // namespace cr

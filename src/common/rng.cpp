@@ -36,10 +36,6 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-void Rng::skip(std::uint64_t n) {
-  for (std::uint64_t i = 0; i < n; ++i) next_u64();
-}
-
 void Rng::fill(std::uint64_t* out, std::size_t n) {
   // The state words live in registers for the whole loop — one cross-TU
   // call per block instead of one per draw.

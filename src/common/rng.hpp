@@ -30,8 +30,8 @@
 // relative error is negligible for simulation purposes (documented below).
 //
 // Batched draws: both substrates expose block APIs that produce the same
-// values as repeated scalar draws — Rng::fill/skip walk the sequential state
-// in one call, and CounterRng::fill / Stream::fill / Stream::skip evaluate
+// values as repeated scalar draws — Rng::fill walks the sequential state in
+// one call, and CounterRng::fill / Stream::fill / Stream::skip evaluate
 // Philox blocks two at a time so the ten-round latency chains overlap. Every
 // batched call is bit-identical to the equivalent scalar loop (asserted in
 // tests/test_rng.cpp); the plan path (engine/lockstep.hpp) leans on this
@@ -192,10 +192,6 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
   std::uint64_t next_u64();
-
-  /// Advance the state by n draws, discarding the values — exactly n
-  /// next_u64() calls, without the per-call overhead.
-  void skip(std::uint64_t n);
 
   /// Fill out[0..n) with the next n words — bit-identical to n sequential
   /// next_u64() calls. One call amortises the cross-TU call cost over the

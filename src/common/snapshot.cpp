@@ -24,13 +24,22 @@ std::uint64_t get_u64(const std::uint8_t* in) {
 
 }  // namespace
 
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n, std::uint64_t hash) {
   for (std::size_t i = 0; i < n; ++i) {
     hash ^= data[i];
     hash *= 0x100000001b3ULL;
   }
   return hash;
+}
+
+std::string hex16(std::uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
+  return buf;
+}
+
+std::string fnv1a_hex16(std::string_view bytes) {
+  return hex16(fnv1a64(reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
 }
 
 std::vector<std::uint8_t> SnapshotWriter::seal(std::uint32_t version) const {

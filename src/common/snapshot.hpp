@@ -32,12 +32,22 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cr {
 
-/// FNV-1a 64-bit over a byte range (snapshot payload checksum).
-std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n);
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a 64-bit over a byte range (snapshot payload checksum); pass a
+/// previous result as `hash` to continue it over more bytes.
+std::uint64_t fnv1a64(const std::uint8_t* data, std::size_t n,
+                      std::uint64_t hash = kFnv1a64Basis);
+/// 16 lower-case hex digits, the printed form of every recorded FNV hash.
+std::string hex16(std::uint64_t value);
+/// hex16(fnv1a64(bytes)): the `csv_fnv` of run manifests and CellCache entries.
+std::string fnv1a_hex16(std::string_view bytes);
 
 /// Append-only payload builder. All integers little-endian; doubles are
 /// bit-copied IEEE-754 words (exactness matters: restored state must be

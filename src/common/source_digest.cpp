@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "common/json.hpp"
 #include "common/snapshot.hpp"
 
 namespace cr {
@@ -13,46 +14,14 @@ std::string compute_source_digest() {
   std::FILE* exe = std::fopen("/proc/self/exe", "rb");
   if (exe == nullptr) return "unknown";
   // Chunked FNV-1a so Debug/sanitizer binaries (hundreds of MB) never get
-  // slurped into one allocation. fnv1a64 cannot be chained through its
-  // public signature, so inline the same constants here.
-  std::uint64_t hash = 14695981039346656037ull;
-  unsigned char buf[1 << 16];
+  // slurped into one allocation.
+  std::uint64_t hash = kFnv1a64Basis;
+  std::uint8_t buf[1 << 16];
   std::size_t got = 0;
-  while ((got = std::fread(buf, 1, sizeof buf, exe)) > 0) {
-    for (std::size_t i = 0; i < got; ++i) {
-      hash ^= buf[i];
-      hash *= 1099511628211ull;
-    }
-  }
+  while ((got = std::fread(buf, 1, sizeof buf, exe)) > 0) hash = fnv1a64(buf, got, hash);
   const bool failed = std::ferror(exe) != 0;
   std::fclose(exe);
-  if (failed) return "unknown";
-  char out[24];
-  std::snprintf(out, sizeof out, "%016llx", static_cast<unsigned long long>(hash));
-  return out;
-}
-
-std::string json_string(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+  return failed ? "unknown" : hex16(hash);
 }
 
 }  // namespace
@@ -65,10 +34,10 @@ const std::string& source_digest() {
 std::string version_json(const std::string& git_sha, const std::string& build_type) {
   std::ostringstream os;
   os << "{\n"
-     << "  \"git_sha\": " << json_string(git_sha) << ",\n"
-     << "  \"build\": " << json_string(build_type.empty() ? "unspecified" : build_type)
+     << "  \"git_sha\": " << json_quote(git_sha) << ",\n"
+     << "  \"build\": " << json_quote(build_type.empty() ? "unspecified" : build_type)
      << ",\n"
-     << "  \"source_digest\": " << json_string(source_digest()) << ",\n"
+     << "  \"source_digest\": " << json_quote(source_digest()) << ",\n"
      << "  \"cxx\": " << static_cast<long>(__cplusplus) << "\n"
      << "}\n";
   return os.str();

@@ -1,16 +1,10 @@
 #include "dist/cell_cache.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <ctime>
 #include <filesystem>
-#include <fstream>
-#include <random>
 #include <sstream>
 
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/snapshot.hpp"
 #include "common/table.hpp"
@@ -21,66 +15,11 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string hex16(std::uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(value));
-  return buf;
-}
-
-std::uint64_t fnv1a_text(const std::string& text) {
-  return fnv1a64(reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
-}
-
 bool is_hex16_name(const std::string& name) {
   if (name.size() != 16) return false;
   for (const char c : name)
     if (!((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f'))) return false;
   return true;
-}
-
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-std::string utc_now_stamp() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-/// Worker-unique scratch name: PID + random suffix, so two processes (or
-/// two stores within one process) racing the same cache never collide on a
-/// tmp path.
-std::string unique_suffix() {
-  static thread_local std::mt19937_64 gen(
-      std::random_device{}() ^
-      (static_cast<std::uint64_t>(::getpid()) << 32) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count()));
-  return std::to_string(::getpid()) + "-" + hex16(gen());
 }
 
 /// Validate one entry directory against an optional probe. Returns true on
@@ -122,15 +61,12 @@ bool validate_entry(const std::string& entry_dir, const CellKey* probe,
     *diagnostic = "meta.json missing \"csv_fnv\"";
     return false;
   }
-  std::ifstream csv_in(entry_dir + "/cell.csv", std::ios::binary);
-  if (!csv_in) {
+  std::string csv;
+  if (!read_file(entry_dir + "/cell.csv", &csv)) {
     *diagnostic = "cell.csv is missing";
     return false;
   }
-  std::ostringstream buf;
-  buf << csv_in.rdbuf();
-  std::string csv = buf.str();
-  if (hex16(fnv1a_text(csv)) != expected_fnv) {
+  if (fnv1a_hex16(csv) != expected_fnv) {
     *diagnostic = "cell.csv checksum mismatch (expected csv_fnv " + expected_fnv + ")";
     return false;
   }
@@ -147,7 +83,7 @@ std::string CellCache::key_of(const CellKey& key) {
   // never collides with "a"+"bc".
   const std::string text = key.config_hash + '\x1f' + key.cell_id + '\x1f' +
                            key.source_digest + '\x1f' + (key.quick ? '1' : '0');
-  return hex16(fnv1a_text(text));
+  return fnv1a_hex16(text);
 }
 
 CacheLookup CellCache::lookup(const CellKey& key) const {
@@ -181,37 +117,28 @@ bool CellCache::store(const CellKey& key, const std::string& csv, const std::str
     *error = "cannot create " + tmp_dir + ": " + ec.message();
     return false;
   }
-  {
-    std::ofstream csv_out(tmp_dir + "/cell.csv", std::ios::binary | std::ios::trunc);
-    csv_out << csv;
-    csv_out.flush();
-    if (!csv_out) {
-      *error = "cannot write " + tmp_dir + "/cell.csv";
-      fs::remove_all(tmp_dir, ec);
-      return false;
-    }
-  }
-  {
-    std::ofstream meta(tmp_dir + "/meta.json", std::ios::binary | std::ios::trunc);
-    meta << "{\n"
-         << "  \"schema\": \"cr-cellcache/1\",\n"
-         << "  \"key\": " << json_quote(hex_key) << ",\n"
-         << "  \"config_hash\": " << json_quote(key.config_hash) << ",\n"
-         << "  \"cell_id\": " << json_quote(key.cell_id) << ",\n"
-         << "  \"source_digest\": " << json_quote(key.source_digest) << ",\n"
-         << "  \"quick\": " << (key.quick ? "true" : "false") << ",\n"
-         << "  \"git_sha\": " << json_quote(git_sha) << ",\n"
-         << "  \"created_utc\": " << json_quote(utc_now_stamp()) << ",\n"
-         << "  \"csv_fnv\": " << json_quote(hex16(fnv1a_text(csv))) << ",\n"
-         << "  \"csv_bytes\": " << csv.size() << ",\n"
-         << "  \"compute_seconds\": " << format_double(seconds, 3) << "\n"
-         << "}\n";
-    meta.flush();
-    if (!meta) {
-      *error = "cannot write " + tmp_dir + "/meta.json";
-      fs::remove_all(tmp_dir, ec);
-      return false;
-    }
+  std::ostringstream meta;
+  meta << "{\n"
+       << "  \"schema\": \"cr-cellcache/1\",\n"
+       << "  \"key\": " << json_quote(hex_key) << ",\n"
+       << "  \"config_hash\": " << json_quote(key.config_hash) << ",\n"
+       << "  \"cell_id\": " << json_quote(key.cell_id) << ",\n"
+       << "  \"source_digest\": " << json_quote(key.source_digest) << ",\n"
+       << "  \"quick\": " << (key.quick ? "true" : "false") << ",\n"
+       << "  \"git_sha\": " << json_quote(git_sha) << ",\n"
+       << "  \"created_utc\": " << json_quote(utc_now()) << ",\n"
+       << "  \"csv_fnv\": " << json_quote(fnv1a_hex16(csv)) << ",\n"
+       << "  \"csv_bytes\": " << csv.size() << ",\n"
+       << "  \"compute_seconds\": " << format_double(seconds, 3) << "\n"
+       << "}\n";
+  // The entry is published by the directory rename below; its files only
+  // need their write failures reported.
+  std::string io_error;
+  if (!write_file_atomic(tmp_dir + "/cell.csv", csv, &io_error) ||
+      !write_file_atomic(tmp_dir + "/meta.json", meta.str(), &io_error)) {
+    *error = "cannot write " + tmp_dir + ": " + io_error;
+    fs::remove_all(tmp_dir, ec);
+    return false;
   }
   fs::rename(tmp_dir, final_dir, ec);
   if (ec) {

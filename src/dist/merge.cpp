@@ -1,18 +1,13 @@
 #include "dist/merge.hpp"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
 #include <set>
 
 #include "cli/suite.hpp"
-#include "common/json.hpp"
-#include "common/table.hpp"
+#include "common/file_io.hpp"
+#include "dist/run_manifest.hpp"
 
 namespace cr {
 
@@ -20,168 +15,60 @@ namespace fs = std::filesystem;
 
 namespace {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// One input manifest, decoded into the fields the merge needs.
-struct Input {
-  std::string path;
-  std::string suite;
-  std::string description;
-  std::string git_sha;
-  std::string config_hash;
-  bool quick = false;
-  std::string started_utc;
-  std::string finished_utc;
-  double wall_seconds = 0.0;
-  struct Cell {
-    std::string id;
-    std::string bench;
-    std::string seed_raw;  ///< raw number text, or "null"
-    std::string status;
-    double seconds = 0.0;
-    std::string csv_fnv;  ///< empty when recorded as null
-  };
-  std::vector<Cell> cells;
-};
-
 bool is_success_status(const std::string& status) {
   return status == "ok" || status == "hit" || status == "cached" || status == "peer";
-}
-
-bool load_input(const std::string& path, Input* out, std::string* error) {
-  const JsonParseResult parsed = JsonValue::parse_file(path);
-  if (!parsed.ok()) {
-    *error = parsed.error;
-    return false;
-  }
-  const JsonValue& root = *parsed.value;
-  if (!root.is_object()) {
-    *error = path + ": manifest must be a JSON object";
-    return false;
-  }
-  const auto str_field = [&](const char* name, std::string* dst) {
-    const JsonValue* v = root.find(name);
-    if (v == nullptr || !v->is_string()) return false;
-    *dst = v->as_string();
-    return true;
-  };
-  out->path = path;
-  if (!str_field("suite", &out->suite) || !str_field("config_hash", &out->config_hash)) {
-    *error = path + ": not a run manifest (missing \"suite\" or \"config_hash\")";
-    return false;
-  }
-  str_field("description", &out->description);
-  str_field("git_sha", &out->git_sha);
-  str_field("started_utc", &out->started_utc);
-  str_field("finished_utc", &out->finished_utc);
-  const JsonValue* quick = root.find("quick");
-  if (quick == nullptr || !quick->is_bool()) {
-    *error = path + ": missing boolean \"quick\"";
-    return false;
-  }
-  out->quick = quick->as_bool();
-  if (const JsonValue* wall = root.find("wall_seconds"); wall != nullptr && wall->is_number())
-    out->wall_seconds = wall->as_number();
-  const JsonValue* cells = root.find("cells");
-  if (cells == nullptr || !cells->is_array()) {
-    *error = path + ": missing \"cells\" array";
-    return false;
-  }
-  for (const auto& item : cells->items()) {
-    if (!item->is_object()) {
-      *error = path + ": every cells[] entry must be an object";
-      return false;
-    }
-    Input::Cell cell;
-    const JsonValue* id = item->find("id");
-    const JsonValue* status = item->find("status");
-    if (id == nullptr || !id->is_string() || status == nullptr || !status->is_string()) {
-      *error = path + ": every cells[] entry needs string \"id\" and \"status\"";
-      return false;
-    }
-    cell.id = id->as_string();
-    cell.status = status->as_string();
-    if (const JsonValue* bench = item->find("bench"); bench != nullptr && bench->is_string())
-      cell.bench = bench->as_string();
-    const JsonValue* seed = item->find("seed");
-    cell.seed_raw = seed != nullptr && seed->is_number() ? seed->raw_number() : "null";
-    if (const JsonValue* secs = item->find("seconds"); secs != nullptr && secs->is_number())
-      cell.seconds = secs->as_number();
-    if (const JsonValue* fnv = item->find("csv_fnv"); fnv != nullptr && fnv->is_string())
-      cell.csv_fnv = fnv->as_string();
-    if (is_success_status(cell.status) && cell.csv_fnv.empty()) {
-      // A pre-merge-era manifest (no checksums) cannot be safely unioned:
-      // conflicts would be undetectable.
-      *error = path + ": cell \"" + cell.id + "\" has status \"" + cell.status +
-               "\" but no csv_fnv — regenerate the manifest with this cr version";
-      return false;
-    }
-    out->cells.push_back(std::move(cell));
-  }
-  return true;
 }
 
 }  // namespace
 
 int merge_manifests(const MergeOptions& opts, std::ostream& log) {
-  if (opts.manifest_paths.empty()) {
+  const std::vector<std::string>& paths = opts.manifest_paths;
+  if (paths.empty()) {
     log << "cr suite merge: at least one manifest path is required\n";
     return 2;
   }
-  std::vector<Input> inputs;
-  for (const std::string& path : opts.manifest_paths) {
-    Input input;
-    std::string error;
-    if (!load_input(path, &input, &error)) {
-      log << "cr suite merge: " << error << "\n";
+  std::vector<RunManifest> inputs;  // inputs[i] was read from paths[i]
+  for (const std::string& path : paths) {
+    ManifestParse loaded = RunManifest::load(path);
+    if (!loaded.ok()) {
+      log << "cr suite merge: " << loaded.error << "\n";
       return 2;
     }
-    inputs.push_back(std::move(input));
+    for (const RunManifest::Cell& cell : loaded.manifest.cells) {
+      if (is_success_status(cell.status) && cell.csv_fnv.empty()) {
+        // A pre-merge-era manifest (no checksums) cannot be safely unioned:
+        // conflicts would be undetectable.
+        log << "cr suite merge: " << path << ": cell \"" << cell.id << "\" has status \""
+            << cell.status << "\" but no csv_fnv — regenerate the manifest with this cr "
+            << "version\n";
+        return 2;
+      }
+    }
+    inputs.push_back(std::move(loaded.manifest));
   }
 
-  const Input& first = inputs.front();
-  for (const Input& input : inputs) {
+  const RunManifest& first = inputs.front();
+  const auto cell_ids = [](const RunManifest& manifest) {
+    std::set<std::string> ids;
+    for (const RunManifest::Cell& cell : manifest.cells) ids.insert(cell.id);
+    return ids;
+  };
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const RunManifest& input = inputs[i];
     if (input.suite != first.suite || input.config_hash != first.config_hash ||
         input.quick != first.quick) {
-      log << "cr suite merge: " << input.path << " records a different configuration than "
-          << first.path << " (suite \"" << input.suite << "\" vs \"" << first.suite
+      log << "cr suite merge: " << paths[i] << " records a different configuration than "
+          << paths[0] << " (suite \"" << input.suite << "\" vs \"" << first.suite
           << "\", config " << input.config_hash << " vs " << first.config_hash << ", quick "
           << (input.quick ? "true" : "false") << " vs " << (first.quick ? "true" : "false")
           << ") — shards of different suites cannot be unioned\n";
       return 1;
     }
-  }
-  // Same configuration implies the same expansion; verify the cell id sets
-  // anyway so a hand-edited manifest fails loudly.
-  std::set<std::string> first_ids;
-  for (const Input::Cell& cell : first.cells) first_ids.insert(cell.id);
-  for (const Input& input : inputs) {
-    std::set<std::string> ids;
-    for (const Input::Cell& cell : input.cells) ids.insert(cell.id);
-    if (ids != first_ids) {
-      log << "cr suite merge: " << input.path << " describes a different cell set than "
-          << first.path << " despite matching config_hash — manifest is corrupt\n";
+    // Same configuration implies the same expansion; verify the cell id sets
+    // anyway so a hand-edited manifest fails loudly.
+    if (cell_ids(input) != cell_ids(first)) {
+      log << "cr suite merge: " << paths[i] << " describes a different cell set than "
+          << paths[0] << " despite matching config_hash — manifest is corrupt\n";
       return 1;
     }
   }
@@ -189,18 +76,18 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
   const std::string out_path =
       !opts.out_path.empty()
           ? opts.out_path
-          : (fs::path(first.path).parent_path() / "manifest.json").string();
+          : (fs::path(paths[0]).parent_path() / "manifest.json").string();
   const std::string out_dir = fs::path(out_path).parent_path().string();
 
   // Union cell by cell, in the first manifest's (= expansion) order.
   struct Merged {
-    const Input::Cell* winner = nullptr;  ///< first non-peer success, else peer
+    const RunManifest::Cell* winner = nullptr;  ///< first non-peer success, else peer
     bool any_failed = false;
   };
   std::map<std::string, Merged> merged;
   int conflicts = 0;
-  for (const Input& input : inputs) {
-    for (const Input::Cell& cell : input.cells) {
+  for (const RunManifest& input : inputs) {
+    for (const RunManifest::Cell& cell : input.cells) {
       Merged& slot = merged[cell.id];
       if (cell.status == "failed") slot.any_failed = true;
       if (!is_success_status(cell.status)) continue;
@@ -224,7 +111,7 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
   if (conflicts > 0) return 1;
 
   std::size_t missing = 0, failed = 0, ok = 0;
-  for (const Input::Cell& cell : first.cells) {
+  for (const RunManifest::Cell& cell : first.cells) {
     const Merged& slot = merged.at(cell.id);
     if (slot.winner != nullptr) {
       ++ok;
@@ -255,59 +142,30 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
     return 1;
   }
 
-  std::string started = first.started_utc, finished = first.finished_utc;
-  std::string git_sha = first.git_sha;
-  double wall = 0.0;
-  for (const Input& input : inputs) {
+  // The merged record: the first input's header and expansion order, each
+  // cell's winning record, shard "1/1", summed wall time, the earliest start
+  // and latest finish, and the inputs it came from.
+  RunManifest out = first;
+  out.worker.reset();
+  out.shard = "1/1";
+  out.wall_seconds = 0.0;
+  out.merged_from.emplace();
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const RunManifest& input = inputs[i];
     // ISO-8601 UTC stamps compare correctly as strings.
-    if (!input.started_utc.empty() && (started.empty() || input.started_utc < started))
-      started = input.started_utc;
-    if (input.finished_utc > finished) finished = input.finished_utc;
-    if (input.git_sha != git_sha) git_sha = "mixed";
-    wall += input.wall_seconds;
+    if (!input.started_utc.empty() &&
+        (out.started_utc.empty() || input.started_utc < out.started_utc))
+      out.started_utc = input.started_utc;
+    if (input.finished_utc > out.finished_utc) out.finished_utc = input.finished_utc;
+    if (input.git_sha != out.git_sha) out.git_sha = "mixed";
+    out.wall_seconds += input.wall_seconds;
+    out.merged_from->push_back(fs::path(paths[i]).filename().string());
   }
+  for (RunManifest::Cell& cell : out.cells) cell = *merged.at(cell.id).winner;
 
-  // tmp + rename, like every other output in the run directory.
-  const std::string tmp_path = out_path + ".tmp-" + std::to_string(::getpid());
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    out << "{\n"
-        << "  \"suite\": \"" << json_escape(first.suite) << "\",\n"
-        << "  \"description\": \"" << json_escape(first.description) << "\",\n"
-        << "  \"git_sha\": \"" << json_escape(git_sha) << "\",\n"
-        << "  \"config_hash\": \"" << first.config_hash << "\",\n"
-        << "  \"shard\": \"1/1\",\n"
-        << "  \"quick\": " << (first.quick ? "true" : "false") << ",\n"
-        << "  \"started_utc\": \"" << json_escape(started) << "\",\n"
-        << "  \"finished_utc\": \"" << json_escape(finished) << "\",\n"
-        << "  \"wall_seconds\": " << format_double(wall, 3) << ",\n"
-        << "  \"merged_from\": [";
-    for (std::size_t i = 0; i < inputs.size(); ++i)
-      out << (i ? ", " : "") << "\"" << json_escape(fs::path(inputs[i].path).filename().string())
-          << "\"";
-    out << "],\n"
-        << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < first.cells.size(); ++i) {
-      const Input::Cell& winner = *merged.at(first.cells[i].id).winner;
-      out << "    {\"id\": \"" << json_escape(winner.id) << "\", \"bench\": \""
-          << json_escape(winner.bench) << "\", \"seed\": " << winner.seed_raw
-          << ", \"status\": \"" << winner.status << "\", \"seconds\": "
-          << format_double(winner.seconds, 3) << ", \"csv_fnv\": \"" << winner.csv_fnv
-          << "\"}" << (i + 1 < first.cells.size() ? "," : "") << "\n";
-    }
-    out << "  ]\n}\n";
-    out.flush();
-    if (!out) {
-      log << "cr suite merge: cannot write " << tmp_path << "\n";
-      return 2;
-    }
-  }
-  std::error_code ec;
-  fs::rename(tmp_path, out_path, ec);
-  if (ec) {
-    log << "cr suite merge: cannot rename " << tmp_path << " -> " << out_path << ": "
-        << ec.message() << "\n";
-    fs::remove(tmp_path, ec);
+  std::string error;
+  if (!write_file_atomic(out_path, out.to_json(), &error)) {
+    log << "cr suite merge: cannot write " << out_path << ": " << error << "\n";
     return 2;
   }
   log << "cr suite merge: " << inputs.size() << " manifests, " << ok

@@ -1,17 +1,13 @@
 #include "dist/worker.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
-#include <cstdio>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <ostream>
-#include <random>
 #include <thread>
 #include <vector>
 
+#include "common/file_io.hpp"
 #include "common/file_lock.hpp"
 #include "common/table.hpp"
 #include "dist/cell_cache.hpp"
@@ -20,74 +16,17 @@ namespace cr {
 
 namespace fs = std::filesystem;
 
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string utc_now() {
-  const std::time_t now =
-      std::chrono::system_clock::to_time_t(std::chrono::system_clock::now());
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
-}
-
-std::string sanitize_token(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-/// `<host>-<pid>-<rand>`: unique across hosts, across concurrent processes,
-/// and across PID reuse within one run directory.
-std::string worker_token() {
-  std::mt19937_64 gen(std::random_device{}() ^
-                      (static_cast<std::uint64_t>(::getpid()) << 32) ^
-                      static_cast<std::uint64_t>(
-                          std::chrono::steady_clock::now().time_since_epoch().count()));
-  char rand_hex[16];
-  std::snprintf(rand_hex, sizeof rand_hex, "%08llx",
-                static_cast<unsigned long long>(gen() & 0xFFFFFFFFull));
-  return sanitize_token(lease_hostname()) + "-" + std::to_string(::getpid()) + "-" + rand_hex;
-}
-
-}  // namespace
-
 int run_worker(const SuiteSpec& spec, const WorkerOptions& opts, std::ostream& log) {
   const std::vector<SuiteCell> cells = expand_suite(spec);
   const std::string outdir = opts.output_dir.empty() ? spec.output_dir : opts.output_dir;
-  const std::string config_hash = suite_config_hash(cells);
   const std::string locks_dir = outdir + "/.locks";
-  const std::string git_sha = git_head_sha(spec.source_dir);
-  const std::string worker = worker_token();
+  // `<host>-<pid>-<rand>`: unique across hosts, across concurrent processes,
+  // and across PID reuse within one run directory.
+  const std::string worker = sanitize_for_path(lease_hostname()) + "-" + unique_suffix();
+  // Every cell starts "pending" (open); the loop ends when none is.
+  RunManifest manifest = begin_run_manifest(spec, cells, opts.quick, ShardSpec{});
+  manifest.worker = worker;
+  const std::string& config_hash = manifest.config_hash;
 
   log << "worker " << worker << ": suite " << spec.name << ", " << cells.size()
       << " cells -> " << outdir << "  [config " << config_hash << "]\n";
@@ -101,46 +40,34 @@ int run_worker(const SuiteSpec& spec, const WorkerOptions& opts, std::ostream& l
   }
 
   // Same stale-output guard as `cr suite run`: every manifest already in the
-  // out dir (including other workers' — they carry this config_hash) must
-  // describe this exact expansion and --quick mode.
+  // out dir (including other workers' — they carry this config_hash) must be
+  // readable and describe this exact expansion and --quick mode.
   const PriorOutputs prior = scan_prior_outputs(outdir, config_hash, opts.quick);
   if (!prior.compatible) {
-    log << "worker " << worker << ": " << outdir << "/" << prior.message
+    log << "worker " << worker << ": " << prior.message
         << " — refusing to work over stale outputs; use a fresh --out\n";
     return 1;
   }
 
   CellCache cache(opts.cache_dir);
-  CellRunOptions cell_opts;
-  cell_opts.out_dir = outdir;
-  cell_opts.quick = opts.quick;
-  cell_opts.threads = opts.threads;
-  cell_opts.cache = opts.cache_dir.empty() ? nullptr : &cache;
-  cell_opts.config_hash = config_hash;
-  cell_opts.git_sha = git_sha;
+  const CellRunOptions cell_opts{.out_dir = outdir, .quick = opts.quick, .threads = opts.threads,
+                                 .cache = opts.cache_dir.empty() ? nullptr : &cache,
+                                 .config_hash = config_hash, .git_sha = manifest.git_sha};
 
-  struct CellState {
-    /// "" (open) | "ok" | "hit" | "peer" | "failed"
-    std::string status;
-    double seconds = 0.0;
-    std::string csv_fnv;
-  };
-  std::vector<CellState> state(cells.size());
-  const std::string started = utc_now();
   const auto t0 = std::chrono::steady_clock::now();
   std::size_t ran = 0, hits = 0, failures = 0, peer_failures = 0;
 
   const auto all_terminal = [&] {
-    for (const CellState& cell : state)
-      if (cell.status.empty()) return false;
+    for (const RunManifest::Cell& cell : manifest.cells)
+      if (cell.status == "pending") return false;
     return true;
   };
 
   while (!all_terminal()) {
     bool progressed = false;
     for (const SuiteCell& cell : cells) {
-      CellState& mine = state[cell.index];
-      if (!mine.status.empty()) continue;
+      RunManifest::Cell& mine = manifest.cells[cell.index];
+      if (mine.status != "pending") continue;
       const std::string csv_path = outdir + "/" + cell.id + ".csv";
       const std::string lease_path = locks_dir + "/" + cell.id + ".lease";
       const std::string failed_path = locks_dir + "/" + cell.id + ".failed";
@@ -177,18 +104,15 @@ int run_worker(const SuiteSpec& spec, const WorkerOptions& opts, std::ostream& l
         continue;
       }
 
-      const CellRunResult result = run_cell(cell, cell_opts);
-      if (!result.cache_note.empty()) log << "  [cache] " << result.cache_note << "\n";
-      mine.status = result.status;
-      mine.seconds = result.seconds;
-      mine.csv_fnv = result.csv_fnv;
-      if (result.status == "failed") {
+      const std::string note = run_cell(cell, cell_opts, &mine);
+      if (!note.empty()) log << "  [cache] " << note << "\n";
+      if (mine.status == "failed") {
         ++failures;
         // Mark the cell terminally failed BEFORE releasing the lease, so no
         // other worker squeezes in and retries a deterministic error.
         std::ofstream failed(failed_path);
         failed << "worker " << worker << "\n";
-      } else if (result.status == "hit") {
+      } else if (mine.status == "hit") {
         ++hits;
       } else {
         ++ran;
@@ -205,37 +129,17 @@ int run_worker(const SuiteSpec& spec, const WorkerOptions& opts, std::ostream& l
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   const std::string manifest_path = outdir + "/manifest.work-" + worker + ".json";
-  {
-    std::ofstream manifest(manifest_path);
-    manifest << "{\n"
-             << "  \"suite\": \"" << json_escape(spec.name) << "\",\n"
-             << "  \"description\": \"" << json_escape(spec.description) << "\",\n"
-             << "  \"worker\": \"" << json_escape(worker) << "\",\n"
-             << "  \"git_sha\": \"" << json_escape(git_sha) << "\",\n"
-             << "  \"config_hash\": \"" << config_hash << "\",\n"
-             << "  \"shard\": \"1/1\",\n"
-             << "  \"quick\": " << (opts.quick ? "true" : "false") << ",\n"
-             << "  \"started_utc\": \"" << started << "\",\n"
-             << "  \"finished_utc\": \"" << utc_now() << "\",\n"
-             << "  \"wall_seconds\": " << format_double(wall, 3) << ",\n"
-             << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellState& cell = state[i];
-      manifest << "    {\"id\": \"" << json_escape(cells[i].id) << "\", \"bench\": \""
-               << json_escape(cells[i].bench) << "\", \"seed\": "
-               << (cells[i].has_seed ? std::to_string(cells[i].seed) : "null")
-               << ", \"status\": \"" << cell.status << "\", \"seconds\": "
-               << format_double(cell.seconds, 3) << ", \"csv_fnv\": "
-               << (cell.csv_fnv.empty() ? "null" : "\"" + cell.csv_fnv + "\"") << "}"
-               << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    manifest << "  ]\n}\n";
-  }
+  manifest.finished_utc = utc_now();
+  manifest.wall_seconds = wall;
+  std::string error;
+  const bool recorded = write_file_atomic(manifest_path, manifest.to_json(), &error);
+  if (!recorded)
+    log << "worker " << worker << ": cannot write " << manifest_path << ": " << error << "\n";
 
   log << "worker " << worker << ": " << ran << " ran, " << hits << " cache hits, "
       << failures + peer_failures << " failed (" << failures << " own) in "
       << format_double(wall, 2) << "s; manifest " << manifest_path << "\n";
-  return failures + peer_failures == 0 ? 0 : 1;
+  return failures + peer_failures == 0 && recorded ? 0 : 1;
 }
 
 }  // namespace cr

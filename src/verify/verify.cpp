@@ -1,40 +1,16 @@
 #include "verify/verify.hpp"
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 #include <ostream>
 #include <sstream>
 
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/table.hpp"
+#include "dist/run_manifest.hpp"
 
 namespace cr::verify {
 namespace {
-
-/// JSON string literal with the standard escapes (the report embeds check
-/// diagnostics, which quote cell text freely).
-std::string json_quote(const std::string& text) {
-  std::string out = "\"";
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 /// Compact observed summary for the terminal table ("name=value, ...").
 std::string observed_summary(const ClaimOutcome& outcome, std::size_t max_entries = 2) {
@@ -51,15 +27,15 @@ std::string observed_summary(const ClaimOutcome& outcome, std::size_t max_entrie
 
 RunInfo load_run_info(const std::string& out_dir) {
   RunInfo info;
-  const JsonParseResult parsed = JsonValue::parse_file(out_dir + "/manifest.json");
-  if (!parsed.ok() || !parsed.value->is_object()) return info;
-  info.manifest_found = true;
-  if (const JsonValue* suite = parsed.value->find("suite"); suite && suite->is_string())
-    info.suite = suite->as_string();
-  if (const JsonValue* hash = parsed.value->find("config_hash"); hash && hash->is_string())
-    info.config_hash = hash->as_string();
-  if (const JsonValue* quick = parsed.value->find("quick"); quick && quick->is_bool())
-    info.quick = quick->as_bool();
+  const std::string path = out_dir + "/manifest.json";
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec)) return info;
+  const ManifestParse loaded = RunManifest::load(path);  // empty on error
+  info.manifest_found = loaded.ok();
+  info.error = loaded.error;
+  info.suite = loaded.manifest.suite;
+  info.config_hash = loaded.manifest.config_hash;
+  info.quick = loaded.manifest.quick;
   return info;
 }
 
@@ -137,6 +113,12 @@ std::string report_json(const RunInfo& info, const std::vector<ClaimOutcome>& ou
 
 int run_verify(const VerifyOptions& opts, std::ostream& os) {
   const RunInfo info = load_run_info(opts.out_dir);
+  if (!info.error.empty()) {
+    // A present manifest that does not parse says nothing about the
+    // evidence's --quick mode, so the bounds to apply are unknown.
+    os << "error: " << info.error << "\n";
+    return 2;
+  }
   if (!info.manifest_found) {
     os << "warning: no readable manifest.json in " << opts.out_dir
        << " (report provenance will be empty)\n";
@@ -175,11 +157,9 @@ int run_verify(const VerifyOptions& opts, std::ostream& os) {
 
   const std::string report_path =
       opts.report_path.empty() ? opts.out_dir + "/verify_report.json" : opts.report_path;
-  std::ofstream out(report_path, std::ios::binary | std::ios::trunc);
-  out << report_json(info, outcomes);
-  out.flush();
-  if (!out) {
-    os << "error: cannot write report to " << report_path << "\n";
+  std::string error;
+  if (!write_file_atomic(report_path, report_json(info, outcomes), &error)) {
+    os << "error: cannot write report to " << report_path << ": " << error << "\n";
     return 2;
   }
   os << "report: " << report_path << "\n";

@@ -39,10 +39,14 @@ struct RunInfo {
   std::string suite;        ///< manifest "suite" name ("" when not found)
   std::string config_hash;  ///< suite_config_hash of the evidence expansion
   bool quick = false;       ///< the evidence run's own --quick flag
+  /// Non-empty when manifest.json exists but is not a readable run manifest
+  /// (dist/run_manifest.hpp): the path and the parser's diagnostic.
+  std::string error;
 };
 
-/// Parse `<out_dir>/manifest.json` (best effort: manifest_found=false when
-/// missing/unparseable — verification still runs, with empty provenance).
+/// Read `<out_dir>/manifest.json`. A missing file leaves manifest_found
+/// false (verification still runs, with empty provenance); a present but
+/// malformed one sets `error`.
 RunInfo load_run_info(const std::string& out_dir);
 
 /// Evaluate `claims` (default: the full ClaimRegistry) against the CSVs in
@@ -64,8 +68,8 @@ struct VerifyOptions {
 
 /// Evaluate, print the verdict table to `os`, write the report JSON.
 /// Returns 0 when every claim passes, 1 when any fails or errors, 2 on
-/// setup errors (unwritable report, quick-mode mismatch with the evidence
-/// manifest).
+/// setup errors (unwritable report, a malformed evidence manifest, quick-mode
+/// mismatch with the evidence manifest).
 int run_verify(const VerifyOptions& opts, std::ostream& os);
 
 }  // namespace cr::verify

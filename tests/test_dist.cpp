@@ -420,6 +420,23 @@ TEST_F(DistRunTest, ResumeReRunsCellWhoseCsvFailsItsRecordedChecksum) {
   EXPECT_EQ(csvs(out_), reference);  // corruption healed, bytes restored
 }
 
+TEST_F(DistRunTest, WorkerRefusesToWorkBehindAnUnreadableManifest) {
+  std::ostringstream first;
+  ASSERT_EQ(run_suite(spec_, options(out_), first), 0);
+  fs::resize_file(out_ / "manifest.json", 200);
+  // Same guard as `cr suite run`: the worker must not treat the CSVs behind
+  // a manifest it cannot read as finished peer work.
+  WorkerOptions opts;
+  opts.output_dir = out_.string();
+  opts.threads = 1;
+  std::ostringstream log;
+  EXPECT_EQ(run_worker(spec_, opts, log), 1);
+  EXPECT_NE(log.str().find("unreadable run manifest"), std::string::npos) << log.str();
+  EXPECT_NE(log.str().find("refusing to work over stale outputs"), std::string::npos)
+      << log.str();
+  EXPECT_TRUE(worker_manifests(out_).empty());
+}
+
 TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
   // Reference: plain single-process run (no cache, so both paths compute).
   const fs::path ref = fresh_dir("ref");

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace cr {
 namespace {
 
@@ -25,6 +27,22 @@ TEST(Json, NumbersKeepRawSourceText) {
   EXPECT_EQ(parsed.value->find("n")->raw_number(), "4096");
   EXPECT_EQ(parsed.value->find("e")->raw_number(), "1e3");
   EXPECT_DOUBLE_EQ(parsed.value->find("e")->as_number(), 1000.0);
+  // exact_u64 reads integers from the raw text, exact past 2^53 where a
+  // double would round, and refuses anything that is not a plain integer.
+  std::uint64_t value = 7;
+  EXPECT_TRUE(parsed.value->find("n")->exact_u64(&value));
+  EXPECT_EQ(value, 4096u);
+  const auto big = JsonValue::parse("[18446744073709551615, 9007199254740993]");
+  ASSERT_TRUE(big.ok());
+  EXPECT_TRUE(big.value->items()[0]->exact_u64(&value));
+  EXPECT_EQ(value, ~std::uint64_t{0});
+  EXPECT_TRUE(big.value->items()[1]->exact_u64(&value));
+  EXPECT_EQ(value, (std::uint64_t{1} << 53) + 1);
+  for (const char* bad : {"0.25", "1e3", "-1", "18446744073709551616", "\"12\"", "null"}) {
+    value = 7;
+    EXPECT_FALSE(JsonValue::parse(bad).value->exact_u64(&value)) << bad;
+    EXPECT_EQ(value, 7u) << bad;
+  }
 }
 
 TEST(Json, ObjectPreservesMemberOrder) {

@@ -309,16 +309,6 @@ TEST(RngBatch, FillMatchesSequentialDraws) {
   }
 }
 
-TEST(RngBatch, SkipMatchesDiscardedDraws) {
-  for (const std::uint64_t n : {0ull, 1ull, 13ull, 4096ull}) {
-    Rng scalar(99);
-    Rng skipped(99);
-    for (std::uint64_t i = 0; i < n; ++i) scalar.next_u64();
-    skipped.skip(n);
-    EXPECT_EQ(skipped.next_u64(), scalar.next_u64()) << "n=" << n;
-  }
-}
-
 TEST(CounterRngBatch, FillMatchesAt) {
   // CounterRng::fill over any (start, n) window — even/odd starts and block
   // boundaries — equals the at() values position by position.

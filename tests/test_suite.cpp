@@ -331,6 +331,47 @@ TEST_F(SuiteRunTest, RefusesToResumeOverStaleOutputs) {
   EXPECT_EQ(csv_contents().size(), 3u);
 }
 
+TEST_F(SuiteRunTest, UnreadableManifestBlocksResumeUntilForced) {
+  std::ostringstream log;
+  EXPECT_EQ(run_suite(spec_, options(), log), 0);
+  const auto original = csv_contents();
+  ASSERT_EQ(original.size(), 2u);
+
+  // A kill mid-write leaves a prefix of the manifest, so the checksums it
+  // recorded are lost. A CSV altered since then must not resume as "cached"
+  // behind it: the unreadable manifest blocks the run instead.
+  fs::resize_file(dir_ / "manifest.json", 200);
+  const std::string victim = original.begin()->first;
+  {
+    std::ofstream out(dir_ / victim, std::ios::app);
+    out << "tampered\n";
+  }
+  std::ostringstream log2;
+  EXPECT_EQ(run_suite(spec_, options(), log2), 1);
+  EXPECT_NE(log2.str().find("unreadable run manifest"), std::string::npos) << log2.str();
+  EXPECT_NE(log2.str().find("manifest.json: line "), std::string::npos) << log2.str();
+  EXPECT_NE(log2.str().find("refusing to resume"), std::string::npos) << log2.str();
+  EXPECT_EQ(log2.str().find("cached"), std::string::npos) << log2.str();
+  EXPECT_EQ(csv_contents().at(victim), original.at(victim) + "tampered\n");
+
+  // --force reruns every cell over it and restores the true bytes.
+  SuiteRunOptions force_opts = options();
+  force_opts.force = true;
+  std::ostringstream log3;
+  EXPECT_EQ(run_suite(spec_, force_opts, log3), 0) << log3.str();
+  EXPECT_EQ(csv_contents(), original);
+
+  // The tmp file a killed atomic write leaves behind is no manifest: it is
+  // named after the full manifest name, so resume ignores it.
+  {
+    std::ofstream out(dir_ / "manifest.json.tmp-1-deadbeef");
+    out << "{\"suite\": tru";
+  }
+  std::ostringstream log4;
+  EXPECT_EQ(run_suite(spec_, options(), log4), 0);
+  EXPECT_NE(log4.str().find("0 ran, 2 cached"), std::string::npos) << log4.str();
+}
+
 TEST_F(SuiteRunTest, FailedCellIsIsolatedAndRemainingCellsStillRun) {
   // "junk" passes name validation (any scalar is legal manifest text) but
   // aborts the bench's Cli::get_int at run time. The forked-child isolation

@@ -237,7 +237,7 @@ TEST_F(VerifyTest, VerdictsAndErrorNamesTheClaim) {
 TEST_F(VerifyTest, RunVerifyExitCodesAndReport) {
   write_file("fixture_cell.csv", "value\n7\n");
   write_file("manifest.json",
-             R"({"suite": "fixture", "config_hash": "cafe1234", "quick": false})");
+             R"({"suite": "fixture", "config_hash": "cafe1234", "quick": false, "cells": []})");
   // All-pass: exit 0.
   std::vector<ClaimSpec> passing = {fixture_claim("fixture-pass", &passing_check)};
   verify::VerifyOptions opts;
