@@ -10,7 +10,6 @@
 //
 // We toggle each choice and measure (i) batch completion under jamming and
 // (ii) served fraction + bound ratio on a dynamic worst-case workload.
-#include <fstream>
 #include <ostream>
 
 #include "adversary/arrivals.hpp"
@@ -111,12 +110,7 @@ int run(int argc, const char* const* argv) {
   for (const Variant& v : variants) bench_variant(v, n, stream_t, driver, reps, table);
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("ablation.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, ablation().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("ablation.csv", table, ablation().csv_columns)) return 2;
 
   out << "\nReading: the constants matter most — c3 off its sweet spot slows the batch\n"
          "in BOTH directions (sparse ctrl starves restarts, dense ctrl self-collides),\n"

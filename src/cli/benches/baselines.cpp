@@ -9,7 +9,6 @@
 // Every contender is a ProtocolSpec; the registry picks the fastest engine
 // that can execute it (cohort engines for CJZ and the probability profile,
 // the per-node reference engine for the windowed schemes).
-#include <fstream>
 #include <ostream>
 #include <vector>
 
@@ -103,12 +102,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("baselines.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, baselines().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("baselines.csv", table, baselines().csv_columns)) return 2;
 
   out << "\nReading: on a clean batch the windowed schemes and CJZ are all ~n·polylog\n"
          "(constants differ); the probability-profile BEB (h_data) collapses. The\n"

@@ -13,7 +13,6 @@
 //       (the all-n completion time has a truncated-Pareto tail driven by
 //       the lone-survivor phase, so its mean/median are very noisy).
 #include <cmath>
-#include <fstream>
 #include <ostream>
 #include <vector>
 
@@ -93,12 +92,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("batch_completion.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, batch_completion().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("batch_completion.csv", table, batch_completion().csv_columns)) return 2;
 
   const LinearFit fit_c = fit_linear(log_n, log_cjz90);
   out << "\nCJZ 90%-completion log-log slope = " << format_double(fit_c.slope, 2)

@@ -8,7 +8,6 @@
 //
 // We sweep the jamming rate and report the fraction delivered within c·n
 // slots for c ∈ {2, 4, 8}.
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -59,12 +58,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("batch_robustness.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, batch_robustness().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("batch_robustness.csv", table, batch_robustness().csv_columns)) return 2;
 
   out << "\nReading: even at 40% jamming a constant fraction (not a vanishing one) of\n"
          "the batch is delivered within a few multiples of n — the property Phase 3\n"

@@ -13,7 +13,6 @@
 // Prediction: cd-backon's batch completion/n is ~constant in n (constant
 // throughput) even at 25% jamming; CJZ pays the Θ(log n) factor (the best
 // possible without CD, Theorem 1.3); the degraded controller collapses.
-#include <fstream>
 #include <memory>
 #include <ostream>
 
@@ -133,12 +132,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("cd_contrast.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, cd_contrast().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("cd_contrast.csv", table, cd_contrast().csv_columns)) return 2;
 
   out << "\nReading: the cd-backon column is flat in n (constant throughput, even at\n"
          "25% jamming) — the very capability Theorem 1.3 proves unattainable without\n"

@@ -11,7 +11,6 @@
 // (cohort) engine serves here — orders of magnitude faster than the per-node
 // reference engine this bench used to pin.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -64,12 +63,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("energy.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, energy().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("energy.csv", table, energy().csv_columns)) return 2;
 
   out << "\nReading: energy grows like the log^2(n) column (not like n) — polylog\n"
          "channel accesses per message, in line with the backoff-style algorithms\n"

@@ -11,7 +11,6 @@
 // jamming. We sweep m, with backoff joiners spread over the window, and
 // report the first-success distribution (custom MixedFactory via
 // factory_protocol — this also demonstrates the spec extension point).
-#include <fstream>
 #include <memory>
 #include <ostream>
 #include <utility>
@@ -110,12 +109,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("first_success.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, first_success().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("first_success.csv", table, first_success().csv_columns)) return 2;
 
   out << "\nReading: p50/m stays in a narrow band while m spans 64x (the first success\n"
          "tracks the batch's contention timescale), 25% jamming only shifts it by a\n"

@@ -17,7 +17,6 @@
 // Runs on the registry's preferred engine (fast_cjz attributes node stats).
 // The --csv table is diffed against tests/golden/bench_latency_quick.csv by
 // the golden CTest entry — keep its byte format stable.
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -108,13 +107,11 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("latency.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    CsvWriter csv(file, latency().csv_columns);
-    for (const auto& row : csv_rows) csv.row(row);
-    out << "\ntable written to " << csv_path << " (" << csv.rows_written() << " rows)\n";
-  }
+  if (!driver.write_output(driver.csv_path("latency.csv"), [&](std::ostream& os) {
+        CsvWriter csv(os, latency().csv_columns);
+        for (const auto& row : csv_rows) csv.row(row);
+      }))
+    return 2;
 
   out << "\nReading: p99 latency scales like burst·f (the last column is a roughly\n"
          "constant service factor), peak backlog and stranded counts stay ~one burst —\n"

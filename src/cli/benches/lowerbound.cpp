@@ -10,7 +10,6 @@
 // report mean sends-before-first-success, normalized by log²t/log²g —
 // flatness of that column is the tightness claim.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
 #include "adversary/proof_adversaries.hpp"
@@ -69,12 +68,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("lowerbound.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, lowerbound().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("lowerbound.csv", table, lowerbound().csv_columns)) return 2;
 
   out << "\nReading: 'normalized' hovers around a constant within each g block while t\n"
          "spans two orders of magnitude — the algorithm's energy matches the\n"

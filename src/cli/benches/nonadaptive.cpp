@@ -11,7 +11,6 @@
 //
 // We inject a single node at slot 1, jam [1, t/16], and measure the time to
 // first success beyond the prefix ("excess") and the number of broadcasts.
-#include <fstream>
 #include <memory>
 #include <ostream>
 
@@ -88,12 +87,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("nonadaptive.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, nonadaptive().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("nonadaptive.csv", table, nonadaptive().csv_columns)) return 2;
 
   out << "\nReading: the adaptive subroutine's excess is a small fraction of the\n"
          "prefix; the 1/k sequence (already decayed) pays ~a full extra prefix.\n"

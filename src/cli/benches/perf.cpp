@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -302,48 +301,42 @@ int run(int argc, const char* const* argv) {
           << format_double(tolerance * 100.0, 0) << "% — exiting nonzero\n";
   }
 
-  const std::string csv_path = driver.csv_path("perf.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, perf().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("perf.csv", table, perf().csv_columns)) return 2;
 
-  if (!json_path.empty()) {
-    std::ofstream json(json_path);
-    json << "{\n  \"bench\": \"perf\",\n  \"quick\": " << (driver.quick() ? "true" : "false")
-         << ",\n  \"threads\": " << threads << ",\n  \"reps\": " << reps
-         << ",\n  \"cells\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const PerfRow& row = rows[i];
-      char buf[640];
-      std::snprintf(buf, sizeof(buf),
-                    "    {\"scenario\": \"%s\", \"horizon\": %llu, \"engine\": \"%s\", "
-                    "\"reps\": %d, \"threads\": %d, \"seconds\": %.6f, "
-                    "\"slots_per_sec\": %.1f, \"runs_per_sec\": %.3f, "
-                    "\"mean_successes\": %.2f, \"mean_sends\": %.2f",
-                    row.scenario.c_str(),
-                    static_cast<unsigned long long>(row.horizon), row.engine.c_str(),
-                    row.reps, row.threads, row.seconds, row.slots_per_sec, row.runs_per_sec,
-                    row.mean_successes, row.mean_sends);
-      json << buf;
-      if (row.memory_cell) {
-        std::snprintf(buf, sizeof(buf),
-                      ", \"peak_live_nodes\": %llu, \"node_table_slots\": %llu, "
-                      "\"resident_bytes\": %llu, \"dense_extrap_bytes\": %llu, "
-                      "\"peak_rss_kb\": %llu",
-                      static_cast<unsigned long long>(row.peak_live_nodes),
-                      static_cast<unsigned long long>(row.node_table_slots),
-                      static_cast<unsigned long long>(row.resident_bytes),
-                      static_cast<unsigned long long>(row.dense_extrap_bytes),
-                      static_cast<unsigned long long>(row.peak_rss_kb));
-        json << buf;
-      }
-      json << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
-    }
-    json << "  ]\n}\n";
-    out << "\nperf snapshot written to " << json_path << "\n";
-  }
+  if (!driver.write_output(json_path, [&](std::ostream& json) {
+        json << "{\n  \"bench\": \"perf\",\n  \"quick\": " << (driver.quick() ? "true" : "false")
+             << ",\n  \"threads\": " << threads << ",\n  \"reps\": " << reps
+             << ",\n  \"cells\": [\n";
+        for (std::size_t i = 0; i < rows.size(); ++i) {
+          const PerfRow& row = rows[i];
+          char buf[640];
+          std::snprintf(buf, sizeof(buf),
+                        "    {\"scenario\": \"%s\", \"horizon\": %llu, \"engine\": \"%s\", "
+                        "\"reps\": %d, \"threads\": %d, \"seconds\": %.6f, "
+                        "\"slots_per_sec\": %.1f, \"runs_per_sec\": %.3f, "
+                        "\"mean_successes\": %.2f, \"mean_sends\": %.2f",
+                        row.scenario.c_str(),
+                        static_cast<unsigned long long>(row.horizon), row.engine.c_str(),
+                        row.reps, row.threads, row.seconds, row.slots_per_sec, row.runs_per_sec,
+                        row.mean_successes, row.mean_sends);
+          json << buf;
+          if (row.memory_cell) {
+            std::snprintf(buf, sizeof(buf),
+                          ", \"peak_live_nodes\": %llu, \"node_table_slots\": %llu, "
+                          "\"resident_bytes\": %llu, \"dense_extrap_bytes\": %llu, "
+                          "\"peak_rss_kb\": %llu",
+                          static_cast<unsigned long long>(row.peak_live_nodes),
+                          static_cast<unsigned long long>(row.node_table_slots),
+                          static_cast<unsigned long long>(row.resident_bytes),
+                          static_cast<unsigned long long>(row.dense_extrap_bytes),
+                          static_cast<unsigned long long>(row.peak_rss_kb));
+            json << buf;
+          }
+          json << "}" << (i + 1 < rows.size() ? ",\n" : "\n");
+        }
+        json << "  ]\n}\n";
+      }))
+    return 2;
 
   out << "\nReading: slots/sec counts simulated slots (fast_cjz's plan path and\n"
          "analytic tail count the slots they certify away); runs/sec is the\n"

@@ -10,7 +10,6 @@
 //   cr bench scenario --scenario=bursty --n=64 --jam_margin=8 --reps=8
 //   cr suite run ... with "grid": {"scenario": ["batch","worst_case"], ...}
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -168,12 +167,7 @@ int run(int argc, const char* const* argv) {
                  Cell(served.mean(), 3), Cell(sends.mean(), 1), mean_sd(backlog, 1)});
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("scenario.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, scenario().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("scenario.csv", table, scenario().csv_columns)) return 2;
 
   out << "\nReading: one row per invocation by design — sweeps come from suite grids\n"
          "(see suites/*.json), which expand a cell block into many invocations and\n"

@@ -9,7 +9,6 @@
 // achieves (Θ(f), Θ(g))-throughput with f = Θ(log t / log² g)). In the
 // 2^√log regime f is constant — constant throughput per Remark 2.
 #include <algorithm>
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -95,32 +94,30 @@ int run(int argc, const char* const* argv) {
   // at the largest t) for plotting — the (f,g) ratio from the checker plus
   // windowed throughput/backlog from the streaming WindowedMetrics observer,
   // both attached to the same run through an ObserverChain.
-  const std::string csv_path = driver.csv_path("tradeoff_series.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    CsvWriter csv(file, tradeoff().csv_columns);
-    const slot_t t = static_cast<slot_t>(1) << max_exp;
-    const slot_t window = std::max<slot_t>(1, t / 256);
-    for (const Regime& regime : regimes) {
-      Scenario sc = smooth_scenario(t, regime.fs, 8.0, 8.0);
-      sc.config.seed = driver.seed(9000);
-      ThroughputChecker checker(sc.fs, window);
-      WindowedMetrics windows(window);
-      ObserverChain chain{&checker, &windows};
-      run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc, &chain);
-      const std::size_t rows = std::min(checker.series().size(), windows.series().size());
-      for (std::size_t i = 0; i < rows; ++i) {
-        const auto& pt = checker.series()[i];
-        const WindowStats& win = windows.series()[i];
-        csv.row({regime.label, std::to_string(pt.t), std::to_string(pt.n_t),
-                 std::to_string(pt.d_t), std::to_string(pt.a_t), format_double(pt.ratio, 5),
-                 std::to_string(win.successes), format_double(win.live_mean, 2),
-                 std::to_string(win.live_max)});
-      }
-    }
-    out << "\nratio series written to " << csv_path << " (" << csv.rows_written()
-        << " rows)\n";
-  }
+  if (!driver.write_output(driver.csv_path("tradeoff_series.csv"), [&](std::ostream& os) {
+        CsvWriter csv(os, tradeoff().csv_columns);
+        const slot_t t = static_cast<slot_t>(1) << max_exp;
+        const slot_t window = std::max<slot_t>(1, t / 256);
+        for (const Regime& regime : regimes) {
+          Scenario sc = smooth_scenario(t, regime.fs, 8.0, 8.0);
+          sc.config.seed = driver.seed(9000);
+          ThroughputChecker checker(sc.fs, window);
+          WindowedMetrics windows(window);
+          ObserverChain chain{&checker, &windows};
+          run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc, &chain);
+          const std::size_t rows =
+              std::min(checker.series().size(), windows.series().size());
+          for (std::size_t i = 0; i < rows; ++i) {
+            const auto& pt = checker.series()[i];
+            const WindowStats& win = windows.series()[i];
+            csv.row({regime.label, std::to_string(pt.t), std::to_string(pt.n_t),
+                     std::to_string(pt.d_t), std::to_string(pt.a_t),
+                     format_double(pt.ratio, 5), std::to_string(win.successes),
+                     format_double(win.live_mean, 2), std::to_string(win.live_max)});
+          }
+        }
+      }))
+    return 2;
 
   out << "\nReading: within each regime the ratio column is flat in t (bounded\n"
          "constant), i.e. active slots track n_t·f + d_t·g as Theorem 1.2 predicts.\n";

@@ -15,7 +15,6 @@
 //   "grid": {"arrival": ["batch", "paced"], "jammer": ["none", "iid"]}
 // — the (arrival × jammer) product with zero new C++.
 #include <cstdio>
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -140,12 +139,7 @@ int run(int argc, const char* const* argv) {
                  mean_sd(backlog, 1)});
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("workload.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, workload().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("workload.csv", table, workload().csv_columns)) return 2;
 
   out << "\nReading: one row per invocation by design — grids over\n"
          "(arrival × jammer × g × protocol) come from suite manifests\n"

@@ -11,7 +11,6 @@
 // success count exposes the Θ(t/log t) ceiling. The normalized column
 // successes·log2(t)/t should be flat in t and capped by a constant.
 #include <cmath>
-#include <fstream>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -62,12 +61,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  const std::string csv_path = driver.csv_path("worstcase.csv");
-  if (!csv_path.empty()) {
-    std::ofstream file(csv_path);
-    write_table_csv(table, worstcase().csv_columns, file);
-    out << "\ntable written to " << csv_path << "\n";
-  }
+  if (!driver.write_csv("worstcase.csv", table, worstcase().csv_columns)) return 2;
 
   out << "\nReading: down each (jam, margin) block the normalized column is flat in t;\n"
          "across margins it saturates at a constant ceiling — goodput Theta(t/log t),\n"

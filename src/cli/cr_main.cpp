@@ -24,7 +24,6 @@
 #include "common/source_digest.hpp"
 #include "dist/cell_cache.hpp"
 #include "dist/merge.hpp"
-#include "dist/worker.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -164,17 +163,12 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
     return 2;
   }
   if (is_work) {
-    cr::WorkerOptions worker;
-    worker.output_dir = opts.output_dir;
-    worker.cache_dir = opts.cache_dir;
-    worker.quick = opts.quick;
-    worker.threads = opts.threads;
-    worker.stale_after_seconds = cli.get_double("stale_after", 0.0);
-    if (worker.stale_after_seconds < 0.0) {
+    opts.stale_after_seconds = cli.get_double("stale_after", 0.0);
+    if (opts.stale_after_seconds < 0.0) {
       std::fprintf(stderr, "cr suite work: --stale_after must be >= 0\n");
       return 2;
     }
-    return cr::run_worker(loaded.spec, worker, std::cout);
+    return cr::run_worker(loaded.spec, opts, std::cout);
   }
   const std::string shard = cli.get_string("shard", "");
   if (!shard.empty() && !cr::parse_shard(shard, &opts.shard)) {

@@ -9,13 +9,16 @@
 #include <map>
 #include <ostream>
 #include <set>
+#include <thread>
 
 #include "cli/bench_registry.hpp"
 #include "common/file_io.hpp"
+#include "common/file_lock.hpp"
 #include "common/snapshot.hpp"
 #include "common/source_digest.hpp"
 #include "common/table.hpp"
 #include "dist/cell_cache.hpp"
+#include "dist/run_manifest.hpp"
 
 namespace cr {
 
@@ -103,6 +106,11 @@ std::string git_head_sha(const std::string& dir) {
 
 namespace {
 
+/// gcov's counter dump. Declared weak, it stays null unless a --coverage
+/// build links it in (`-Wl,--undefined=__gcov_dump`, as the CI coverage job
+/// does).
+extern "C" void __gcov_dump() __attribute__((weak));
+
 /// Execute one cell in a forked child so a bench that exits or aborts
 /// (bad flag value hitting CR_CHECK, std::exit in a driver, a crash)
 /// becomes a "failed" status for THAT cell instead of killing the whole
@@ -118,8 +126,10 @@ int run_cell_isolated(const std::string& bench, const std::vector<std::string>& 
   if (pid < 0) return 126;
   if (pid == 0) {
     const int rc = BenchRegistry::instance().run(bench, args);
-    // _Exit: the CSV ofstream is already closed inside the bench, and the
-    // child must not flush stdio buffers it inherited from the parent.
+    // _Exit: the bench has already published its CSV, and the child must
+    // not flush stdio buffers it inherited from the parent. It skips gcov's
+    // exit-time dump too, so a coverage build dumps the counters first.
+    if (__gcov_dump != nullptr) __gcov_dump();
     std::_Exit(rc);
   }
   int status = 0;
@@ -128,16 +138,21 @@ int run_cell_isolated(const std::string& bench, const std::vector<std::string>& 
   return WIFSIGNALED(status) ? 128 + WTERMSIG(status) : 1;
 }
 
-}  // namespace
-
-std::string file_fnv16(const std::string& path) {
-  std::string bytes;
-  return read_file(path, &bytes) ? fnv1a_hex16(bytes) : "";
-}
-
-std::string run_cell(const SuiteCell& cell, const CellRunOptions& opts, RunManifest::Cell* record) {
+/// Execute one cell: consult the cache (when configured), otherwise run the
+/// bench in a forked child writing to a WORKER-UNIQUE scratch path
+/// (<csv>.tmp-<pid>-<random>). The CSV is then published with
+/// write_file_atomic — two workers racing the same out_dir can never observe
+/// each other's partial writes. A fresh result is stored back into the
+/// cache. A cache hit restores the CSV byte-identically to recomputation
+/// (determinism rule 9). Sets the cell's record in `manifest` (status "ok"
+/// computed, "hit" from the cache, or "failed"; seconds; csv_fnv, empty on
+/// failure). Returns a note when a cache entry was rejected or could not be
+/// restored or stored, "" otherwise.
+std::string run_cell(const SuiteCell& cell, const SuiteRunOptions& opts,
+                     const std::string& outdir, CellCache* cache, RunManifest* manifest) {
+  RunManifest::Cell* record = &manifest->cells[cell.index];
   std::string note;
-  const std::string csv_path = opts.out_dir + "/" + cell.id + ".csv";
+  const std::string csv_path = outdir + "/" + cell.id + ".csv";
   const auto t0 = std::chrono::steady_clock::now();
   const auto elapsed = [&t0] {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -147,9 +162,9 @@ std::string run_cell(const SuiteCell& cell, const CellRunOptions& opts, RunManif
   // peer worker, a resuming run) never sees a partial one.
   std::string error;
   CellKey key;
-  if (opts.cache != nullptr) {
-    key = {opts.config_hash, cell.id, source_digest(), opts.quick};
-    CacheLookup found = opts.cache->lookup(key);
+  if (cache != nullptr) {
+    key = {manifest->config_hash, cell.id, source_digest(), opts.quick};
+    CacheLookup found = cache->lookup(key);
     note = found.diagnostic;
     if (found.hit && write_file_atomic(csv_path, found.csv, &error)) {
       record->status = "hit";
@@ -182,11 +197,18 @@ std::string run_cell(const SuiteCell& cell, const CellRunOptions& opts, RunManif
   record->status = published ? "ok" : "failed";
   record->csv_fnv = published ? fnv1a_hex16(csv_bytes) : "";
   std::string store_error;
-  if (published && opts.cache != nullptr &&
-      !opts.cache->store(key, csv_bytes, opts.git_sha, record->seconds, &store_error) &&
+  if (published && cache != nullptr &&
+      !cache->store(key, csv_bytes, manifest->git_sha, record->seconds, &store_error) &&
       note.empty())
     note = store_error;
   return note;
+}
+
+}  // namespace
+
+std::string file_fnv16(const std::string& path) {
+  std::string bytes;
+  return read_file(path, &bytes) ? fnv1a_hex16(bytes) : "";
 }
 
 PriorOutputs scan_prior_outputs(const std::string& out_dir, const std::string& config_hash,
@@ -469,6 +491,14 @@ std::string suite_config_hash(const std::vector<SuiteCell>& cells) {
   return hex16(hash);
 }
 
+namespace {
+
+/// Sleep between a worker's passes when live peers hold every open cell.
+constexpr auto kLeasePoll = std::chrono::milliseconds(50);
+
+/// The run manifest a run or worker starts from: header stamped now (git SHA
+/// of the suite's repo, config hash of `cells`), one record per cell,
+/// "pending" inside `shard` and "shard" outside it.
 RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCell>& cells,
                                bool quick, const ShardSpec& shard) {
   RunManifest manifest;
@@ -486,138 +516,210 @@ RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCel
   return manifest;
 }
 
-int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
+/// The one cell loop behind `cr suite run`, `expand` and `work`. A run owns
+/// the cells of its static shard and finishes in one pass. A `leased` worker
+/// owns every cell, claims each through a lease in `<out>/.locks`, marks
+/// failures there as terminal, and passes again while peers hold open cells.
+int execute_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, bool leased,
+                  std::ostream& log) {
   namespace fs = std::filesystem;
   const std::vector<SuiteCell> cells = expand_suite(spec);
   const std::string outdir = opts.output_dir.empty() ? spec.output_dir : opts.output_dir;
+  const std::string locks_dir = outdir + "/.locks";
+  const ShardSpec shard = leased ? ShardSpec{} : opts.shard;
+  const bool force = !leased && opts.force;
+  const bool dry_run = !leased && opts.dry_run;
   // Run manifest: provenance for the CSVs sitting next to it. Written once
-  // up front (all in-shard cells "pending") so even a killed run leaves a
+  // up front (all owned cells "pending") so even a killed run leaves a
   // record of what configuration produced the outputs, and rewritten with
-  // final statuses at the end. Sharded runs write distinct manifests (the
-  // CSV set is the part that must be bit-identical to an unsharded run;
-  // manifests record each shard's view). Each finished cell records its CSV
+  // final statuses at the end. Shards and workers write distinct manifests
+  // (the CSV set is the part that must be bit-identical to an unsharded run;
+  // manifests record each one's view). Each finished cell records its CSV
   // checksum (csv_fnv) so resume and `cr suite merge` can validate outputs
   // instead of trusting any same-named file.
-  RunManifest manifest = begin_run_manifest(spec, cells, opts.quick, opts.shard);
-  const std::string& config_hash = manifest.config_hash;
-
-  log << "suite " << spec.name << ": " << cells.size() << " cells";
-  if (opts.shard.count > 1)
-    log << " (shard " << opts.shard.index << "/" << opts.shard.count << ")";
-  log << " -> " << outdir << "  [config " << config_hash << "]\n";
-
+  RunManifest manifest = begin_run_manifest(spec, cells, opts.quick, shard);
+  std::string who = "suite " + spec.name;
   std::string manifest_path = outdir + "/manifest.json";
-  if (opts.shard.count > 1)
-    manifest_path = outdir + "/manifest." + std::to_string(opts.shard.index) + "of" +
-                    std::to_string(opts.shard.count) + ".json";
+  if (shard.count > 1)
+    manifest_path = outdir + "/manifest." + std::to_string(shard.index) + "of" +
+                    std::to_string(shard.count) + ".json";
+  if (leased) {
+    // `<host>-<pid>-<rand>`: unique across hosts, across concurrent
+    // processes, and across PID reuse within one run directory.
+    manifest.worker = sanitize_for_path(lease_hostname()) + "-" + unique_suffix();
+    who = "worker " + *manifest.worker;
+    manifest_path = outdir + "/manifest.work-" + *manifest.worker + ".json";
+  }
+
+  log << who << ": " << (leased ? "suite " + spec.name + ", " : "") << cells.size()
+      << " cells";
+  if (shard.count > 1) log << " (shard " << shard.index << "/" << shard.count << ")";
+  log << " -> " << outdir << "  [config " << manifest.config_hash << "]\n";
+
   const auto publish_manifest = [&](double wall) {
     manifest.finished_utc = utc_now();
     manifest.wall_seconds = wall;
     std::string error;
     if (write_file_atomic(manifest_path, manifest.to_json(), &error)) return true;
-    log << "suite " << spec.name << ": cannot write " << manifest_path << ": " << error << "\n";
+    log << who << ": cannot write " << manifest_path << ": " << error << "\n";
     return false;
   };
 
   PriorOutputs prior;
-  if (!opts.dry_run) {
-    fs::create_directories(outdir);
-    // Stale-output guard: any manifest already in outdir must be readable
-    // and describe the same expansion (config_hash) and the same --quick
-    // mode. Otherwise the CSVs sitting there came from a DIFFERENT (or an
-    // unknown) configuration — resuming over them would silently mix old and
-    // new results (and restamp the new config_hash over the old data).
-    // --force reruns every cell, so it may proceed regardless.
-    if (!opts.force) {
-      prior = scan_prior_outputs(outdir, config_hash, opts.quick);
+  std::error_code ec;
+  if (!dry_run) {
+    const std::string& dir = leased ? locks_dir : outdir;
+    fs::create_directories(dir, ec);
+    if (ec) {
+      log << who << ": cannot create " << dir << ": " << ec.message() << "\n";
+      return 1;
+    }
+    // Stale-output guard: any manifest already in outdir (other workers'
+    // and shards' included) must be readable and describe the same
+    // expansion (config_hash) and the same --quick mode. Otherwise the CSVs
+    // sitting there came from a DIFFERENT (or an unknown) configuration —
+    // resuming over them would silently mix old and new results (and
+    // restamp the new config_hash over the old data). --force reruns every
+    // cell, so it may proceed regardless.
+    if (!force) {
+      prior = scan_prior_outputs(outdir, manifest.config_hash, opts.quick);
       if (!prior.compatible) {
-        log << "suite " << spec.name << ": " << prior.message
-            << " — refusing to resume over stale outputs; rerun with --force or a fresh "
-               "--out\n";
+        log << who << ": " << prior.message
+            << (leased ? " — refusing to work over stale outputs; use a fresh --out\n"
+                       : " — refusing to resume over stale outputs; rerun with --force or a "
+                         "fresh --out\n");
         return 1;
       }
     }
     if (!publish_manifest(0.0)) return 1;
   }
   CellCache cache(opts.cache_dir);
-  const bool use_cache = !opts.cache_dir.empty() && !opts.dry_run;
-  const CellRunOptions cell_opts{.out_dir = outdir, .quick = opts.quick, .threads = opts.threads,
-                                 .cache = use_cache ? &cache : nullptr,
-                                 .config_hash = config_hash, .git_sha = manifest.git_sha};
+  CellCache* const cell_cache = opts.cache_dir.empty() || dry_run ? nullptr : &cache;
 
   const auto suite_t0 = std::chrono::steady_clock::now();
-  int failures = 0;
-  std::size_t ran = 0, resumed = 0, hits = 0;
+  std::size_t ran = 0, resumed = 0, hits = 0, failures = 0, peer_failures = 0;
+  const auto progress = [&](const SuiteCell& cell) -> std::ostream& {
+    return log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": ";
+  };
 
-  for (const SuiteCell& cell : cells) {
-    RunManifest::Cell& outcome = manifest.cells[cell.index];
-    const std::string csv_path = outdir + "/" + cell.id + ".csv";
-    if (!cell_in_shard(cell.index, opts.shard)) continue;
+  // A run finishes in one pass: only a lease a live peer holds keeps a
+  // cell open for another.
+  for (bool open = true; open;) {
+    open = false;
+    bool progressed = false;
+    for (const SuiteCell& cell : cells) {
+      RunManifest::Cell& outcome = manifest.cells[cell.index];
+      if (outcome.status != "pending") continue;
+      const std::string csv_path = outdir + "/" + cell.id + ".csv";
 
-    if (opts.dry_run) {
-      outcome.status = "planned";
-      log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": "
-          << cell.bench;
-      for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
-      if (cell.has_seed) log << " --seed=" << cell.seed;
-      if (opts.quick) log << " --quick";
-      if (opts.threads > 0) log << " --threads=" << opts.threads;
-      log << " --quiet --csv=" << csv_path << "\n";
-      continue;
-    }
-
-    if (!opts.force && fs::exists(csv_path)) {
-      // Resume path: do not trust a same-named CSV blindly. When a prior
-      // manifest recorded this cell's checksum, the bytes on disk must
-      // still match it — a truncated or hand-edited file reruns instead of
-      // poisoning the result set.
-      const std::string on_disk = file_fnv16(csv_path);
-      const auto recorded = prior.cell_csv_fnv.find(cell.id);
-      const bool valid =
-          !on_disk.empty() &&
-          (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk);
-      if (valid) {
-        outcome.status = "cached";
-        outcome.csv_fnv = on_disk;
-        ++resumed;
-        log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id
-            << ": cached\n";
+      if (dry_run) {
+        outcome.status = "planned";
+        progress(cell) << cell.bench;
+        for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
+        if (cell.has_seed) log << " --seed=" << cell.seed;
+        if (opts.quick) log << " --quick";
+        if (opts.threads > 0) log << " --threads=" << opts.threads;
+        log << " --quiet --csv=" << csv_path << "\n";
         continue;
       }
-      log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id
-          << ": existing CSV fails its recorded checksum — rerunning\n";
-      std::error_code ec;
-      fs::remove(csv_path, ec);
-    }
 
-    const std::string note = run_cell(cell, cell_opts, &outcome);
-    if (!note.empty()) log << "  [cache] " << note << "\n";
-    if (outcome.status == "failed") {
-      ++failures;
-    } else if (outcome.status == "hit") {
-      ++hits;
-    } else {
-      ++ran;
+      // Resume: do not trust a same-named CSV blindly. When a prior manifest
+      // recorded this cell's checksum, the bytes on disk must still match
+      // it — a truncated or hand-edited file reruns instead of poisoning the
+      // result set. CSVs appear only via atomic rename, so one no manifest
+      // vouches for yet (a killed run's, a live peer's) is complete.
+      bool bad_csv = false;
+      if (!force && fs::exists(csv_path, ec)) {
+        const std::string on_disk = file_fnv16(csv_path);
+        const auto recorded = prior.cell_csv_fnv.find(cell.id);
+        if (!on_disk.empty() &&
+            (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk)) {
+          outcome.status = leased ? "peer" : "cached";
+          outcome.csv_fnv = on_disk;
+          ++resumed;
+          progressed = true;
+          progress(cell) << outcome.status << "\n";
+          continue;
+        }
+        bad_csv = true;
+      }
+
+      const std::string lease_path = locks_dir + "/" + cell.id + ".lease";
+      const std::string failed_path = locks_dir + "/" + cell.id + ".failed";
+      if (leased && fs::exists(failed_path, ec)) {
+        outcome.status = "failed";
+        ++peer_failures;
+        progressed = true;
+        continue;
+      }
+      if (leased && !lease_try_acquire(lease_path, cell.id)) {
+        // Held by someone. A dead holder's lease is taken over (unlinked);
+        // the re-acquire happens on a later pass so a racing taker cannot
+        // make us both think we won.
+        if (lease_is_stale(lease_path, opts.stale_after_seconds)) {
+          log << who << ": taking over stale lease for " << cell.id << "\n";
+          lease_release(lease_path);
+          progressed = true;
+        }
+        open = true;
+        continue;
+      }
+
+      if (bad_csv) {
+        progress(cell) << "existing CSV fails its recorded checksum — rerunning\n";
+        fs::remove(csv_path, ec);
+      }
+      const std::string note = run_cell(cell, opts, outdir, cell_cache, &manifest);
+      if (!note.empty()) log << "  [cache] " << note << "\n";
+      if (outcome.status == "failed") {
+        ++failures;
+      } else if (outcome.status == "hit") {
+        ++hits;
+      } else {
+        ++ran;
+      }
+      if (leased) {
+        // Mark the cell terminally failed BEFORE releasing the lease, so no
+        // other worker squeezes in and retries a deterministic error.
+        std::string error;
+        if (outcome.status == "failed" &&
+            !write_file_atomic(failed_path, who + "\n", &error))
+          log << who << ": cannot write " << failed_path << ": " << error << "\n";
+        lease_release(lease_path);
+      }
+      progressed = true;
+      progress(cell) << outcome.status << " (" << format_double(outcome.seconds, 2) << "s)\n";
     }
-    log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": "
-        << outcome.status << " (" << format_double(outcome.seconds, 2) << "s" << ")\n";
+    if (open && !progressed) std::this_thread::sleep_for(kLeasePoll);
   }
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_t0).count();
-  if (opts.dry_run) {
+  if (dry_run) {
     log << "dry run: nothing executed\n";
     return 0;
   }
   const bool recorded = publish_manifest(wall);
 
-  log << "suite " << spec.name << ": " << ran << " ran, " << resumed << " cached, " << hits
-      << " cache hits, " << failures << " failed in " << format_double(wall, 2) << "s"
-      << "; manifest " << manifest_path << "\n";
-  if (use_cache)
+  log << who << ": " << ran << " ran, ";
+  if (!leased) log << resumed << " cached, ";
+  log << hits << " cache hits, " << failures + peer_failures << " failed";
+  if (leased) log << " (" << failures << " own)";
+  log << " in " << format_double(wall, 2) << "s; manifest " << manifest_path << "\n";
+  if (cell_cache != nullptr)
     log << "cache " << opts.cache_dir << ": " << hits << " hits, " << ran + failures
         << " misses\n";
-  return failures == 0 && recorded ? 0 : 1;
+  return failures + peer_failures == 0 && recorded ? 0 : 1;
+}
+
+}  // namespace
+
+int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
+  return execute_suite(spec, opts, false, log);
+}
+
+int run_worker(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
+  return execute_suite(spec, opts, true, log);
 }
 
 }  // namespace cr

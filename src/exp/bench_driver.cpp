@@ -3,9 +3,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <sstream>
 #include <streambuf>
 #include <thread>
 #include <utility>
+
+#include "common/file_io.hpp"
+#include "common/table.hpp"
 
 namespace cr {
 
@@ -87,6 +91,27 @@ std::string BenchDriver::csv_path(const std::string& def) const {
   if (!cli_.has("csv")) return "";
   const std::string path = cli_.get_string("csv", def);
   return (path.empty() || path == "true") ? def : path;
+}
+
+bool BenchDriver::write_output(const std::string& path,
+                               const std::function<void(std::ostream&)>& emit) const {
+  if (path.empty()) return true;
+  std::ostringstream bytes;
+  emit(bytes);
+  std::string error;
+  if (!write_file_atomic(path, bytes.str(), &error)) {
+    std::fprintf(stderr, "%s: cannot write %s: %s\n", cli_.program().c_str(), path.c_str(),
+                 error.c_str());
+    return false;
+  }
+  out() << "\nwrote " << path << "\n";
+  return true;
+}
+
+bool BenchDriver::write_csv(const std::string& def, const Table& table,
+                            const std::vector<std::string>& columns) const {
+  return write_output(csv_path(def),
+                      [&](std::ostream& os) { write_table_csv(table, columns, os); });
 }
 
 }  // namespace cr

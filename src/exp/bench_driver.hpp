@@ -16,7 +16,8 @@
 ///     seed-ordered results bit-identical to a serial run;
 ///   * suite-friendly output: narrative tables go to out(), which --quiet
 ///     silences so `cr suite run` logs stay readable; --csv=PATH output is
-///     never silenced.
+///     never silenced, and a CSV that cannot be written fails the bench
+///     (write_output) instead of leaving a short file behind.
 ///
 /// Usage:
 ///   BenchDriver driver(argc, argv, {"E2", "worst-case throughput",
@@ -29,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -37,6 +39,8 @@
 #include "exp/harness.hpp"
 
 namespace cr {
+
+class Table;  // common/table.hpp
 
 /// One bench-specific flag: its name and the one-line help shown by
 /// --help, `cr list --md` and docs/EXPERIMENTS.md (all generated from the
@@ -91,6 +95,19 @@ class BenchDriver {
   std::uint64_t seed(std::uint64_t def) const;
   /// --csv=PATH; empty when not requested. Bare --csv selects `def`.
   std::string csv_path(const std::string& def) const;
+
+  /// Publish an output file the bench was asked for (--csv, perf's --json):
+  /// `emit` writes the bytes and write_file_atomic puts them at `path`, so a
+  /// failed or short write never leaves a partial file there; out() notes
+  /// the path. An empty `path` (not requested) writes nothing. Returns
+  /// false, after printing "<bench>: cannot write <path>: <reason>" to
+  /// stderr, when the file cannot be written; the bench then exits 2.
+  bool write_output(const std::string& path,
+                    const std::function<void(std::ostream&)>& emit) const;
+  /// write_output of `table` (write_table_csv under `columns`) at
+  /// csv_path(def).
+  bool write_csv(const std::string& def, const Table& table,
+                 const std::vector<std::string>& columns) const;
 
   /// Deterministic parallel replication over seeds base .. base+reps-1,
   /// honouring --threads. `run` must be safe to call concurrently (build all

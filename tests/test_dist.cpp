@@ -24,7 +24,6 @@
 #include "common/source_digest.hpp"
 #include "dist/cell_cache.hpp"
 #include "dist/merge.hpp"
-#include "dist/worker.hpp"
 
 namespace cr {
 namespace {
@@ -338,7 +337,7 @@ class DistRunTest : public ::testing::Test {
 
   /// Fork `n` workers, all draining `out`; returns their exit codes.
   std::vector<int> run_workers(int n, const fs::path& out, double stale_after = 0.0) const {
-    WorkerOptions opts;
+    SuiteRunOptions opts;
     opts.output_dir = out.string();
     opts.cache_dir = "";  // force real computation
     opts.threads = 1;
@@ -420,13 +419,42 @@ TEST_F(DistRunTest, ResumeReRunsCellWhoseCsvFailsItsRecordedChecksum) {
   EXPECT_EQ(csvs(out_), reference);  // corruption healed, bytes restored
 }
 
+TEST_F(DistRunTest, WorkerRerunsACsvThatFailsItsRecordedChecksum) {
+  std::ostringstream first;
+  ASSERT_EQ(run_suite(spec_, options(out_), first), 0);
+  const auto reference = csvs(out_);
+  const std::string victim = reference.begin()->first;
+  spit(out_ / victim, reference.at(victim) + "bitrot\n");
+
+  // The run's manifest vouches for the true bytes: a worker must not record
+  // the tampered file as a peer's finished work (nor hand its checksum to
+  // `cr suite merge`), but claim the cell and restore it.
+  SuiteRunOptions opts = options(out_);
+  opts.cache_dir.clear();  // a rerun, not a cache restore
+  std::ostringstream log;
+  ASSERT_EQ(run_worker(spec_, opts, log), 0) << log.str();
+  EXPECT_NE(log.str().find("fails its recorded checksum"), std::string::npos) << log.str();
+  EXPECT_EQ(csvs(out_), reference);
+
+  const std::vector<std::string> manifests = worker_manifests(out_);
+  ASSERT_EQ(manifests.size(), 1u);
+  const auto manifest = JsonValue::parse_file(manifests[0]);
+  ASSERT_TRUE(manifest.ok()) << manifest.error;
+  const std::string victim_id = victim.substr(0, victim.size() - 4);  // drop ".csv"
+  for (const auto& cell : manifest.value->find("cells")->items()) {
+    const std::string id = cell->find("id")->as_string();
+    EXPECT_EQ(cell->find("status")->as_string(), id == victim_id ? "ok" : "peer") << id;
+    EXPECT_EQ(cell->find("csv_fnv")->as_string(), file_fnv16((out_ / (id + ".csv")).string()));
+  }
+}
+
 TEST_F(DistRunTest, WorkerRefusesToWorkBehindAnUnreadableManifest) {
   std::ostringstream first;
   ASSERT_EQ(run_suite(spec_, options(out_), first), 0);
   fs::resize_file(out_ / "manifest.json", 200);
   // Same guard as `cr suite run`: the worker must not treat the CSVs behind
   // a manifest it cannot read as finished peer work.
-  WorkerOptions opts;
+  SuiteRunOptions opts;
   opts.output_dir = out_.string();
   opts.threads = 1;
   std::ostringstream log;

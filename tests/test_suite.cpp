@@ -393,6 +393,19 @@ TEST_F(SuiteRunTest, FailedCellIsIsolatedAndRemainingCellsStillRun) {
   EXPECT_EQ(manifest.value->find("cells")->items()[1]->find("status")->as_string(), "ok");
 }
 
+TEST_F(SuiteRunTest, UncreatableOutputDirIsADiagnostic) {
+  // A regular file where a parent directory should be: the run must name
+  // the path and fail, not abort on an uncaught filesystem exception.
+  fs::create_directories(dir_);
+  { std::ofstream(dir_ / "file") << "x"; }
+  SuiteRunOptions opts = options();
+  opts.output_dir = (dir_ / "file" / "sub").string();
+  std::ostringstream log;
+  EXPECT_EQ(run_suite(spec_, opts, log), 1);
+  EXPECT_NE(log.str().find("cannot create " + opts.output_dir), std::string::npos) << log.str();
+  EXPECT_FALSE(fs::exists(dir_ / "file" / "sub"));
+}
+
 TEST_F(SuiteRunTest, DryRunExecutesNothing) {
   SuiteRunOptions opts = options();
   opts.dry_run = true;
