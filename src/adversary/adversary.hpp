@@ -15,13 +15,12 @@
 #include <memory>
 #include <string>
 
+#include "adversary/plan.hpp"
 #include "channel/trace.hpp"
 #include "channel/types.hpp"
 #include "common/rng.hpp"
 
 namespace cr {
-
-struct LockstepPlan;  // engine/lockstep.hpp
 
 struct AdversaryAction {
   bool jam = false;
@@ -38,10 +37,15 @@ class Adversary {
   virtual std::string name() const = 0;
 
   /// This adversary's whole behaviour, precomputed for a sweep's plan path
-  /// (engine/lockstep.hpp), or null. Only sweeps attach one
+  /// (engine/plan_path.hpp), or null. Only sweeps attach one
   /// (replicate_workload); an engine that can use it may skip on_slot()
   /// entirely, one that cannot ignores it.
-  virtual const LockstepPlan* plan() const { return nullptr; }
+  virtual const AdversaryPlan* plan() const { return nullptr; }
+
+  /// Describe this adversary's whole behaviour over [1, plan.horizon] in
+  /// `plan`; true when it could (the default, false: it reads the history
+  /// or the run seed). Filling may step its state: plan on a fresh one.
+  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
 };
 
 /// Arrival side of a composed adversary.
@@ -50,6 +54,11 @@ class ArrivalProcess {
   virtual ~ArrivalProcess() = default;
   virtual std::uint64_t arrivals(slot_t slot, const PublicHistory& history, Rng& rng) = 0;
   virtual std::string name() const = 0;
+
+  /// Adversary::fill_plan for the arrival side, asked before the jammer:
+  /// the shared schedule or the Bernoulli coin fields, and quiet_after when
+  /// the last arrival slot is known.
+  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
 };
 
 /// Jamming side of a composed adversary.
@@ -58,7 +67,17 @@ class Jammer {
   virtual ~Jammer() = default;
   virtual bool jams(slot_t slot, const PublicHistory& history, Rng& rng) = 0;
   virtual std::string name() const = 0;
+
+  /// Adversary::fill_plan for the jam side: the shared bitmap or the i.i.d.
+  /// coin fields, and tail_jam when the slots past quiet_after are jammed
+  /// i.i.d. (a jammer may raise quiet_after, never lower it).
+  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
 };
+
+/// fill_plan for a component that reads neither the history nor the rng:
+/// its answers for every slot, in order, become the shared schedule/bitmap.
+bool walk_plan(ArrivalProcess& arrivals, AdversaryPlan& plan);
+bool walk_plan(Jammer& jammer, AdversaryPlan& plan);
 
 /// Composes an ArrivalProcess with a Jammer. Each component draws from its
 /// own forked RNG stream (derived from the engine's adversary stream on the
@@ -72,15 +91,22 @@ class ComposedAdversary final : public Adversary {
   AdversaryAction on_slot(slot_t slot, const PublicHistory& history, Rng& rng) override;
   std::string name() const override;
 
+  /// Asks both components, the arrivals first. Both are always asked, so the
+  /// tail certificate holds what each side knows.
+  bool fill_plan(AdversaryPlan& plan) override {
+    const bool arrivals_planned = arrivals_->fill_plan(plan);
+    return jammer_->fill_plan(plan) && arrivals_planned;
+  }
+
   /// Attach the sweep's precomputed plan for these two components (not
   /// owned; it must outlive every run of this adversary).
-  void set_plan(const LockstepPlan* plan) { plan_ = plan; }
-  const LockstepPlan* plan() const override { return plan_; }
+  void set_plan(const AdversaryPlan* plan) { plan_ = plan; }
+  const AdversaryPlan* plan() const override { return plan_; }
 
  private:
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<Jammer> jammer_;
-  const LockstepPlan* plan_ = nullptr;
+  const AdversaryPlan* plan_ = nullptr;
   /// Per-component streams, forked lazily from the first on_slot rng (which
   /// the engine hands over unconsumed — fork() itself draws nothing).
   bool streams_forked_ = false;

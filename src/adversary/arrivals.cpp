@@ -45,6 +45,10 @@ class NoArrivals final : public ArrivalProcess {
  public:
   std::uint64_t arrivals(slot_t, const PublicHistory&, Rng&) override { return 0; }
   std::string name() const override { return "none"; }
+  bool fill_plan(AdversaryPlan& plan) override {
+    plan.quiet_after = 0;
+    return true;
+  }
 };
 
 class BatchArrival final : public ArrivalProcess {
@@ -54,6 +58,11 @@ class BatchArrival final : public ArrivalProcess {
     return slot == at_ ? n_ : 0;
   }
   std::string name() const override { return "batch(" + std::to_string(n_) + ")"; }
+  bool fill_plan(AdversaryPlan& plan) override {
+    if (at_ >= 1 && at_ <= plan.horizon && n_ > 0) plan.schedule.emplace_back(at_, n_);
+    plan.quiet_after = at_;
+    return true;
+  }
 
  private:
   std::uint64_t n_;
@@ -87,6 +96,13 @@ class BernoulliArrivals final : public ArrivalProcess {
     return whole + (rng.bernoulli(frac) ? 1 : 0);
   }
   std::string name() const override { return "bernoulli(" + std::to_string(rate_) + ")"; }
+  bool fill_plan(AdversaryPlan& plan) override {
+    plan.bernoulli_arrivals = true;
+    plan.arrival_rate = rate_;
+    plan.arrival_from = std::max<slot_t>(from_, 1);  // the first coin is slot 1's
+    plan.arrival_to = plan.quiet_after = to_;
+    return true;
+  }
 
  private:
   double rate_;
@@ -126,6 +142,7 @@ class PacedArrivals final : public ArrivalProcess {
     return deficit;
   }
   std::string name() const override { return "paced(1/" + std::to_string(margin_) + "f)"; }
+  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
 
  private:
   FunctionSet fs_;
@@ -147,6 +164,7 @@ class BurstyArrivals final : public ArrivalProcess {
   std::string name() const override {
     return "bursty(" + std::to_string(burst_) + "/" + std::to_string(period_) + ")";
   }
+  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
 
  private:
   slot_t period_;

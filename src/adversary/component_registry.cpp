@@ -70,7 +70,7 @@ std::unique_ptr<Jammer> make_reactive(const ParamValues& p, const WorkloadContex
 
 }  // namespace
 
-ArrivalRegistry::ArrivalRegistry() {
+ArrivalRegistry::ArrivalRegistry() : ComponentRegistry("arrival") {
   register_arrival({"none", "no arrivals", {}, make_no_arrivals});
   register_arrival({"batch",
                     "n nodes arrive simultaneously (the paper's batch setting)",
@@ -105,38 +105,7 @@ ArrivalRegistry& ArrivalRegistry::instance() {
   return registry;
 }
 
-const ArrivalEntry* ArrivalRegistry::find(const std::string& name) const {
-  for (const auto& entry : entries_)
-    if (entry.name == name) return &entry;
-  return nullptr;
-}
-
-const ArrivalEntry& ArrivalRegistry::at(const std::string& name) const {
-  const ArrivalEntry* entry = find(name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "ArrivalRegistry: unknown arrival \"%s\" (known:", name.c_str());
-    for (const auto& e : entries_) std::fprintf(stderr, " %s", e.name.c_str());
-    std::fprintf(stderr, ")\n");
-  }
-  CR_CHECK(entry != nullptr);
-  return *entry;
-}
-
-std::vector<std::string> ArrivalRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-void ArrivalRegistry::register_arrival(ArrivalEntry entry) {
-  CR_CHECK(!entry.name.empty());
-  CR_CHECK(entry.make != nullptr);
-  CR_CHECK(find(entry.name) == nullptr);  // names are unique keys
-  entries_.push_back(std::move(entry));
-}
-
-JammerRegistry::JammerRegistry() {
+JammerRegistry::JammerRegistry() : ComponentRegistry("jammer") {
   register_jammer({"none", "never jams", {}, make_no_jam});
   register_jammer({"iid",
                    "each slot jammed independently w.p. fraction",
@@ -168,16 +137,20 @@ JammerRegistry& JammerRegistry::instance() {
   return registry;
 }
 
-const JammerEntry* JammerRegistry::find(const std::string& name) const {
+template <typename Component>
+const ComponentEntry<Component>* ComponentRegistry<Component>::find(
+    const std::string& name) const {
   for (const auto& entry : entries_)
     if (entry.name == name) return &entry;
   return nullptr;
 }
 
-const JammerEntry& JammerRegistry::at(const std::string& name) const {
-  const JammerEntry* entry = find(name);
+template <typename Component>
+const ComponentEntry<Component>& ComponentRegistry<Component>::at(
+    const std::string& name) const {
+  const Entry* entry = find(name);
   if (entry == nullptr) {
-    std::fprintf(stderr, "JammerRegistry: unknown jammer \"%s\" (known:", name.c_str());
+    std::fprintf(stderr, "%s registry: unknown %s \"%s\" (known:", kind_, kind_, name.c_str());
     for (const auto& e : entries_) std::fprintf(stderr, " %s", e.name.c_str());
     std::fprintf(stderr, ")\n");
   }
@@ -185,18 +158,23 @@ const JammerEntry& JammerRegistry::at(const std::string& name) const {
   return *entry;
 }
 
-std::vector<std::string> JammerRegistry::names() const {
+template <typename Component>
+std::vector<std::string> ComponentRegistry<Component>::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
   for (const auto& entry : entries_) out.push_back(entry.name);
   return out;
 }
 
-void JammerRegistry::register_jammer(JammerEntry entry) {
+template <typename Component>
+void ComponentRegistry<Component>::add(Entry entry) {
   CR_CHECK(!entry.name.empty());
   CR_CHECK(entry.make != nullptr);
   CR_CHECK(find(entry.name) == nullptr);  // names are unique keys
   entries_.push_back(std::move(entry));
 }
+
+template class ComponentRegistry<ArrivalProcess>;
+template class ComponentRegistry<Jammer>;
 
 }  // namespace cr

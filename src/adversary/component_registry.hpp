@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adversary/adversary.hpp"
@@ -34,59 +35,64 @@ struct WorkloadContext {
   std::uint64_t seed = 0;  ///< the run seed (construction-time randomness)
 };
 
-struct ArrivalEntry {
+/// One registered component: a name, a description, its ParamSchema and the
+/// factory that builds it from validated values.
+template <typename Component>
+struct ComponentEntry {
   std::string name;
   std::string description;
   ParamSchema schema;
-  std::unique_ptr<ArrivalProcess> (*make)(const ParamValues&, const WorkloadContext&);
+  std::unique_ptr<Component> (*make)(const ParamValues&, const WorkloadContext&);
 };
 
-struct JammerEntry {
-  std::string name;
-  std::string description;
-  ParamSchema schema;
-  std::unique_ptr<Jammer> (*make)(const ParamValues&, const WorkloadContext&);
+using ArrivalEntry = ComponentEntry<ArrivalProcess>;
+using JammerEntry = ComponentEntry<Jammer>;
+
+/// What the two registries below share.
+template <typename Component>
+class ComponentRegistry {
+ public:
+  using Entry = ComponentEntry<Component>;
+
+  /// nullptr when unknown.
+  const Entry* find(const std::string& name) const;
+  /// Aborts (CR_CHECK) on unknown names, after printing the known set;
+  /// WorkloadSpec validation reports unknown names gracefully upstream.
+  const Entry& at(const std::string& name) const;
+
+  std::vector<std::string> names() const;
+  const std::vector<Entry>& entries() const { return entries_; }
+
+ protected:
+  /// `kind` names the component kind in diagnostics ("arrival", "jammer").
+  explicit ComponentRegistry(const char* kind) : kind_(kind) {}
+  void add(Entry entry);
+
+ private:
+  const char* kind_;
+  std::vector<Entry> entries_;
 };
 
 /// Name-keyed registry of arrival processes. Seeded with the built-ins
 /// ("none", "batch", "bernoulli", "uniform_random", "paced", "bursty").
-class ArrivalRegistry {
+class ArrivalRegistry final : public ComponentRegistry<ArrivalProcess> {
  public:
   static ArrivalRegistry& instance();
-
-  /// nullptr when unknown.
-  const ArrivalEntry* find(const std::string& name) const;
-  /// Aborts (CR_CHECK) on unknown names, after printing the known set;
-  /// WorkloadSpec validation reports unknown names gracefully upstream.
-  const ArrivalEntry& at(const std::string& name) const;
-
-  std::vector<std::string> names() const;
-  const std::vector<ArrivalEntry>& entries() const { return entries_; }
-
-  void register_arrival(ArrivalEntry entry);
+  void register_arrival(ArrivalEntry entry) { add(std::move(entry)); }
 
  private:
   ArrivalRegistry();
-  std::vector<ArrivalEntry> entries_;
 };
 
 /// Name-keyed registry of jamming strategies. Seeded with the built-ins
 /// ("none", "iid", "prefix", "periodic", "budget_paced", "reactive").
-class JammerRegistry {
+class JammerRegistry final : public ComponentRegistry<Jammer> {
  public:
   static JammerRegistry& instance();
-
-  const JammerEntry* find(const std::string& name) const;
-  const JammerEntry& at(const std::string& name) const;
-
-  std::vector<std::string> names() const;
-  const std::vector<JammerEntry>& entries() const { return entries_; }
-
-  void register_jammer(JammerEntry entry);
+  void register_jammer(JammerEntry entry) { add(std::move(entry)); }
 
  private:
   JammerRegistry();
-  std::vector<JammerEntry> entries_;
 };
 
 }  // namespace cr

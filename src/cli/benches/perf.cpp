@@ -27,7 +27,7 @@
 // what a real sweep pays. The reference engine runs a reduced rep count (its
 // per-run cost is orders of magnitude higher and runs/sec normalises it
 // out); slots/sec counts simulated slots, so fast_cjz's plan path and
-// analytic tail (engine/lockstep.hpp) count the slots they prove they can
+// analytic tail (engine/plan_path.hpp) count the slots they prove they can
 // skip.
 #include <sys/resource.h>
 

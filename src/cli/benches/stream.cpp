@@ -34,26 +34,31 @@ int run(int argc, const char* const* argv) {
   const BenchDriver driver(argc, argv, {stream().id, stream().summary, stream().flags});
 
   const std::uint64_t seed = driver.seed(1);
-  const auto window = static_cast<slot_t>(driver.get_int("window", 1024, 256));
-  const auto ring_capacity = static_cast<std::size_t>(driver.get_int("ring", 1024, 1024));
-  const auto synth_count = static_cast<std::uint64_t>(driver.get_int("synth", 0, 0));
-  const auto max_windows = static_cast<std::uint64_t>(driver.get_int("max_windows", 0, 0));
-  const auto checkpoint_every =
-      static_cast<slot_t>(driver.get_int("checkpoint_every", 0, 0));
+  // Counts are read signed and range-checked before the unsigned cast, which
+  // would turn -1 into 2^64-1.
+  bool counts_ok = true;
+  const auto count = [&](const char* name, std::int64_t full, std::int64_t quick,
+                         std::int64_t min) {
+    const std::int64_t value = driver.get_int(name, full, quick);
+    if (value < min) {
+      std::fprintf(stderr, "cr stream: --%s must be >= %lld (got %lld)\n", name,
+                   static_cast<long long>(min), static_cast<long long>(value));
+      counts_ok = false;
+    }
+    return static_cast<std::uint64_t>(value);
+  };
+  const slot_t window = count("window", 1024, 256, 1);
+  const auto ring_capacity = static_cast<std::size_t>(count("ring", 1024, 1024, 1));
+  const std::uint64_t synth_count = count("synth", 0, 0, 0);
+  const std::uint64_t max_windows = count("max_windows", 0, 0, 0);
+  const slot_t checkpoint_every = count("checkpoint_every", 0, 0, 0);
+  if (!counts_ok) return 2;
   const std::string trace_path = driver.cli().get_string("trace", "-");
   const std::string overflow = driver.cli().get_string("overflow", "block");
   const std::string table = driver.cli().get_string("table", "sparse");
   const std::string checkpoint_path = driver.cli().get_string("checkpoint", "");
   const std::string restore_path = driver.cli().get_string("restore", "");
 
-  if (window < 1) {
-    std::fprintf(stderr, "cr stream: --window must be >= 1\n");
-    return 2;
-  }
-  if (ring_capacity < 1) {
-    std::fprintf(stderr, "cr stream: --ring must be >= 1\n");
-    return 2;
-  }
   if (overflow != "block" && overflow != "drop") {
     std::fprintf(stderr, "cr stream: --overflow must be block or drop (got \"%s\")\n",
                  overflow.c_str());
@@ -154,8 +159,9 @@ int run(int argc, const char* const* argv) {
       return true;
     };
     if (synth_count > 0) {
-      for (const StreamEvent& ev : synth_stream_events(seed, synth_count))
-        if (!feed(ev)) break;
+      SynthStream synth(seed);
+      for (std::uint64_t i = 0; i < synth_count; ++i)
+        if (!feed(synth.next())) break;
     } else {
       std::string line;
       std::string error;

@@ -135,11 +135,6 @@ void Cli::declare(std::initializer_list<const char*> names) const {
   for (const char* name : names) known_.insert(name);
 }
 
-void Cli::declare(const std::vector<std::string>& names) const {
-  const std::lock_guard<std::mutex> lock(known_mutex_);
-  known_.insert(names.begin(), names.end());
-}
-
 std::vector<std::string> Cli::unknown_flags() const {
   const std::lock_guard<std::mutex> lock(known_mutex_);
   std::vector<std::string> out;

@@ -40,7 +40,6 @@ class Cli {
 
   /// Register flag names as known without reading them.
   void declare(std::initializer_list<const char*> names) const;
-  void declare(const std::vector<std::string>& names) const;
 
   /// Flags that were passed but never declared or read.
   std::vector<std::string> unknown_flags() const;

@@ -34,7 +34,7 @@
 // one call, and CounterRng::fill / Stream::fill / Stream::skip evaluate
 // Philox blocks two at a time so the ten-round latency chains overlap. Every
 // batched call is bit-identical to the equivalent scalar loop (asserted in
-// tests/test_rng.cpp); the plan path (engine/lockstep.hpp) leans on this
+// tests/test_rng.cpp); the plan path (engine/plan_path.hpp) leans on this
 // equivalence to fill adversary coins in blocks.
 #pragma once
 

@@ -126,14 +126,6 @@ double SnapshotReader::f64(const char* field) {
   return v;
 }
 
-std::string SnapshotReader::str(const char* field) {
-  const std::uint64_t n = u64(field);
-  if (!check_count(n, 1, field)) return {};
-  std::string out(reinterpret_cast<const char*>(payload_ + pos_), n);
-  pos_ += n;
-  return out;
-}
-
 bool SnapshotReader::check_count(std::uint64_t count, std::size_t elem_size, const char* field) {
   if (!error_.empty()) return false;
   const std::uint64_t remaining = size_ - pos_;

@@ -62,10 +62,6 @@ class SnapshotWriter {
     std::memcpy(&bits, &v, sizeof(bits));
     u64(bits);
   }
-  void str(const std::string& s) {
-    u64(s.size());
-    append(s.data(), s.size());
-  }
 
   std::size_t payload_size() const { return buf_.size(); }
 
@@ -101,7 +97,6 @@ class SnapshotReader {
   std::uint32_t u32(const char* field);
   std::uint64_t u64(const char* field);
   double f64(const char* field);
-  std::string str(const char* field);
 
   /// Guard for count-prefixed arrays: fails (and returns false) unless at
   /// least `count * elem_size` payload bytes remain — a corrupted count can

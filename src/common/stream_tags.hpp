@@ -41,7 +41,7 @@ inline constexpr std::uint64_t kAttribution = 0xA7u;
 /// Plan-path sweeps → analytic quiescent-tail jam draws (the one
 /// Binomial(remaining, p) replacing per-slot i.i.d. coins once a seed has
 /// drained and its plan rules out further arrivals).
-inline constexpr std::uint64_t kLockstepTail = 0x7Au;
+inline constexpr std::uint64_t kPlanTail = 0x7Au;
 /// `cr stream --synth` → synthetic arrival-feed generator (gaps, batch
 /// sizes, jam coins of the generated trace; independent of every engine
 /// stream so the same seed can drive both the feed and the simulation).
@@ -50,7 +50,7 @@ inline constexpr std::uint64_t kStreamSynth = 0x5Eu;
 /// Every tag above, for the uniqueness test. Keep in sync.
 inline constexpr std::array<std::uint64_t, 9> kAllTags = {
     kAdversary, kArrival,   kJammer,      kGenericNodes, kCjzMain,
-    kBatchMain, kAttribution, kLockstepTail, kStreamSynth,
+    kBatchMain, kAttribution, kPlanTail, kStreamSynth,
 };
 
 }  // namespace cr::streams

@@ -6,7 +6,7 @@
 /// once here. Its randomness comes from Philox counter streams keyed by
 /// (seed, tag) with the slot number as the hi counter, so every slot's draws
 /// are a pure function of (seed, slot, draw-index) and no generator state
-/// lives between slots. That is what lets the plan path (engine/lockstep.hpp)
+/// lives between slots. That is what lets the plan path (engine/plan_path.hpp)
 /// skip protocol-silent slots without replaying them, and what makes every
 /// core snapshot-capable: save()/load() carry no RNG state at all.
 ///
@@ -96,6 +96,7 @@ class CjzCore {
     attr_ = attr_base_.stream(slot);
     auto& rng = main_;
 
+    CR_CHECK(action.inject <= config_.max_live_nodes - live_);
     for (std::uint64_t i = 0; i < action.inject; ++i) {
       const std::uint32_t idx = nodes_.acquire();
       Node& n = nodes_[idx];
@@ -108,7 +109,6 @@ class CjzCore {
       ++live_;
     }
     result_.arrivals += action.inject;
-    CR_CHECK(live_ <= config_.max_live_nodes);
     if (live_ > peak_live_) peak_live_ = live_;
 
     const std::uint64_t live_now = live_;

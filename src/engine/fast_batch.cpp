@@ -36,6 +36,7 @@ SimResult FastBatchSimulator::run() {
   for (slot_t slot = 1; slot <= config_.horizon; ++slot) {
     const AdversaryAction action = adversary_.on_slot(slot, history, rng_adv);
 
+    CR_CHECK(action.inject <= config_.max_live_nodes - live);
     if (action.inject > 0) {
       Cohort fresh{slot, action.inject, {}};
       if (attribute) fresh.member_sends.assign(action.inject, 0);
@@ -43,7 +44,6 @@ SimResult FastBatchSimulator::run() {
       live += action.inject;
       result.arrivals += action.inject;
     }
-    CR_CHECK(live <= config_.max_live_nodes);
 
     const std::uint64_t live_now = live;
     if (live_now > 0) ++result.active_slots;

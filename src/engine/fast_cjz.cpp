@@ -5,7 +5,7 @@
 #include "common/rng.hpp"
 #include "common/stream_tags.hpp"
 #include "engine/cjz_core.hpp"
-#include "engine/lockstep.hpp"
+#include "engine/plan_path.hpp"
 
 namespace cr {
 
@@ -16,7 +16,7 @@ FastCjzSimulator::FastCjzSimulator(FunctionSet fs, Adversary& adversary, SimConf
 SimResult FastCjzSimulator::run() {
   // The plan path cannot feed an observer (it skips slots) nor materialize a
   // per-slot trace or stop early; such runs keep the per-slot loop.
-  const LockstepPlan* plan = adversary_.plan();
+  const AdversaryPlan* plan = adversary_.plan();
   if (plan != nullptr && observer_ == nullptr && plan_path_allowed(config_))
     return run_plan(fs_, options_, config_, *plan, &memory_stats_);
 

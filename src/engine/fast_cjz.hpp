@@ -29,7 +29,7 @@
 /// (CjzCore, on the counter-based RNG substrate); this class is the driver.
 /// A single run steps the core once per slot against the live adversary; a
 /// sweep's run whose adversary carries a plan takes the event-driven plan
-/// path instead (engine/lockstep.hpp).
+/// path instead (engine/plan_path.hpp).
 #pragma once
 
 #include "adversary/adversary.hpp"

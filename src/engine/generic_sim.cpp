@@ -42,6 +42,7 @@ SimResult GenericSimulator::run() {
   for (slot_t slot = 1; slot <= config_.horizon; ++slot) {
     const AdversaryAction action = adversary_.on_slot(slot, history, rng_adv);
 
+    CR_CHECK(action.inject <= config_.max_live_nodes - nodes.size());
     for (std::uint64_t i = 0; i < action.inject; ++i) {
       LiveNode node;
       node.id = next_id++;
@@ -50,7 +51,6 @@ SimResult GenericSimulator::run() {
       nodes.push_back(std::move(node));
     }
     result.arrivals += action.inject;
-    CR_CHECK(nodes.size() <= config_.max_live_nodes);
 
     const std::uint64_t live = nodes.size();
     if (live > 0) ++result.active_slots;

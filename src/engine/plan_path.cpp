@@ -1,8 +1,9 @@
-#include "engine/lockstep.hpp"
+#include "engine/plan_path.hpp"
 
 #include <algorithm>
 #include <bit>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -11,10 +12,6 @@
 namespace cr {
 
 namespace {
-
-std::size_t jam_words(slot_t horizon) {
-  return static_cast<std::size_t>(horizon >> 6) + 2;
-}
 
 /// Set bits counted over the slot range [0, s].
 std::uint64_t popcount_through(const std::uint64_t* bits, slot_t s) {
@@ -47,12 +44,12 @@ void draw_coins(Rng& rng, double p, std::uint64_t* words, std::size_t n) {
 class JamBits {
  public:
   /// The block fills draw into `word_buf`; it must outlive this view.
-  JamBits(const LockstepPlan& plan, std::uint64_t seed, std::vector<std::uint64_t>& word_buf)
+  JamBits(const AdversaryPlan& plan, std::uint64_t seed, std::vector<std::uint64_t>& word_buf)
       : word_buf_(&word_buf), rate_(plan.jam_rate), horizon_(plan.horizon),
         lazy_(plan.iid_jams) {
     if (lazy_) {
       rng_ = Rng(seed).fork(streams::kAdversary).fork(streams::kJammer);
-      own_.assign(jam_words(0), 0);
+      own_.assign(AdversaryPlan::jam_words(0), 0);
       bits_ = own_.data();
     } else {
       bits_ = plan.jam_bits.data();
@@ -79,7 +76,7 @@ class JamBits {
       const auto n = static_cast<std::size_t>(
           std::min<std::uint64_t>(word_buf_->size(), horizon_ - filled_to_));
       draw_coins(rng_, rate_, coins, n);
-      own_.resize(jam_words(filled_to_ + n));
+      own_.resize(AdversaryPlan::jam_words(filled_to_ + n));
       for (std::size_t i = 0; i < n; ++i) {
         const slot_t t = filled_to_ + 1 + static_cast<slot_t>(i);
         own_[t >> 6] |= coins[i] << (t & 63);
@@ -103,7 +100,7 @@ using Arrivals = std::vector<std::pair<slot_t, std::uint64_t>>;
 
 /// Materialize one seed's Bernoulli arrival list — the same stream, window and
 /// coin consumption as BernoulliArrivals in the per-slot loop.
-Arrivals bernoulli_arrivals(std::uint64_t seed, slot_t horizon, const LockstepPlan& plan,
+Arrivals bernoulli_arrivals(std::uint64_t seed, slot_t horizon, const AdversaryPlan& plan,
                             std::vector<std::uint64_t>& word_buf) {
   Arrivals arrivals;
   const auto whole = static_cast<std::uint64_t>(plan.arrival_rate);
@@ -125,20 +122,13 @@ Arrivals bernoulli_arrivals(std::uint64_t seed, slot_t horizon, const LockstepPl
 
 }  // namespace
 
-void LockstepPlan::clear_jams(slot_t h) { jam_bits.assign(jam_words(h), 0); }
-
-void LockstepPlan::add_jam(slot_t slot) {
-  CR_DCHECK(slot >= 1 && (slot >> 6) < jam_bits.size());
-  jam_bits[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-}
-
 bool plan_path_allowed(const SimConfig& config) {
   return !config.recording.wants_trace() && !config.stop_when_empty &&
          !config.stop_after_first_success;
 }
 
 SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& config,
-                   const LockstepPlan& plan, CjzCoreMemoryStats* memory) {
+                   const AdversaryPlan& plan, CjzCoreMemoryStats* memory) {
   CR_CHECK(plan.valid && plan_path_allowed(config) && plan.horizon == config.horizon);
   const slot_t horizon = config.horizon;
   const std::uint64_t seed = config.seed;
@@ -211,7 +201,7 @@ SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& c
   res.active_slots += skipped_active;
   res.jammed_slots = jams.count_through(tail_slot == 0 ? horizon : tail_slot - 1);
   if (tail_slot != 0)
-    res.jammed_slots += CounterRng(seed).fork(streams::kLockstepTail).stream(tail_slot).binomial(
+    res.jammed_slots += CounterRng(seed).fork(streams::kPlanTail).stream(tail_slot).binomial(
         horizon - tail_slot + 1, plan.tail_jam);
   return res;
 }

@@ -77,7 +77,8 @@ struct SimConfig {
   bool stop_after_first_success = false;
   /// Observability tier (see RecordingTier); honoured by every engine.
   RecordingConfig recording;
-  /// Safety valve: abort (CR_CHECK) if the live population exceeds this.
+  /// Safety valve: abort (CR_CHECK) before an injection that would take the
+  /// live population past this.
   std::uint64_t max_live_nodes = 10'000'000;
   /// Node-table storage policy (cohort engines; the generic reference engine
   /// always uses its native layout).

@@ -1,6 +1,8 @@
 #include "engine/stream.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <string_view>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -20,6 +22,15 @@ SimConfig stream_config(const StreamOptions& o) {
 }
 
 using ull = unsigned long long;
+
+bool is_blank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+/// A whole field of decimal digits: no sign, no overflow, nothing after.
+bool parse_digits(std::string_view field, std::uint64_t* out) {
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
 
 }  // namespace
 
@@ -164,46 +175,51 @@ bool StreamSim::restore(const std::uint8_t* data, std::size_t size, std::string*
 
 bool parse_stream_event(const std::string& line, StreamEvent* ev, std::string* error) {
   if (error != nullptr) error->clear();
-  std::string s = line;
-  if (const auto hash = s.find('#'); hash != std::string::npos) s.erase(hash);
-  std::size_t i = 0;
-  while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r')) ++i;
-  if (i == s.size()) return false;  // blank / comment-only line
+  const std::string_view text = std::string_view(line).substr(0, line.find('#'));
+  std::string_view fields[4];
+  std::size_t count = 0;
+  for (std::size_t i = 0; count < 4;) {
+    while (i < text.size() && is_blank(text[i])) ++i;
+    if (i == text.size()) break;
+    const std::size_t start = i;
+    while (i < text.size() && !is_blank(text[i])) ++i;
+    fields[count++] = text.substr(start, i - start);
+  }
+  if (count == 0) return false;  // blank / comment-only line
 
-  ull slot = 0;
-  ull inject = 0;
-  int jam = 0;
-  char trailing = '\0';
-  const int n = std::sscanf(s.c_str(), "%llu %llu %d %c", &slot, &inject, &jam, &trailing);
-  if (n < 2 || n > 3 || jam < 0 || jam > 1) {
-    if (error != nullptr)
-      *error = "stream: malformed trace line \"" + line + "\" (want: slot inject [jam01])";
+  std::uint64_t slot = 0;
+  std::uint64_t inject = 0;
+  std::uint64_t jam = 0;
+  const auto fail = [&](std::string message) {
+    if (error != nullptr) *error = std::move(message);
     return false;
-  }
-  if (slot == 0) {
-    if (error != nullptr) *error = "stream: trace slot 0 is invalid (slots are 1-based)";
-    return false;
-  }
-  ev->slot = static_cast<slot_t>(slot);
-  ev->inject = static_cast<std::uint64_t>(inject);
+  };
+  if (count < 2 || count > 3 || !parse_digits(fields[0], &slot) ||
+      !parse_digits(fields[1], &inject) ||
+      (count == 3 && (!parse_digits(fields[2], &jam) || jam > 1)))
+    return fail("stream: malformed trace line \"" + line + "\" (want: slot inject [jam01])");
+  if (slot == 0) return fail("stream: trace slot 0 is invalid (slots are 1-based)");
+  if (slot > kStreamHorizon)
+    return fail("stream: trace slot " + std::to_string(slot) + " is past the stream horizon " +
+                std::to_string(kStreamHorizon));
+  if (const std::uint64_t cap = SimConfig{}.max_live_nodes; inject > cap)
+    return fail("stream: trace line injects " + std::to_string(inject) +
+                " nodes, more than the live-node cap " + std::to_string(cap));
+  ev->slot = slot;
+  ev->inject = inject;
   ev->jam = jam != 0;
   return true;
 }
 
-std::vector<StreamEvent> synth_stream_events(std::uint64_t seed, std::uint64_t count) {
-  Rng rng = Rng(seed).fork(streams::kStreamSynth);
-  std::vector<StreamEvent> events;
-  events.reserve(count);
-  slot_t slot = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    slot += 1 + rng.uniform_u64(20);  // mean gap 11.5 -> arrival rate ~0.09
-    StreamEvent ev;
-    ev.slot = slot;
-    ev.inject = 1;
-    ev.jam = rng.uniform01() < 0.15;
-    events.push_back(ev);
-  }
-  return events;
+SynthStream::SynthStream(std::uint64_t seed) : rng_(Rng(seed).fork(streams::kStreamSynth)) {}
+
+StreamEvent SynthStream::next() {
+  slot_ += 1 + rng_.uniform_u64(20);  // mean gap 10.5 -> arrival rate ~0.095
+  StreamEvent ev;
+  ev.slot = slot_;
+  ev.inject = 1;
+  ev.jam = rng_.uniform01() < 0.15;
+  return ev;
 }
 
 }  // namespace cr

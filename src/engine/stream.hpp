@@ -32,6 +32,7 @@
 #include "channel/types.hpp"
 #include "common/check.hpp"
 #include "common/functions.hpp"
+#include "common/rng.hpp"
 #include "common/snapshot.hpp"
 #include "engine/cjz_core.hpp"
 #include "metrics/windowed.hpp"
@@ -204,14 +205,24 @@ class StreamSim {
 };
 
 /// Parse one feed line: "slot inject [jam01]", '#' starts a comment, blank
-/// lines skipped. Returns false for skipped lines; a malformed line sets
-/// *error (empty otherwise).
+/// lines skipped. Fields are unsigned decimal digits, with the slot in
+/// [1, kStreamHorizon] and the injection at most SimConfig::max_live_nodes.
+/// Returns false for skipped lines; a malformed line sets *error (empty
+/// otherwise).
 bool parse_stream_event(const std::string& line, StreamEvent* ev, std::string* error);
 
-/// Deterministic synthetic feed: `count` events with geometric slot gaps
-/// (mean ~10), single-node injections and Bernoulli(0.15) jams, drawn from
-/// the kStreamSynth fork of `seed` — reproducible for a given (seed, count),
-/// independent of every engine stream.
-std::vector<StreamEvent> synth_stream_events(std::uint64_t seed, std::uint64_t count);
+/// Deterministic synthetic feed, one event at a time: uniform slot gaps in
+/// [1, 20], single-node injections and Bernoulli(0.15) jams, drawn from the
+/// kStreamSynth fork of `seed` — reproducible for a given seed, independent
+/// of every engine stream, and holding nothing but its cursor.
+class SynthStream {
+ public:
+  explicit SynthStream(std::uint64_t seed);
+  StreamEvent next();
+
+ private:
+  Rng rng_;
+  slot_t slot_ = 0;
+};
 
 }  // namespace cr

@@ -8,6 +8,7 @@
 #include "adversary/component_registry.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
+#include "engine/plan_path.hpp"
 #include "exp/harness.hpp"
 #include "protocols/baselines.hpp"
 #include "protocols/batch.hpp"
@@ -171,7 +172,7 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
   return out;
 }
 
-Scenario build_workload(const WorkloadSpec& spec, const LockstepPlan* plan) {
+Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan) {
   const std::string error = validate_workload(spec);
   if (!error.empty()) std::fprintf(stderr, "build_workload: %s\n", error.c_str());
   CR_CHECK(error.empty());
@@ -259,100 +260,9 @@ WorkloadSpec scenario_preset_workload(const std::string& scenario, const Scenari
   return w;
 }
 
-namespace {
-
-/// Validated parameter values of one component (schema defaults applied).
-template <typename Entry>
-ParamValues component_values(const Entry& entry, const ComponentSpec& component,
-                             const std::string& kind) {
-  const auto checked = ParamValidation::check(entry.schema, component.params,
-                                              kind + " \"" + component.name + "\"");
-  CR_CHECK(checked.error.empty());  // spec validated upstream
-  return checked.values;
-}
-
-}  // namespace
-
-LockstepPlan lockstep_plan(const WorkloadSpec& spec) {
-  CR_CHECK(validate_workload(spec).empty());
-  LockstepPlan plan;
-  const slot_t horizon = spec.horizon;
-  plan.horizon = horizon;
-
-  // Materialization scaffolding for the deterministic components: they
-  // ignore the history and the rng by contract (that is exactly what the
-  // name whitelists below assert), so a dummy history over an empty trace
-  // and a throwaway rng are safe to hand them.
-  const FunctionSet fs = functions_for_regime(spec.g_regime, spec.gamma);
-  const WorkloadContext ctx{fs, horizon, 0};
-  Trace dummy_trace;
-  const PublicHistory dummy_history(dummy_trace);
-  Rng dummy_rng(1);
-
-  // Arrival side. quiet_after is the last slot an arrival can occur at;
-  // anything without a provable bound keeps the horizon — correct, and the
-  // tail simply never fires.
-  bool arrival_ok = false;
-  plan.quiet_after = horizon;
-  const std::string& arrival_name = spec.arrival.name;
-  if (arrival_name == "bernoulli") {
-    const auto values = component_values(ArrivalRegistry::instance().at("bernoulli"),
-                                         spec.arrival, "arrival");
-    plan.bernoulli_arrivals = true;
-    plan.arrival_rate = values.get_double("rate");
-    // BernoulliArrivals is first asked at slot 1, so a window opening at
-    // from=0 draws its first coin for slot 1.
-    plan.arrival_from = std::max<slot_t>(static_cast<slot_t>(values.get_uint("from")), 1);
-    const std::uint64_t to = values.get_uint("to");
-    plan.arrival_to = to == 0 ? horizon : static_cast<slot_t>(to);
-    plan.quiet_after = plan.arrival_to;
-    arrival_ok = true;
-  } else if (arrival_name == "none" || arrival_name == "batch" || arrival_name == "paced" ||
-             arrival_name == "bursty") {
-    // Deterministic and seed-independent: one slot-ordered walk materializes
-    // the schedule every seed shares ("paced" is stateful, so the walk must
-    // visit every slot in order — it does).
-    const ArrivalEntry& entry = ArrivalRegistry::instance().at(arrival_name);
-    const auto values = component_values(entry, spec.arrival, "arrival");
-    const auto component = entry.make(values, ctx);
-    for (slot_t s = 1; s <= horizon; ++s) {
-      const std::uint64_t count = component->arrivals(s, dummy_history, dummy_rng);
-      if (count > 0) plan.schedule.emplace_back(s, count);
-    }
-    if (arrival_name == "none") plan.quiet_after = 0;
-    if (arrival_name == "batch") plan.quiet_after = static_cast<slot_t>(values.get_uint("at"));
-    arrival_ok = true;
-  }
-
-  // Jam side. tail_jam is the i.i.d. jam rate past quiet_after, when
-  // certifiable; budget- and history-coupled jammers cannot be.
-  bool jammer_ok = false;
-  const std::string& jammer_name = spec.jammer.name;
-  if (jammer_name == "iid") {
-    const auto values = component_values(JammerRegistry::instance().at("iid"), spec.jammer,
-                                         "jammer");
-    plan.iid_jams = true;
-    plan.jam_rate = values.get_double("fraction");
-    plan.tail_jam = plan.jam_rate;
-    jammer_ok = true;
-  } else if (jammer_name == "none" || jammer_name == "prefix" || jammer_name == "periodic" ||
-             jammer_name == "budget_paced") {
-    const JammerEntry& entry = JammerRegistry::instance().at(jammer_name);
-    const auto values = component_values(entry, spec.jammer, "jammer");
-    const auto component = entry.make(values, ctx);
-    plan.clear_jams(horizon);
-    for (slot_t s = 1; s <= horizon; ++s)
-      if (component->jams(s, dummy_history, dummy_rng)) plan.add_jam(s);
-    if (jammer_name == "none") plan.tail_jam = 0.0;
-    if (jammer_name == "prefix") {
-      plan.tail_jam = 0.0;
-      plan.quiet_after =
-          std::max(plan.quiet_after, static_cast<slot_t>(values.get_uint("count")));
-    }
-    jammer_ok = true;
-  }
-
-  plan.valid = arrival_ok && jammer_ok;
+AdversaryPlan adversary_plan(const WorkloadSpec& spec) {
+  AdversaryPlan plan(spec.horizon);
+  plan.valid = build_workload(spec).adversary->fill_plan(plan);
   return plan;
 }
 
@@ -363,9 +273,9 @@ std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSp
   // One plan per sweep, shared read-only by every seed's adversary. The
   // engine decides per run whether to use it: fast_cjz takes the plan path,
   // the other engines step the adversary slot by slot as always.
-  LockstepPlan plan;
-  if (plan_path_allowed(config_template)) plan = lockstep_plan(spec);
-  const LockstepPlan* shared = plan.valid ? &plan : nullptr;
+  AdversaryPlan plan;
+  if (plan_path_allowed(config_template)) plan = adversary_plan(spec);
+  const AdversaryPlan* shared = plan.valid ? &plan : nullptr;
 
   return replicate(
       reps, base_seed,

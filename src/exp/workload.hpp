@@ -24,7 +24,7 @@
 #include <utility>
 #include <vector>
 
-#include "engine/lockstep.hpp"
+#include "adversary/plan.hpp"
 #include "exp/scenarios.hpp"
 
 namespace cr {
@@ -90,11 +90,11 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
 /// Materialise the workload: resolve both components through the registries,
 /// compose them into a ComposedAdversary and attach the named protocol on
 /// the regime's FunctionSet. CR_CHECKs validate_workload(spec) is clean.
-/// `plan`, when given, must be lockstep_plan() of this spec (any seed) and
+/// `plan`, when given, must be adversary_plan() of this spec (any seed) and
 /// outlive the scenario's runs; it is attached to the adversary
 /// (Adversary::plan()), which is how replicate_workload shares one plan
 /// across a sweep.
-Scenario build_workload(const WorkloadSpec& spec, const LockstepPlan* plan = nullptr);
+Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan = nullptr);
 
 /// The WorkloadSpec behind one of the five registered scenario presets
 /// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"): the
@@ -103,16 +103,10 @@ Scenario build_workload(const WorkloadSpec& spec, const LockstepPlan* plan = nul
 /// the scenario name.
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p);
 
-/// Precomputed adversary plan for the plan path (LockstepPlan in
-/// engine/lockstep.hpp), derived from the component names: seed- and
-/// history-independent components ("none"/"batch"/"paced"/"bursty" arrivals;
-/// "none"/"prefix"/"periodic"/"budget_paced" jammers) are walked once into a
-/// shared schedule / jam bitmap, and the i.i.d. ones ("bernoulli" arrivals,
-/// "iid" jammers) become per-seed coin parameters. Anything else
-/// ("reactive" reads the history, "uniform_random" depends on the seed)
-/// leaves `valid` false. The analytic-tail certificate (`quiet_after`,
-/// `tail_jam`) is filled whatever `valid` says.
-LockstepPlan lockstep_plan(const WorkloadSpec& spec);
+/// The sweep plan of `spec` (adversary/plan.hpp), filled by the adversary
+/// build_workload(spec) composes: each component fills its own side, and
+/// `valid` holds when both could.
+AdversaryPlan adversary_plan(const WorkloadSpec& spec);
 
 /// Replicate `spec` over seeds base_seed .. base_seed+reps-1 on `engine` and
 /// return the results in seed order. `config_template` supplies the run
@@ -121,9 +115,10 @@ LockstepPlan lockstep_plan(const WorkloadSpec& spec);
 ///
 /// Every seed runs build_workload + run_scenario on replicate()'s threads, so
 /// `engine.run` is called exactly once per seed. When
-/// plan_path_allowed(config_template) holds and lockstep_plan(spec) is valid,
+/// plan_path_allowed(config_template) holds and adversary_plan(spec) is valid,
 /// the plan is built once and attached to every seed's adversary, and
-/// fast_cjz takes the plan path (engine/lockstep.hpp); other engines ignore it.
+/// fast_cjz takes the plan path (engine/plan_path.hpp); other engines ignore
+/// it.
 std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSpec& spec,
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template = {});

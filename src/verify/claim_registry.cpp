@@ -85,10 +85,6 @@ void ClaimContext::observe(const std::string& name, double value) {
   observed_.emplace_back(name, std::string(buf, res.ptr));
 }
 
-void ClaimContext::observe_text(const std::string& name, std::string value) {
-  observed_.emplace_back(name, std::move(value));
-}
-
 std::string ClaimContext::csv_path(const std::string& cell_id) const {
   return out_dir_ + "/" + cell_id + ".csv";
 }
@@ -104,13 +100,6 @@ const ClaimSpec* ClaimRegistry::find(const std::string& id) const {
   for (const ClaimSpec& spec : entries_)
     if (spec.id == id) return &spec;
   return nullptr;
-}
-
-std::vector<std::string> ClaimRegistry::ids() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const ClaimSpec& spec : entries_) out.push_back(spec.id);
-  return out;
 }
 
 void ClaimRegistry::register_claim(ClaimSpec spec) {

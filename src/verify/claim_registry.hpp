@@ -72,7 +72,6 @@ class ClaimContext {
   /// Record an observed scalar for the report ("what did the run measure").
   /// Doubles are formatted shortest-round-trip (std::to_chars).
   void observe(const std::string& name, double value);
-  void observe_text(const std::string& name, std::string value);
   const std::vector<std::pair<std::string, std::string>>& observed() const { return observed_; }
 
   /// Path the evidence for `cell_id` is loaded from (diagnostics).
@@ -129,7 +128,6 @@ class ClaimRegistry {
   /// nullptr when unknown.
   const ClaimSpec* find(const std::string& id) const;
 
-  std::vector<std::string> ids() const;
   const std::vector<ClaimSpec>& entries() const { return entries_; }
 
   void register_claim(ClaimSpec spec);

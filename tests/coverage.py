@@ -67,17 +67,12 @@ def json_documents(text):
         yield doc
 
 
-def src_line_counts(build_dir, src_dir):
-    """{source path: {line number: highest execution count}} under src_dir."""
-    notes = sorted(gcno_files(build_dir))
-    if not notes:
-        return {}
-    # A .gcno without a .gcda beside it makes gcov note "assuming not
-    # executed" on stderr and report zero counts.
-    out = subprocess.run([matching_gcov(build_dir), "--json-format", "--stdout"] + notes,
-                         check=True, capture_output=True, text=True).stdout
+def merge_line_counts(documents, src_dir):
+    """{source path: {line number: highest execution count}} under src_dir,
+    over gcov JSON documents: a header compiled into several objects counts a
+    line as run when any of them ran it."""
     lines = {}
-    for doc in json_documents(out):
+    for doc in documents:
         cwd = doc.get("current_working_directory", "")
         for entry in doc["files"]:
             path = os.path.normpath(os.path.join(cwd, entry["file"]))
@@ -88,6 +83,18 @@ def src_line_counts(build_dir, src_dir):
                 number = line["line_number"]
                 counts[number] = max(counts.get(number, 0), line["count"])
     return lines
+
+
+def src_line_counts(build_dir, src_dir):
+    """merge_line_counts over one gcov run on every .gcno in build_dir."""
+    notes = sorted(gcno_files(build_dir))
+    if not notes:
+        return {}
+    # A .gcno without a .gcda beside it makes gcov note "assuming not
+    # executed" on stderr and report zero counts.
+    out = subprocess.run([matching_gcov(build_dir), "--json-format", "--stdout"] + notes,
+                         check=True, capture_output=True, text=True).stdout
+    return merge_line_counts(json_documents(out), src_dir)
 
 
 def main():

@@ -32,7 +32,7 @@
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
 #include "engine/engine.hpp"
-#include "engine/lockstep.hpp"
+#include "engine/plan_path.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
@@ -391,7 +391,7 @@ TEST(CrossEngineFuzz, RandomizedRegistrySweep) {
 }
 
 TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
-  // The sweep plan path (engine/lockstep.hpp) against the per-slot loop it
+  // The sweep plan path (engine/plan_path.hpp) against the per-slot loop it
   // stands in for: on ~100 randomized registry cases, a fast_cjz sweep
   // through replicate_scenario must reproduce the per-seed single runs field
   // for field, node stats included. Only where the analytic tail can fire
@@ -419,7 +419,7 @@ TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
         workload + " plan case=" + std::to_string(c) + " seed=" + std::to_string(p.seed);
 
     // Every registry preset composes plannable components.
-    const LockstepPlan plan = lockstep_plan(scenario_preset_workload(workload, p));
+    const AdversaryPlan plan = adversary_plan(scenario_preset_workload(workload, p));
     ASSERT_TRUE(plan.valid) << tag;
     const bool tail_may_fire = plan.tail_jam > 0.0 && plan.quiet_after < p.horizon;
 

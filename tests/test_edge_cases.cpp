@@ -102,6 +102,39 @@ TEST(EdgeCases, StopAfterFirstSuccessAllEngines) {
   }
 }
 
+TEST(EdgeCases, InjectionPastTheLiveCapAbortsBeforeAllocating) {
+  // Every engine refuses an injection that would take the live population
+  // past SimConfig::max_live_nodes before it allocates a single node: the
+  // check names the injection, so a huge one cannot exhaust memory first.
+  FunctionSet fs = functions_constant_g(4.0);
+  SimConfig cfg;
+  cfg.horizon = 16;
+  cfg.max_live_nodes = 8;
+  const char* const kRefused = "action.inject <= config_.max_live_nodes";
+  EXPECT_DEATH(
+      {
+        auto adv = make_adv(batch_arrival(9, 1), no_jam());
+        run_fast_cjz(fs, adv, cfg);
+      },
+      kRefused);
+  EXPECT_DEATH(
+      {
+        auto adv = make_adv(batch_arrival(9, 1), no_jam());
+        run_fast_batch(profiles::h_data(), adv, cfg);
+      },
+      kRefused);
+  EXPECT_DEATH(
+      {
+        CjzFactory factory(fs);
+        auto adv = make_adv(batch_arrival(9, 1), no_jam());
+        run_generic(factory, adv, cfg);
+      },
+      kRefused);
+  // At the cap itself the run goes on.
+  auto adv = make_adv(batch_arrival(8, 1), no_jam());
+  EXPECT_EQ(run_fast_cjz(fs, adv, cfg).arrivals, 8u);
+}
+
 TEST(EdgeCases, EmptyRunProducesEmptyResult) {
   CjzFactory factory(functions_constant_g(4.0));
   auto adv = make_adv(no_arrivals(), no_jam());

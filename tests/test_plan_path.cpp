@@ -1,5 +1,5 @@
-// The plan path (engine/lockstep.hpp): replicate_workload hands every seed's
-// adversary one precomputed LockstepPlan and fast_cjz steps only the slots
+// The plan path (engine/plan_path.hpp): replicate_workload hands every seed's
+// adversary one precomputed AdversaryPlan and fast_cjz steps only the slots
 // where something happens. A sweep must reproduce the per-slot loop (fast_cjz
 // without a plan, one run per seed; "generic" in the test names below) bit
 // for bit, except that the analytic tail matches jammed_slots only in
@@ -12,13 +12,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "adversary/component_registry.hpp"
 #include "engine/engine.hpp"
-#include "engine/lockstep.hpp"
+#include "engine/plan_path.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
 
@@ -48,7 +50,7 @@ SimConfig recording_config(RecordingConfig recording) {
 /// One fast_cjz run of `spec` at `seed`: the per-slot loop when `plan` is
 /// null, the plan path when the run can use it.
 SimResult run_seed(const WorkloadSpec& spec, std::uint64_t seed, const SimConfig& config,
-                   const LockstepPlan* plan = nullptr) {
+                   const AdversaryPlan* plan = nullptr) {
   WorkloadSpec per = spec;
   per.seed = seed;
   Scenario sc = build_workload(per, plan);
@@ -59,7 +61,7 @@ SimResult run_seed(const WorkloadSpec& spec, std::uint64_t seed, const SimConfig
 }
 
 /// Can the plan's analytic tail replace jam coins before the horizon?
-bool tail_may_fire(const LockstepPlan& plan) {
+bool tail_may_fire(const AdversaryPlan& plan) {
   return plan.tail_jam > 0.0 && plan.quiet_after < plan.horizon;
 }
 
@@ -84,12 +86,12 @@ void expect_sweep_equals_runs(const WorkloadSpec& spec, const SimConfig& cfg, in
 void expect_sweep_matches_single_runs(const WorkloadSpec& spec,
                                       std::uint64_t base_seed = 60600) {
   const int kReps = 12;
-  const LockstepPlan plan = lockstep_plan(spec);
+  const AdversaryPlan plan = adversary_plan(spec);
   ASSERT_TRUE(plan.valid) << label(spec);
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
   expect_sweep_equals_runs(spec, cfg, kReps, base_seed, tail_may_fire(plan));
   if (!tail_may_fire(plan)) return;
-  LockstepPlan no_tail = plan;
+  AdversaryPlan no_tail = plan;
   no_tail.tail_jam = -1.0;
   for (std::uint64_t seed = base_seed; seed < base_seed + kReps; ++seed)
     EXPECT_EQ(run_seed(spec, seed, cfg, &no_tail), run_seed(spec, seed, cfg))
@@ -138,7 +140,7 @@ TEST(Lockstep, AnalyticTailPreservesNonJamCounters) {
   const int kReps = 32;
   const std::uint64_t kBase = 31337;
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
-  ASSERT_TRUE(tail_may_fire(lockstep_plan(kBatchIid)));
+  ASSERT_TRUE(tail_may_fire(adversary_plan(kBatchIid)));
   const auto tail = replicate_workload(fast_cjz(), kBatchIid, kReps, kBase, 1, cfg);
   double jam_exact = 0.0, jam_tail = 0.0;
   for (int r = 0; r < kReps; ++r) {
@@ -160,7 +162,7 @@ TEST(Lockstep, AnalyticTailDisabledUnderFullTrace) {
   // nor its tail may run: the sweep is bit-exact to the single runs.
   const WorkloadSpec spec = make_spec({"batch", {{"n", "64"}}},
                                       {"iid", {{"fraction", "0.25"}}}, 1024);
-  ASSERT_TRUE(tail_may_fire(lockstep_plan(spec)));
+  ASSERT_TRUE(tail_may_fire(adversary_plan(spec)));
   expect_sweep_equals_runs(spec, recording_config(RecordingConfig::full_trace()), 6, 555);
 }
 
@@ -276,7 +278,7 @@ TEST(Lockstep, ObservedRunsIgnoreThePlan) {
   // An observer wants every slot, which the plan path skips: a run with an
   // observer keeps the per-slot loop even when its adversary carries a
   // plan, and equals the plan-free run exactly, jammed_slots included.
-  const LockstepPlan plan = lockstep_plan(kBatchIid);
+  const AdversaryPlan plan = adversary_plan(kBatchIid);
   ASSERT_TRUE(plan.valid);
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
@@ -292,17 +294,17 @@ TEST(Lockstep, ObservedRunsIgnoreThePlan) {
 }
 
 // ---------------------------------------------------------------------------
-// The analytic-tail certificate: lockstep_plan's quiet_after/tail_jam.
+// The analytic-tail certificate: adversary_plan's quiet_after/tail_jam.
 
 TEST(LockstepCertificate, BatchPlusIidUsesBatchSlotAndFraction) {
-  const LockstepPlan plan = lockstep_plan(make_spec(
+  const AdversaryPlan plan = adversary_plan(make_spec(
       {"batch", {{"n", "32"}, {"at", "7"}}}, {"iid", {{"fraction", "0.3"}}}));
   EXPECT_EQ(plan.quiet_after, 7);
   EXPECT_DOUBLE_EQ(plan.tail_jam, 0.3);
 }
 
 TEST(LockstepCertificate, NonePlusNoneIsTriviallyQuiet) {
-  const LockstepPlan plan = lockstep_plan(make_spec({"none", {}}, {"none", {}}));
+  const AdversaryPlan plan = adversary_plan(make_spec({"none", {}}, {"none", {}}));
   EXPECT_EQ(plan.quiet_after, 0);
   EXPECT_DOUBLE_EQ(plan.tail_jam, 0.0);
 }
@@ -310,9 +312,9 @@ TEST(LockstepCertificate, NonePlusNoneIsTriviallyQuiet) {
 TEST(LockstepCertificate, BernoulliWindowAndPrefixTakeTheMax) {
   // Arrivals stop at to=100 but the prefix jammer is only provably silent
   // past count=500 — the certificate must wait for both.
-  const LockstepPlan plan =
-      lockstep_plan(make_spec({"bernoulli", {{"rate", "0.1"}, {"to", "100"}}},
-                              {"prefix", {{"count", "500"}}}));
+  const AdversaryPlan plan =
+      adversary_plan(make_spec({"bernoulli", {{"rate", "0.1"}, {"to", "100"}}},
+                               {"prefix", {{"count", "500"}}}));
   EXPECT_EQ(plan.quiet_after, 500);
   EXPECT_DOUBLE_EQ(plan.tail_jam, 0.0);
 }
@@ -320,20 +322,20 @@ TEST(LockstepCertificate, BernoulliWindowAndPrefixTakeTheMax) {
 TEST(LockstepCertificate, OpenBernoulliWindowKeepsHorizon) {
   // to=0 means "until the horizon": the certificate stays correct (quiet ==
   // horizon) and the tail simply never fires.
-  const LockstepPlan plan =
-      lockstep_plan(make_spec({"bernoulli", {{"rate", "0.1"}}}, {"none", {}}, 9999));
+  const AdversaryPlan plan =
+      adversary_plan(make_spec({"bernoulli", {{"rate", "0.1"}}}, {"none", {}}, 9999));
   EXPECT_GE(plan.tail_jam, 0.0);
   EXPECT_EQ(plan.quiet_after, 9999);
 }
 
 TEST(LockstepCertificate, HistoryCoupledJammerIsIneligible) {
   for (const char* jammer : {"reactive", "periodic", "budget_paced"})
-    EXPECT_LT(lockstep_plan(make_spec({"batch", {}}, {jammer, {}})).tail_jam, 0.0) << jammer;
+    EXPECT_LT(adversary_plan(make_spec({"batch", {}}, {jammer, {}})).tail_jam, 0.0) << jammer;
 }
 
 TEST(LockstepCertificate, UnboundedArrivalKeepsHorizon) {
-  const LockstepPlan plan =
-      lockstep_plan(make_spec({"uniform_random", {{"total", "16"}}}, {"iid", {}}, 2048));
+  const AdversaryPlan plan =
+      adversary_plan(make_spec({"uniform_random", {{"total", "16"}}}, {"iid", {}}, 2048));
   EXPECT_GE(plan.tail_jam, 0.0);
   EXPECT_EQ(plan.quiet_after, 2048);
 }
@@ -399,7 +401,7 @@ TEST(LockstepPlanPath, BernoulliFromZeroMatchesGeneric) {
 }
 
 void expect_tail_fires_and_matches(const WorkloadSpec& spec) {
-  ASSERT_TRUE(tail_may_fire(lockstep_plan(spec))) << label(spec);
+  ASSERT_TRUE(tail_may_fire(adversary_plan(spec))) << label(spec);
   expect_sweep_matches_single_runs(spec, 61600);
 }
 
@@ -438,10 +440,103 @@ TEST(LockstepPlanPath, IneligibleComponentsFallBack) {
   const WorkloadSpec reactive = make_spec({"batch", {}}, {"reactive", {}}, 2048);
   const WorkloadSpec uniform =
       make_spec({"uniform_random", {{"total", "16"}}}, {"iid", {}}, 2048);
-  EXPECT_FALSE(lockstep_plan(reactive).valid);
-  EXPECT_FALSE(lockstep_plan(uniform).valid);
-  EXPECT_TRUE(lockstep_plan(make_spec({"none", {}}, {"none", {}})).valid);
+  EXPECT_FALSE(adversary_plan(reactive).valid);
+  EXPECT_FALSE(adversary_plan(uniform).valid);
+  EXPECT_TRUE(adversary_plan(make_spec({"none", {}}, {"none", {}})).valid);
   for (const WorkloadSpec& spec : {reactive, uniform}) expect_sweep_equals_runs(spec, {}, 4, 70);
+}
+
+// ---------------------------------------------------------------------------
+// The plan contract over the registries: whether a sweep takes the plan path
+// is up to the components (fill_plan), and a component that fills a plan
+// must make the sweep reproduce its per-slot runs.
+
+TEST(PlanContract, EveryRegisteredPairSweepsLikeItsSingleRuns) {
+  // Every (arrival, jammer) pair at default parameters. A pair is planned
+  // exactly when neither side reads the history (reactive) or draws from
+  // the run seed (uniform_random) — 25 of the 36 built-in pairs — and every
+  // sweep, planned or not, equals its single runs.
+  const SimConfig cfg = recording_config(RecordingConfig::node_stats());
+  const auto& arrivals = ArrivalRegistry::instance().entries();
+  const auto& jammers = JammerRegistry::instance().entries();
+  std::size_t planned = 0;
+  for (const ArrivalEntry& arrival : arrivals)
+    for (const JammerEntry& jammer : jammers) {
+      const WorkloadSpec spec = make_spec({arrival.name, {}}, {jammer.name, {}});
+      const AdversaryPlan plan = adversary_plan(spec);
+      EXPECT_EQ(plan.valid, arrival.name != "uniform_random" && jammer.name != "reactive")
+          << label(spec);
+      planned += plan.valid ? 1 : 0;
+      expect_sweep_equals_runs(spec, cfg, 3, 4100, plan.valid && tail_may_fire(plan));
+    }
+  EXPECT_EQ(planned, (arrivals.size() - 1) * (jammers.size() - 1));
+}
+
+/// Arrivals from outside the built-ins: two nodes every `every` slots up to
+/// slot `until`, planned in closed form.
+class Trickle final : public ArrivalProcess {
+ public:
+  Trickle(slot_t every, slot_t until) : every_(every), until_(until) {}
+  std::uint64_t arrivals(slot_t slot, const PublicHistory&, Rng&) override {
+    return slot <= until_ && slot % every_ == 0 ? 2 : 0;
+  }
+  std::string name() const override { return "trickle"; }
+  bool fill_plan(AdversaryPlan& plan) override {
+    for (slot_t s = every_; s <= std::min(until_, plan.horizon); s += every_)
+      plan.schedule.emplace_back(s, 2);
+    plan.quiet_after = until_;
+    return true;
+  }
+
+ private:
+  slot_t every_, until_;
+};
+
+/// A jammer from outside the built-ins, planned by the shared slot walk.
+class EveryThird final : public Jammer {
+ public:
+  bool jams(slot_t slot, const PublicHistory&, Rng&) override { return slot % 3 == 0; }
+  std::string name() const override { return "every-third"; }
+  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
+};
+
+void register_outside_components() {
+  static const bool registered = [] {
+    ArrivalRegistry::instance().register_arrival(
+        {"test_trickle",
+         "two nodes every `every` slots until `until`",
+         {{"every", ParamType::kUint, "16", "slots between arrivals"},
+          {"until", ParamType::kUint, "600", "last arrival slot"}},
+         [](const ParamValues& p, const WorkloadContext&) -> std::unique_ptr<ArrivalProcess> {
+           return std::make_unique<Trickle>(p.get_uint("every"), p.get_uint("until"));
+         }});
+    JammerRegistry::instance().register_jammer(
+        {"test_every_third", "jams every third slot", {},
+         [](const ParamValues&, const WorkloadContext&) -> std::unique_ptr<Jammer> {
+           return std::make_unique<EveryThird>();
+         }});
+    return true;
+  }();
+  (void)registered;
+}
+
+TEST(PlanContract, OutsideComponentsTakeThePlanPath) {
+  // Registering a component that fills its plan is all it takes: its sweeps
+  // carry the plan (the tail included, after its last arrival) and
+  // reproduce the per-slot runs.
+  register_outside_components();
+  for (const WorkloadSpec& spec :
+       {make_spec({"test_trickle", {}}, {"iid", {}}, 2048),
+        make_spec({"batch", {{"n", "32"}}}, {"test_every_third", {}}, 2048),
+        make_spec({"test_trickle", {{"every", "5"}}}, {"test_every_third", {}}, 2048)}) {
+    expect_sweep_matches_single_runs(spec);
+    const RecordingEngine wrapped(fast_cjz());
+    replicate_workload(wrapped, spec, 3, 1, 1);
+    ASSERT_EQ(wrapped.runs.size(), 3u) << label(spec);
+    for (const auto& [seed, planned] : wrapped.runs)
+      EXPECT_TRUE(planned) << label(spec) << " seed " << seed;
+  }
+  EXPECT_TRUE(tail_may_fire(adversary_plan(make_spec({"test_trickle", {}}, {"iid", {}}))));
 }
 
 }  // namespace

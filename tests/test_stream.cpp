@@ -6,15 +6,25 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "engine/stream.hpp"
 
 namespace cr {
 namespace {
+
+/// The first `count` events of the synthetic feed for `seed`.
+std::vector<StreamEvent> synth_events(std::uint64_t seed, std::uint64_t count) {
+  SynthStream synth(seed);
+  std::vector<StreamEvent> events;
+  for (std::uint64_t i = 0; i < count; ++i) events.push_back(synth.next());
+  return events;
+}
 
 // ---------------------------------------------------------------------------
 // EventRing.
@@ -134,9 +144,111 @@ TEST(StreamParse, RejectsMalformedLines) {
   EXPECT_NE(error.find("slot 0 is invalid"), std::string::npos);
 }
 
+TEST(StreamParse, RejectsSignsAndOverflow) {
+  // A sign or an out-of-range number is not a count: "-3 1" once parsed as
+  // slot 2^64-3 (a stream that never ends), "5 -1" as 2^64-1 nodes.
+  StreamEvent ev;
+  std::string error;
+  for (const char* line : {"-3 1", "5 -1", "+5 1", "5 +1", "5 1 -0", "5 1 +1",
+                           "5 99999999999999999999999 0", "18446744073709551616 1"}) {
+    EXPECT_FALSE(parse_stream_event(line, &ev, &error)) << line;
+    EXPECT_NE(error.find("malformed trace line"), std::string::npos) << line;
+  }
+}
+
+TEST(StreamParse, RejectsGarbageAfterAField) {
+  StreamEvent ev;
+  std::string error;
+  for (const char* line : {"5 1 x", "12 3abc", "12abc 3", "5 1 1.0", "5 1,1", "5 1 1 1"}) {
+    EXPECT_FALSE(parse_stream_event(line, &ev, &error)) << line;
+    EXPECT_NE(error.find("malformed trace line"), std::string::npos) << line;
+  }
+}
+
+TEST(StreamParse, RejectsSlotsPastTheHorizonAndInjectionsPastTheCap) {
+  StreamEvent ev;
+  std::string error;
+  const std::string horizon = std::to_string(kStreamHorizon);
+  const std::string cap = std::to_string(SimConfig{}.max_live_nodes);
+  ASSERT_TRUE(parse_stream_event(horizon + " " + cap + " 1", &ev, &error)) << error;
+  EXPECT_EQ(ev, (StreamEvent{kStreamHorizon, SimConfig{}.max_live_nodes, true}));
+  EXPECT_FALSE(parse_stream_event(std::to_string(kStreamHorizon + 1) + " 1", &ev, &error));
+  EXPECT_NE(error.find("past the stream horizon " + horizon), std::string::npos) << error;
+  EXPECT_FALSE(parse_stream_event("5 " + std::to_string(SimConfig{}.max_live_nodes + 1), &ev,
+                                  &error));
+  EXPECT_NE(error.find("more than the live-node cap " + cap), std::string::npos) << error;
+}
+
+/// What a trace line spells, decided independently of the parser: fields
+/// are runs of non-blank characters before any '#'; a line is valid when it
+/// has two or three fields of decimal digits whose values fit in 64 bits,
+/// with slot in [1, kStreamHorizon], inject at most the live-node cap and
+/// jam 0 or 1. Returns 0 for a skipped line, 1 for a valid one (filling
+/// *ev) and -1 for a malformed one.
+int spelled_event(const std::string& line, StreamEvent* ev) {
+  std::vector<std::string> fields;
+  std::string field;
+  for (const char c : line.substr(0, line.find('#'))) {
+    if (c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\v' || c == '\f') {
+      if (!field.empty()) fields.push_back(field);
+      field.clear();
+    } else {
+      field += c;
+    }
+  }
+  if (!field.empty()) fields.push_back(field);
+  if (fields.empty()) return 0;
+  if (fields.size() > 3 || fields.size() < 2) return -1;
+  std::uint64_t values[3] = {0, 0, 0};
+  for (std::size_t f = 0; f < fields.size(); ++f)
+    for (const char c : fields[f]) {
+      if (c < '0' || c > '9') return -1;
+      const auto digit = static_cast<std::uint64_t>(c - '0');
+      if (values[f] > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) return -1;
+      values[f] = values[f] * 10 + digit;
+    }
+  if (values[0] == 0 || values[0] > kStreamHorizon) return -1;
+  if (values[1] > SimConfig{}.max_live_nodes || values[2] > 1) return -1;
+  *ev = StreamEvent{values[0], values[1], values[2] == 1};
+  return 1;
+}
+
+TEST(StreamParse, MutatedTraceLinesParseAsSpelledOrFailNamed) {
+  // Seeded mutation fuzz over valid trace lines: every mutant either parses
+  // to exactly the numbers it spells or is refused with a diagnostic (and
+  // only a blank or comment line is skipped without one).
+  const std::string seeds[] = {"123 4 1", "7 0", "  99 2 0  # comment", "1 1\r", "40\t1\t0",
+                               "1 10000000", "4611686018427387904 10000000 1"};
+  const std::string alphabet = "0123456789 \t-+#x.\r9";
+  Rng rng(0x5EED7ACEu);
+  for (int i = 0; i < 20000; ++i) {
+    std::string line = seeds[rng.uniform_u64(std::size(seeds))];
+    for (std::uint64_t m = 1 + rng.uniform_u64(3); m > 0; --m) {
+      const char c = alphabet[rng.uniform_u64(alphabet.size())];
+      const std::size_t at = rng.uniform_u64(line.size() + 1);
+      switch (rng.uniform_u64(4)) {
+        case 0: line.insert(at, 1, c); break;
+        case 1: if (at < line.size()) line[at] = c; break;
+        case 2: if (at < line.size()) line.erase(at, 1); break;
+        default: line.insert(at, std::string(1 + rng.uniform_u64(20), '9')); break;
+      }
+    }
+    StreamEvent want;
+    const int verdict = spelled_event(line, &want);
+    StreamEvent got;
+    std::string error;
+    const bool parsed = parse_stream_event(line, &got, &error);
+    EXPECT_EQ(parsed, verdict == 1) << "line \"" << line << "\"";
+    if (verdict == 1) {
+      EXPECT_EQ(got, want) << "line \"" << line << "\"";
+    }
+    EXPECT_EQ(error.empty(), verdict >= 0) << "line \"" << line << "\": " << error;
+  }
+}
+
 TEST(StreamSynth, DeterministicAndStrictlyIncreasing) {
-  const auto a = synth_stream_events(7, 500);
-  const auto b = synth_stream_events(7, 500);
+  const auto a = synth_events(7, 500);
+  const auto b = synth_events(7, 500);
   ASSERT_EQ(a.size(), 500u);
   EXPECT_EQ(a, b) << "same (seed, count) must reproduce the same feed";
   slot_t last = 0;
@@ -144,7 +256,7 @@ TEST(StreamSynth, DeterministicAndStrictlyIncreasing) {
     EXPECT_GT(ev.slot, last);
     last = ev.slot;
   }
-  const auto c = synth_stream_events(8, 500);
+  const auto c = synth_events(8, 500);
   EXPECT_NE(a, c) << "different seeds must differ";
 }
 
@@ -183,7 +295,7 @@ StreamOptions test_options() {
 }
 
 TEST(StreamSim, RerunIsByteIdentical) {
-  const auto events = synth_stream_events(5, 400);
+  const auto events = synth_events(5, 400);
   StreamSim a(test_options());
   StreamSim b(test_options());
   const DrainResult ra = drain(a, events, 0);
@@ -196,7 +308,7 @@ TEST(StreamSim, RerunIsByteIdentical) {
 }
 
 TEST(StreamSim, KillAtWindowRestoreIsByteIdentical) {
-  const auto events = synth_stream_events(5, 400);
+  const auto events = synth_events(5, 400);
 
   StreamSim full(test_options());
   const DrainResult whole = drain(full, events, 0);
@@ -224,7 +336,7 @@ TEST(StreamSim, KillAtWindowRestoreIsByteIdentical) {
 }
 
 TEST(StreamSim, PeriodicCheckpointsAllRestoreExactly) {
-  const auto events = synth_stream_events(9, 300);
+  const auto events = synth_events(9, 300);
   StreamOptions opts = test_options();
   opts.seed = 9;
   opts.checkpoint_every = 128;
@@ -257,7 +369,7 @@ TEST(StreamSim, PeriodicCheckpointsAllRestoreExactly) {
 }
 
 TEST(StreamSim, SparseAndDenseTablesMatchByteForByte) {
-  const auto events = synth_stream_events(13, 400);
+  const auto events = synth_events(13, 400);
   StreamOptions sparse_opts = test_options();
   sparse_opts.seed = 13;
   sparse_opts.node_table = NodeTableKind::kSparse;
@@ -295,7 +407,7 @@ TEST(StreamSim, RestoreRejectsForeignAndCorruptBlobs) {
   EXPECT_NE(error.find("truncated header"), std::string::npos);
 
   // A stream snapshot corrupted in transit must name the checksum.
-  const auto events = synth_stream_events(5, 100);
+  const auto events = synth_events(5, 100);
   StreamOptions opts = test_options();
   opts.max_windows = 1;
   StreamSim head(opts);
