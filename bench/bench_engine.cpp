@@ -1,5 +1,9 @@
-// E11 "engine performance" — google-benchmark microbenchmarks for the
-// simulation substrates: slots/second of each engine and the hot RNG paths.
+// E11 "engine performance" — google-benchmark microbenchmarks for what no
+// work counter and no perfbench metric shows: the hot RNG and backoff paths,
+// the cohort-vs-per-node scaling with a large live batch, and fast_batch.
+// Engine throughput on the workloads that matter is perfbench's
+// engine.<name>.slots_per_s; the engine's work is pinned by the work gate
+// (tests/test_work_gate.cpp).
 #include <benchmark/benchmark.h>
 
 #include "adversary/arrivals.hpp"
@@ -48,59 +52,6 @@ void BM_BackoffStep(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(bp.step(rng));
 }
 BENCHMARK(BM_BackoffStep);
-
-/// Slots/second of the fast CJZ engine on a steady dynamic workload.
-void BM_FastCjzEngine(benchmark::State& state) {
-  const auto horizon = static_cast<slot_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    FunctionSet fs = functions_constant_g(4.0);
-    ComposedAdversary adv(bernoulli_arrivals(0.02), iid_jammer(0.1));
-    SimConfig cfg;
-    cfg.horizon = horizon;
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(run_fast_cjz(fs, adv, cfg));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(horizon));
-}
-BENCHMARK(BM_FastCjzEngine)->Arg(1 << 14)->Arg(1 << 17);
-
-/// The quiescent-tail shape of `cr perf`'s batch cell: one batch of 256 at
-/// slot 1, i.i.d. jamming, and a horizon long enough that the empty-slot
-/// path dominates — the scalar engine's per-slot floor.
-void BM_FastCjzBatchTail(benchmark::State& state) {
-  const auto horizon = static_cast<slot_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    FunctionSet fs = functions_constant_g(4.0);
-    ComposedAdversary adv(batch_arrival(256, 1), iid_jammer(0.25));
-    SimConfig cfg;
-    cfg.horizon = horizon;
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(run_fast_cjz(fs, adv, cfg));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(horizon));
-}
-BENCHMARK(BM_FastCjzBatchTail)->Arg(1 << 20);
-
-/// Slots/second of the generic per-node engine on the same workload.
-void BM_GenericCjzEngine(benchmark::State& state) {
-  const auto horizon = static_cast<slot_t>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    CjzFactory factory(functions_constant_g(4.0));
-    ComposedAdversary adv(bernoulli_arrivals(0.02), iid_jammer(0.1));
-    SimConfig cfg;
-    cfg.horizon = horizon;
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(run_generic(factory, adv, cfg));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(horizon));
-}
-BENCHMARK(BM_GenericCjzEngine)->Arg(1 << 14);
 
 /// The engines' scaling difference shows with a large live population: the
 /// generic engine is O(live nodes) per slot, the cohort engine O(1).

@@ -26,7 +26,6 @@ BenchRegistry::BenchRegistry() {
   register_bench(benches::scenario());
   register_bench(benches::workload());
   register_bench(benches::stream());
-  register_bench(benches::perf());
 }
 
 BenchRegistry& BenchRegistry::instance() {

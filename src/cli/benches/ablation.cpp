@@ -87,7 +87,7 @@ int run(int argc, const char* const* argv) {
   const BenchDriver driver(argc, argv, {ablation().id, ablation().summary, ablation().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
-  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 1024, 256));
+  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 1024, 256, 1));
   const slot_t stream_t = driver.quick() ? (1 << 15) : (1 << 17);
 
   out << "E12: ablations of the algorithm's design choices (g = const(4))\n"

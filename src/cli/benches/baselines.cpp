@@ -83,7 +83,7 @@ int run(int argc, const char* const* argv) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(7, 3);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 512, 256));
+  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 512, 256, 64));
 
   out << "E7: CJZ vs classical backoff baselines on an n-node batch (no jamming)\n"
       << "median completion (slots; '>' = some runs hit the horizon cap) and\n"

@@ -68,7 +68,7 @@ int run(int argc, const char* const* argv) {
       argc, argv, {batch_completion().id, batch_completion().summary, batch_completion().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024));
+  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 128));
 
   out << "E3 (Claim 3.5.1): delivering ALL n batch messages\n"
       << "Prediction: P[h_data-batch finishes within c*n slots] -> 0 as n grows\n"

@@ -26,7 +26,7 @@ int run(int argc, const char* const* argv) {
   const BenchDriver driver(
       argc, argv, {batch_robustness().id, batch_robustness().summary, batch_robustness().flags});
   std::ostream& out = driver.out();
-  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 4096, 1024));
+  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 4096, 1024, 1));
   const int reps = driver.reps(15, 5);
 
   out << "E4: h_data-batch delivers a constant fraction of n in O(n) slots under jamming\n"

@@ -24,6 +24,5 @@ BenchSpec cd_contrast();       // E13
 BenchSpec scenario();          // S1 — generic registry-scenario runner
 BenchSpec workload();          // S2 — composable WorkloadSpec runner
 BenchSpec stream();            // S3 — streaming service mode (ring feed + snapshots)
-BenchSpec perf();              // P1 — engine throughput trajectory
 
 }  // namespace cr::benches

@@ -94,7 +94,7 @@ int run(int argc, const char* const* argv) {
                            {cd_contrast().id, cd_contrast().summary, cd_contrast().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 4);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024));
+  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 256));
 
   out << "E13: the collision-detection boundary (intro framing)\n"
       << "Batch of n, median completion/n ('>' = horizon-capped runs).\n"

@@ -31,7 +31,7 @@ int run(int argc, const char* const* argv) {
   // sub-second run (measured ~8x wall-clock at n<=2048), so the default
   // sweep now reaches 4x further than the generic engine used to afford.
   const int reps = driver.reps(8, 3);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 2048, 256));
+  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 2048, 256, 64));
 
   out << "E10: per-node channel accesses (energy) for the CJZ algorithm\n"
       << "Batch of n, preferred engine. Prediction: mean/p99 energy = O(log^2 n),\n"

@@ -42,7 +42,8 @@ int run(int argc, const char* const* argv) {
   const BenchDriver driver(argc, argv, {latency().id, latency().summary, latency().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
-  const int max_exp = static_cast<int>(driver.get_int("max_exp", 18, 16));
+  const int max_exp =
+      static_cast<int>(driver.get_int("max_exp", 18, 16, 1, BenchDriver::kMaxExponent));
 
   out << "E9 (Corollary 3.6): node latency under smooth adversaries\n"
       << "Paced arrivals 1/(8f), budget jamming 1/(8g). Latency = slots in system.\n\n";

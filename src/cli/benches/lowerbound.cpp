@@ -29,7 +29,8 @@ int run(int argc, const char* const* argv) {
                            {lowerbound().id, lowerbound().summary, lowerbound().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
-  const int max_exp = static_cast<int>(driver.get_int("max_exp", 20, 17));
+  const int max_exp =
+      static_cast<int>(driver.get_int("max_exp", 20, 17, 13, BenchDriver::kMaxExponent));
 
   out << "E6 (Thm 1.3 / Lemma 4.1): sends before first success vs the lower bound\n"
       << "Theorem 1.3 adversary (prefix + random jamming, one node), h-backoff node.\n"

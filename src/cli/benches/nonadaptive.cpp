@@ -64,7 +64,8 @@ int run(int argc, const char* const* argv) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(20, 8);
-  const int max_exp = static_cast<int>(driver.get_int("max_exp", 18, 16));
+  const int max_exp =
+      static_cast<int>(driver.get_int("max_exp", 18, 16, 14, BenchDriver::kMaxExponent));
 
   out << "E5 (Theorem 4.2): adaptive backoff vs non-adaptive sequences under prefix jam\n"
       << "Single node, slots [1, t/16] jammed. 'excess' = first success - prefix.\n\n";

@@ -84,8 +84,8 @@ int run(int argc, const char* const* argv) {
   const int reps = driver.reps(8, 3);
 
   ScenarioParams params;
-  params.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14));
-  params.n = static_cast<std::uint64_t>(driver.get_int("n", 256, 128));
+  params.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14, 1));
+  params.n = static_cast<std::uint64_t>(driver.get_int("n", 256, 128, 1));
   params.jam = driver.cli().get_double("jam", 0.25);
   params.rate = driver.cli().get_double("rate", 0.1);
   params.arrival_margin = driver.cli().get_double("arrival_margin", 4.0);

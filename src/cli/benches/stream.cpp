@@ -39,7 +39,7 @@ int run(int argc, const char* const* argv) {
   bool counts_ok = true;
   const auto count = [&](const char* name, std::int64_t full, std::int64_t quick,
                          std::int64_t min) {
-    const std::int64_t value = driver.get_int(name, full, quick);
+    const std::int64_t value = driver.cli().get_int(name, driver.quick() ? quick : full);
     if (value < min) {
       std::fprintf(stderr, "cr stream: --%s must be >= %lld (got %lld)\n", name,
                    static_cast<long long>(min), static_cast<long long>(value));

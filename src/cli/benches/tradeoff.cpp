@@ -72,7 +72,8 @@ int run(int argc, const char* const* argv) {
   const BenchDriver driver(argc, argv, {tradeoff().id, tradeoff().summary, tradeoff().flags});
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 3);
-  const int max_exp = static_cast<int>(driver.get_int("max_exp", 20, 16));
+  const int max_exp =
+      static_cast<int>(driver.get_int("max_exp", 20, 16, 14, BenchDriver::kMaxExponent));
   const int min_exp = 14;
 
   out << "E1 (Theorem 1.2): (f,g)-throughput ratio vs t across g regimes\n"

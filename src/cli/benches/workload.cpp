@@ -99,7 +99,7 @@ int run(int argc, const char* const* argv) {
   }
   WorkloadSpec spec = parsed.spec;
   if (!driver.cli().has("horizon"))
-    spec.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14));
+    spec.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14, 1));
 
   // One probe build names the composition for the narrative line; every
   // replication builds a fresh adversary (stateful, consumed per run).

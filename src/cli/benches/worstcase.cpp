@@ -29,7 +29,8 @@ int run(int argc, const char* const* argv) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(6, 3);
-  const int max_exp = static_cast<int>(driver.get_int("max_exp", 20, 17));
+  const int max_exp =
+      static_cast<int>(driver.get_int("max_exp", 20, 17, 14, BenchDriver::kMaxExponent));
 
   out << "E2: worst-case throughput under constant-fraction jamming\n"
       << "Prediction: successes*log2(t)/t flat in t and capped by a constant\n"

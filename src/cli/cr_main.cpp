@@ -2,8 +2,6 @@
 //
 //   cr list [--md]                     registry listing / docs/EXPERIMENTS.md
 //   cr bench <name> [flags…]           one experiment (cr bench <name> --help)
-//   cr perf [flags…]                   engine throughput snapshot (alias for
-//                                      `cr bench perf`)
 //   cr stream [flags…]                 streaming service mode (alias for
 //                                      `cr bench stream`)
 //   cr suite run <manifest> [flags…]   manifest-driven grid of cells
@@ -38,8 +36,6 @@ int usage(int exit_code) {
                "                                      (--md: emit docs/EXPERIMENTS.md)\n"
                "  cr bench <name> [flags...]          run one experiment\n"
                "                                      (cr bench <name> --help for flags)\n"
-               "  cr perf [flags...]                  engine throughput snapshot\n"
-               "                                      (alias for cr bench perf)\n"
                "  cr stream [flags...]                streaming service mode: ring-fed\n"
                "                                      arrivals, windowed JSONL, bit-exact\n"
                "                                      checkpoint/restore (alias for\n"
@@ -278,10 +274,6 @@ int main(int argc, char** argv) {
     }
     const std::vector<std::string> args(argv + 3, argv + argc);
     return cr::BenchRegistry::instance().run(argv[2], args);
-  }
-  if (cmd == "perf") {
-    const std::vector<std::string> args(argv + 2, argv + argc);
-    return cr::BenchRegistry::instance().run("perf", args);
   }
   if (cmd == "stream") {
     const std::vector<std::string> args(argv + 2, argv + argc);

@@ -195,8 +195,8 @@ std::string experiments_markdown() {
     os << "| " << spec.id << " | `cr bench " << spec.name << "` | " << md_cell(spec.claim)
        << " | " << flag_list(spec) << " | " << md_cell(spec.outcome) << " |\n";
   os << "| E11 | `bench_engine` (standalone) | — (engine performance) | google-benchmark args "
-        "| slots/second of each engine + hot RNG paths; built only when google-benchmark is "
-        "installed |\n"
+        "| hot RNG and backoff paths, cohort vs per-node scaling on a large batch, and "
+        "`fast_batch`; built only when google-benchmark is installed |\n"
      << "\n"
      << "E11 is the one non-`cr` experiment: a google-benchmark microbenchmark\n"
      << "with its own runner, built only when the library is present.\n"

@@ -31,9 +31,10 @@ struct CsvTable {
 
 /// Parses CSV text (RFC 4180: quoted fields, doubled quotes, embedded
 /// newlines; accepts both \n and \r\n row endings). The first record is the
-/// header. On malformed input (unterminated quote, text after a closing
-/// quote, a row whose field count differs from the header's) returns nullopt
-/// and sets *error to a message naming the offending 1-based line.
+/// header. On malformed input (no header, unterminated quote, text after a
+/// closing quote, a row whose field count differs from the header's)
+/// returns nullopt and sets *error to a message naming the offending 1-based
+/// line.
 std::optional<CsvTable> read_csv(std::string_view text, std::string* error);
 
 /// read_csv over a file's contents; the error message names the path.
@@ -51,7 +52,8 @@ struct NumericCell {
 /// Parses a numeric cell: plain doubles round-trip std::to_chars output
 /// bit-exactly, "mean±sd" splits on the UTF-8 ± sign, and a leading '>'
 /// sets `censored`. Returns nullopt (with *error describing the text) on
-/// anything else — empty cells and non-numeric text are errors, not zeros.
+/// anything else — empty cells, non-numeric text, "nan"/"inf" and a "±"
+/// with no spread after it are errors, not zeros.
 std::optional<NumericCell> parse_numeric_cell(std::string_view text, std::string* error);
 
 }  // namespace cr

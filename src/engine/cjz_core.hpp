@@ -44,6 +44,22 @@ struct CjzCoreMemoryStats {
   std::uint64_t node_bytes = 0;        ///< node_table_slots * sizeof(Node)
 };
 
+/// The work a core did, counted on every run with no clock, so the counts are
+/// bit-reproducible (tests/test_work_gate.cpp pins them). Not in SimResult:
+/// stepped/skipped legitimately differ between the plan path and the per-slot
+/// loop. Not serialized: a restored core counts from its restore.
+struct CjzCoreWork {
+  std::uint64_t slots_stepped = 0;    ///< step() calls that ran the full transition
+  std::uint64_t slots_silent = 0;     ///< step() calls the silent-slot short-circuit answered
+  std::uint64_t slots_skipped = 0;    ///< slots the plan path never stepped, tail included
+  std::uint64_t calendar_pushes = 0;  ///< events begin_stage scheduled
+  std::uint64_t calendar_stale = 0;   ///< stale events popped and dropped, or drained
+  std::uint64_t calendar_peak = 0;    ///< the calendar's largest size
+  std::uint64_t cohort_draws = 0;     ///< cohort binomial draws
+  std::uint64_t rng_words = 0;        ///< main + attribution stream words drawn
+  bool plan_path = false;             ///< the run took the plan path
+};
+
 /// One CJZ run's state and per-slot transition. One instance per run.
 class CjzCore {
  public:
@@ -74,12 +90,13 @@ class CjzCore {
     // members and no calendar event due. Such a slot cannot consume a draw
     // (cohort binomials need members, backoff sends need due events, stream
     // rebinding is a pure function of the slot), so only the counters move —
-    // this is the per-slot floor the quiescent-tail perf cells measure, and
-    // skipping straight to it keeps the scalar engines' empty-horizon
-    // throughput independent of how much inlining the busy path attracts.
+    // this is the per-slot floor of a quiescent tail, and skipping straight
+    // to it keeps the scalar engines' empty-horizon throughput independent
+    // of how much inlining the busy path attracts.
     if (live_ == 0 && action.inject == 0 && cohort_members_ == 0) {
       const slot_t due = calendar_.next_due_slot();
       if (due == 0 || due > slot) {
+        ++work_.slots_silent;
         const SlotOutcome out = resolve_slot(slot, 0, action.jam, kNoNode);
         if (trace_.storage() != Trace::Storage::kDisabled) trace_.record(out);
         if (config_.recording.wants_trace()) result_.slot_outcomes.push_back(out);
@@ -92,6 +109,7 @@ class CjzCore {
       }
     }
 
+    ++work_.slots_stepped;
     main_ = main_base_.stream(slot);
     attr_ = attr_base_.stream(slot);
     auto& rng = main_;
@@ -118,7 +136,10 @@ class CjzCore {
     backoff_senders_.clear();
     while (auto ev = calendar_.pop_due(slot)) {
       Node& n = nodes_[ev->node];
-      if (!n.alive || n.gen != ev->gen) continue;
+      if (!n.alive || n.gen != ev->gen) {
+        ++work_.calendar_stale;
+        continue;
+      }
       if (ev->kind == CalendarEvent::Kind::kStageBegin) {
         begin_stage(ev->node, n.stage + 1, rng);
       } else {
@@ -137,6 +158,7 @@ class CjzCore {
       if (m == 0) continue;
       CR_DCHECK(slot > cohort.l3);
       const double p = cjz_batch_prob(*fs_, cohort.l3, sp, sp == cohort.ctrl_parity, slot);
+      ++work_.cohort_draws;
       const std::uint64_t c = rng.binomial(m, p);
       if (c > 0) {
         senders += c;
@@ -209,6 +231,7 @@ class CjzCore {
       nodes_.release(winner_idx);
     }
 
+    work_.rng_words += main_.index() + attr_.index();
     result_.slots = slot;
     if (config_.stop_when_empty && result_.arrivals > 0 && live_ == 0) return true;
     if (config_.stop_after_first_success && result_.successes > 0) return true;
@@ -271,7 +294,9 @@ class CjzCore {
   /// to having stepped every slot (see Calendar::drain_below).
   void drain_stale_before(slot_t slot) {
     CR_DCHECK(live_ == 0);
+    const std::size_t before = calendar_.size();
     calendar_.drain_below(slot);
+    work_.calendar_stale += before - calendar_.size();
   }
 
   /// History counters an adversary reads through PublicHistory.
@@ -287,6 +312,9 @@ class CjzCore {
     s.node_bytes = s.node_table_slots * sizeof(Node);
     return s;
   }
+
+  /// Work counted so far (valid any time, including after finish()).
+  const CjzCoreWork& work() const { return work_; }
 
   /// Serialize the complete core state at a slot boundary — call only after
   /// step(k) returned and before step(k+1). The per-slot streams are rebound
@@ -649,12 +677,18 @@ class CjzCore {
     }
     for (const std::uint64_t off : offsets_scratch_) {
       const slot_t abs = n.from + 2 * (vstart + off);
-      if (abs <= config_.horizon)
-        calendar_.push({abs, CalendarEvent::Kind::kSend, idx, n.gen});
+      if (abs <= config_.horizon) schedule({abs, CalendarEvent::Kind::kSend, idx, n.gen});
     }
     const slot_t next_begin = n.from + 2 * ((len << 1) - 1);
     if (next_begin <= config_.horizon)
-      calendar_.push({next_begin, CalendarEvent::Kind::kStageBegin, idx, n.gen});
+      schedule({next_begin, CalendarEvent::Kind::kStageBegin, idx, n.gen});
+  }
+
+  /// calendar_.push, counted in work_.
+  void schedule(const CalendarEvent& ev) {
+    calendar_.push(ev);
+    ++work_.calendar_pushes;
+    work_.calendar_peak = std::max<std::uint64_t>(work_.calendar_peak, calendar_.size());
   }
 
   void handle_success(slot_t slot, CounterRng::Stream& rng) {
@@ -760,6 +794,7 @@ class CjzCore {
   /// O(1). Members enter in handle_success (the two phase-3 pushes) and leave
   /// only as a winning cohort draw; merges move them without changing the sum.
   std::uint64_t cohort_members_ = 0;
+  CjzCoreWork work_;
   static constexpr std::uint64_t kSendsMemo = 41;
   unsigned sends_memo_[kSendsMemo] = {};
   std::vector<std::uint64_t> offsets_scratch_;

@@ -18,7 +18,7 @@ SimResult FastCjzSimulator::run() {
   // per-slot trace or stop early; such runs keep the per-slot loop.
   const AdversaryPlan* plan = adversary_.plan();
   if (plan != nullptr && observer_ == nullptr && plan_path_allowed(config_))
-    return run_plan(fs_, options_, config_, *plan, &memory_stats_);
+    return run_plan(fs_, options_, config_, *plan, &memory_stats_, &work_);
 
   Rng rng_adv = Rng(config_.seed).fork(streams::kAdversary);
   CjzCore core(&fs_, config_, options_);
@@ -29,6 +29,7 @@ SimResult FastCjzSimulator::run() {
     if (core.step(slot, action, observer_)) break;
   }
   memory_stats_ = core.memory_stats();
+  work_ = core.work();
   return core.finish(observer_);
 }
 

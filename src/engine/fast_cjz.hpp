@@ -56,9 +56,11 @@ class FastCjzSimulator {
 
   /// Resident node-table footprint of the last run (valid after run()).
   /// With SimConfig::node_table == kSparse, node_table_slots tracks peak
-  /// live nodes instead of total arrivals — the memory cell in `cr perf`
-  /// reports both against the dense extrapolation (arrivals * sizeof(Node)).
+  /// live nodes instead of total arrivals.
   CjzCoreMemoryStats memory_stats() const { return memory_stats_; }
+
+  /// Work counts of the last run (valid after run()).
+  CjzCoreWork work() const { return work_; }
 
  private:
   FunctionSet fs_;
@@ -67,6 +69,7 @@ class FastCjzSimulator {
   CjzOptions options_;
   SlotObserver* observer_ = nullptr;
   CjzCoreMemoryStats memory_stats_;
+  CjzCoreWork work_;
 };
 
 /// Convenience one-shot runner.

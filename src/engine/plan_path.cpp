@@ -128,7 +128,7 @@ bool plan_path_allowed(const SimConfig& config) {
 }
 
 SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& config,
-                   const AdversaryPlan& plan, CjzCoreMemoryStats* memory) {
+                   const AdversaryPlan& plan, CjzCoreMemoryStats* memory, CjzCoreWork* work) {
   CR_CHECK(plan.valid && plan_path_allowed(config) && plan.horizon == config.horizon);
   const slot_t horizon = config.horizon;
   const std::uint64_t seed = config.seed;
@@ -192,6 +192,11 @@ SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& c
   if (live > 0) skipped_active += static_cast<std::uint64_t>(horizon - prev);
 
   if (memory != nullptr) *memory = core.memory_stats();
+  if (work != nullptr) {
+    *work = core.work();
+    work->slots_skipped = horizon - work->slots_stepped - work->slots_silent;
+    work->plan_path = true;
+  }
   SimResult res = core.finish(nullptr);
   // Fixups for the skipped slots: the run covers the whole horizon, every
   // live-but-silent slot was active, and the jam count is the bitmap's —

@@ -34,8 +34,10 @@ bool plan_path_allowed(const SimConfig& config);
 
 /// One seed (config.seed) of `plan` on the event-driven loop. `plan.valid`,
 /// plan_path_allowed(config) and plan.horizon == config.horizon must hold.
-/// `memory` (optional) receives the core's node-table footprint.
+/// `memory` and `work` (optional) receive the core's node-table footprint and
+/// its work counts, with slots_skipped and plan_path filled in.
 SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& config,
-                   const AdversaryPlan& plan, CjzCoreMemoryStats* memory = nullptr);
+                   const AdversaryPlan& plan, CjzCoreMemoryStats* memory = nullptr,
+                   CjzCoreWork* work = nullptr);
 
 }  // namespace cr

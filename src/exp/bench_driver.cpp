@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <streambuf>
 #include <thread>
@@ -18,6 +19,17 @@ namespace {
 int default_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+/// `value` of flag --`name` when it lies in [min, max]; otherwise names the
+/// flag and the bound on stderr and exits 2.
+std::int64_t in_range(const Cli& cli, const std::string& name, std::int64_t value,
+                      std::int64_t min, std::int64_t max) {
+  if (value >= min && value <= max) return value;
+  std::fprintf(stderr, "%s: --%s must be %s %lld, got %lld\n", cli.program().c_str(),
+               name.c_str(), value < min ? ">=" : "<=",
+               static_cast<long long>(value < min ? min : max), static_cast<long long>(value));
+  std::exit(2);
 }
 
 /// Discards everything written to it (--quiet).
@@ -65,22 +77,18 @@ BenchDriver::BenchDriver(int argc, const char* const* argv, BenchInfo info)
   quick_ = cli_.get_bool("quick", false);
   quiet_ = cli_.get_bool("quiet", false);
   out_ = quiet_ ? &null_stream() : &std::cout;
-  const auto threads = cli_.get_int("threads", default_threads());
-  if (threads < 1) {
-    std::fprintf(stderr, "%s: --threads must be >= 1, got %lld\n", cli_.program().c_str(),
-                 static_cast<long long>(threads));
-    std::exit(2);
-  }
-  threads_ = static_cast<int>(threads);
+  threads_ = static_cast<int>(in_range(cli_, "threads", cli_.get_int("threads", default_threads()),
+                                       1, std::numeric_limits<int>::max()));
 }
 
 int BenchDriver::reps(int full, int quick_def) const {
-  return static_cast<int>(cli_.get_int("reps", quick_ ? quick_def : full));
+  return static_cast<int>(get_int("reps", full, quick_def, 1, std::numeric_limits<int>::max()));
 }
 
 std::int64_t BenchDriver::get_int(const std::string& name, std::int64_t full,
-                                  std::int64_t quick_def) const {
-  return cli_.get_int(name, quick_ ? quick_def : full);
+                                  std::int64_t quick_def, std::int64_t min,
+                                  std::int64_t max) const {
+  return in_range(cli_, name, cli_.get_int(name, quick_ ? quick_def : full), min, max);
 }
 
 std::uint64_t BenchDriver::seed(std::uint64_t def) const {

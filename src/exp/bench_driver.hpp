@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,17 +87,24 @@ class BenchDriver {
   /// human-facing tables and commentary.
   std::ostream& out() const { return *out_; }
 
-  /// --reps, defaulting to `full` (or `quick_def` under --quick).
+  /// --reps, defaulting to `full` (or `quick_def` under --quick); at least 1.
   int reps(int full, int quick_def) const;
-  /// Any integer flag with quick-aware defaults.
-  std::int64_t get_int(const std::string& name, std::int64_t full,
-                       std::int64_t quick_def) const;
+  /// Any integer flag with quick-aware defaults, range-checked: a value
+  /// outside [min, max] prints "<program>: --<name> must be >= <min>, got
+  /// <value>" (or "<= <max>") to stderr and exits 2. A size flag's `min` is
+  /// the first size its sweep runs, so no value leaves the CSV header-only.
+  std::int64_t get_int(const std::string& name, std::int64_t full, std::int64_t quick_def,
+                       std::int64_t min,
+                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
+  /// The largest horizon exponent a bench accepts: slot_t{1} << 64 is
+  /// undefined.
+  static constexpr std::int64_t kMaxExponent = 62;
   /// --seed, defaulting to the bench's fixed base seed.
   std::uint64_t seed(std::uint64_t def) const;
   /// --csv=PATH; empty when not requested. Bare --csv selects `def`.
   std::string csv_path(const std::string& def) const;
 
-  /// Publish an output file the bench was asked for (--csv, perf's --json):
+  /// Publish an output file the bench was asked for (--csv):
   /// `emit` writes the bytes and write_file_atomic puts them at `path`, so a
   /// failed or short write never leaves a partial file there; out() notes
   /// the path. An empty `path` (not requested) writes nothing. Returns

@@ -1,0 +1,44 @@
+# Bench integer flags must be range-checked (driven by the
+# bench_count_flags CTest entry): a --reps below 1, a negative or zero size,
+# or a size below the first one the bench's sweep runs exits 2 with a
+# message naming the flag, instead of aborting on a CR_CHECK or an
+# exception, or writing a header-only CSV with exit 0.
+#
+# Expects -DCR=<cr binary> and -DOUT=<scratch dir for the --csv files>.
+if(NOT DEFINED CR OR NOT DEFINED OUT)
+  message(FATAL_ERROR "bench_count_flags.cmake: -DCR=... and -DOUT=... are required")
+endif()
+file(REMOVE_RECURSE "${OUT}")
+file(MAKE_DIRECTORY "${OUT}")
+
+# Each case: "<bench>|<flag>|<bad value>"; every run is --quick with a CSV.
+foreach(case
+    "worstcase|reps|0"
+    "worstcase|reps|-2"
+    "scenario|n|-1"
+    "scenario|horizon|0"
+    "worstcase|max_exp|10"
+    "energy|max_n|32"
+    "baselines|max_n|16")
+  string(REPLACE "|" ";" parts "${case}")
+  list(GET parts 0 bench)
+  list(GET parts 1 flag)
+  list(GET parts 2 value)
+  set(csv "${OUT}/${bench}_${flag}.csv")
+  execute_process(
+    COMMAND ${CR} bench ${bench} --quick --threads=1 --${flag}=${value} --csv=${csv}
+    TIMEOUT 60
+    RESULT_VARIABLE rc
+    OUTPUT_QUIET
+    ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "cr bench ${bench} --${flag}=${value} exited ${rc} (expected 2):\n${err}")
+  endif()
+  string(FIND "${err}" "cr bench ${bench}: --${flag} must be " at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "cr bench ${bench} --${flag}=${value} did not name the flag:\n${err}")
+  endif()
+  if(EXISTS "${csv}")
+    message(FATAL_ERROR "cr bench ${bench} --${flag}=${value} still wrote ${csv}")
+  endif()
+endforeach()

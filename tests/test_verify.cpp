@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -115,6 +117,68 @@ TEST(CsvRead, ParsesBenchNumericCellForms) {
   EXPECT_NE(error.find("n/a"), std::string::npos);
   EXPECT_FALSE(parse_numeric_cell("1.5\xC2\xB1x", &error));
   EXPECT_NE(error.find("spread"), std::string::npos);
+}
+
+TEST(CsvRead, RejectsNonFiniteCellsAndADanglingSpread) {
+  std::string error;
+  for (const char* text : {"nan", "NaN", "inf", "-inf", "infinity", ">inf",
+                           "nan\xC2\xB1" "0.1"}) {
+    EXPECT_FALSE(parse_numeric_cell(text, &error)) << text;
+    EXPECT_NE(error.find("not numeric"), std::string::npos) << text;
+  }
+  for (const char* text : {"1.0\xC2\xB1", ">1.0\xC2\xB1", "1.0\xC2\xB1nan",
+                           "1.0\xC2\xB1inf"}) {
+    EXPECT_FALSE(parse_numeric_cell(text, &error)) << text;
+    EXPECT_NE(error.find("bad \xC2\xB1 spread"), std::string::npos) << text;
+  }
+}
+
+TEST(CsvRead, MutatedQuickCsvsFailNamingALineOrRoundTrip) {
+  // Shaped like the quick suite's CSVs: mean±sd and censored cells, a
+  // quoted field with a comma and doubled quotes, a CRLF row ending.
+  const std::string seed_text =
+      "scenario,engine,horizon,successes,norm_succ,median\n"
+      "batch,fast_cjz,16384,256\xC2\xB1" "0,1.25\xC2\xB1" "0.011,>20.0\n"
+      "\"bursty, n=32\",generic,65536,1234.5,0.5,\"say \"\"hi\"\"\"\n"
+      "worst_case,fast_cjz,131072,3.5e-07,-2,18\r\n";
+  const std::string structural = ",\"\n\r";
+  std::mt19937_64 gen(0xC5Full);
+  int rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    std::string text = seed_text;
+    for (std::uint64_t edits = 1 + gen() % 3; edits > 0 && !text.empty(); --edits) {
+      const std::size_t at = gen() % text.size();
+      switch (gen() % 4) {
+        case 0:
+          text.resize(at);
+          break;
+        case 1:
+          text.erase(at, 1);
+          break;
+        case 2:
+          text.insert(at, 1, structural[gen() % structural.size()]);
+          break;
+        default:
+          text[at] = static_cast<char>(gen() % 256);
+      }
+    }
+    std::string error;
+    const auto table = read_csv(text, &error);
+    if (!table) {
+      ++rejected;
+      EXPECT_EQ(error.rfind("line ", 0), 0u) << error;
+      EXPECT_GE(std::atoi(error.c_str() + 5), 1) << error;
+      continue;
+    }
+    std::ostringstream os;
+    CsvWriter writer(os, table->header);
+    for (const auto& row : table->rows) writer.row(row);
+    const auto again = read_csv(os.str(), &error);
+    ASSERT_TRUE(again) << error << "\nfrom: " << text;
+    EXPECT_EQ(again->header, table->header) << text;
+    EXPECT_EQ(again->rows, table->rows) << text;
+  }
+  EXPECT_GT(rejected, 500);  // the mutations really do break many inputs
 }
 
 // ---------------------------------------------------------------------------
