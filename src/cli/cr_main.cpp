@@ -50,14 +50,8 @@ int usage(int exit_code) {
                "                     cells byte-identically instead of recomputing\n"
                "  cr suite expand <manifest> [--shard=i/n] [--quick] [--out=DIR]\n"
                "                                      print the cell plan, run nothing\n"
-               "  cr suite work <manifest> [flags...] cooperative worker: claim cells via\n"
-               "                                      atomic lease files so N concurrent\n"
-               "                                      workers drain one suite together\n"
-               "      --out=DIR --cache=DIR --quick --threads=N as for run\n"
-               "      --stale_after=SECS  treat foreign-host leases older than SECS as\n"
-               "                     dead (same-host dead PIDs are always reclaimed)\n"
                "  cr suite merge <manifest...> [--out=PATH]\n"
-               "                                      union shard/worker run manifests\n"
+               "                                      union shard run manifests\n"
                "                                      (matching config required; cell\n"
                "                                      checksum conflicts are hard errors)\n"
                "                                      into the manifest cr verify reads\n"
@@ -117,12 +111,8 @@ int run_list(int argc, const char* const* argv) {
 }
 
 int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
-  const bool is_work = sub == "work";
   const cr::Cli cli(argc, argv);
-  if (is_work)
-    cli.declare({"out", "quick", "threads", "cache", "stale_after"});
-  else
-    cli.declare({"out", "quick", "shard", "threads", "force", "cache"});
+  cli.declare({"out", "quick", "shard", "threads", "force", "cache"});
   cli.reject_unknown();
   cr::SuiteRunOptions opts;
   // Cli's `--name value` rule means a bare boolean written BEFORE the
@@ -140,7 +130,7 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
     return true;
   };
   opts.quick = take_bool("quick");
-  opts.force = !is_work && take_bool("force");
+  opts.force = take_bool("force");
   if (paths.size() != 1) {
     std::fprintf(stderr, "cr suite %s: exactly one manifest path is required\n", sub.c_str());
     return 2;
@@ -157,14 +147,6 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
   if (cli.has("threads") && opts.threads < 1) {
     std::fprintf(stderr, "cr suite %s: --threads must be >= 1\n", sub.c_str());
     return 2;
-  }
-  if (is_work) {
-    opts.stale_after_seconds = cli.get_double("stale_after", 0.0);
-    if (opts.stale_after_seconds < 0.0) {
-      std::fprintf(stderr, "cr suite work: --stale_after must be >= 0\n");
-      return 2;
-    }
-    return cr::run_worker(loaded.spec, opts, std::cout);
   }
   const std::string shard = cli.get_string("shard", "");
   if (!shard.empty() && !cr::parse_shard(shard, &opts.shard)) {
@@ -283,8 +265,8 @@ int main(int argc, char** argv) {
   if (cmd == "suite") {
     const std::string sub = argc >= 3 ? argv[2] : "";
     if (sub == "merge") return run_suite_merge_cmd(argc - 2, argv + 2);
-    if (sub != "run" && sub != "expand" && sub != "work") {
-      std::fprintf(stderr, "cr suite: expected \"run\", \"expand\", \"work\" or \"merge\"\n");
+    if (sub != "run" && sub != "expand") {
+      std::fprintf(stderr, "cr suite: expected \"run\", \"expand\" or \"merge\"\n");
       return 2;
     }
     return run_suite_cmd(sub, argc - 2, argv + 2);

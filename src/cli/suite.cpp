@@ -9,11 +9,9 @@
 #include <map>
 #include <ostream>
 #include <set>
-#include <thread>
 
 #include "cli/bench_registry.hpp"
 #include "common/file_io.hpp"
-#include "common/file_lock.hpp"
 #include "common/snapshot.hpp"
 #include "common/source_digest.hpp"
 #include "common/table.hpp"
@@ -69,8 +67,8 @@ bool scalar_flag_text(const JsonValue& value, std::string* out) {
   return false;
 }
 
-}  // namespace
-
+/// `text` with every byte outside [A-Za-z0-9._-] replaced by '_': cell ids,
+/// which become file names.
 std::string sanitize_for_path(const std::string& text) {
   std::string out;
   out.reserve(text.size());
@@ -81,6 +79,8 @@ std::string sanitize_for_path(const std::string& text) {
   }
   return out;
 }
+
+}  // namespace
 
 std::string git_head_sha(const std::string& dir) {
   if (dir.empty()) return "unknown";
@@ -139,15 +139,15 @@ int run_cell_isolated(const std::string& bench, const std::vector<std::string>& 
 }
 
 /// Execute one cell: consult the cache (when configured), otherwise run the
-/// bench in a forked child writing to a WORKER-UNIQUE scratch path
+/// bench in a forked child writing to a scratch path unique to this process
 /// (<csv>.tmp-<pid>-<random>). The CSV is then published with
-/// write_file_atomic — two workers racing the same out_dir can never observe
-/// each other's partial writes. A fresh result is stored back into the
-/// cache. A cache hit restores the CSV byte-identically to recomputation
-/// (determinism rule 9). Sets the cell's record in `manifest` (status "ok"
-/// computed, "hit" from the cache, or "failed"; seconds; csv_fnv, empty on
-/// failure). Returns a note when a cache entry was rejected or could not be
-/// restored or stored, "" otherwise.
+/// write_file_atomic — two runs sharing an out_dir can never observe each
+/// other's partial writes. A fresh result is stored back into the cache. A
+/// cache hit restores the CSV byte-identically to recomputation (determinism
+/// rule 9). Sets the cell's record in `manifest` (status "ok" computed, "hit"
+/// from the cache, or "failed"; seconds; csv_fnv, empty on failure). Returns
+/// a note when a cache entry was rejected or could not be restored or
+/// stored, "" otherwise.
 std::string run_cell(const SuiteCell& cell, const SuiteRunOptions& opts,
                      const std::string& outdir, CellCache* cache, RunManifest* manifest) {
   RunManifest::Cell* record = &manifest->cells[cell.index];
@@ -159,7 +159,7 @@ std::string run_cell(const SuiteCell& cell, const SuiteRunOptions& opts,
   };
 
   // Every CSV is published with write_file_atomic, so a concurrent reader (a
-  // peer worker, a resuming run) never sees a partial one.
+  // resuming run, another run on the same out_dir) never sees a partial one.
   std::string error;
   CellKey key;
   if (cache != nullptr) {
@@ -176,7 +176,7 @@ std::string run_cell(const SuiteCell& cell, const SuiteRunOptions& opts,
       note = "cannot restore " + csv_path + " from the cache (" + error + "); recomputing";
   }
 
-  // The bench writes a worker-unique scratch file: two workers running the
+  // The bench writes a process-unique scratch file: two runs computing the
   // same cell never write into each other's output.
   const std::string scratch_path = csv_path + ".tmp-" + unique_suffix();
   std::vector<std::string> args;
@@ -493,12 +493,9 @@ std::string suite_config_hash(const std::vector<SuiteCell>& cells) {
 
 namespace {
 
-/// Sleep between a worker's passes when live peers hold every open cell.
-constexpr auto kLeasePoll = std::chrono::milliseconds(50);
-
-/// The run manifest a run or worker starts from: header stamped now (git SHA
-/// of the suite's repo, config hash of `cells`), one record per cell,
-/// "pending" inside `shard` and "shard" outside it.
+/// The run manifest a run starts from: header stamped now (git SHA of the
+/// suite's repo, config hash of `cells`), one record per cell, "pending"
+/// inside `shard` and "shard" outside it.
 RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCell>& cells,
                                bool quick, const ShardSpec& shard) {
   RunManifest manifest;
@@ -516,43 +513,31 @@ RunManifest begin_run_manifest(const SuiteSpec& spec, const std::vector<SuiteCel
   return manifest;
 }
 
-/// The one cell loop behind `cr suite run`, `expand` and `work`. A run owns
-/// the cells of its static shard and finishes in one pass. A `leased` worker
-/// owns every cell, claims each through a lease in `<out>/.locks`, marks
-/// failures there as terminal, and passes again while peers hold open cells.
-int execute_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, bool leased,
-                  std::ostream& log) {
+}  // namespace
+
+/// The one cell loop behind `cr suite run` and `cr suite expand`: the cells
+/// of the run's static shard, in expansion order, in one pass.
+int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
   namespace fs = std::filesystem;
   const std::vector<SuiteCell> cells = expand_suite(spec);
   const std::string outdir = opts.output_dir.empty() ? spec.output_dir : opts.output_dir;
-  const std::string locks_dir = outdir + "/.locks";
-  const ShardSpec shard = leased ? ShardSpec{} : opts.shard;
-  const bool force = !leased && opts.force;
-  const bool dry_run = !leased && opts.dry_run;
+  const ShardSpec& shard = opts.shard;
   // Run manifest: provenance for the CSVs sitting next to it. Written once
   // up front (all owned cells "pending") so even a killed run leaves a
   // record of what configuration produced the outputs, and rewritten with
-  // final statuses at the end. Shards and workers write distinct manifests
-  // (the CSV set is the part that must be bit-identical to an unsharded run;
-  // manifests record each one's view). Each finished cell records its CSV
-  // checksum (csv_fnv) so resume and `cr suite merge` can validate outputs
-  // instead of trusting any same-named file.
+  // final statuses at the end. Shards write distinct manifests (the CSV set
+  // is the part that must be bit-identical to an unsharded run; manifests
+  // record each shard's view). Each finished cell records its CSV checksum
+  // (csv_fnv) so resume and `cr suite merge` can validate outputs instead
+  // of trusting any same-named file.
   RunManifest manifest = begin_run_manifest(spec, cells, opts.quick, shard);
-  std::string who = "suite " + spec.name;
+  const std::string who = "suite " + spec.name;
   std::string manifest_path = outdir + "/manifest.json";
   if (shard.count > 1)
     manifest_path = outdir + "/manifest." + std::to_string(shard.index) + "of" +
                     std::to_string(shard.count) + ".json";
-  if (leased) {
-    // `<host>-<pid>-<rand>`: unique across hosts, across concurrent
-    // processes, and across PID reuse within one run directory.
-    manifest.worker = sanitize_for_path(lease_hostname()) + "-" + unique_suffix();
-    who = "worker " + *manifest.worker;
-    manifest_path = outdir + "/manifest.work-" + *manifest.worker + ".json";
-  }
 
-  log << who << ": " << (leased ? "suite " + spec.name + ", " : "") << cells.size()
-      << " cells";
+  log << who << ": " << cells.size() << " cells";
   if (shard.count > 1) log << " (shard " << shard.index << "/" << shard.count << ")";
   log << " -> " << outdir << "  [config " << manifest.config_hash << "]\n";
 
@@ -567,159 +552,101 @@ int execute_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, bool lease
 
   PriorOutputs prior;
   std::error_code ec;
-  if (!dry_run) {
-    const std::string& dir = leased ? locks_dir : outdir;
-    fs::create_directories(dir, ec);
+  if (!opts.dry_run) {
+    fs::create_directories(outdir, ec);
     if (ec) {
-      log << who << ": cannot create " << dir << ": " << ec.message() << "\n";
+      log << who << ": cannot create " << outdir << ": " << ec.message() << "\n";
       return 1;
     }
-    // Stale-output guard: any manifest already in outdir (other workers'
-    // and shards' included) must be readable and describe the same
-    // expansion (config_hash) and the same --quick mode. Otherwise the CSVs
-    // sitting there came from a DIFFERENT (or an unknown) configuration —
-    // resuming over them would silently mix old and new results (and
-    // restamp the new config_hash over the old data). --force reruns every
-    // cell, so it may proceed regardless.
-    if (!force) {
+    // Stale-output guard: any manifest already in outdir (other shards'
+    // included) must be readable and describe the same expansion
+    // (config_hash) and the same --quick mode. Otherwise the CSVs sitting
+    // there came from a DIFFERENT (or an unknown) configuration — resuming
+    // over them would silently mix old and new results (and restamp the new
+    // config_hash over the old data). --force reruns every cell, so it may
+    // proceed regardless.
+    if (!opts.force) {
       prior = scan_prior_outputs(outdir, manifest.config_hash, opts.quick);
       if (!prior.compatible) {
         log << who << ": " << prior.message
-            << (leased ? " — refusing to work over stale outputs; use a fresh --out\n"
-                       : " — refusing to resume over stale outputs; rerun with --force or a "
-                         "fresh --out\n");
+            << " — refusing to resume over stale outputs; rerun with --force or a fresh --out\n";
         return 1;
       }
     }
     if (!publish_manifest(0.0)) return 1;
   }
   CellCache cache(opts.cache_dir);
-  CellCache* const cell_cache = opts.cache_dir.empty() || dry_run ? nullptr : &cache;
+  CellCache* const cell_cache = opts.cache_dir.empty() || opts.dry_run ? nullptr : &cache;
 
   const auto suite_t0 = std::chrono::steady_clock::now();
-  std::size_t ran = 0, resumed = 0, hits = 0, failures = 0, peer_failures = 0;
+  std::size_t ran = 0, resumed = 0, hits = 0, failures = 0;
   const auto progress = [&](const SuiteCell& cell) -> std::ostream& {
     return log << "  [" << cell.index + 1 << "/" << cells.size() << "] " << cell.id << ": ";
   };
 
-  // A run finishes in one pass: only a lease a live peer holds keeps a
-  // cell open for another.
-  for (bool open = true; open;) {
-    open = false;
-    bool progressed = false;
-    for (const SuiteCell& cell : cells) {
-      RunManifest::Cell& outcome = manifest.cells[cell.index];
-      if (outcome.status != "pending") continue;
-      const std::string csv_path = outdir + "/" + cell.id + ".csv";
+  for (const SuiteCell& cell : cells) {
+    RunManifest::Cell& outcome = manifest.cells[cell.index];
+    if (outcome.status != "pending") continue;
+    const std::string csv_path = outdir + "/" + cell.id + ".csv";
 
-      if (dry_run) {
-        outcome.status = "planned";
-        progress(cell) << cell.bench;
-        for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
-        if (cell.has_seed) log << " --seed=" << cell.seed;
-        if (opts.quick) log << " --quick";
-        if (opts.threads > 0) log << " --threads=" << opts.threads;
-        log << " --quiet --csv=" << csv_path << "\n";
-        continue;
-      }
-
-      // Resume: do not trust a same-named CSV blindly. When a prior manifest
-      // recorded this cell's checksum, the bytes on disk must still match
-      // it — a truncated or hand-edited file reruns instead of poisoning the
-      // result set. CSVs appear only via atomic rename, so one no manifest
-      // vouches for yet (a killed run's, a live peer's) is complete.
-      bool bad_csv = false;
-      if (!force && fs::exists(csv_path, ec)) {
-        const std::string on_disk = file_fnv16(csv_path);
-        const auto recorded = prior.cell_csv_fnv.find(cell.id);
-        if (!on_disk.empty() &&
-            (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk)) {
-          outcome.status = leased ? "peer" : "cached";
-          outcome.csv_fnv = on_disk;
-          ++resumed;
-          progressed = true;
-          progress(cell) << outcome.status << "\n";
-          continue;
-        }
-        bad_csv = true;
-      }
-
-      const std::string lease_path = locks_dir + "/" + cell.id + ".lease";
-      const std::string failed_path = locks_dir + "/" + cell.id + ".failed";
-      if (leased && fs::exists(failed_path, ec)) {
-        outcome.status = "failed";
-        ++peer_failures;
-        progressed = true;
-        continue;
-      }
-      if (leased && !lease_try_acquire(lease_path, cell.id)) {
-        // Held by someone. A dead holder's lease is taken over (unlinked);
-        // the re-acquire happens on a later pass so a racing taker cannot
-        // make us both think we won.
-        if (lease_is_stale(lease_path, opts.stale_after_seconds)) {
-          log << who << ": taking over stale lease for " << cell.id << "\n";
-          lease_release(lease_path);
-          progressed = true;
-        }
-        open = true;
-        continue;
-      }
-
-      if (bad_csv) {
-        progress(cell) << "existing CSV fails its recorded checksum — rerunning\n";
-        fs::remove(csv_path, ec);
-      }
-      const std::string note = run_cell(cell, opts, outdir, cell_cache, &manifest);
-      if (!note.empty()) log << "  [cache] " << note << "\n";
-      if (outcome.status == "failed") {
-        ++failures;
-      } else if (outcome.status == "hit") {
-        ++hits;
-      } else {
-        ++ran;
-      }
-      if (leased) {
-        // Mark the cell terminally failed BEFORE releasing the lease, so no
-        // other worker squeezes in and retries a deterministic error.
-        std::string error;
-        if (outcome.status == "failed" &&
-            !write_file_atomic(failed_path, who + "\n", &error))
-          log << who << ": cannot write " << failed_path << ": " << error << "\n";
-        lease_release(lease_path);
-      }
-      progressed = true;
-      progress(cell) << outcome.status << " (" << format_double(outcome.seconds, 2) << "s)\n";
+    if (opts.dry_run) {
+      outcome.status = "planned";
+      progress(cell) << cell.bench;
+      for (const auto& [key, value] : cell.flags) log << " --" << key << "=" << value;
+      if (cell.has_seed) log << " --seed=" << cell.seed;
+      if (opts.quick) log << " --quick";
+      if (opts.threads > 0) log << " --threads=" << opts.threads;
+      log << " --quiet --csv=" << csv_path << "\n";
+      continue;
     }
-    if (open && !progressed) std::this_thread::sleep_for(kLeasePoll);
+
+    // Resume: do not trust a same-named CSV blindly. When a prior manifest
+    // recorded this cell's checksum, the bytes on disk must still match
+    // it — a truncated or hand-edited file reruns instead of poisoning the
+    // result set. CSVs appear only via atomic rename, so one no manifest
+    // vouches for yet (a killed run's) is complete.
+    if (!opts.force && fs::exists(csv_path, ec)) {
+      const std::string on_disk = file_fnv16(csv_path);
+      const auto recorded = prior.cell_csv_fnv.find(cell.id);
+      if (!on_disk.empty() &&
+          (recorded == prior.cell_csv_fnv.end() || recorded->second == on_disk)) {
+        outcome.status = "cached";
+        outcome.csv_fnv = on_disk;
+        ++resumed;
+        progress(cell) << outcome.status << "\n";
+        continue;
+      }
+      progress(cell) << "existing CSV fails its recorded checksum — rerunning\n";
+      fs::remove(csv_path, ec);
+    }
+
+    const std::string note = run_cell(cell, opts, outdir, cell_cache, &manifest);
+    if (!note.empty()) log << "  [cache] " << note << "\n";
+    if (outcome.status == "failed") {
+      ++failures;
+    } else if (outcome.status == "hit") {
+      ++hits;
+    } else {
+      ++ran;
+    }
+    progress(cell) << outcome.status << " (" << format_double(outcome.seconds, 2) << "s)\n";
   }
 
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_t0).count();
-  if (dry_run) {
+  if (opts.dry_run) {
     log << "dry run: nothing executed\n";
     return 0;
   }
   const bool recorded = publish_manifest(wall);
 
-  log << who << ": " << ran << " ran, ";
-  if (!leased) log << resumed << " cached, ";
-  log << hits << " cache hits, " << failures + peer_failures << " failed";
-  if (leased) log << " (" << failures << " own)";
-  log << " in " << format_double(wall, 2) << "s; manifest " << manifest_path << "\n";
+  log << who << ": " << ran << " ran, " << resumed << " cached, " << hits << " cache hits, "
+      << failures << " failed in " << format_double(wall, 2) << "s; manifest " << manifest_path
+      << "\n";
   if (cell_cache != nullptr)
     log << "cache " << opts.cache_dir << ": " << hits << " hits, " << ran + failures
         << " misses\n";
-  return failures + peer_failures == 0 && recorded ? 0 : 1;
-}
-
-}  // namespace
-
-int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
-  return execute_suite(spec, opts, false, log);
-}
-
-int run_worker(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log) {
-  return execute_suite(spec, opts, true, log);
+  return failures == 0 && recorded ? 0 : 1;
 }
 
 }  // namespace cr

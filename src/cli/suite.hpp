@@ -26,20 +26,17 @@
 /// CR_CHECK) is recorded as "failed" and the remaining cells still run —
 /// fanning the cell's replications across the PR-2 thread pool.
 ///
-/// One cell loop serves `cr suite run`, `cr suite expand` (its plan, run
-/// dry) and `cr suite work`; they differ only in how a cell becomes theirs
-/// to run. A run owns the cells of its static shard; a worker claims each
-/// cell through a lease file (see run_worker). Properties the tests pin
-/// down:
+/// One cell loop serves `cr suite run` and `cr suite expand` (its plan, run
+/// dry). Properties the tests pin down:
 ///
 ///   * deterministic sharding — `--shard i/n` partitions cells by
 ///     expansion index (index % n == i-1): the n shards are disjoint, cover
 ///     every cell, and together produce byte-identical CSVs to an unsharded
-///     run;
-///   * resume — a cell whose output CSV already exists is skipped ("cached"
-///     in a run, "peer" in a worker) unless a prior manifest recorded a
-///     different checksum for it, so a killed run continues where it left
-///     off and a completed run is a fast no-op (--force reruns everything);
+///     run; `cr suite merge` (dist/merge.hpp) unions their manifests;
+///   * resume — a cell whose output CSV already exists is skipped
+///     ("cached") unless a prior manifest recorded a different checksum for
+///     it, so a killed run continues where it left off and a completed run
+///     is a fast no-op (--force reruns everything);
 ///   * provenance — a run manifest (dist/run_manifest.hpp) is written
 ///     next to the CSVs with the git SHA, a config hash over the FULL
 ///     expansion (shard-independent, so shards of the same suite can be
@@ -125,45 +122,19 @@ bool parse_shard(const std::string& text, ShardSpec* out);
 bool cell_in_shard(std::size_t cell_index, const ShardSpec& shard);
 
 struct SuiteRunOptions {
-  std::string output_dir;  ///< override; empty = spec's default
-  bool quick = false;      ///< append --quick to every cell
-  ShardSpec shard;         ///< run only
-  bool force = false;          ///< run only: rerun cells whose CSV already exists
-  std::int64_t threads = 0;    ///< per-cell --threads; 0 = bench default (all cores)
-  bool dry_run = false;        ///< run only: print the plan, run nothing, write nothing
-  std::string cache_dir;       ///< CellCache directory; empty = no cache
-  /// Worker only: foreign-host leases older than this many seconds are stale
-  /// (0 = never; same-host staleness is always detected via dead PIDs).
-  double stale_after_seconds = 0.0;
+  std::string output_dir;    ///< override; empty = spec's default
+  bool quick = false;        ///< append --quick to every cell
+  ShardSpec shard;           ///< run only this shard's cells
+  bool force = false;        ///< rerun cells whose CSV already exists
+  std::int64_t threads = 0;  ///< per-cell --threads; 0 = bench default (all cores)
+  bool dry_run = false;      ///< print the plan, run nothing, write nothing
+  std::string cache_dir;     ///< CellCache directory; empty = no cache
 };
 
 /// Execute (or, with dry_run, print) the suite. Progress goes to `log`.
 /// Returns 0 when every cell succeeded, 1 when any failed or the output
 /// directory cannot be created or holds incompatible prior outputs.
 int run_suite(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log);
-
-/// `cr suite work`: the cooperative entry into the same cell loop. N workers
-/// — processes on one machine, ssh hosts on a shared mount, or CI matrix
-/// jobs — point at the SAME manifest, output directory and (optionally)
-/// CellCache, and drain the suite together with no coordinator:
-///
-///   1. a cell whose CSV exists, and matches any checksum a prior manifest
-///      recorded for it, is someone's finished work ("peer");
-///   2. otherwise a worker claims `<out>/.locks/<cell id>.lease` via atomic
-///      O_CREAT|O_EXCL (common/file_lock) and runs the cell as `cr suite
-///      run` would. Exactly one worker wins, so no cell is computed twice
-///      concurrently, and only the lease holder replaces a bad CSV;
-///   3. a lease whose holder died (same-host dead PID, or — opt-in — an
-///      mtime older than stale_after_seconds on any host) is taken over, so
-///      a SIGKILLed worker costs one cell of rework, never a wedged suite;
-///   4. a cell that FAILS writes `<out>/.locks/<cell id>.failed`, so other
-///      workers record the failure instead of retrying it forever.
-///
-/// Each worker exits once every cell is terminal, writing its own
-/// `manifest.work-<host>-<pid>-<rand>.json` for `cr suite merge` to union
-/// into the manifest `cr verify` reads. shard, force and dry_run are
-/// ignored. Returns as run_suite does, counting peers' failures too.
-int run_worker(const SuiteSpec& spec, const SuiteRunOptions& opts, std::ostream& log);
 
 /// What an output directory already contains, per its manifest*.json files.
 struct PriorOutputs {
@@ -190,10 +161,6 @@ std::string file_fnv16(const std::string& path);
 /// shard-independent, hex-formatted. Stored in the run manifest so outputs
 /// can be matched to the exact suite configuration that produced them.
 std::string suite_config_hash(const std::vector<SuiteCell>& cells);
-
-/// `text` with every byte outside [A-Za-z0-9._-] replaced by '_': cell ids
-/// and worker tokens, which become file names.
-std::string sanitize_for_path(const std::string& text);
 
 /// Short SHA of the git repository containing `dir` (via `git -C`), or
 /// "unknown" outside a repo / when `dir` is empty. Run manifests record the

@@ -48,7 +48,7 @@ bool write_file_atomic(const std::string& path, std::string_view bytes, std::str
 }
 
 std::string unique_suffix() {
-  // A fresh generator per call, never a process-wide one: forked workers
+  // A fresh generator per call, never a process-wide one: forked processes
   // would otherwise inherit the same state and draw the same value.
   std::mt19937_64 gen(std::random_device{}() ^ (static_cast<std::uint64_t>(::getpid()) << 32) ^
                       static_cast<std::uint64_t>(

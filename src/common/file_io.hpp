@@ -22,8 +22,8 @@ bool read_file(const std::string& path, std::string* out);
 bool write_file_atomic(const std::string& path, std::string_view bytes, std::string* error);
 
 /// `<pid>-<8 hex>`, freshly seeded on every call: unique across concurrent
-/// processes (forked ones too) and PID reuse. It names tmp files, CellCache
-/// tmp dirs and, after the hostname, `cr suite work` workers.
+/// processes (forked ones too) and PID reuse. It names tmp files and
+/// CellCache tmp dirs.
 std::string unique_suffix();
 
 /// The current UTC time as `YYYY-MM-DDTHH:MM:SSZ`, which sorts as a string.

@@ -8,7 +8,7 @@
 ///
 ///   * it is exact — any code change that can change behaviour changes the
 ///     binary, including uncommitted edits a git-SHA digest would miss;
-///   * it needs no VCS at run time, so workers on a bare CI image or an
+///   * it needs no VCS at run time, so runs on a bare CI image or an
 ///     ssh host with only the binary still key the cache correctly;
 ///   * it is conservative — a rebuild that happens to produce different
 ///     bytes (new compiler, flags) misses the cache instead of serving

@@ -80,9 +80,10 @@ class CellCache {
 
   /// Store a finished cell's CSV bytes under `key`. `git_sha` and `seconds`
   /// are audit metadata (where the bytes came from, what they cost to
-  /// compute). Losing a race to another worker storing the same key is a
-  /// success (the entries are byte-identical by rule 9). Returns false only
-  /// on I/O failure, with a message in `*error`.
+  /// compute). Losing a race to another process storing the same key (two
+  /// runs, say two shards, sharing one cache) is a success (the entries are
+  /// byte-identical by rule 9). Returns false only on I/O failure, with a
+  /// message in `*error`.
   bool store(const CellKey& key, const std::string& csv, const std::string& git_sha,
              double seconds, std::string* error) const;
 

@@ -16,7 +16,7 @@ namespace fs = std::filesystem;
 namespace {
 
 bool is_success_status(const std::string& status) {
-  return status == "ok" || status == "hit" || status == "cached" || status == "peer";
+  return status == "ok" || status == "hit" || status == "cached";
 }
 
 }  // namespace
@@ -77,11 +77,12 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
       !opts.out_path.empty()
           ? opts.out_path
           : (fs::path(paths[0]).parent_path() / "manifest.json").string();
-  const std::string out_dir = fs::path(out_path).parent_path().string();
+  // Empty for a bare file name: the CSVs are then in the current directory.
+  const fs::path out_dir = fs::path(out_path).parent_path();
 
   // Union cell by cell, in the first manifest's (= expansion) order.
   struct Merged {
-    const RunManifest::Cell* winner = nullptr;  ///< first non-peer success, else peer
+    const RunManifest::Cell* winner = nullptr;  ///< the first success
     bool any_failed = false;
   };
   std::map<std::string, Merged> merged;
@@ -93,19 +94,13 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
       if (!is_success_status(cell.status)) continue;
       if (slot.winner == nullptr) {
         slot.winner = &cell;
-        continue;
-      }
-      if (slot.winner->csv_fnv != cell.csv_fnv) {
+      } else if (slot.winner->csv_fnv != cell.csv_fnv) {
         log << "cr suite merge: CONFLICT on cell \"" << cell.id << "\": csv_fnv "
             << slot.winner->csv_fnv << " vs " << cell.csv_fnv
             << " — two manifests claim different bytes for the same cell (rule 9 "
                "violation: mismatched binaries or corrupted outputs)\n";
         ++conflicts;
-        continue;
       }
-      // Prefer the producer's record ("ok"/"hit"/"cached") over an
-      // observer's ("peer"): it carries the true compute time.
-      if (slot.winner->status == "peer" && cell.status != "peer") slot.winner = &cell;
     }
   }
   if (conflicts > 0) return 1;
@@ -116,7 +111,7 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
     if (slot.winner != nullptr) {
       ++ok;
       if (opts.check_files) {
-        const std::string on_disk = file_fnv16(out_dir + "/" + cell.id + ".csv");
+        const std::string on_disk = file_fnv16((out_dir / (cell.id + ".csv")).string());
         if (on_disk != slot.winner->csv_fnv) {
           log << "cr suite merge: cell \"" << cell.id << "\": CSV on disk "
               << (on_disk.empty() ? "is missing" : "hashes to " + on_disk)
@@ -146,7 +141,6 @@ int merge_manifests(const MergeOptions& opts, std::ostream& log) {
   // cell's winning record, shard "1/1", summed wall time, the earliest start
   // and latest finish, and the inputs it came from.
   RunManifest out = first;
-  out.worker.reset();
   out.shard = "1/1";
   out.wall_seconds = 0.0;
   out.merged_from.emplace();

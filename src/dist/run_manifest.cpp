@@ -69,7 +69,6 @@ std::string RunManifest::to_json() const {
   std::string out = "{\n";
   out += "  \"suite\": " + json_quote(suite) + ",\n";
   out += "  \"description\": " + json_quote(description) + ",\n";
-  if (worker) out += "  \"worker\": " + json_quote(*worker) + ",\n";
   out += "  \"git_sha\": " + json_quote(git_sha) + ",\n";
   out += "  \"config_hash\": " + json_quote(config_hash) + ",\n";
   out += "  \"shard\": " + json_quote(shard) + ",\n";
@@ -108,7 +107,6 @@ ManifestParse RunManifest::parse(const std::string& text) {
   Fields top{*json.value, "", &out.error};
   top.text("suite", &m.suite, true);
   top.text("description", &m.description);
-  if (json.value->find("worker") != nullptr) top.text("worker", &m.worker.emplace());
   top.text("git_sha", &m.git_sha);
   top.text("config_hash", &m.config_hash, true);
   top.text("shard", &m.shard);

@@ -5,9 +5,9 @@
 #   1. cold `cr suite run --cache` populates the CellCache;
 #   2. a warm run into a FRESH output dir must be 100% cache hits and
 #      byte-identical (determinism rule 9);
-#   3. two sequential `cr suite work` workers drain a third dir (the second
-#      observes only peer results), `cr suite merge` unions their manifests,
-#      and the worker CSVs byte-match the suite-run CSVs;
+#   3. `--shard=1/2` and `--shard=2/2` fill a third dir, `cr suite merge
+#      manifest.1of2.json manifest.2of2.json` run INSIDE that dir unions
+#      their manifests, and the shard CSVs byte-match the suite-run CSVs;
 #   4. `cr cache stats` still sees a clean cache.
 #
 # Expects -DCR=<cr binary> -DMANIFEST=<suites/dist_smoke.json> -DOUT=<dir>.
@@ -46,32 +46,34 @@ foreach(csv IN LISTS cold_csvs)
   endif()
 endforeach()
 
-# Workers compute WITHOUT the cache so the lease/claim path really executes
-# cells rather than restoring them.
-run_cr(0 w1_log suite work ${MANIFEST} --out=${OUT}/work --threads=2)
-if(NOT w1_log MATCHES "2 ran, 0 cache hits, 0 failed")
-  message(FATAL_ERROR "first worker did not drain the suite:\n${w1_log}")
+# Shards compute WITHOUT the cache so their cells really execute rather
+# than being restored.
+run_cr(0 s1_log suite run ${MANIFEST} --out=${OUT}/sharded --shard=1/2 --threads=2)
+if(NOT s1_log MATCHES "1 ran, 0 cached, 0 cache hits, 0 failed")
+  message(FATAL_ERROR "shard 1/2 did not run its cell:\n${s1_log}")
 endif()
-run_cr(0 w2_log suite work ${MANIFEST} --out=${OUT}/work --threads=2)
-if(NOT w2_log MATCHES "0 ran, 0 cache hits, 0 failed")
-  message(FATAL_ERROR "second worker should have found only peer results:\n${w2_log}")
+run_cr(0 s2_log suite run ${MANIFEST} --out=${OUT}/sharded --shard=2/2 --threads=2)
+if(NOT s2_log MATCHES "1 ran, 0 cached, 0 cache hits, 0 failed")
+  message(FATAL_ERROR "shard 2/2 did not run its cell:\n${s2_log}")
 endif()
 
-file(GLOB worker_manifests ${OUT}/work/manifest.work-*.json)
-list(LENGTH worker_manifests n_manifests)
-if(NOT n_manifests EQUAL 2)
-  message(FATAL_ERROR "expected 2 worker manifests, found ${n_manifests}")
+# Merge by bare file names from inside the directory: the merged manifest
+# and the CSVs it re-hashes are then relative to the current directory.
+execute_process(COMMAND ${CR} suite merge manifest.1of2.json manifest.2of2.json
+  WORKING_DIRECTORY ${OUT}/sharded
+  RESULT_VARIABLE rc OUTPUT_VARIABLE merge_log ERROR_VARIABLE merge_log)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "cr suite merge inside ${OUT}/sharded exited ${rc}:\n${merge_log}")
 endif()
-run_cr(0 merge_log suite merge ${worker_manifests})
-if(NOT EXISTS ${OUT}/work/manifest.json)
-  message(FATAL_ERROR "merge did not write ${OUT}/work/manifest.json:\n${merge_log}")
+if(NOT EXISTS ${OUT}/sharded/manifest.json)
+  message(FATAL_ERROR "merge did not write ${OUT}/sharded/manifest.json:\n${merge_log}")
 endif()
 
 foreach(csv IN LISTS cold_csvs)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
-    ${OUT}/cold/${csv} ${OUT}/work/${csv} RESULT_VARIABLE diff)
+    ${OUT}/cold/${csv} ${OUT}/sharded/${csv} RESULT_VARIABLE diff)
   if(NOT diff EQUAL 0)
-    message(FATAL_ERROR "worker output for ${csv} differs from the suite run")
+    message(FATAL_ERROR "shard output for ${csv} differs from the suite run")
   endif()
 endforeach()
 

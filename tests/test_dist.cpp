@@ -1,16 +1,13 @@
-// Tests for the distributed execution fabric (src/dist + common/file_lock +
-// common/source_digest): CellCache hit/miss/corruption semantics, the
-// O_EXCL lease protocol with dead-holder takeover, `cr suite merge`'s strict
-// union rules, the cold/warm cache contract of run_suite (determinism rule
-// 9: a hit is byte-identical to recomputation), and a fork-based
-// multi-worker integration run whose merged output must equal a
+// Tests for the distributed execution fabric (src/dist +
+// common/source_digest): CellCache hit/miss/corruption semantics, `cr suite
+// merge`'s strict union rules, the cold/warm cache contract of run_suite
+// (determinism rule 9: a hit is byte-identical to recomputation), and two
+// real `--shard` runs whose merged manifest must vouch for CSVs equal to a
 // single-process run byte for byte.
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -19,7 +16,6 @@
 #include <vector>
 
 #include "cli/suite.hpp"
-#include "common/file_lock.hpp"
 #include "common/json.hpp"
 #include "common/source_digest.hpp"
 #include "dist/cell_cache.hpp"
@@ -205,68 +201,6 @@ TEST_F(CellCacheTest, StatsAndGcEvictOldestPastBudgetAndPurgeJunk) {
 }
 
 // ---------------------------------------------------------------------------
-// Lease files
-
-class FileLockTest : public ::testing::Test {
- protected:
-  void SetUp() override { dir_ = fresh_dir("lock"); }
-  void TearDown() override { fs::remove_all(dir_); }
-  fs::path dir_;
-};
-
-TEST_F(FileLockTest, AcquireIsExclusiveUntilReleased) {
-  const std::string path = (dir_ / "c.lease").string();
-  ASSERT_TRUE(lease_try_acquire(path, "c"));
-  EXPECT_FALSE(lease_try_acquire(path, "c"));  // second claimant loses
-  LeaseInfo info;
-  ASSERT_TRUE(lease_read(path, &info));
-  EXPECT_EQ(info.pid, ::getpid());
-  EXPECT_EQ(info.host, lease_hostname());
-  EXPECT_EQ(info.name, "c");
-  // We are alive, so our own lease is never stale — at any age threshold.
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-  EXPECT_FALSE(lease_is_stale(path, 0.001));
-  lease_release(path);
-  EXPECT_TRUE(lease_try_acquire(path, "c"));
-}
-
-TEST_F(FileLockTest, DeadHolderLeaseIsStale) {
-  const std::string path = (dir_ / "c.lease").string();
-  // A real dead holder: the child acquires the lease and exits; after
-  // waitpid its PID refers to no process (modulo reuse, negligible in-test).
-  const pid_t child = fork();
-  ASSERT_GE(child, 0);
-  if (child == 0) std::_Exit(lease_try_acquire(path, "c") ? 0 : 1);
-  int status = 0;
-  ASSERT_EQ(::waitpid(child, &status, 0), child);
-  ASSERT_EQ(status, 0);
-  EXPECT_TRUE(lease_is_stale(path, 0.0));
-  // Takeover: unlink, then a fresh acquire wins.
-  lease_release(path);
-  EXPECT_TRUE(lease_try_acquire(path, "c"));
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-}
-
-TEST_F(FileLockTest, MalformedLeaseIsStaleAndMissingLeaseIsNot) {
-  const std::string path = (dir_ / "c.lease").string();
-  spit(path, "garbage with no pid line\n");
-  EXPECT_TRUE(lease_is_stale(path, 0.0));
-  fs::remove(path);
-  EXPECT_FALSE(lease_is_stale(path, 0.0));  // nothing to take over
-}
-
-TEST_F(FileLockTest, ForeignHostLeaseNeedsExplicitAgeOptIn) {
-  const std::string path = (dir_ / "c.lease").string();
-  spit(path, "pid 1\nhost not-" + lease_hostname() + "\nname c\nstarted_utc t\n");
-  fs::last_write_time(path, fs::file_time_type::clock::now() - std::chrono::hours(2));
-  // PID liveness means nothing across hosts: without the age opt-in the
-  // lease must be presumed held.
-  EXPECT_FALSE(lease_is_stale(path, 0.0));
-  EXPECT_TRUE(lease_is_stale(path, 3600.0));        // 2h old > 1h threshold
-  EXPECT_FALSE(lease_is_stale(path, 3 * 3600.0));   // 2h old < 3h threshold
-}
-
-// ---------------------------------------------------------------------------
 // `cr version --json` round-trip
 
 TEST(SourceDigest, IsStableSixteenHex) {
@@ -287,7 +221,7 @@ TEST(VersionJson, RoundTripsThroughTheJsonReader) {
 }
 
 // ---------------------------------------------------------------------------
-// run_suite × CellCache, and the multi-worker fabric
+// run_suite × CellCache, and merged shards
 
 /// Two-cell suite (same shape as test_suite's fixture) plus a cache dir.
 class DistRunTest : public ::testing::Test {
@@ -325,39 +259,6 @@ class DistRunTest : public ::testing::Test {
       if (entry.path().extension() == ".csv")
         found[entry.path().filename().string()] = slurp(entry.path());
     return found;
-  }
-
-  std::vector<std::string> worker_manifests(const fs::path& dir) const {
-    std::vector<std::string> paths;
-    for (const auto& entry : fs::directory_iterator(dir))
-      if (entry.path().filename().string().rfind("manifest.work-", 0) == 0)
-        paths.push_back(entry.path().string());
-    return paths;
-  }
-
-  /// Fork `n` workers, all draining `out`; returns their exit codes.
-  std::vector<int> run_workers(int n, const fs::path& out, double stale_after = 0.0) const {
-    SuiteRunOptions opts;
-    opts.output_dir = out.string();
-    opts.cache_dir = "";  // force real computation
-    opts.threads = 1;
-    opts.stale_after_seconds = stale_after;
-    std::vector<pid_t> pids;
-    for (int i = 0; i < n; ++i) {
-      const pid_t pid = fork();
-      if (pid == 0) {
-        std::ostringstream sink;
-        std::_Exit(run_worker(spec_, opts, sink));
-      }
-      pids.push_back(pid);
-    }
-    std::vector<int> codes;
-    for (const pid_t pid : pids) {
-      int status = 0;
-      ::waitpid(pid, &status, 0);
-      codes.push_back(WIFEXITED(status) ? WEXITSTATUS(status) : 128);
-    }
-    return codes;
   }
 
   fs::path out_, cache_;
@@ -419,91 +320,46 @@ TEST_F(DistRunTest, ResumeReRunsCellWhoseCsvFailsItsRecordedChecksum) {
   EXPECT_EQ(csvs(out_), reference);  // corruption healed, bytes restored
 }
 
-TEST_F(DistRunTest, WorkerRerunsACsvThatFailsItsRecordedChecksum) {
-  std::ostringstream first;
-  ASSERT_EQ(run_suite(spec_, options(out_), first), 0);
-  const auto reference = csvs(out_);
-  const std::string victim = reference.begin()->first;
-  spit(out_ / victim, reference.at(victim) + "bitrot\n");
-
-  // The run's manifest vouches for the true bytes: a worker must not record
-  // the tampered file as a peer's finished work (nor hand its checksum to
-  // `cr suite merge`), but claim the cell and restore it.
-  SuiteRunOptions opts = options(out_);
-  opts.cache_dir.clear();  // a rerun, not a cache restore
-  std::ostringstream log;
-  ASSERT_EQ(run_worker(spec_, opts, log), 0) << log.str();
-  EXPECT_NE(log.str().find("fails its recorded checksum"), std::string::npos) << log.str();
-  EXPECT_EQ(csvs(out_), reference);
-
-  const std::vector<std::string> manifests = worker_manifests(out_);
-  ASSERT_EQ(manifests.size(), 1u);
-  const auto manifest = JsonValue::parse_file(manifests[0]);
-  ASSERT_TRUE(manifest.ok()) << manifest.error;
-  const std::string victim_id = victim.substr(0, victim.size() - 4);  // drop ".csv"
-  for (const auto& cell : manifest.value->find("cells")->items()) {
-    const std::string id = cell->find("id")->as_string();
-    EXPECT_EQ(cell->find("status")->as_string(), id == victim_id ? "ok" : "peer") << id;
-    EXPECT_EQ(cell->find("csv_fnv")->as_string(), file_fnv16((out_ / (id + ".csv")).string()));
-  }
-}
-
-TEST_F(DistRunTest, WorkerRefusesToWorkBehindAnUnreadableManifest) {
-  std::ostringstream first;
-  ASSERT_EQ(run_suite(spec_, options(out_), first), 0);
-  fs::resize_file(out_ / "manifest.json", 200);
-  // Same guard as `cr suite run`: the worker must not treat the CSVs behind
-  // a manifest it cannot read as finished peer work.
-  SuiteRunOptions opts;
-  opts.output_dir = out_.string();
-  opts.threads = 1;
-  std::ostringstream log;
-  EXPECT_EQ(run_worker(spec_, opts, log), 1);
-  EXPECT_NE(log.str().find("unreadable run manifest"), std::string::npos) << log.str();
-  EXPECT_NE(log.str().find("refusing to work over stale outputs"), std::string::npos)
-      << log.str();
-  EXPECT_TRUE(worker_manifests(out_).empty());
-}
-
-TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
+TEST_F(DistRunTest, TwoShardsMergeByteIdenticalToSingleProcess) {
   // Reference: plain single-process run (no cache, so both paths compute).
   const fs::path ref = fresh_dir("ref");
-  SuiteRunOptions ref_opts = options(ref);
-  ref_opts.cache_dir.clear();
+  SuiteRunOptions opts = options(ref);
+  opts.cache_dir.clear();
   std::ostringstream ref_log;
-  ASSERT_EQ(run_suite(spec_, ref_opts, ref_log), 0);
+  ASSERT_EQ(run_suite(spec_, opts, ref_log), 0);
   const auto reference = csvs(ref);
 
-  // One worker died mid-claim before the fleet started: a lease whose
-  // holder is a real, reaped (dead) PID. The fleet must take it over.
-  const std::string first_cell = expand_suite(spec_)[0].id;
-  fs::create_directories(out_ / ".locks");
-  const std::string orphan = (out_ / ".locks" / (first_cell + ".lease")).string();
-  const pid_t dead = fork();
-  ASSERT_GE(dead, 0);
-  if (dead == 0) std::_Exit(lease_try_acquire(orphan, first_cell) ? 0 : 1);
-  int status = 0;
-  ASSERT_EQ(::waitpid(dead, &status, 0), dead);
-  ASSERT_EQ(status, 0);
-  ASSERT_TRUE(fs::exists(orphan));
-
-  for (const int code : run_workers(3, out_)) EXPECT_EQ(code, 0);
+  opts.output_dir = out_.string();
+  for (const char* shard : {"1/2", "2/2"}) {
+    ASSERT_TRUE(parse_shard(shard, &opts.shard));
+    std::ostringstream log;
+    ASSERT_EQ(run_suite(spec_, opts, log), 0) << log.str();
+  }
   EXPECT_EQ(csvs(out_), reference);  // byte-equal to the unsharded run
 
-  // Union the worker manifests; the merged manifest must carry every cell
-  // as a success with the reference checksums.
+  // Merge from inside the directory by bare file names, as `cr suite merge
+  // manifest.1of2.json manifest.2of2.json` run there would: the CSVs the
+  // merge re-hashes are then in the current directory.
+  const fs::path cwd = fs::current_path();
+  fs::current_path(out_);
   MergeOptions merge;
-  merge.manifest_paths = worker_manifests(out_);
-  ASSERT_EQ(merge.manifest_paths.size(), 3u);
+  merge.manifest_paths = {"manifest.1of2.json", "manifest.2of2.json"};
   std::ostringstream merge_log;
-  ASSERT_EQ(merge_manifests(merge, merge_log), 0) << merge_log.str();
+  const int merged_rc = merge_manifests(merge, merge_log);
+  fs::current_path(cwd);
+  ASSERT_EQ(merged_rc, 0) << merge_log.str();
+
+  // The merged manifest carries every cell as a success with the checksum
+  // of the CSV on disk.
   const auto merged = JsonValue::parse_file((out_ / "manifest.json").string());
   ASSERT_TRUE(merged.ok()) << merged.error;
   EXPECT_EQ(merged.value->find("config_hash")->as_string(),
             suite_config_hash(expand_suite(spec_)));
+  EXPECT_EQ(merged.value->find("shard")->as_string(), "1/1");
   ASSERT_EQ(merged.value->find("cells")->items().size(), 2u);
   for (const auto& cell : merged.value->find("cells")->items()) {
     const std::string id = cell->find("id")->as_string();
+    EXPECT_EQ(cell->find("status")->as_string(), "ok") << id;
     EXPECT_EQ(cell->find("csv_fnv")->as_string(), file_fnv16((out_ / (id + ".csv")).string()));
   }
   // The merged manifest is what resume/verify read: it must scan as
@@ -512,36 +368,6 @@ TEST_F(DistRunTest, ThreeWorkersDrainSuiteByteIdenticalToSingleProcess) {
       scan_prior_outputs(out_.string(), suite_config_hash(expand_suite(spec_)), false);
   EXPECT_TRUE(prior.compatible) << prior.message;
   fs::remove_all(ref);
-}
-
-TEST_F(DistRunTest, FailedCellIsTerminalAcrossWorkersAndBlocksMerge) {
-  // A cell that always dies: junk flag value hits CR_CHECK in the child.
-  const JsonParseResult json = JsonValue::parse(
-      R"({"name": "tiny", "defaults": {"reps": 1},
-          "cells": [{"bench": "scenario", "grid": {"horizon": ["junk"], "n": [16]}},
-                    {"bench": "scenario", "grid": {"horizon": [512], "n": [16]}}]})");
-  ASSERT_TRUE(json.ok()) << json.error;
-  const SuiteLoadResult loaded = parse_suite(*json.value, "test-manifest");
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  spec_ = loaded.spec;
-
-  const std::vector<int> codes = run_workers(2, out_);
-  EXPECT_EQ(codes[0], 1);
-  EXPECT_EQ(codes[1], 1);
-  // The failure marker makes the failure terminal — exactly one `.failed`
-  // file, and both manifests record the cell as failed rather than one
-  // worker retrying forever.
-  EXPECT_TRUE(fs::exists(out_ / ".locks" / (expand_suite(spec_)[0].id + ".failed")));
-
-  MergeOptions merge;
-  merge.manifest_paths = worker_manifests(out_);
-  ASSERT_EQ(merge.manifest_paths.size(), 2u);
-  std::ostringstream log;
-  EXPECT_EQ(merge_manifests(merge, log), 1);
-  EXPECT_NE(log.str().find("refusing to write an incomplete/conflicted manifest"),
-            std::string::npos)
-      << log.str();
-  EXPECT_FALSE(fs::exists(out_ / "manifest.json"));
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +438,7 @@ TEST_F(MergeTest, AgreeingDuplicatesMergeButConflictingChecksumsAreFatal) {
   const std::string a = manifest(
       "a.json", "cafe", cell("c1", "ok", "1111111111111111"));
   const std::string b = manifest(
-      "b.json", "cafe", cell("c1", "peer", "1111111111111111"));
+      "b.json", "cafe", cell("c1", "cached", "1111111111111111"));
   std::string log;
   EXPECT_EQ(merge({a, b}, &log), 0) << log;  // same bytes — fine
 
@@ -642,6 +468,28 @@ TEST_F(MergeTest, RejectsIncompleteCoverage) {
   EXPECT_EQ(merge({a}, &log), 1);
   EXPECT_NE(log.find("not completed"), std::string::npos) << log;
   EXPECT_NE(log.find("refusing"), std::string::npos) << log;
+}
+
+TEST_F(MergeTest, RejectsACellThatFailedInEveryManifest) {
+  // c1 failed in the only shard that ran it: the merge refuses and writes
+  // nothing.
+  const std::string a = manifest(
+      "manifest.1of2.json", "cafe", cell("c1", "failed", "") + ", " + cell("c2", "shard", ""));
+  const std::string b = manifest(
+      "manifest.2of2.json", "cafe",
+      cell("c1", "shard", "") + ", " + cell("c2", "ok", "2222222222222222"));
+  std::string log;
+  EXPECT_EQ(merge({a, b}, &log), 1);
+  EXPECT_NE(log.find("cell \"c1\" failed in every manifest that ran it"), std::string::npos)
+      << log;
+  EXPECT_NE(log.find("(1 ok, 1 failed, 0 missing, 0 conflicts)"), std::string::npos) << log;
+  EXPECT_FALSE(fs::exists(dir_ / "manifest.json"));
+
+  // A rerun that succeeded makes the cell good: a success in any input wins.
+  const std::string rerun = manifest(
+      "rerun.json", "cafe", cell("c1", "ok", "1111111111111111") + ", " + cell("c2", "shard", ""));
+  EXPECT_EQ(merge({a, b, rerun}, &log), 0) << log;
+  EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
 }
 
 TEST_F(MergeTest, RejectsPreChecksumEraManifests) {

@@ -2,8 +2,8 @@
 // shared artifact helpers under it (json_quote, write_file_atomic, hex16,
 // fnv1a_hex16, utc_now, unique_suffix):
 //
-//   * to_json() is pinned to literal manifests the suite, worker and merge
-//     writers produced before they shared one emitter (timestamps fixed);
+//   * to_json() is pinned to literal manifests the suite and merge writers
+//     produced before they shared one emitter (timestamps fixed);
 //   * seeded random manifests round-trip exactly through parse(), seeds
 //     above 2^53 and escaped control bytes included;
 //   * a seeded mutation fuzz: every truncated, bit-flipped or kind-swapped
@@ -50,8 +50,8 @@ std::string slurp(const fs::path& path) {
 
 // ---------------------------------------------------------------------------
 // Pinned bytes. Each literal is a manifest the pre-RunManifest writers
-// emitted (suite.cpp, worker.cpp, merge.cpp), captured verbatim except for
-// the timestamps and worker tokens, which are fixed here.
+// emitted (suite.cpp, merge.cpp), captured verbatim except for the
+// timestamps, which are fixed here.
 
 const char* const kDescription =
     "quote \" backslash \\ tab \t newline \n ctl \x01 utf8 \xC3\xA9 end";
@@ -93,29 +93,9 @@ const char* const kPinnedSuiteRun = R"({
 }
 )";
 
-const char* const kPinnedWorker = R"({
-  "suite": "pin \"q\" \\ name",
-  "description": "quote \" backslash \\ tab \t newline \n ctl \u0001 utf8 )"
-                                  "\xC3\xA9"
-                                  R"( end",
-  "worker": "host-4242-1a2b3c4d",
-  "git_sha": "unknown",
-  "config_hash": "1583240eeab45a87",
-  "shard": "1/1",
-  "quick": false,
-  "started_utc": "2026-01-02T03:04:05Z",
-  "finished_utc": "2026-01-02T03:04:05Z",
-  "wall_seconds": 0.002,
-  "cells": [
-    {"id": "scenario__scenario-batch__horizon-512__n-16__jam-0.0__seed-3", "bench": "scenario", "seed": 3, "status": "ok", "seconds": 0.001, "csv_fnv": "ff7f9740c44a0f89"},
-    {"id": "scenario__horizon-junk__n-16__seed-default", "bench": "scenario", "seed": null, "status": "failed", "seconds": 0.001, "csv_fnv": null}
-  ]
-}
-)";
-
 const char* const kPinnedMerged = R"({
   "suite": "dist_smoke",
-  "description": "Two fast deterministic cells for the distributed-runner end-to-end test (tests/golden/dist_smoke.cmake): cold/warm CellCache round-trip, cooperative `cr suite work` workers and `cr suite merge` through the real cr binary. Deliberately tiny so the whole flow runs in seconds under sanitizers.",
+  "description": "Two fast deterministic cells for the distributed-runner end-to-end test (tests/golden/dist_smoke.cmake): cold/warm CellCache round-trip, `--shard=1/2` + `--shard=2/2` and `cr suite merge` inside the output directory through the real cr binary. Deliberately tiny so the whole flow runs in seconds under sanitizers.",
   "git_sha": "unknown",
   "config_hash": "8547a0b852300088",
   "shard": "1/1",
@@ -123,7 +103,7 @@ const char* const kPinnedMerged = R"({
   "started_utc": "2026-01-02T03:04:05Z",
   "finished_utc": "2026-01-02T03:04:05Z",
   "wall_seconds": 0.003,
-  "merged_from": ["manifest.work-host-101-0badf00d.json", "manifest.work-host-102-5eedc0de.json"],
+  "merged_from": ["manifest.1of2.json", "manifest.2of2.json"],
   "cells": [
     {"id": "scenario__scenario-batch__horizon-512__n-16__jam-0.0__seed-3", "bench": "scenario", "seed": 3, "status": "ok", "seconds": 0.001, "csv_fnv": "ff7f9740c44a0f89"},
     {"id": "scenario__scenario-batch__horizon-512__n-16__jam-0.5__seed-3", "bench": "scenario", "seed": 3, "status": "ok", "seconds": 0.001, "csv_fnv": "6059ffd749020226"}
@@ -141,13 +121,15 @@ TEST(RunManifestBytes, SuiteRunManifestMatchesPinnedLayout) {
   EXPECT_EQ(parsed.manifest.to_json(), kPinnedSuiteRun);
 }
 
-TEST(RunManifestBytes, WorkerManifestMatchesPinnedLayout) {
-  RunManifest m = pinned_suite_run();
-  m.worker = "host-4242-1a2b3c4d";
-  EXPECT_EQ(m.to_json(), kPinnedWorker);
-  const ManifestParse parsed = RunManifest::parse(kPinnedWorker);
+TEST(RunManifestBytes, RetiredWorkerKeyIsIgnored) {
+  // Manifests written by an older `cr` may carry a "worker" key; resume and
+  // merge scan every manifest in a directory, so it must parse, and the key
+  // is dropped.
+  std::string old = kPinnedSuiteRun;
+  old.insert(old.find("  \"git_sha\""), "  \"worker\": \"host-4242-1a2b3c4d\",\n");
+  const ManifestParse parsed = RunManifest::parse(old);
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  EXPECT_EQ(parsed.manifest.worker, m.worker);
+  EXPECT_EQ(parsed.manifest.to_json(), kPinnedSuiteRun);
 }
 
 TEST(RunManifestBytes, MergedManifestMatchesPinnedLayout) {
@@ -155,17 +137,16 @@ TEST(RunManifestBytes, MergedManifestMatchesPinnedLayout) {
   m.suite = "dist_smoke";
   m.description =
       "Two fast deterministic cells for the distributed-runner end-to-end test "
-      "(tests/golden/dist_smoke.cmake): cold/warm CellCache round-trip, cooperative `cr "
-      "suite work` workers and `cr suite merge` through the real cr binary. Deliberately "
-      "tiny so the whole flow runs in seconds under sanitizers.";
+      "(tests/golden/dist_smoke.cmake): cold/warm CellCache round-trip, `--shard=1/2` + "
+      "`--shard=2/2` and `cr suite merge` inside the output directory through the real cr "
+      "binary. Deliberately tiny so the whole flow runs in seconds under sanitizers.";
   m.git_sha = "unknown";
   m.config_hash = "8547a0b852300088";
   m.quick = true;
   m.started_utc = "2026-01-02T03:04:05Z";
   m.finished_utc = "2026-01-02T03:04:05Z";
   m.wall_seconds = 0.003;
-  m.merged_from = std::vector<std::string>{"manifest.work-host-101-0badf00d.json",
-                                           "manifest.work-host-102-5eedc0de.json"};
+  m.merged_from = std::vector<std::string>{"manifest.1of2.json", "manifest.2of2.json"};
   m.cells.push_back({kCellOk, "scenario", 3, "ok", 0.001, "ff7f9740c44a0f89"});
   m.cells.push_back({"scenario__scenario-batch__horizon-512__n-16__jam-0.5__seed-3", "scenario",
                      3, "ok", 0.001, "6059ffd749020226"});
@@ -197,7 +178,6 @@ RunManifest random_manifest(std::mt19937_64& gen) {
   RunManifest m;
   m.suite = random_text(gen);
   m.description = random_text(gen);
-  if (maybe()) m.worker = random_text(gen);
   m.git_sha = random_text(gen);
   m.config_hash = hex16(gen());
   m.shard = std::to_string(1 + gen() % 4) + "/" + std::to_string(4 + gen() % 4);
@@ -209,8 +189,8 @@ RunManifest random_manifest(std::mt19937_64& gen) {
     m.merged_from.emplace();
     for (std::uint64_t n = gen() % 4; n > 0; --n) m.merged_from->push_back(random_text(gen));
   }
-  static const char* const statuses[] = {"pending", "ok",     "hit",   "cached",
-                                         "peer",    "failed", "shard", "planned"};
+  static const char* const statuses[] = {"pending", "ok",    "hit",    "cached",
+                                         "failed",  "shard", "planned"};
   for (std::uint64_t n = gen() % 6; n > 0; --n) {
     RunManifest::Cell cell;
     cell.id = random_text(gen);
@@ -221,7 +201,7 @@ RunManifest random_manifest(std::mt19937_64& gen) {
       case 2: cell.seed = (std::uint64_t{1} << 53) + 1 + gen() % 1000; break;  // not a double
       default: cell.seed = ~std::uint64_t{0} - gen() % 3; break;  // up to 2^64 - 1
     }
-    cell.status = statuses[gen() % 8];
+    cell.status = statuses[gen() % std::size(statuses)];
     cell.seconds = static_cast<double>(gen() % 10000000) / 1000.0;
     if (maybe()) cell.csv_fnv = hex16(gen());
     m.cells.push_back(std::move(cell));
@@ -241,7 +221,6 @@ TEST(RunManifestRoundTrip, SeededRandomManifestsRoundTripExactly) {
     // past the text comparison.
     const RunManifest& back = parsed.manifest;
     EXPECT_EQ(back.description, m.description);
-    EXPECT_EQ(back.worker, m.worker);
     EXPECT_EQ(back.merged_from, m.merged_from);
     ASSERT_EQ(back.cells.size(), m.cells.size());
     for (std::size_t i = 0; i < m.cells.size(); ++i) {
@@ -308,7 +287,7 @@ TEST(RunManifestFuzz, KindSwapsAreNamedDiagnostics) {
 
 TEST(RunManifestFuzz, RandomMutantsParseOrReturnADiagnostic) {
   std::mt19937_64 gen(0xF022ull);
-  const std::vector<std::string> seeds = {kPinnedSuiteRun, kPinnedWorker, kPinnedMerged};
+  const std::vector<std::string> seeds = {kPinnedSuiteRun, kPinnedMerged};
   int rejected = 0;
   for (int trial = 0; trial < 4000; ++trial) {
     std::string text = seeds[gen() % seeds.size()];
