@@ -298,6 +298,30 @@ TEST_F(VerifyTest, VerdictsAndErrorNamesTheClaim) {
   EXPECT_NE(outcomes[2].detail.find("missing_cell"), std::string::npos);
 }
 
+// scenario-iid-jam-rate judges the jam rate per cell and `served` on the
+// mean over its cells: one quick cell's chance dip passes, a low mean fails.
+TEST_F(VerifyTest, JamRateClaimJudgesServedOnTheCellMean) {
+  const ClaimSpec* spec = verify::ClaimRegistry::instance().find("scenario-iid-jam-rate");
+  ASSERT_NE(spec, nullptr);
+  const std::vector<ClaimSpec> claims = {*spec};
+  const std::vector<std::string>& cells = spec->evidence_cells(/*quick=*/true);
+  ASSERT_EQ(cells.size(), 2u);
+  const auto verdict = [&](const char* jammed0, const char* served0, const char* served1) {
+    write_file(cells[0] + ".csv", std::string("jammed,slots,served\n") + jammed0 + ",4096," +
+                                      served0 + "\n");
+    write_file(cells[1] + ".csv", std::string("jammed,slots,served\n1040,4096,") + served1 + "\n");
+    const std::vector<ClaimOutcome> outcomes = verify::evaluate_claims(dir(), true, &claims);
+    return outcomes.at(0).verdict + ": " + outcomes.at(0).detail;
+  };
+  EXPECT_EQ(verdict("1042", "0.999", "0.985").rfind("pass", 0), 0u);
+  const std::string low_mean = verdict("1042", "0.989", "0.987");
+  EXPECT_EQ(low_mean.rfind("fail", 0), 0u) << low_mean;
+  EXPECT_NE(low_mean.find("mean served"), std::string::npos) << low_mean;
+  const std::string off_rate = verdict("1300", "1.0", "1.0");
+  EXPECT_EQ(off_rate.rfind("fail", 0), 0u) << off_rate;
+  EXPECT_NE(off_rate.find(cells[0]), std::string::npos) << off_rate;
+}
+
 TEST_F(VerifyTest, RunVerifyExitCodesAndReport) {
   write_file("fixture_cell.csv", "value\n7\n");
   write_file("manifest.json",
