@@ -24,9 +24,9 @@
 ///
 /// Determinism contract (rule 8 in docs/ARCHITECTURE.md): restoring a
 /// snapshot and continuing must be bit-identical to never having stopped.
-/// Writers therefore serialize state verbatim (e.g. the calendar's heap
-/// array in storage order, never re-heapified) so every tie-break downstream
-/// is preserved.
+/// Writers therefore serialize every piece of state a later draw or output
+/// can depend on, and in a canonical order where only the set matters (the
+/// calendar writes its pending events sorted, not its wheel's layout).
 #pragma once
 
 #include <cstdint>

@@ -30,9 +30,12 @@ inline constexpr std::uint64_t kArrival = 0xA0u;
 inline constexpr std::uint64_t kJammer = 0x1Au;
 /// Generic engine → per-node protocol draws (one shared stream).
 inline constexpr std::uint64_t kGenericNodes = 0x0Du;
-/// fast_cjz / cr stream (the CJZ core) → main protocol stream (backoff
-/// offsets, cohort binomials, winner selection).
+/// fast_cjz / cr stream (the CJZ core) → main protocol stream (cohort
+/// binomials, winner selection).
 inline constexpr std::uint64_t kCjzMain = 0xF0u;
+/// CJZ core → backoff-stage offsets, one stream per (node id, phase, stage)
+/// as the hi counter, so no other draw or event order can shift them.
+inline constexpr std::uint64_t kCjzStage = 0xF5u;
 /// fast_batch → main protocol stream (cohort binomials).
 inline constexpr std::uint64_t kBatchMain = 0xB0u;
 /// Cohort engines → send attribution under RecordingTier::kNodeStats. A
@@ -48,9 +51,9 @@ inline constexpr std::uint64_t kPlanTail = 0x7Au;
 inline constexpr std::uint64_t kStreamSynth = 0x5Eu;
 
 /// Every tag above, for the uniqueness test. Keep in sync.
-inline constexpr std::array<std::uint64_t, 9> kAllTags = {
-    kAdversary, kArrival,   kJammer,      kGenericNodes, kCjzMain,
-    kBatchMain, kAttribution, kPlanTail, kStreamSynth,
+inline constexpr std::array<std::uint64_t, 10> kAllTags = {
+    kAdversary, kArrival,     kJammer,   kGenericNodes, kCjzMain,
+    kCjzStage,  kBatchMain, kAttribution, kPlanTail,   kStreamSynth,
 };
 
 }  // namespace cr::streams

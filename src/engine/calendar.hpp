@@ -1,36 +1,41 @@
 /// \file
-/// Calendar queue for the fast engines.
+/// Calendar queue for the fast engines: a bounded hierarchical timing wheel.
 ///
-/// A min-heap of (slot, kind) events carrying a node index and a generation
-/// counter. Stale events (the node transitioned or departed since
-/// scheduling) are filtered by the consumer via the generation check —
-/// cheaper than removing from the middle of a heap.
+/// Events carry (slot, kind, node, generation). Stale events (the node
+/// transitioned or departed since scheduling) are filtered by the consumer via
+/// the generation check, which is cheaper than removing them from a bucket.
 ///
-/// Kind ordering matters: all kStageBegin events of a slot are delivered
-/// before any kSend event of the same slot, because beginning a backoff
-/// stage may schedule a send in that very slot (offset 0).
+/// Layout (Varghese & Lauck's hierarchical timing wheel): eleven levels of 64
+/// buckets, one 6-bit digit of the slot number per level, so every slot below
+/// 2^66 fits. An event sits at the level of the highest digit in which its
+/// slot differs from the wheel's clock, in the bucket that digit names; level
+/// 0 therefore holds one slot per bucket. Moving the clock forward cascades
+/// the one bucket per level whose range it enters down to the levels below.
+/// A push or a pop is O(1), an event cascades at most once per level, and the
+/// memory is the pending events plus 704 bucket headers at any horizon.
 ///
-/// Storage note: events are packed into two words — the (slot, kind) sort
-/// key in one and the (gen, node) payload in the other — so heap sifts move
-/// 16 bytes and compare a single integer. The comparator is value-equivalent
-/// to the old (slot, kind) field comparison, and std::push_heap/pop_heap
-/// move elements purely by comparator outcomes, so the pop order — ties
-/// included — is identical to the unpacked representation. (Plan-path
-/// bit-exactness and the golden CSVs depend on that order.)
+/// Pop order within a slot is unspecified, and nothing may depend on it:
+/// CjzCore keys each backoff stage's draws by (node, phase, stage), and a
+/// slot's senders are counted, not ordered. So the wheel's layout is not part
+/// of the state: save() writes the events sorted by their packed words, and
+/// load() lets the wheel place them afresh.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "channel/types.hpp"
+#include "common/check.hpp"
 #include "common/snapshot.hpp"
 
 namespace cr {
 
 struct CalendarEvent {
-  /// kStageBegin sorts before kSend within a slot (see file comment).
   enum class Kind : std::uint8_t { kStageBegin = 0, kSend = 1 };
 
   slot_t slot = 0;          ///< absolute slot the event fires in
@@ -39,95 +44,166 @@ struct CalendarEvent {
   std::uint32_t gen = 0;    ///< owner's generation at scheduling time (staleness check)
 };
 
-/// Min-heap of calendar events keyed by (slot, kind).
+/// Timing wheel of calendar events, popped slot by slot.
 class Calendar {
  public:
-  /// Schedule an event (no dedup; consumers filter stale generations).
+  /// Schedule an event (no dedup; consumers filter stale generations). Its
+  /// slot must not be earlier than the slot last passed to pop_due().
   void push(const CalendarEvent& ev) {
-    heap_.push_back(Packed{(static_cast<std::uint64_t>(ev.slot) << 1) |
-                               static_cast<std::uint64_t>(ev.kind),
-                           (static_cast<std::uint64_t>(ev.gen) << 32) | ev.node});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    CR_DCHECK(ev.slot >= now_);
+    place(Packed{(static_cast<std::uint64_t>(ev.slot) << 1) | static_cast<std::uint64_t>(ev.kind),
+                 (static_cast<std::uint64_t>(ev.gen) << 32) | ev.node});
+    ++size_;
   }
 
-  /// Pop the next event scheduled at or before `slot` (stage-begins first
-  /// within a slot); nullopt when none remain for this slot.
+  /// Pop an event scheduled at `slot`, in no particular order; nullopt once
+  /// none is left. Events pushed for `slot` while it drains are popped too.
+  /// Successive calls pass non-decreasing slots, and no pending event may be
+  /// due before `slot` (the engine visits every slot that has one).
   std::optional<CalendarEvent> pop_due(slot_t slot) {
-    if (heap_.empty()) return std::nullopt;
-    const Packed& top = heap_.front();
-    // The engine visits every slot in order, so nothing can be overdue.
-    CR_DCHECK(static_cast<slot_t>(top.key >> 1) >= slot);
-    if (static_cast<slot_t>(top.key >> 1) > slot) return std::nullopt;
+    if (slot != now_) advance(slot);
+    const auto idx = static_cast<unsigned>(slot & kDigitMask);
+    std::vector<Packed>& bucket = buckets_[idx];
+    if (bucket.empty()) return std::nullopt;
+    const Packed p = bucket.back();
+    bucket.pop_back();
+    if (bucket.empty()) drop(0, idx);
+    --size_;
     CalendarEvent ev;
-    ev.slot = static_cast<slot_t>(top.key >> 1);
-    ev.kind = static_cast<CalendarEvent::Kind>(top.key & 1);
-    ev.node = static_cast<std::uint32_t>(top.payload);
-    ev.gen = static_cast<std::uint32_t>(top.payload >> 32);
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
+    ev.slot = static_cast<slot_t>(p.key >> 1);
+    ev.kind = static_cast<CalendarEvent::Kind>(p.key & 1);
+    ev.node = static_cast<std::uint32_t>(p.payload);
+    ev.gen = static_cast<std::uint32_t>(p.payload >> 32);
     return ev;
   }
 
-  bool empty() const { return heap_.empty(); }
-  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
 
-  /// Slot of the earliest scheduled event (stale entries included — callers
-  /// treat this as a conservative wake-up hint, never as ground truth).
+  /// A lower bound on the earliest scheduled slot (stale entries included):
+  /// the first slot of the earliest occupied bucket, exact when that bucket is
+  /// on level 0. Callers treat it as a wake-up hint, never as ground truth.
   /// 0 when the calendar is empty; slots themselves start at 1.
   slot_t next_due_slot() const {
-    return heap_.empty() ? 0 : static_cast<slot_t>(heap_.front().key >> 1);
+    if (size_ == 0) return 0;
+    int level = 0;
+    while (occupied_[level] == 0) ++level;
+    const unsigned shift = kDigitBits * static_cast<unsigned>(level);
+    const unsigned above = shift + kDigitBits;
+    const slot_t high = above >= 64 ? 0 : (now_ >> above) << above;
+    return high | (static_cast<slot_t>(std::countr_zero(occupied_[level])) << shift);
   }
 
-  /// Pop and discard every event scheduled strictly before `slot`. The plan
-  /// path jumps over spans where every pending event is provably stale (no
-  /// node is alive); discarding them with the same pop_heap sequence the
-  /// per-slot loop would have used keeps the heap array — and therefore the
-  /// pop order of later TIED events — identical to stepping every slot,
-  /// which is what the plan path's bit-exactness rests on.
-  void drain_below(slot_t slot) {
-    while (!heap_.empty() && static_cast<slot_t>(heap_.front().key >> 1) < slot) {
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
+  /// Discard every event, visiting only occupied buckets.
+  void clear() {
+    for (int level = 0; level < kLevels; ++level)
+      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1)
+        drop(level, static_cast<unsigned>(std::countr_zero(m)));
+    size_ = 0;
   }
 
-  /// Pre-size the backing store.
-  void reserve(std::size_t n) { heap_.reserve(n); }
-
-  /// Serialize the heap ARRAY verbatim, in storage order — never re-heapified
-  /// on load. Equal-key elements can sit in several valid heap arrangements;
-  /// preserving the exact arrangement preserves the pop order of tied events,
-  /// which restore-then-continue bit-identity (determinism rule 8) rests on.
+  /// Serialize the pending events sorted by (key, payload): the same event
+  /// set always writes the same bytes, whatever the wheel's layout.
   void save(SnapshotWriter& w) const {
-    w.u64(heap_.size());
-    for (const Packed& p : heap_) {
+    std::vector<Packed> events;
+    events.reserve(size_);
+    for (int level = 0; level < kLevels; ++level)
+      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1) {
+        const std::vector<Packed>& b = buckets_[at(level, std::countr_zero(m))];
+        events.insert(events.end(), b.begin(), b.end());
+      }
+    std::sort(events.begin(), events.end(), [](const Packed& a, const Packed& b) {
+      return a.key != b.key ? a.key < b.key : a.payload < b.payload;
+    });
+    w.u64(events.size());
+    for (const Packed& p : events) {
       w.u64(p.key);
       w.u64(p.payload);
     }
   }
 
-  void load(SnapshotReader& r) {
+  /// Inverse of save(). `from` (at least 1) is the first slot the restored
+  /// run will pop, so the clock resumes just before it; an event due earlier
+  /// could never fire, and the blob is refused.
+  void load(SnapshotReader& r, slot_t from) {
     const std::uint64_t n = r.u64("calendar.size");
     if (!r.check_count(n, 16, "calendar.events")) return;
-    heap_.clear();
-    heap_.reserve(n);
+    clear();
+    now_ = from - 1;
     for (std::uint64_t i = 0; i < n; ++i) {
       Packed p;
       p.key = r.u64("calendar.event.key");
       p.payload = r.u64("calendar.event.payload");
-      heap_.push_back(p);
+      if (!r.ok()) return;
+      if (static_cast<slot_t>(p.key >> 1) < from) {
+        r.fail("snapshot: calendar event at slot " + std::to_string(p.key >> 1) +
+               " precedes the resume slot " + std::to_string(from));
+        return;
+      }
+      place(p);
+      ++size_;
     }
   }
 
  private:
   struct Packed {
-    std::uint64_t key = 0;      ///< (slot << 1) | kind — the full sort key
+    std::uint64_t key = 0;      ///< (slot << 1) | kind
     std::uint64_t payload = 0;  ///< (gen << 32) | node
   };
-  struct Later {
-    bool operator()(const Packed& a, const Packed& b) const { return a.key > b.key; }
-  };
-  std::vector<Packed> heap_;
+  static constexpr unsigned kDigitBits = 6;
+  static constexpr std::uint64_t kDigitMask = 63;
+  static constexpr int kLevels = 11;  ///< 11 digits of 6 bits cover any slot_t
+  /// A bucket that empties keeps a buffer of at most this many events; a
+  /// larger one (a burst) is freed, so no bucket pins a past peak.
+  static constexpr std::size_t kKeep = 256;
+
+  /// Level of the highest 6-bit digit set in `diff` (0 for diff < 64).
+  static int level_of(std::uint64_t diff) {
+    return (static_cast<int>(std::bit_width(diff | 1)) - 1) / static_cast<int>(kDigitBits);
+  }
+  /// Index into buckets_ of bucket `idx` on `level`.
+  static std::size_t at(int level, unsigned idx) {
+    return static_cast<std::size_t>(level) * 64 + idx;
+  }
+
+  void place(const Packed& p) {
+    const auto s = static_cast<slot_t>(p.key >> 1);
+    const int level = level_of(s ^ now_);
+    const auto idx = static_cast<unsigned>((s >> (kDigitBits * level)) & kDigitMask);
+    buckets_[at(level, idx)].push_back(p);
+    occupied_[level] |= std::uint64_t{1} << idx;
+  }
+
+  /// Empty a bucket and mark it free, releasing an oversized buffer.
+  void drop(int level, unsigned idx) {
+    occupied_[level] &= ~(std::uint64_t{1} << idx);
+    std::vector<Packed>& b = buckets_[at(level, idx)];
+    b.clear();
+    if (b.capacity() > kKeep) std::vector<Packed>().swap(b);
+  }
+
+  /// Move the clock to `slot`. Only the levels from the highest digit that
+  /// changes down to 1 can hold events that are now nearer: on each, the
+  /// bucket the new clock's digit names moves down a level or more.
+  void advance(slot_t slot) {
+    CR_DCHECK(slot > now_);
+    const int top = level_of(now_ ^ slot);
+    now_ = slot;
+    for (int level = top; level >= 1; --level) {
+      const auto idx = static_cast<unsigned>((slot >> (kDigitBits * level)) & kDigitMask);
+      if ((occupied_[level] >> idx & 1) == 0) continue;
+      for (const Packed& p : buckets_[at(level, idx)]) {
+        CR_DCHECK(static_cast<slot_t>(p.key >> 1) >= slot);
+        place(p);
+      }
+      drop(level, idx);
+    }
+  }
+
+  std::array<std::vector<Packed>, kLevels * 64> buckets_;
+  std::array<std::uint64_t, kLevels> occupied_ = {};
+  slot_t now_ = 0;  ///< the wheel's clock: the slot last popped
+  std::size_t size_ = 0;
 };
 
 }  // namespace cr

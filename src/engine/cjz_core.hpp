@@ -4,11 +4,13 @@
 /// The cohort/calendar simulation of the CJZ algorithm (see
 /// engine/fast_cjz.hpp for the two structural facts it exploits) is written
 /// once here. Its randomness comes from Philox counter streams keyed by
-/// (seed, tag) with the slot number as the hi counter, so every slot's draws
-/// are a pure function of (seed, slot, draw-index) and no generator state
-/// lives between slots. That is what lets the plan path (engine/plan_path.hpp)
-/// skip protocol-silent slots without replaying them, and what makes every
-/// core snapshot-capable: save()/load() carry no RNG state at all.
+/// (seed, tag): the per-slot streams take the slot number as the hi counter,
+/// and each backoff stage's offsets take (node id, phase, stage), so every
+/// draw is a pure function of its key and index and no generator state lives
+/// between slots. That is what lets the plan path (engine/plan_path.hpp) skip
+/// protocol-silent slots without replaying them, what makes the calendar's
+/// pop order irrelevant, and what makes every core snapshot-capable:
+/// save()/load() carry no RNG state at all.
 ///
 /// The core is slot-callable: the driver owns the adversary interaction and
 /// calls step(slot, action) once per slot (in order, starting at 1), then
@@ -53,10 +55,10 @@ struct CjzCoreWork {
   std::uint64_t slots_silent = 0;     ///< step() calls the silent-slot short-circuit answered
   std::uint64_t slots_skipped = 0;    ///< slots the plan path never stepped, tail included
   std::uint64_t calendar_pushes = 0;  ///< events begin_stage scheduled
-  std::uint64_t calendar_stale = 0;   ///< stale events popped and dropped, or drained
+  std::uint64_t calendar_stale = 0;   ///< stale events popped, or cleared with the last node
   std::uint64_t calendar_peak = 0;    ///< the calendar's largest size
   std::uint64_t cohort_draws = 0;     ///< cohort binomial draws
-  std::uint64_t rng_words = 0;        ///< main + attribution stream words drawn
+  std::uint64_t rng_words = 0;        ///< main + attribution + stage stream words drawn
   bool plan_path = false;             ///< the run took the plan path
 };
 
@@ -72,6 +74,7 @@ class CjzCore {
         options_(options),
         main_base_(CounterRng(config.seed).fork(streams::kCjzMain)),
         attr_base_(CounterRng(config.seed).fork(streams::kAttribution)),
+        stage_base_(CounterRng(config.seed).fork(streams::kCjzStage)),
         trace_(trace_storage),
         nodes_(config.node_table == NodeTableKind::kSparse) {
     // backoff_sends goes through a std::function; memoize the per-stage send
@@ -79,34 +82,29 @@ class CjzCore {
     // this simulator runs, but begin_stage still falls back past the table).
     for (std::uint64_t k = 0; k < kSendsMemo; ++k)
       sends_memo_[k] = fs_->backoff_sends(std::uint64_t{1} << k);
-    calendar_.reserve(64);
   }
 
   /// Advance one slot (slots arrive in order starting at 1, every slot the
   /// driver simulates). Returns true when a stop condition tripped — the
   /// driver must not step further and should call finish().
   bool step(slot_t slot, const AdversaryAction& action, SlotObserver* observer) {
-    // Protocol-silent fast path: nobody live, nothing arriving, no cohort
-    // members and no calendar event due. Such a slot cannot consume a draw
-    // (cohort binomials need members, backoff sends need due events, stream
-    // rebinding is a pure function of the slot), so only the counters move —
-    // this is the per-slot floor of a quiescent tail, and skipping straight
-    // to it keeps the scalar engines' empty-horizon throughput independent
-    // of how much inlining the busy path attracts.
-    if (live_ == 0 && action.inject == 0 && cohort_members_ == 0) {
-      const slot_t due = calendar_.next_due_slot();
-      if (due == 0 || due > slot) {
-        ++work_.slots_silent;
-        const SlotOutcome out = resolve_slot(slot, 0, action.jam, kNoNode);
-        if (trace_.storage() != Trace::Storage::kDisabled) trace_.record(out);
-        if (config_.recording.wants_trace()) result_.slot_outcomes.push_back(out);
-        if (out.jammed) ++result_.jammed_slots;
-        if (observer != nullptr) observer->on_slot(out, 0, 0);
-        result_.slots = slot;
-        if (config_.stop_when_empty && result_.arrivals > 0) return true;
-        if (config_.stop_after_first_success && result_.successes > 0) return true;
-        return false;
-      }
+    // Protocol-silent fast path: nobody live and nothing arriving. Then no
+    // cohort has members and the calendar is empty (it is cleared when the
+    // last node departs), so the slot cannot consume a draw and only the
+    // counters move — this is the per-slot floor of a quiescent tail, and
+    // skipping straight to it keeps the scalar engines' empty-horizon
+    // throughput independent of how much inlining the busy path attracts.
+    if (live_ == 0 && action.inject == 0) {
+      ++work_.slots_silent;
+      const SlotOutcome out = resolve_slot(slot, 0, action.jam, kNoNode);
+      if (trace_.storage() != Trace::Storage::kDisabled) trace_.record(out);
+      if (config_.recording.wants_trace()) result_.slot_outcomes.push_back(out);
+      if (out.jammed) ++result_.jammed_slots;
+      if (observer != nullptr) observer->on_slot(out, 0, 0);
+      result_.slots = slot;
+      if (config_.stop_when_empty && result_.arrivals > 0) return true;
+      if (config_.stop_after_first_success && result_.successes > 0) return true;
+      return false;
     }
 
     ++work_.slots_stepped;
@@ -123,7 +121,7 @@ class CjzCore {
       n.channel = static_cast<std::uint8_t>(parity_channel(slot));
       n.from = slot;
       p1_nodes_.push_back(idx);
-      begin_stage(idx, 0, rng);
+      begin_stage(idx, 0);
       ++live_;
     }
     result_.arrivals += action.inject;
@@ -132,7 +130,8 @@ class CjzCore {
     const std::uint64_t live_now = live_;
     if (live_now > 0) ++result_.active_slots;
 
-    // Gather backoff senders due this slot.
+    // Gather backoff senders due this slot (their order is irrelevant: only
+    // their count and, for a lone sender, its identity are read).
     backoff_senders_.clear();
     while (auto ev = calendar_.pop_due(slot)) {
       Node& n = nodes_[ev->node];
@@ -141,7 +140,7 @@ class CjzCore {
         continue;
       }
       if (ev->kind == CalendarEvent::Kind::kStageBegin) {
-        begin_stage(ev->node, n.stage + 1, rng);
+        begin_stage(ev->node, n.stage + 1);
       } else {
         backoff_senders_.push_back(ev->node);
         ++n.sends;
@@ -223,12 +222,17 @@ class CjzCore {
         result_.node_stats.push_back(ns);
       }
 
-      handle_success(slot, rng);
+      handle_success(slot);
       // Recycle only after handle_success: the winner may still sit in the
       // p1/p2 membership lists it scans (filtered there by `alive`), and its
       // pending calendar events stay stale because the slot keeps the
       // incremented generation across reuse.
       nodes_.release(winner_idx);
+      // The last live node departed, so every pending event is stale.
+      if (live_ == 0) {
+        work_.calendar_stale += calendar_.size();
+        calendar_.clear();
+      }
     }
 
     work_.rng_words += main_.index() + attr_.index();
@@ -272,31 +276,18 @@ class CjzCore {
   /// tables, which hold only live nodes).
   void reserve_nodes(std::uint64_t arrivals) { nodes_.reserve(arrivals); }
 
-  /// Plan-path idle-skip hint: assuming no arrivals, the earliest slot at
-  /// which step() could consume a random draw or change any counter beyond
-  /// the slot count itself. Returns 0 ("step every slot") while any cohort
-  /// holds members — cohort binomials are drawn each slot — and otherwise
-  /// the calendar's next event slot (conservative: stale events wake the
-  /// core for a draw-free step). A core with an empty calendar and no
-  /// cohort members can do nothing until the next arrival, encoded as a
-  /// wake-up beyond the horizon.
+  /// Plan-path idle-skip hint: assuming no arrivals, a slot no later than
+  /// the earliest at which step() could consume a random draw or change any
+  /// counter beyond the slot count itself. Returns 0 ("step every slot")
+  /// while any cohort holds members — cohort binomials are drawn each slot —
+  /// and otherwise the calendar's lower bound on its next event (stepping
+  /// early, or for a stale event, is a draw-free step). A core with an empty
+  /// calendar and no cohort members can do nothing until the next arrival,
+  /// encoded as a wake-up beyond the horizon.
   slot_t next_event_slot() const {
     if (cohort_members_ > 0) return 0;
     const slot_t due = calendar_.next_due_slot();
     return due == 0 ? config_.horizon + 1 : due;
-  }
-
-  /// Plan-path helper: discard calendar events due strictly before `slot`.
-  /// The caller must guarantee they are all stale — live() == 0 does, since
-  /// every pending event's owner is then dead and would be filtered anyway.
-  /// Doing the discard with the calendar's own pop sequence keeps the heap
-  /// permutation (and so the pop order of later tied events) bit-identical
-  /// to having stepped every slot (see Calendar::drain_below).
-  void drain_stale_before(slot_t slot) {
-    CR_DCHECK(live_ == 0);
-    const std::size_t before = calendar_.size();
-    calendar_.drain_below(slot);
-    work_.calendar_stale += before - calendar_.size();
   }
 
   /// History counters an adversary reads through PublicHistory.
@@ -501,7 +492,9 @@ class CjzCore {
       cohorts_.push_back(std::move(c));
     }
 
-    calendar_.load(r);
+    calendar_.load(r, result_.slots + 1);
+    if (r.ok() && live_ == 0 && !calendar_.empty())
+      r.fail("snapshot: calendar events pending with no live node");
   }
 
  private:
@@ -520,6 +513,8 @@ class CjzCore {
   static_assert(sizeof(Node) == 40, "Node is a hot per-arrival record; keep it at 40 bytes");
   /// A stage window 2^stage must fit in a slot_t.
   static constexpr std::uint64_t kMaxStages = 64;
+  /// Node ids that fit the stage-stream key beside a phase bit and a stage.
+  static constexpr node_id kMaxKeyedId = node_id{1} << 57;
 
   struct Cohort {
     slot_t l3 = 0;
@@ -640,9 +635,9 @@ class CjzCore {
     node_id next_id_ = 0;
   };
 
-  void begin_stage(std::uint32_t idx, std::uint64_t k, CounterRng::Stream& rng) {
+  void begin_stage(std::uint32_t idx, std::uint64_t k) {
     Node& n = nodes_[idx];
-    CR_DCHECK(k < kMaxStages);
+    CR_DCHECK(k < kMaxStages && (n.phase == 1 || n.phase == 2));
     n.stage = static_cast<std::uint8_t>(k);
     const std::uint64_t len = static_cast<std::uint64_t>(1) << k;
     const std::uint64_t vstart = len - 1;
@@ -650,17 +645,20 @@ class CjzCore {
     const unsigned sends = k < kSendsMemo ? sends_memo_[k] : fs_->backoff_sends(len);
     offsets_scratch_.clear();
     if (len == 1) {
-      // Stage 0: uniform_u64(1) consumes one word and returns 0 regardless of
-      // its value, so advance the stream without materializing the words.
-      rng.skip(sends);
+      // Stage 0 has one slot, so its only offset is 0 and it draws nothing.
       offsets_scratch_.push_back(0);
     } else {
-      // len is a power of two, so Lemire rejection never loops: each offset
-      // is exactly one word, equal to the multiply-shift of that word. A
-      // batched fill therefore draws bit-identical offsets to `sends`
-      // sequential uniform_u64(len) calls (asserted in tests/test_rng.cpp).
+      // The stage draws from its own stream, keyed by (node id, phase,
+      // stage): phase 2 restarts at stage 0, so the phase is part of the key,
+      // and ids below 2^57 keep keys from aliasing. No other draw, and so no
+      // calendar pop order, can shift these words. len is a power of two, so
+      // Lemire rejection never loops: each offset is exactly one word, equal
+      // to the multiply-shift of that word, as uniform_u64(len) would draw it.
+      CR_CHECK(n.id < kMaxKeyedId);
+      const std::uint64_t key = (n.id << 7) | (static_cast<std::uint64_t>(n.phase - 1) << 6) | k;
       words_scratch_.resize(sends);
-      rng.fill(words_scratch_.data(), sends);
+      stage_base_.fill(key, 0, words_scratch_.data(), sends);
+      work_.rng_words += sends;
       for (unsigned i = 0; i < sends; ++i)
         offsets_scratch_.push_back(static_cast<std::uint64_t>(
             (static_cast<unsigned __int128>(words_scratch_[i]) * len) >> 64));
@@ -691,7 +689,7 @@ class CjzCore {
     work_.calendar_peak = std::max<std::uint64_t>(work_.calendar_peak, calendar_.size());
   }
 
-  void handle_success(slot_t slot, CounterRng::Stream& rng) {
+  void handle_success(slot_t slot) {
     const int sp = parity_channel(slot);
 
     // Start the new cohort from the largest merging population (moved, not
@@ -726,7 +724,7 @@ class CjzCore {
         n.channel = static_cast<std::uint8_t>(1 - sp);
         n.from = slot + 1;
         p2_nodes_[1 - sp].push_back(idx);
-        begin_stage(idx, 0, rng);
+        begin_stage(idx, 0);
       } else {
         n.phase = 3;
         joiners.push_back(idx);
@@ -774,6 +772,8 @@ class CjzCore {
   /// step() binds this slot's cursor of each (hi counter = slot number).
   CounterRng main_base_;
   CounterRng attr_base_;
+  /// Backoff-stage offsets, one stream per (node id, phase, stage).
+  CounterRng stage_base_;
   CounterRng::Stream main_;
   CounterRng::Stream attr_;
 

@@ -11,8 +11,8 @@
 ///      cohort per slot instead of m Bernoulli draws.
 ///
 ///   2. Phase-1/2 backoff transmissions are sparse — h(2^k) per stage of
-///      length 2^k — so they live in a calendar queue; a slot's backoff
-///      senders are read off the queue in O(log) time.
+///      length 2^k — so they live in a calendar queue (a timing wheel); a
+///      slot's backoff senders are read off it in O(1) time per event.
 ///
 /// Net cost: O(#cohorts + #due events) per slot, which lets the benches run
 /// t up to 2²² with 10⁵–10⁶ nodes. Semantics match GenericSimulator +

@@ -170,6 +170,8 @@ SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& c
         break;
       }
     }
+    // A dead seed jumps straight to the next arrival: its calendar was
+    // cleared when its last node departed.
     slot_t slot = next_arrival;
     if (live > 0) {
       slot_t wake = core.next_event_slot();
@@ -177,10 +179,6 @@ SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& c
       slot = std::min(wake, next_arrival);
     }
     if (slot > horizon) break;
-    // A dead seed jumps straight to the next arrival; calendar events left
-    // behind by departed nodes must be discarded with the per-slot loop's own
-    // pop sequence so later tie-breaks stay identical.
-    if (live == 0) core.drain_stale_before(slot);
     AdversaryAction action;
     action.jam = jams.jammed(slot);
     if (slot == next_arrival) action.inject = arrivals[next++].second;

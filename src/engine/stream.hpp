@@ -11,11 +11,11 @@
 /// ring is fixed, and windows are published instead of accumulated.
 ///
 /// Checkpoint/restore. snapshot() serializes the complete simulation state —
-/// cohort core (nodes, cohorts, calendar heap verbatim), the open metrics
+/// cohort core (nodes, cohorts, pending calendar events), the open metrics
 /// window, and the feed cursor (events applied + the one popped-but-pending
 /// event) — into a versioned CRSNAP blob (common/snapshot.hpp). The RNG
-/// needs no serialization at all: the core's per-slot Philox streams are
-/// rebound as a pure function of (seed, slot).
+/// needs no serialization at all: the core's Philox streams are rebound as
+/// a pure function of (seed, slot) or of (seed, node, phase, stage).
 /// Restoring a checkpoint and re-feeding the same trace (skipping
 /// feed_skip() events) continues BIT-IDENTICALLY to the uninterrupted run —
 /// determinism rule 8 in docs/ARCHITECTURE.md, enforced end-to-end by the
@@ -40,8 +40,10 @@
 namespace cr {
 
 /// Current CRSNAP schema version for stream snapshots. Bump on ANY layout
-/// change (docs/ARCHITECTURE.md has the add-a-snapshot-field recipe).
-inline constexpr std::uint32_t kStreamSnapshotVersion = 1;
+/// change (docs/ARCHITECTURE.md has the add-a-snapshot-field recipe), and on
+/// any change to the draws a restored run would continue with. Version 2 keys
+/// backoff-stage draws by (node, phase, stage).
+inline constexpr std::uint32_t kStreamSnapshotVersion = 2;
 
 /// Effectively-unbounded horizon for streaming runs (the cohort core bounds
 /// calendar insertions by the config horizon; 2^62 keeps every shift in

@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
+#include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
+#include "common/rng.hpp"
+#include "common/snapshot.hpp"
 #include "engine/calendar.hpp"
 #include "engine/fast_batch.hpp"
 #include "engine/fast_cjz.hpp"
@@ -20,23 +25,97 @@ ComposedAdversary make_adv(std::unique_ptr<ArrivalProcess> a, std::unique_ptr<Ja
   return ComposedAdversary(std::move(a), std::move(j));
 }
 
-TEST(Calendar, OrdersBySlotThenKind) {
-  Calendar cal;
-  cal.push({5, CalendarEvent::Kind::kSend, 1, 0});
-  cal.push({5, CalendarEvent::Kind::kStageBegin, 2, 0});
-  cal.push({3, CalendarEvent::Kind::kSend, 3, 0});
-  EXPECT_FALSE(cal.pop_due(2).has_value());
-  auto e1 = cal.pop_due(3);
-  ASSERT_TRUE(e1.has_value());
-  EXPECT_EQ(e1->node, 3u);
-  EXPECT_FALSE(cal.pop_due(3).has_value());
-  auto e2 = cal.pop_due(5);
-  ASSERT_TRUE(e2.has_value());
-  EXPECT_EQ(e2->kind, CalendarEvent::Kind::kStageBegin) << "stage-begins first within a slot";
-  auto e3 = cal.pop_due(5);
-  ASSERT_TRUE(e3.has_value());
-  EXPECT_EQ(e3->kind, CalendarEvent::Kind::kSend);
-  EXPECT_TRUE(cal.empty());
+// Differential test of the timing wheel against a sorted reference. From
+// clocks just below the 64, 4096 and 2^18 digit boundaries and 2^62, it
+// pushes events up to 2^20 slots ahead (some into the slot being drained),
+// moves the clock by one slot or jumps as far as the earliest pending event,
+// clears, and round-trips the wheel through save/load, whose bytes must be
+// the reference's events in sorted order. Pop order within a slot is
+// unspecified, so each slot's events are compared as a multiset.
+TEST(Calendar, MatchesASortedReference) {
+  // Sorted like the saved words: (slot, kind) is the key, (gen, node) the payload.
+  using Key = std::tuple<slot_t, int, std::uint32_t, std::uint32_t>;  // slot, kind, gen, node
+  Rng rng(20261019);
+  for (const slot_t base : {slot_t{1}, slot_t{60}, slot_t{4090}, (slot_t{1} << 18) - 40,
+                            (slot_t{1} << 62) - 5000}) {
+    Calendar cal;
+    std::multiset<Key> ref;
+    std::uint32_t node = 0;
+    const auto push = [&](slot_t s) {
+      const CalendarEvent ev{s,
+                             rng.bernoulli(0.5) ? CalendarEvent::Kind::kSend
+                                                : CalendarEvent::Kind::kStageBegin,
+                             node++, static_cast<std::uint32_t>(rng.uniform_u64(4))};
+      cal.push(ev);
+      ref.emplace(ev.slot, static_cast<int>(ev.kind), ev.gen, ev.node);
+    };
+    const auto ahead = [&](slot_t from) {
+      constexpr slot_t kSpans[] = {1, 64, 4096, slot_t{1} << 18, slot_t{1} << 20};
+      return from + rng.uniform_u64(kSpans[rng.uniform_u64(5)]);
+    };
+    slot_t now = base;
+    // One event at each boundary the clock will cross first.
+    for (const unsigned bits : {6u, 12u, 18u, 62u})
+      if (const slot_t edge = ((now >> bits) + 1) << bits; edge - now <= (slot_t{1} << 20))
+        push(edge);
+    for (int round = 0; round < 2000; ++round) {
+      for (std::uint64_t k = rng.uniform_u64(4); k > 0; --k) push(ahead(now));
+      std::multiset<Key> popped;
+      while (const auto ev = cal.pop_due(now)) {
+        ASSERT_EQ(ev->slot, now);
+        popped.emplace(ev->slot, static_cast<int>(ev->kind), ev->gen, ev->node);
+        if (rng.bernoulli(0.2)) push(now);
+        if (rng.bernoulli(0.2)) push(ahead(now));
+      }
+      const auto due_end = ref.lower_bound(Key{now + 1, 0, 0, 0});
+      ASSERT_EQ(popped, std::multiset<Key>(ref.begin(), due_end)) << "slot " << now;
+      ref.erase(ref.begin(), due_end);
+      ASSERT_EQ(cal.size(), ref.size());
+
+      if (rng.bernoulli(0.01)) {
+        cal.clear();
+        ref.clear();
+      }
+      if (rng.bernoulli(0.05)) {
+        SnapshotWriter w;
+        cal.save(w);
+        const std::vector<std::uint8_t> blob = w.seal(1);
+        SnapshotWriter sorted;
+        sorted.u64(ref.size());
+        for (const auto& [slot, kind, gen, node] : ref) {
+          sorted.u64((slot << 1) | static_cast<std::uint64_t>(kind));
+          sorted.u64((static_cast<std::uint64_t>(gen) << 32) | node);
+        }
+        ASSERT_EQ(blob, sorted.seal(1)) << "save() must write the events sorted";
+        SnapshotReader r(blob, 1);
+        Calendar restored;
+        restored.load(r, now + 1);
+        r.expect_end();
+        ASSERT_TRUE(r.ok()) << r.error();
+        SnapshotWriter again;
+        restored.save(again);
+        ASSERT_EQ(again.seal(1), blob);
+        cal = std::move(restored);
+      }
+
+      const slot_t due = cal.next_due_slot();
+      if (ref.empty()) {
+        ASSERT_TRUE(cal.empty());
+        ASSERT_EQ(due, 0u);
+        now = ahead(now + 1);
+        continue;
+      }
+      const slot_t earliest = std::get<0>(*ref.begin());
+      ASSERT_GT(due, now);
+      ASSERT_LE(due, earliest) << "next_due_slot() must never pass the earliest event";
+      switch (rng.uniform_u64(4)) {
+        case 0: now += 1; break;
+        case 1: now = due; break;
+        case 2: now = earliest; break;
+        default: now += 1 + rng.uniform_u64(earliest - now); break;
+      }
+    }
+  }
 }
 
 TEST(Calendar, PushWhileDraining) {

@@ -195,21 +195,21 @@ TEST(Lockstep, ReplicateScenarioStatParityWithFastCjz) {
   }
 }
 
-TEST(Lockstep, DefaultSweepMatchesFormerLockstepEngine) {
+TEST(Lockstep, DefaultSweepMatchesPinnedQuietTailRows) {
   // The quiet_tail benchmark shape on the preferred engine: batch of 256,
-  // 25% jamming, 2^20 slots, 16 seeds. Pinned to what the removed
-  // `--engine=lockstep` sweep produced per seed (jammed slots, sends, last
-  // success), so the default sweep output is that engine's, bit for bit.
+  // 25% jamming, 2^20 slots, 16 seeds. Pinned per seed (jammed slots,
+  // sends, last success), so any change to the default sweep's output, the
+  // analytic tail's jam draw included, shows here by seed.
   struct Pinned {
     std::uint64_t jammed, sends, last;
   };
   const Pinned want[] = {
-      {262370, 35976, 3018}, {261884, 38097, 3208}, {262147, 37230, 3201},
-      {262754, 36262, 3204}, {262515, 32879, 2786}, {261749, 36393, 3063},
-      {262053, 35188, 3022}, {262894, 36035, 3470}, {262425, 34809, 3211},
-      {261946, 39228, 3136}, {261988, 34258, 3337}, {261426, 33533, 3285},
-      {262610, 37915, 3297}, {262196, 41003, 2950}, {262233, 34265, 2914},
-      {261589, 36345, 3065}};
+      {261750, 36356, 3024}, {261797, 36923, 3386}, {262147, 37488, 3201},
+      {261875, 37337, 3302}, {262568, 33289, 3027}, {261920, 38658, 3039},
+      {262496, 36614, 3432}, {262367, 34548, 3070}, {262425, 34861, 3211},
+      {261946, 39607, 3136}, {261651, 36244, 3165}, {261426, 33927, 3285},
+      {262610, 37890, 3297}, {261596, 35245, 3094}, {262228, 38912, 2920},
+      {262908, 34766, 2870}};
   ScenarioParams params;
   params.n = 256;
   params.jam = 0.25;

@@ -218,6 +218,57 @@ TEST_F(SnapshotRejection, NodeStageOutOfRange) {
       << error;
 }
 
+/// The payload of a harness blob, and a blob sealed around an edited one.
+std::vector<std::uint8_t> payload_of(const std::vector<std::uint8_t>& blob) {
+  return {blob.begin() + 32, blob.end()};
+}
+std::vector<std::uint8_t> seal_payload(const std::vector<std::uint8_t>& payload) {
+  SnapshotWriter w;
+  for (const std::uint8_t byte : payload) w.u8(byte);
+  return w.seal(snaptest::kHarnessSnapshotVersion);
+}
+
+TEST_F(SnapshotRejection, CalendarEventBeforeTheResumeSlot) {
+  // The calendar closes the core block: a count and then (key, payload)
+  // pairs sorted by key, key = slot << 1 | kind. Move the earliest event
+  // onto slot 64, which the blob has already stepped; it could never fire.
+  std::vector<std::uint8_t> p = payload_of(blob_);
+  std::size_t count_at = 0;
+  for (std::uint64_t n = 1; 8 + 16 * n <= p.size(); ++n) {
+    std::uint64_t count = 0;
+    std::memcpy(&count, p.data() + p.size() - 8 - 16 * n, sizeof(count));
+    if (count == n) {
+      count_at = p.size() - 8 - 16 * n;
+      break;
+    }
+  }
+  ASSERT_GT(count_at, 0u) << "blob layout changed: no calendar events at the end";
+  std::uint64_t key = 0;
+  std::memcpy(&key, p.data() + count_at + 8, sizeof(key));
+  ASSERT_GT(key >> 1, 64u);
+  key = (std::uint64_t{64} << 1) | (key & 1);
+  std::memcpy(p.data() + count_at + 8, &key, sizeof(key));
+  EXPECT_NE(restore_error(seal_payload(p))
+                .find("calendar event at slot 64 precedes the resume slot 65"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotRejection, CalendarEventsWithNoLiveNode) {
+  // The core clears its calendar when the last node departs, so a blob cut
+  // after the last success ends with an empty calendar. Give it one event.
+  const slot_t k = replay(rc_).last_success;
+  ASSERT_GT(k, 0u);
+  std::vector<std::uint8_t> p = payload_of(snapshot_at(rc_, k));
+  std::uint64_t count = 0;
+  std::memcpy(&count, p.data() + p.size() - 8, sizeof(count));
+  ASSERT_EQ(count, 0u);
+  p.resize(p.size() - 8);
+  for (const std::uint64_t word : {std::uint64_t{1}, std::uint64_t{(k + 3) << 1}, std::uint64_t{0}})
+    for (std::size_t i = 0; i < 8; ++i) p.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
+  EXPECT_NE(restore_error(seal_payload(p)).find("calendar events pending with no live node"),
+            std::string::npos);
+}
+
 TEST_F(SnapshotRejection, ImplausibleCountIsRejected) {
   // A count field larger than the remaining payload must fail check_count,
   // not allocate or loop out of bounds.

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -417,6 +418,22 @@ TEST(StreamSim, RestoreRejectsForeignAndCorruptBlobs) {
   StreamSim tail(test_options());
   EXPECT_FALSE(tail.restore(head_out.last_checkpoint, &error));
   EXPECT_NE(error.find("checksum mismatch"), std::string::npos);
+}
+
+// A checkpoint of schema version 1 keyed backoff-stage draws to the slot's
+// shared stream; continuing it with today's draws would diverge silently.
+TEST(StreamSim, RefusesAVersionOneCheckpoint) {
+  StreamOptions opts = test_options();
+  opts.max_windows = 1;
+  StreamSim head(opts);
+  DrainResult head_out = drain(head, synth_events(5, 100), 0);
+  ASSERT_FALSE(head_out.last_checkpoint.empty());
+  const std::uint32_t v1 = 1;
+  std::memcpy(head_out.last_checkpoint.data() + 8, &v1, sizeof(v1));
+  StreamSim tail(test_options());
+  std::string error;
+  EXPECT_FALSE(tail.restore(head_out.last_checkpoint, &error));
+  EXPECT_NE(error.find("schema version mismatch (blob v1"), std::string::npos) << error;
 }
 
 }  // namespace
