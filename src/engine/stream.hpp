@@ -41,8 +41,7 @@ namespace cr {
 
 /// Current CRSNAP schema version for stream snapshots. Bump on ANY layout
 /// change (docs/ARCHITECTURE.md has the add-a-snapshot-field recipe), and on
-/// any change to the draws a restored run would continue with. Version 2 keys
-/// backoff-stage draws by (node, phase, stage).
+/// any change to the draws a restored run would continue with.
 inline constexpr std::uint32_t kStreamSnapshotVersion = 2;
 
 /// Effectively-unbounded horizon for streaming runs (the cohort core bounds
