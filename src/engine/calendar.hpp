@@ -11,8 +11,11 @@
 /// slot differs from the wheel's clock, in the bucket that digit names; level
 /// 0 therefore holds one slot per bucket. Moving the clock forward cascades
 /// the one bucket per level whose range it enters down to the levels below.
-/// A push or a pop is O(1), an event cascades at most once per level, and the
-/// memory is the pending events plus 704 bucket headers at any horizon.
+/// A push or a pop is O(1) and an event cascades at most once per level. A
+/// bucket is a chain of 32-event blocks drawn from one pool, so a cascade
+/// moves events without reallocating and a block freed by one bucket is
+/// reused by the next; the memory is the peak of pending events, in blocks,
+/// plus 704 bucket heads at any horizon.
 ///
 /// Pop order within a slot is unspecified, and nothing may depend on it:
 /// CjzCore keys each backoff stage's draws by (node, phase, stage), and a
@@ -25,6 +28,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -63,11 +67,14 @@ class Calendar {
   std::optional<CalendarEvent> pop_due(slot_t slot) {
     if (slot != now_) advance(slot);
     const auto idx = static_cast<unsigned>(slot & kDigitMask);
-    std::vector<Packed>& bucket = buckets_[idx];
-    if (bucket.empty()) return std::nullopt;
-    const Packed p = bucket.back();
-    bucket.pop_back();
-    if (bucket.empty()) drop(0, idx);
+    Block* block = head_[idx];
+    if (block == nullptr) return std::nullopt;
+    const Packed p = block->events[--block->count];
+    if (block->count == 0) {
+      head_[idx] = block->next;
+      release(block);
+      if (head_[idx] == nullptr) occupied_[0] &= ~(std::uint64_t{1} << idx);
+    }
     --size_;
     CalendarEvent ev;
     ev.slot = static_cast<slot_t>(p.key >> 1);
@@ -96,9 +103,18 @@ class Calendar {
 
   /// Discard every event, visiting only occupied buckets.
   void clear() {
-    for (int level = 0; level < kLevels; ++level)
-      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1)
-        drop(level, static_cast<unsigned>(std::countr_zero(m)));
+    for (int level = 0; level < kLevels; ++level) {
+      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1) {
+        const std::size_t i = at(level, static_cast<unsigned>(std::countr_zero(m)));
+        for (Block* b = head_[i]; b != nullptr;) {
+          Block* next = b->next;
+          release(b);
+          b = next;
+        }
+        head_[i] = nullptr;
+      }
+      occupied_[level] = 0;
+    }
     size_ = 0;
   }
 
@@ -108,10 +124,10 @@ class Calendar {
     std::vector<Packed> events;
     events.reserve(size_);
     for (int level = 0; level < kLevels; ++level)
-      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1) {
-        const std::vector<Packed>& b = buckets_[at(level, std::countr_zero(m))];
-        events.insert(events.end(), b.begin(), b.end());
-      }
+      for (std::uint64_t m = occupied_[level]; m != 0; m &= m - 1)
+        for (const Block* b = head_[at(level, static_cast<unsigned>(std::countr_zero(m)))];
+             b != nullptr; b = b->next)
+          events.insert(events.end(), b->events, b->events + b->count);
     std::sort(events.begin(), events.end(), [](const Packed& a, const Packed& b) {
       return a.key != b.key ? a.key < b.key : a.payload < b.payload;
     });
@@ -153,15 +169,19 @@ class Calendar {
   static constexpr unsigned kDigitBits = 6;
   static constexpr std::uint64_t kDigitMask = 63;
   static constexpr int kLevels = 11;  ///< 11 digits of 6 bits cover any slot_t
-  /// A bucket that empties keeps a buffer of at most this many events; a
-  /// larger one (a burst) is freed, so no bucket pins a past peak.
-  static constexpr std::size_t kKeep = 256;
+  static constexpr std::uint32_t kBlockEvents = 32;
+  static constexpr std::size_t kChunkBlocks = 16;  ///< blocks the pool allocates at once
+  struct Block {
+    Block* next = nullptr;  ///< the header shares a cache line with events[0]
+    std::uint32_t count = 0;
+    Packed events[kBlockEvents];
+  };
 
   /// Level of the highest 6-bit digit set in `diff` (0 for diff < 64).
   static int level_of(std::uint64_t diff) {
     return (static_cast<int>(std::bit_width(diff | 1)) - 1) / static_cast<int>(kDigitBits);
   }
-  /// Index into buckets_ of bucket `idx` on `level`.
+  /// Index into head_ of bucket `idx` on `level`.
   static std::size_t at(int level, unsigned idx) {
     return static_cast<std::size_t>(level) * 64 + idx;
   }
@@ -170,16 +190,29 @@ class Calendar {
     const auto s = static_cast<slot_t>(p.key >> 1);
     const int level = level_of(s ^ now_);
     const auto idx = static_cast<unsigned>((s >> (kDigitBits * level)) & kDigitMask);
-    buckets_[at(level, idx)].push_back(p);
+    Block*& head = head_[at(level, idx)];
+    if (head == nullptr || head->count == kBlockEvents) {
+      Block* b = acquire();
+      b->next = head;
+      head = b;
+    }
+    head->events[head->count++] = p;
     occupied_[level] |= std::uint64_t{1} << idx;
   }
 
-  /// Empty a bucket and mark it free, releasing an oversized buffer.
-  void drop(int level, unsigned idx) {
-    occupied_[level] &= ~(std::uint64_t{1} << idx);
-    std::vector<Packed>& b = buckets_[at(level, idx)];
-    b.clear();
-    if (b.capacity() > kKeep) std::vector<Packed>().swap(b);
+  Block* acquire() {
+    if (free_ == nullptr) {
+      chunks_.push_back(std::make_unique<Block[]>(kChunkBlocks));
+      for (std::size_t i = 0; i < kChunkBlocks; ++i) release(&chunks_.back()[i]);
+    }
+    Block* b = free_;
+    free_ = b->next;
+    b->count = 0;
+    return b;
+  }
+  void release(Block* b) {
+    b->next = free_;
+    free_ = b;
   }
 
   /// Move the clock to `slot`. Only the levels from the highest digit that
@@ -192,15 +225,24 @@ class Calendar {
     for (int level = top; level >= 1; --level) {
       const auto idx = static_cast<unsigned>((slot >> (kDigitBits * level)) & kDigitMask);
       if ((occupied_[level] >> idx & 1) == 0) continue;
-      for (const Packed& p : buckets_[at(level, idx)]) {
-        CR_DCHECK(static_cast<slot_t>(p.key >> 1) >= slot);
-        place(p);
+      occupied_[level] &= ~(std::uint64_t{1} << idx);
+      Block* b = head_[at(level, idx)];
+      head_[at(level, idx)] = nullptr;
+      while (b != nullptr) {
+        for (std::uint32_t i = 0; i < b->count; ++i) {
+          CR_DCHECK(static_cast<slot_t>(b->events[i].key >> 1) >= slot);
+          place(b->events[i]);
+        }
+        Block* next = b->next;
+        release(b);
+        b = next;
       }
-      drop(level, idx);
     }
   }
 
-  std::array<std::vector<Packed>, kLevels * 64> buckets_;
+  std::vector<std::unique_ptr<Block[]>> chunks_;  ///< the pool; blocks never move
+  Block* free_ = nullptr;
+  std::array<Block*, kLevels * 64> head_ = {};
   std::array<std::uint64_t, kLevels> occupied_ = {};
   slot_t now_ = 0;  ///< the wheel's clock: the slot last popped
   std::size_t size_ = 0;

@@ -27,7 +27,8 @@ ComposedAdversary make_adv(std::unique_ptr<ArrivalProcess> a, std::unique_ptr<Ja
 
 // Differential test of the timing wheel against a sorted reference. From
 // clocks just below the 64, 4096 and 2^18 digit boundaries and 2^62, it
-// pushes events up to 2^20 slots ahead (some into the slot being drained),
+// pushes events up to 2^20 slots ahead (some into the slot being drained,
+// some in bursts that fill a slot past one block),
 // moves the clock by one slot or jumps as far as the earliest pending event,
 // clears, and round-trips the wheel through save/load, whose bytes must be
 // the reference's events in sorted order. Pop order within a slot is
@@ -60,6 +61,10 @@ TEST(Calendar, MatchesASortedReference) {
         push(edge);
     for (int round = 0; round < 2000; ++round) {
       for (std::uint64_t k = rng.uniform_u64(4); k > 0; --k) push(ahead(now));
+      // Now and then a burst, like a batch arriving, fills one slot past a
+      // 32-event block.
+      if (rng.bernoulli(0.05))
+        for (slot_t s = ahead(now), k = 33 + rng.uniform_u64(64); k > 0; --k) push(s);
       std::multiset<Key> popped;
       while (const auto ev = cal.pop_due(now)) {
         ASSERT_EQ(ev->slot, now);
