@@ -51,6 +51,12 @@ struct CalendarEvent {
 /// Timing wheel of calendar events, popped slot by slot.
 class Calendar {
  public:
+  Calendar() = default;
+  // Blocks link to each other by address, so a moved-from wheel would still
+  // point into the blocks it gave away.
+  Calendar(Calendar&&) = delete;
+  Calendar& operator=(Calendar&&) = delete;
+
   /// Schedule an event (no dedup; consumers filter stale generations). Its
   /// slot must not be earlier than the slot last passed to pop_due().
   void push(const CalendarEvent& ev) {
