@@ -2,8 +2,8 @@
 //
 // Turns the simulator into a service: arrivals are ingested from a trace
 // file, stdin, or a deterministic synthetic generator, flow through a
-// fixed-capacity SPSC ring buffer into the sparse-table CJZ cohort core,
-// and completed metric windows leave as JSON lines the moment they close.
+// fixed-capacity SPSC ring buffer into the CJZ cohort core, and completed
+// metric windows leave as JSON lines the moment they close.
 // There is no horizon — the run ends when the feed does (or after
 // --max_windows). Checkpoint/restore is bit-exact: kill the process, point
 // --restore at the last checkpoint, re-feed the same trace, and the output
@@ -55,18 +55,12 @@ int run(int argc, const char* const* argv) {
   if (!counts_ok) return 2;
   const std::string trace_path = driver.cli().get_string("trace", "-");
   const std::string overflow = driver.cli().get_string("overflow", "block");
-  const std::string table = driver.cli().get_string("table", "sparse");
   const std::string checkpoint_path = driver.cli().get_string("checkpoint", "");
   const std::string restore_path = driver.cli().get_string("restore", "");
 
   if (overflow != "block" && overflow != "drop") {
     std::fprintf(stderr, "cr stream: --overflow must be block or drop (got \"%s\")\n",
                  overflow.c_str());
-    return 2;
-  }
-  if (table != "sparse" && table != "dense") {
-    std::fprintf(stderr, "cr stream: --table must be sparse or dense (got \"%s\")\n",
-                 table.c_str());
     return 2;
   }
   if (synth_count > 0 && driver.cli().has("trace")) {
@@ -90,7 +84,6 @@ int run(int argc, const char* const* argv) {
   opts.window = window;
   opts.max_windows = max_windows;
   opts.checkpoint_every = checkpoint_every;
-  opts.node_table = table == "dense" ? NodeTableKind::kDense : NodeTableKind::kSparse;
 
   StreamSim sim(opts);
 
@@ -204,9 +197,8 @@ int run(int argc, const char* const* argv) {
                static_cast<unsigned long long>(summary.live_at_end),
                static_cast<unsigned long long>(summary.windows),
                static_cast<unsigned long long>(dropped.load()));
-  std::fprintf(stderr,
-               "stream: node table %s, peak live %llu, resident slots %llu (%llu bytes)\n",
-               table.c_str(), static_cast<unsigned long long>(mem.peak_live_nodes),
+  std::fprintf(stderr, "stream: peak live %llu, resident slots %llu (%llu bytes)\n",
+               static_cast<unsigned long long>(mem.peak_live_nodes),
                static_cast<unsigned long long>(mem.node_table_slots),
                static_cast<unsigned long long>(mem.node_bytes));
   if (!checkpoint_error.empty()) {
@@ -238,7 +230,6 @@ BenchSpec stream() {
       {"window", "metrics window width in slots (default 1024, quick 256)"},
       {"ring", "SPSC ring-buffer capacity in events (default 1024)"},
       {"overflow", "ring-full policy: block (lossless) | drop (count drops; default block)"},
-      {"table", "node-table storage: sparse | dense (default sparse)"},
       {"checkpoint", "checkpoint blob path (written atomically; default: none)"},
       {"checkpoint_every", "cut a checkpoint every N slots (0 = only at stop; default 0)"},
       {"restore", "resume from this checkpoint blob, re-feeding the same trace"},

@@ -1,5 +1,6 @@
 #include "common/file_io.hpp"
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -23,7 +24,29 @@ bool read_file(const std::string& path, std::string* out) {
   return true;
 }
 
+namespace {
+
+/// What stands at a path that is not a regular file, for the diagnostic.
+const char* file_kind(mode_t mode) {
+  if (S_ISLNK(mode)) return "a symbolic link";
+  if (S_ISDIR(mode)) return "a directory";
+  if (S_ISFIFO(mode)) return "a FIFO";
+  if (S_ISCHR(mode) || S_ISBLK(mode)) return "a device";
+  if (S_ISSOCK(mode)) return "a socket";
+  return "a special file";
+}
+
+}  // namespace
+
 bool write_file_atomic(const std::string& path, std::string_view bytes, std::string* error) {
+  // The rename would replace a link, FIFO or device with a regular file and
+  // leave whatever it led to untouched, so only a regular file may stand at
+  // the path.
+  struct stat st {};
+  if (::lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+    *error = std::string("not a regular file (") + file_kind(st.st_mode) + ")";
+    return false;
+  }
   const std::string tmp = path + ".tmp-" + unique_suffix();
   std::FILE* out = std::fopen(tmp.c_str(), "wbx");  // x: O_EXCL
   if (out == nullptr) {

@@ -50,17 +50,11 @@ double Rng::uniform01() { return rng_detail::uniform01(*this); }
 
 std::uint64_t Rng::uniform_u64(std::uint64_t n) { return rng_detail::uniform_u64(*this, n); }
 
-std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) {
-  return rng_detail::uniform_range(*this, lo, hi);
-}
-
 bool Rng::bernoulli(double p) { return rng_detail::bernoulli(*this, p); }
 
 std::uint64_t Rng::binomial(std::uint64_t n, double p) {
   return rng_detail::binomial(*this, n, p);
 }
-
-std::uint64_t Rng::geometric(double p) { return rng_detail::geometric(*this, p); }
 
 double Rng::normal01() { return rng_detail::normal01(*this); }
 

@@ -23,7 +23,6 @@
 //   * bernoulli(p)        — one biased coin
 //   * binomial(n, p)      — number of senders in a synchronized cohort
 //   * uniform_u64(n)      — uniform slot choice within a backoff stage
-//   * geometric(p)        — gap sampling for sparse Bernoulli processes
 //
 // binomial() is exact for small n (coin-by-coin) and small mean (inversion),
 // and uses a clamped normal approximation only when n·p is large, where the
@@ -31,8 +30,8 @@
 //
 // Batched draws: both substrates expose block APIs that produce the same
 // values as repeated scalar draws — Rng::fill walks the sequential state in
-// one call, and CounterRng::fill / Stream::fill / Stream::skip evaluate
-// Philox blocks two at a time so the ten-round latency chains overlap. Every
+// one call, and CounterRng::fill / Stream::fill evaluate Philox blocks two
+// at a time so the ten-round latency chains overlap. Every
 // batched call is bit-identical to the equivalent scalar loop (asserted in
 // tests/test_rng.cpp); the plan path (engine/plan_path.hpp) leans on this
 // equivalence to fill adversary coins in blocks.
@@ -86,15 +85,6 @@ std::uint64_t uniform_u64(G& g, std::uint64_t n) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-template <typename G>
-std::int64_t uniform_range(G& g, std::int64_t lo, std::int64_t hi) {
-  CR_DCHECK(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  // span == 0 means the full 64-bit range [lo, hi]; fall back to raw bits.
-  if (span == 0) return static_cast<std::int64_t>(g());
-  return lo + static_cast<std::int64_t>(uniform_u64(g, span));
 }
 
 template <typename G>
@@ -161,16 +151,6 @@ std::uint64_t binomial(G& g, std::uint64_t n, double p) {
   return static_cast<std::uint64_t>(x);
 }
 
-template <typename G>
-std::uint64_t geometric(G& g, double p) {
-  CR_DCHECK(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = 1.0 - uniform01(g);  // in (0, 1]
-  const double v = std::floor(std::log(u) / std::log1p(-p));
-  if (v < 0.0) return 0;
-  return static_cast<std::uint64_t>(v);
-}
-
 }  // namespace rng_detail
 
 /// Deterministic sequential PRNG. Satisfies UniformRandomBitGenerator.
@@ -204,9 +184,6 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
   std::uint64_t uniform_u64(std::uint64_t n);
 
-  /// Uniform integer in [lo, hi]. Requires lo <= hi.
-  std::int64_t uniform_range(std::int64_t lo, std::int64_t hi);
-
   /// Biased coin. p <= 0 -> always false; p >= 1 -> always true.
   bool bernoulli(double p);
 
@@ -217,10 +194,6 @@ class Rng {
   /// n·p ≥ 32 the normal approximation's total-variation error is < 1%,
   /// far below the Monte-Carlo noise floor of any experiment here.
   std::uint64_t binomial(std::uint64_t n, double p);
-
-  /// Number of failures before the first success of a p-coin (support {0,1,...}).
-  /// Requires p in (0, 1].
-  std::uint64_t geometric(double p);
 
   /// Standard normal variate (Box–Muller, stateless variant).
   double normal01();
@@ -329,9 +302,9 @@ class CounterRng {
 
     result_type operator()() {
       // One Philox block yields two words; cache the second so sequential
-      // draws cost one block evaluation per two words. skip() can land the
-      // cursor on an odd index without having seen the block, so the spare
-      // is re-derived on demand.
+      // draws cost one block evaluation per two words. fill() can land the
+      // cursor on an odd index without keeping the block, so the spare is
+      // re-derived on demand.
       if ((index_ & 1) == 0) {
         const Block b = CounterRng(key_).block(index_ >> 1, hi_);
         spare_ = b.w1;
@@ -343,16 +316,6 @@ class CounterRng {
       spare_valid_ = false;
       ++index_;
       return spare_;
-    }
-
-    /// Advance the cursor by n words without materialising their values.
-    /// The words are still consumed — index() moves exactly as if n draws
-    /// had been made — so downstream draws stay aligned with the scalar
-    /// sequence. Used where a draw's value is provably irrelevant (e.g. the
-    /// offset into a length-1 backoff stage).
-    void skip(std::uint64_t n) {
-      index_ += n;
-      spare_valid_ = false;
     }
 
     /// Fill out[0..n) with the next n words — bit-identical to n sequential
@@ -371,9 +334,6 @@ class CounterRng {
 
     double uniform01() { return rng_detail::uniform01(*this); }
     std::uint64_t uniform_u64(std::uint64_t n) { return rng_detail::uniform_u64(*this, n); }
-    std::int64_t uniform_range(std::int64_t lo, std::int64_t hi) {
-      return rng_detail::uniform_range(*this, lo, hi);
-    }
     bool bernoulli(double p) { return rng_detail::bernoulli(*this, p); }
     std::uint64_t binomial(std::uint64_t n, double p) {
       // Same distribution arithmetic as rng_detail::binomial, but the
@@ -395,7 +355,6 @@ class CounterRng {
       const std::uint64_t k = rng_detail::binomial(*this, n, q);
       return flip ? n - k : k;
     }
-    std::uint64_t geometric(double p) { return rng_detail::geometric(*this, p); }
     double normal01() { return rng_detail::normal01(*this); }
 
     /// Number of 64-bit words consumed so far (== the next draw index).

@@ -44,7 +44,7 @@ struct CalendarEvent {
 
   slot_t slot = 0;          ///< absolute slot the event fires in
   Kind kind = Kind::kSend;
-  std::uint32_t node = 0;   ///< owning node's dense index in the engine
+  std::uint32_t node = 0;   ///< owning node's table index in the engine
   std::uint32_t gen = 0;    ///< owner's generation at scheduling time (staleness check)
 };
 

@@ -39,10 +39,10 @@
 
 namespace cr {
 
-/// Resident node-table footprint of a core — what NodeTableKind buys.
+/// Resident node-table footprint of a core.
 struct CjzCoreMemoryStats {
   std::uint64_t peak_live_nodes = 0;   ///< max simultaneous live nodes seen
-  std::uint64_t node_table_slots = 0;  ///< resident Node records (dense: total arrivals)
+  std::uint64_t node_table_slots = 0;  ///< resident Node records (recycled: peak_live_nodes)
   std::uint64_t node_bytes = 0;        ///< node_table_slots * sizeof(Node)
 };
 
@@ -75,8 +75,7 @@ class CjzCore {
         main_base_(CounterRng(config.seed).fork(streams::kCjzMain)),
         attr_base_(CounterRng(config.seed).fork(streams::kAttribution)),
         stage_base_(CounterRng(config.seed).fork(streams::kCjzStage)),
-        trace_(trace_storage),
-        nodes_(config.node_table == NodeTableKind::kSparse) {
+        trace_(trace_storage) {
     // backoff_sends goes through a std::function; memoize the per-stage send
     // counts once (stage k has window 2^k — 2^40 slots is beyond any horizon
     // this simulator runs, but begin_stage still falls back past the table).
@@ -248,9 +247,8 @@ class CjzCore {
     result_.live_at_end = live_;
     if (config_.recording.wants_node_stats()) {
       // Collect the stranded (never-departed) nodes in arrival order. The
-      // sparse table hands slots out of a free list, so storage order is not
-      // id order there; sorting by id (a no-op for the dense table) keeps
-      // node_stats bit-identical across table kinds.
+      // table hands slots out of a free list, so storage order is not id
+      // order; sort by id.
       const std::size_t stranded_begin = result_.node_stats.size();
       for (std::uint32_t idx = 0; idx < nodes_.slot_count(); ++idx) {
         const Node& n = nodes_[idx];
@@ -272,8 +270,8 @@ class CjzCore {
 
   std::uint64_t live() const { return live_; }
 
-  /// Pre-size a dense node table for `arrivals` nodes (no-op for sparse
-  /// tables, which hold only live nodes).
+  /// Capacity hint: the run injects `arrivals` nodes in all, so the table
+  /// never needs more slots than that.
   void reserve_nodes(std::uint64_t arrivals) { nodes_.reserve(arrivals); }
 
   /// Plan-path idle-skip hint: assuming no arrivals, a slot no later than
@@ -321,7 +319,6 @@ class CjzCore {
     w.u8(config_.stop_after_first_success ? 1 : 0);
     w.u8(static_cast<std::uint8_t>(config_.recording.tier));
     w.u64(config_.max_live_nodes);
-    w.u8(static_cast<std::uint8_t>(config_.node_table));
     w.u8(options_.use_phase2 ? 1 : 0);
     w.u8(options_.swap_channels_on_restart ? 1 : 0);
 
@@ -401,7 +398,6 @@ class CjzCore {
     echo_u8("config.stop_after_first_success", config_.stop_after_first_success ? 1 : 0);
     echo_u8("config.recording_tier", static_cast<std::uint8_t>(config_.recording.tier));
     echo_u64("config.max_live_nodes", config_.max_live_nodes);
-    echo_u8("config.node_table", static_cast<std::uint8_t>(config_.node_table));
     echo_u8("options.use_phase2", options_.use_phase2 ? 1 : 0);
     echo_u8("options.swap_channels", options_.swap_channels_on_restart ? 1 : 0);
     if (!r.ok()) return;
@@ -522,21 +518,15 @@ class CjzCore {
     std::vector<std::uint32_t> members;
   };
 
-  /// Node table behind the historical "dense index" interface. Dense mode
-  /// appends forever — index == arrival order, departed nodes stay as
-  /// tombstones — so resident state is O(total arrivals). Sparse mode
-  /// recycles departed slots through a free list, shrinking residency to
-  /// O(peak live nodes). Trajectories are bit-identical across modes
-  /// because (a) table indices never feed the RNG — draws index into cohort
-  /// member POSITIONS, and membership vectors are built identically either
-  /// way; (b) a recycled slot keeps its generation counter, so calendar
-  /// events of the previous occupant stay stale under the same `gen` check
-  /// that already filters dead dense nodes; and (c) node ids come from an
-  /// arrival counter, not the table index.
+  /// Node table. A node leaves at its one success; its slot then goes on a
+  /// free list for the next arrival, so resident state is O(peak live
+  /// nodes). Reuse cannot change a trajectory: (a) table indices never feed
+  /// the RNG — draws index into cohort member POSITIONS, and node ids come
+  /// from an arrival counter; (b) a recycled slot keeps its generation
+  /// counter, so calendar events of the previous occupant stay stale under
+  /// the `gen` check.
   class NodeStore {
    public:
-    explicit NodeStore(bool reuse) : reuse_(reuse) {}
-
     Node& operator[](std::uint32_t idx) { return slots_[idx]; }
     const Node& operator[](std::uint32_t idx) const { return slots_[idx]; }
 
@@ -544,7 +534,7 @@ class CjzCore {
     /// the slot's previous occupant) at a stable index.
     std::uint32_t acquire() {
       std::uint32_t idx;
-      if (reuse_ && !free_.empty()) {
+      if (!free_.empty()) {
         idx = free_.back();
         free_.pop_back();
         const std::uint32_t gen = slots_[idx].gen;
@@ -558,18 +548,13 @@ class CjzCore {
       return idx;
     }
 
-    /// Hand a departed node's slot back for reuse (no-op in dense mode).
-    /// Call only once every membership list has dropped — or will filter by
-    /// `alive` — the index, and only after its generation was bumped.
-    void release(std::uint32_t idx) {
-      if (reuse_) free_.push_back(idx);
-    }
+    /// Hand a departed node's slot back for reuse. Call only once every
+    /// membership list has dropped — or will filter by `alive` — the index,
+    /// and only after its generation was bumped.
+    void release(std::uint32_t idx) { free_.push_back(idx); }
 
     std::size_t slot_count() const { return slots_.size(); }
-    std::uint64_t issued_ids() const { return next_id_; }
-    void reserve(std::uint64_t n) {
-      if (!reuse_) slots_.reserve(static_cast<std::size_t>(n));
-    }
+    void reserve(std::uint64_t n) { slots_.reserve(static_cast<std::size_t>(n)); }
 
     void save(SnapshotWriter& w) const {
       w.u64(next_id_);
@@ -618,18 +603,31 @@ class CjzCore {
       if (!r.check_count(n_free, 4, "nodes.free")) return;
       free_.clear();
       free_.reserve(n_free);
+      // acquire() overwrites whatever slot the list names, so a live slot or
+      // a repeated one would hand a node that a cohort still lists to the
+      // next arrival.
+      std::vector<bool> listed(slots_.size());
       for (std::uint64_t i = 0; i < n_free; ++i) {
         const std::uint32_t f = r.u32("nodes.free.entry");
-        if (r.ok() && f >= slots_.size()) {
+        if (!r.ok()) return;
+        if (f >= slots_.size()) {
           r.fail("snapshot: free-list index out of range");
           return;
         }
+        if (slots_[f].alive) {
+          r.fail("snapshot: free list names live node slot " + std::to_string(f));
+          return;
+        }
+        if (listed[f]) {
+          r.fail("snapshot: free list names node slot " + std::to_string(f) + " twice");
+          return;
+        }
+        listed[f] = true;
         free_.push_back(f);
       }
     }
 
    private:
-    bool reuse_ = false;
     std::vector<Node> slots_;
     std::vector<std::uint32_t> free_;
     node_id next_id_ = 0;
@@ -788,7 +786,7 @@ class CjzCore {
   std::vector<std::uint32_t> p2_nodes_[2];
   std::vector<Cohort> cohorts_;
   std::uint64_t live_ = 0;
-  /// High-water mark of live_ (memory_stats; sparse residency bound).
+  /// High-water mark of live_ (memory_stats; the node table's size).
   std::uint64_t peak_live_ = 0;
   /// Total members across all cohorts — kept exact so next_event_slot() is
   /// O(1). Members enter in handle_success (the two phase-3 pushes) and leave

@@ -22,7 +22,6 @@ SimResult FastBatchSimulator::run() {
   // change the trajectory the main stream produces.
   Rng rng_attr = root.fork(streams::kAttribution);
   const bool attribute = config_.recording.wants_node_stats();
-  const bool sparse = config_.node_table == NodeTableKind::kSparse;
 
   Trace trace;
   PublicHistory history(trace);
@@ -108,16 +107,10 @@ SimResult FastBatchSimulator::run() {
       if (result.first_success == 0) result.first_success = slot;
       result.last_success = slot;
       if (config_.recording.wants_success_times()) result.success_times.push_back(slot);
-      // Sparse table: retire the cohort the instant it drains (order-
-      // preserving erase), so resident state is O(active cohorts) instead of
-      // O(arrival batches mod 4096). Bit-identical to the periodic sweep:
-      // count == 0 cohorts never draw, and relative order is kept either way.
-      if (sparse && cohort.count == 0)
-        cohorts.erase(cohorts.begin() + static_cast<std::ptrdiff_t>(winner_cohort));
     }
 
-    // Dense table: periodically drop drained cohorts so long runs stay lean.
-    if (!sparse && (slot & 0xFFF) == 0)
+    // Periodically drop drained cohorts so long runs stay lean.
+    if ((slot & 0xFFF) == 0)
       std::erase_if(cohorts, [](const Cohort& c) { return c.count == 0; });
 
     result.slots = slot;

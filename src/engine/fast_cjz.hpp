@@ -55,8 +55,8 @@ class FastCjzSimulator {
   SimResult run();
 
   /// Resident node-table footprint of the last run (valid after run()).
-  /// With SimConfig::node_table == kSparse, node_table_slots tracks peak
-  /// live nodes instead of total arrivals.
+  /// Departed nodes' slots are recycled, so node_table_slots tracks peak
+  /// live nodes, not total arrivals.
   CjzCoreMemoryStats memory_stats() const { return memory_stats_; }
 
   /// Work counts of the last run (valid after run()).

@@ -142,8 +142,10 @@ SimResult run_plan(const FunctionSet& fs, CjzOptions options, const SimConfig& c
   const Arrivals seed_arrivals =
       plan.bernoulli_arrivals ? bernoulli_arrivals(seed, horizon, plan, word_buf) : Arrivals{};
   const Arrivals& arrivals = plan.bernoulli_arrivals ? seed_arrivals : plan.schedule;
-  // The whole run's arrivals are known: size a dense node table once instead
-  // of growing it by doubling (the copy would briefly hold both tables).
+  // The whole run's arrivals are known: reserve the node table once instead
+  // of growing it by doubling (the copy would briefly hold both tables). A
+  // recycled table never outgrows the run's arrivals, and capacity that is
+  // never touched is never resident.
   std::uint64_t total_arrivals = 0;
   for (const auto& entry : arrivals) total_arrivals += entry.second;
   core.reserve_nodes(total_arrivals);

@@ -52,21 +52,6 @@ struct RecordingConfig {
   friend bool operator==(const RecordingConfig&, const RecordingConfig&) = default;
 };
 
-/// Node-table storage policy for the cohort engines (fast_cjz, fast_batch,
-/// the stream driver). Trajectories are bit-identical across kinds — the RNG
-/// never consumes a node's table index, only positions within cohorts — so
-/// the choice is purely a memory/scale knob (asserted per-case by the
-/// sparse-vs-dense differential fuzz in tests/test_cross_engine.cpp).
-enum class NodeTableKind : std::uint8_t {
-  /// One table slot per node that EVER arrived — O(total arrivals) resident
-  /// state. The historical layout; departed nodes stay as tombstones.
-  kDense = 0,
-  /// Departed nodes' slots are recycled through a free list — O(peak live
-  /// nodes) resident state, which is what lets 10^6..10^8-arrival streaming
-  /// workloads run in cache-friendly memory.
-  kSparse = 1,
-};
-
 struct SimConfig {
   slot_t horizon = 1 << 16;   ///< simulate slots 1..horizon (inclusive)
   std::uint64_t seed = 1;     ///< master seed; every engine RNG stream forks from it
@@ -80,9 +65,6 @@ struct SimConfig {
   /// Safety valve: abort (CR_CHECK) before an injection that would take the
   /// live population past this.
   std::uint64_t max_live_nodes = 10'000'000;
-  /// Node-table storage policy (cohort engines; the generic reference engine
-  /// always uses its native layout).
-  NodeTableKind node_table = NodeTableKind::kDense;
 };
 
 struct NodeStats {

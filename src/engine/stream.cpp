@@ -17,7 +17,6 @@ SimConfig stream_config(const StreamOptions& o) {
   c.horizon = kStreamHorizon;
   c.seed = o.seed;
   c.recording = RecordingConfig::none();
-  c.node_table = o.node_table;
   return c;
 }
 

@@ -7,8 +7,9 @@
 /// synthetic generator on the producer side), the CJZ cohort core advances
 /// slot by slot with no horizon, and completed metric windows leave as JSON
 /// lines the moment they close. Nothing in the pipeline grows with run
-/// length: the sparse node table keeps resident state O(peak backlog), the
-/// ring is fixed, and windows are published instead of accumulated.
+/// length: the node table recycles departed nodes, so resident state is
+/// O(peak backlog), the ring is fixed, and windows are published instead of
+/// accumulated.
 ///
 /// Checkpoint/restore. snapshot() serializes the complete simulation state —
 /// cohort core (nodes, cohorts, pending calendar events), the open metrics
@@ -42,7 +43,7 @@ namespace cr {
 /// Current CRSNAP schema version for stream snapshots. Bump on ANY layout
 /// change (docs/ARCHITECTURE.md has the add-a-snapshot-field recipe), and on
 /// any change to the draws a restored run would continue with.
-inline constexpr std::uint32_t kStreamSnapshotVersion = 2;
+inline constexpr std::uint32_t kStreamSnapshotVersion = 3;
 
 /// Effectively-unbounded horizon for streaming runs (the cohort core bounds
 /// calendar insertions by the config horizon; 2^62 keeps every shift in
@@ -130,7 +131,6 @@ struct StreamOptions {
   /// Cut a checkpoint after every slot divisible by this (0 = only the
   /// final checkpoint at stop). Checkpoints also require a sink.
   slot_t checkpoint_every = 0;
-  NodeTableKind node_table = NodeTableKind::kSparse;
 };
 
 /// Final accounting of a streaming run.

@@ -4,8 +4,8 @@
 #   1. a checkpoint path in a missing directory: the run completes, stderr
 #      names the path and the OS reason, the exit code is 2, and no file
 #      appears;
-#   2. a directory standing at the checkpoint path: renaming the blob over
-#      it fails, which must be reported the same way and leave the
+#   2. a directory standing at the checkpoint path: the writer refuses to
+#      replace it, which must be reported the same way and leave the
 #      directory (the "previous checkpoint") untouched, with no tmp file
 #      left behind.
 #

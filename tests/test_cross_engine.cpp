@@ -442,86 +442,6 @@ TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
   }
 }
 
-TEST(CrossEngineFuzz, SparseVsDenseRandomizedSweep) {
-  // The sparse node table is a pure storage change: on ~100 randomized
-  // registry cases, every fast engine must produce a BIT-IDENTICAL SimResult
-  // with node_table = kSparse as with kDense — slots, arrivals, jammed
-  // pattern, success times, node stats and the full slot trace all covered
-  // by SimResult::operator== at the kFullTrace tier, and the aggregates
-  // re-checked with recording off (slot reuse must not leak into any tier).
-  const std::vector<std::string> workloads = ScenarioRegistry::instance().names();
-  Rng fuzz(0x5BA25EDEu);
-  const char* regimes[] = {"const", "log", "exp_sqrt_log"};
-  const int kCases = 100;
-  for (int c = 0; c < kCases; ++c) {
-    ScenarioParams p;
-    p.horizon = 256 + fuzz.uniform_u64(768);
-    p.seed = fuzz.next_u64();
-    p.n = 1 + fuzz.uniform_u64(24);
-    p.jam = (c % 3 == 0) ? 0.4 * fuzz.uniform01() : 0.0;
-    p.rate = 0.08 * fuzz.uniform01();
-    p.arrival_margin = 4.0 + 12.0 * fuzz.uniform01();
-    p.jam_margin = 4.0 + 8.0 * fuzz.uniform01();
-    p.g_regime = regimes[fuzz.uniform_u64(3)];
-    p.gamma = (p.g_regime == std::string("exp_sqrt_log")) ? 1.0 : 2.0 + 4.0 * fuzz.uniform01();
-    const std::string& workload = workloads[static_cast<std::size_t>(c) % workloads.size()];
-
-    auto run_on = [&](const Engine& engine, RecordingConfig recording, NodeTableKind table) {
-      Scenario sc = ScenarioRegistry::instance().build(workload, p);
-      sc.config.recording = recording;
-      sc.config.node_table = table;
-      return run_scenario(engine, sc);
-    };
-    Scenario probe = ScenarioRegistry::instance().build(workload, p);
-    for (const Engine* engine : candidates(probe.protocol)) {
-      const std::string tag = workload + " sparse case=" + std::to_string(c) + " engine=" +
-                              engine->name() + " seed=" + std::to_string(p.seed);
-      const SimResult dense = run_on(*engine, RecordingConfig::full_trace(),
-                                     NodeTableKind::kDense);
-      const SimResult sparse = run_on(*engine, RecordingConfig::full_trace(),
-                                      NodeTableKind::kSparse);
-      EXPECT_EQ(dense, sparse) << tag;
-      EXPECT_EQ(run_on(*engine, RecordingConfig::none(), NodeTableKind::kDense),
-                run_on(*engine, RecordingConfig::none(), NodeTableKind::kSparse))
-          << tag << " [recording off]";
-    }
-  }
-}
-
-TEST(CrossEngineFuzz, SparseVsDenseProfileSweep) {
-  // Same storage-purity contract for fast_batch (profile protocols), whose
-  // sparse mode additionally erases drained cohorts eagerly instead of on
-  // the periodic dense sweep.
-  const ProtocolSpec spec = profile_protocol(profiles::h_data());
-  const auto fast_engines = candidates(spec);
-  ASSERT_FALSE(fast_engines.empty());
-  const Engine& fast = *fast_engines.front();
-  Rng fuzz(0x5BA7C4u);
-  for (int c = 0; c < 20; ++c) {
-    const std::uint64_t n = 1 + fuzz.uniform_u64(32);
-    const slot_t horizon = 256 + fuzz.uniform_u64(768);
-    const double jam = (c % 2 == 0) ? 0.3 * fuzz.uniform01() : 0.0;
-    const std::uint64_t seed = fuzz.next_u64();
-    const std::string tag = "profile sparse case=" + std::to_string(c);
-    auto run_on = [&](RecordingConfig recording, NodeTableKind table) {
-      ComposedAdversary adv(batch_arrival(n, 1 + (c % 5)),
-                            jam > 0 ? iid_jammer(jam) : no_jam());
-      SimConfig cfg;
-      cfg.horizon = horizon;
-      cfg.seed = seed;
-      cfg.recording = recording;
-      cfg.node_table = table;
-      return fast.run(spec, adv, cfg);
-    };
-    EXPECT_EQ(run_on(RecordingConfig::full_trace(), NodeTableKind::kDense),
-              run_on(RecordingConfig::full_trace(), NodeTableKind::kSparse))
-        << tag;
-    EXPECT_EQ(run_on(RecordingConfig::none(), NodeTableKind::kDense),
-              run_on(RecordingConfig::none(), NodeTableKind::kSparse))
-        << tag << " [recording off]";
-  }
-}
-
 TEST(CrossEngineFuzz, ProfileEngineRandomizedSweep) {
   // Same differential contract for fast_batch (profile specs are not in the
   // scenario registry, which is CJZ-flavoured).

@@ -70,21 +70,6 @@ TEST(Distributions, CohortTrickEquivalence) {
               static_cast<double>(one_bern) / trials, 0.006);
 }
 
-TEST(Distributions, GeometricMatchesPmfHead) {
-  Rng rng(107);
-  const double p = 0.25;
-  const int trials = 120000;
-  std::array<int, 4> counts{};
-  for (int i = 0; i < trials; ++i) {
-    const auto g = rng.geometric(p);
-    if (g < counts.size()) ++counts[g];
-  }
-  for (std::size_t k = 0; k < counts.size(); ++k) {
-    const double expect = p * std::pow(1.0 - p, static_cast<double>(k));
-    EXPECT_NEAR(static_cast<double>(counts[k]) / trials, expect, 0.005) << "k=" << k;
-  }
-}
-
 TEST(Distributions, NormalTailFractions) {
   Rng rng(109);
   const int trials = 120000;

@@ -84,16 +84,6 @@ TEST(Rng, UniformU64RoughlyUniform) {
   for (int c : counts) EXPECT_NEAR(static_cast<double>(c) / n, 0.1, 0.01);
 }
 
-TEST(Rng, UniformRange) {
-  Rng rng(19);
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_range(-5, 5);
-    EXPECT_GE(v, -5);
-    EXPECT_LE(v, 5);
-  }
-  EXPECT_EQ(rng.uniform_range(3, 3), 3);
-}
-
 TEST(Rng, BernoulliExtremes) {
   Rng rng(23);
   for (int i = 0; i < 100; ++i) {
@@ -153,21 +143,6 @@ INSTANTIATE_TEST_SUITE_P(SmallLargeRegimes, BinomialMoments,
                                            BinomialCase{100000, 0.01},   // normal approx
                                            BinomialCase{1 << 20, 0.001},  // normal approx
                                            BinomialCase{500, 0.9}));     // symmetry branch
-
-TEST(Rng, GeometricMean) {
-  Rng rng(41);
-  const double p = 0.2;
-  const int trials = 50000;
-  double sum = 0;
-  for (int i = 0; i < trials; ++i) sum += static_cast<double>(rng.geometric(p));
-  // E[failures before success] = (1-p)/p = 4.
-  EXPECT_NEAR(sum / trials, 4.0, 0.15);
-}
-
-TEST(Rng, GeometricCertain) {
-  Rng rng(43);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.geometric(1.0), 0u);
-}
 
 TEST(Rng, Normal01Moments) {
   Rng rng(47);
@@ -348,18 +323,6 @@ TEST(CounterRngBatch, StreamFillMatchesScalarCursor) {
       ++index;
     }
     EXPECT_EQ(stream.index(), index);
-  }
-}
-
-TEST(CounterRngBatch, StreamSkipKeepsAlignment) {
-  // skip() consumes words without materialising them; landing on an odd
-  // index must still produce the right second-of-block word next.
-  const CounterRng rng(77);
-  for (const std::uint64_t n : {0ull, 1ull, 2ull, 3ull, 9ull}) {
-    auto stream = rng.stream(4);
-    ASSERT_EQ(stream(), rng.at(4, 0));
-    stream.skip(n);
-    EXPECT_EQ(stream(), rng.at(4, 1 + n)) << "n=" << n;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "dist/run_manifest.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdint>
@@ -422,11 +423,11 @@ TEST(ArtifactIo, WriteFileAtomicReplacesOrReportsAndKeepsTheTarget) {
   EXPECT_NE(error.find("No such file or directory"), std::string::npos) << error;
   EXPECT_FALSE(fs::exists(dir / "no"));
 
-  // Something that cannot be replaced stands at the path: the rename fails,
-  // it survives untouched, and the tmp file is cleaned up.
+  // A directory stands at the path: it is refused, it survives untouched,
+  // and no tmp file is left behind.
   fs::create_directories(dir / "taken" / "inside");
   EXPECT_FALSE(write_file_atomic((dir / "taken").string(), "x", &error));
-  EXPECT_NE(error.find("rename"), std::string::npos) << error;
+  EXPECT_NE(error.find("not a regular file (a directory)"), std::string::npos) << error;
   EXPECT_TRUE(fs::is_directory(dir / "taken" / "inside"));
   std::size_t files = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -434,6 +435,39 @@ TEST(ArtifactIo, WriteFileAtomicReplacesOrReportsAndKeepsTheTarget) {
     EXPECT_EQ(entry.path().string().find(".tmp-"), std::string::npos) << entry.path();
   }
   EXPECT_EQ(files, 2u);  // out.json and taken/
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactIo, WriteFileAtomicRefusesATargetThatIsNotARegularFile) {
+  // Renaming over a symlink or a FIFO would replace it with a regular file
+  // and leave what it led to unchanged, so the writer refuses both.
+  const fs::path dir = fresh_dir("not_regular");
+  const fs::path target = dir / "target.csv";
+  std::string error;
+  ASSERT_TRUE(write_file_atomic(target.string(), "kept\n", &error)) << error;
+  fs::create_symlink(target, dir / "link.csv");
+  fs::create_symlink(dir / "missing.csv", dir / "dangling.csv");
+  ASSERT_EQ(::mkfifo((dir / "pipe.csv").c_str(), 0600), 0);
+
+  EXPECT_FALSE(write_file_atomic((dir / "link.csv").string(), "new\n", &error));
+  EXPECT_NE(error.find("not a regular file (a symbolic link)"), std::string::npos) << error;
+  EXPECT_FALSE(write_file_atomic((dir / "dangling.csv").string(), "new\n", &error));
+  EXPECT_NE(error.find("not a regular file (a symbolic link)"), std::string::npos) << error;
+  EXPECT_FALSE(write_file_atomic((dir / "pipe.csv").string(), "new\n", &error));
+  EXPECT_NE(error.find("not a regular file (a FIFO)"), std::string::npos) << error;
+
+  EXPECT_TRUE(fs::is_symlink(dir / "link.csv"));
+  EXPECT_EQ(fs::read_symlink(dir / "link.csv"), target);
+  EXPECT_EQ(slurp(target), "kept\n");
+  EXPECT_TRUE(fs::is_symlink(dir / "dangling.csv"));
+  EXPECT_FALSE(fs::exists(dir / "missing.csv"));
+  EXPECT_TRUE(fs::is_fifo(fs::symlink_status(dir / "pipe.csv")));
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    ++entries;
+    EXPECT_EQ(entry.path().string().find(".tmp-"), std::string::npos) << entry.path();
+  }
+  EXPECT_EQ(entries, 4u);  // target, both links and the FIFO
   fs::remove_all(dir);
 }
 

@@ -7,7 +7,7 @@
 //      success: mid-cohort, mid-calendar-event, pre-tail and tail
 //      boundaries), restore into a fresh core, continue, and require
 //      SimResult equality (operator== covers every counter, success time,
-//      node stat and slot outcome) — on both node-table kinds;
+//      node stat and slot outcome);
 //   2. adversarial input — corrupted, truncated, version-mismatched and
 //      config-mismatched blobs must be rejected with the named diagnostics
 //      from common/snapshot.hpp, and arbitrary truncations/bit-flips must
@@ -48,31 +48,28 @@ ScenarioParams small_params() {
 }
 
 ReplayCase make_case(const std::string& scenario, RecordingConfig recording,
-                     NodeTableKind table, std::uint64_t seed = 11) {
+                     std::uint64_t seed = 11) {
   ScenarioParams p = small_params();
   p.seed = seed;
   Scenario sc = ScenarioRegistry::instance().build(scenario, p);
   sc.config.recording = recording;
-  sc.config.node_table = table;
   return materialize(sc);
 }
 
 TEST(SnapshotRestore, KSweepBitExactOnEveryRegistryScenario) {
-  // Both table kinds, and the two recording extremes: full_trace carries the
-  // densest result state across the snapshot; node_stats carries the node
-  // table's id/arrival/sends bookkeeping.
+  // The two recording extremes: full_trace carries the densest result state
+  // across the snapshot; node_stats carries the node table's
+  // id/arrival/sends bookkeeping.
   const struct {
     RecordingConfig recording;
-    NodeTableKind table;
     const char* tag;
   } modes[] = {
-      {RecordingConfig::full_trace(), NodeTableKind::kDense, "full_trace/dense"},
-      {RecordingConfig::full_trace(), NodeTableKind::kSparse, "full_trace/sparse"},
-      {RecordingConfig::node_stats(), NodeTableKind::kSparse, "node_stats/sparse"},
+      {RecordingConfig::full_trace(), "full_trace"},
+      {RecordingConfig::node_stats(), "node_stats"},
   };
   for (const std::string& name : ScenarioRegistry::instance().names()) {
     for (const auto& mode : modes) {
-      const ReplayCase rc = make_case(name, mode.recording, mode.table);
+      const ReplayCase rc = make_case(name, mode.recording);
       const SimResult full = replay(rc);
       ASSERT_GT(full.slots, 0u) << name;
       for (const slot_t k : sweep_points(full)) {
@@ -93,7 +90,6 @@ TEST(SnapshotRestore, StopConditionRunsSurviveRestore) {
   Scenario sc = ScenarioRegistry::instance().build("batch", p);
   sc.config.stop_when_empty = true;
   sc.config.recording = RecordingConfig::full_trace();
-  sc.config.node_table = NodeTableKind::kSparse;
   const ReplayCase rc = materialize(sc);
   const SimResult full = replay(rc);
   ASSERT_LT(full.slots, static_cast<slot_t>(p.horizon)) << "batch should drain early";
@@ -112,7 +108,7 @@ TEST(SnapshotRestore, StopConditionRunsSurviveRestore) {
 class SnapshotRejection : public ::testing::Test {
  protected:
   void SetUp() override {
-    rc_ = make_case("batch", RecordingConfig::full_trace(), NodeTableKind::kSparse);
+    rc_ = make_case("batch", RecordingConfig::full_trace());
     blob_ = snapshot_at(rc_, 64);
     // Sanity: the pristine blob restores bit-exactly.
     std::string error;
@@ -182,11 +178,6 @@ TEST_F(SnapshotRejection, ConfigMismatch) {
   std::string error;
   restore_and_continue(other, blob_, &error);
   EXPECT_NE(error.find("config mismatch on config.seed"), std::string::npos);
-
-  other = rc_;
-  other.config.node_table = NodeTableKind::kDense;
-  restore_and_continue(other, blob_, &error);
-  EXPECT_NE(error.find("config mismatch on config.node_table"), std::string::npos);
 }
 
 TEST_F(SnapshotRejection, NodeStageOutOfRange) {
@@ -196,10 +187,10 @@ TEST_F(SnapshotRejection, NodeStageOutOfRange) {
   // first node record (config echo, result counters, three empty result
   // vectors, core counters, nodes.next_id/size); patch that node's stage
   // and re-seal the checksum so only the range check can object.
-  const ReplayCase rc = make_case("batch", RecordingConfig::none(), NodeTableKind::kDense);
+  const ReplayCase rc = make_case("batch", RecordingConfig::none());
   std::vector<std::uint8_t> b = snapshot_at(rc, 1);
   constexpr std::size_t kHeader = 32;
-  constexpr std::size_t kFirstNode = kHeader + 30 + 8 * 8 + 3 * 8 + 3 * 8 + 2 * 8;
+  constexpr std::size_t kFirstNode = kHeader + 29 + 8 * 8 + 3 * 8 + 3 * 8 + 2 * 8;
   constexpr std::size_t kStage = kFirstNode + 4 * 8;  // after id, arrival, from, sends
   ASSERT_GT(b.size(), kStage + 8);
   std::uint64_t arrival = 0, stage = 0;
@@ -266,6 +257,53 @@ TEST_F(SnapshotRejection, CalendarEventsWithNoLiveNode) {
   for (const std::uint64_t word : {std::uint64_t{1}, std::uint64_t{(k + 3) << 1}, std::uint64_t{0}})
     for (std::size_t i = 0; i < 8; ++i) p.push_back(static_cast<std::uint8_t>(word >> (8 * i)));
   EXPECT_NE(restore_error(seal_payload(p)).find("calendar events pending with no live node"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotRejection, FreeListNamingALiveOrRepeatedSlot) {
+  // acquire() hands the free list's last entry to the next arrival, so an
+  // entry naming a live slot, or one slot twice, would let an arrival
+  // overwrite a node that a cohort still lists. Cut a recording-free blob at
+  // the first success, when the list holds the winner's slot alone, and
+  // edit that entry.
+  const ReplayCase rc = make_case("batch", RecordingConfig::none());
+  const slot_t k = replay(rc).first_success;
+  ASSERT_GT(k, 0u);
+  const std::vector<std::uint8_t> p = payload_of(snapshot_at(rc, k));
+  // Config echo, result counters, three empty result vectors, core counters
+  // and nodes.next_id precede nodes.size; each node record is 47 bytes.
+  constexpr std::size_t kNodesSize = 29 + 8 * 8 + 3 * 8 + 3 * 8 + 8;
+  std::uint64_t n_slots = 0, n_free = 0;
+  std::memcpy(&n_slots, p.data() + kNodesSize, sizeof(n_slots));
+  const std::size_t free_at = kNodesSize + 8 + 47 * n_slots;
+  ASSERT_LT(free_at + 12, p.size());
+  std::memcpy(&n_free, p.data() + free_at, sizeof(n_free));
+  ASSERT_EQ(n_free, 1u) << "blob layout changed: free list not where expected";
+  std::uint32_t dead = 0;
+  std::memcpy(&dead, p.data() + free_at + 8, sizeof(dead));
+  ASSERT_LT(dead, n_slots);
+  ASSERT_GT(n_slots, 1u);
+
+  const auto restore = [&](const std::vector<std::uint8_t>& payload) {
+    std::string error;
+    restore_and_continue(rc, seal_payload(payload), &error);
+    return error;
+  };
+  EXPECT_EQ(restore(p), "");
+
+  std::vector<std::uint8_t> live = p;
+  const std::uint32_t live_slot = dead == 0 ? 1 : 0;
+  std::memcpy(live.data() + free_at + 8, &live_slot, sizeof(live_slot));
+  EXPECT_NE(restore(live).find("free list names live node slot " + std::to_string(live_slot)),
+            std::string::npos);
+
+  std::vector<std::uint8_t> twice = p;
+  const std::uint64_t two = 2;
+  std::memcpy(twice.data() + free_at, &two, sizeof(two));
+  twice.insert(twice.begin() + static_cast<std::ptrdiff_t>(free_at + 8),
+               p.begin() + static_cast<std::ptrdiff_t>(free_at + 8),
+               p.begin() + static_cast<std::ptrdiff_t>(free_at + 12));
+  EXPECT_NE(restore(twice).find("free list names node slot " + std::to_string(dead) + " twice"),
             std::string::npos);
 }
 

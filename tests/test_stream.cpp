@@ -262,7 +262,7 @@ TEST(StreamSynth, DeterministicAndStrictlyIncreasing) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamSim: determinism, kill/restore, sparse-vs-dense.
+// StreamSim: determinism and kill/restore.
 // ---------------------------------------------------------------------------
 
 struct DrainResult {
@@ -369,30 +369,6 @@ TEST(StreamSim, PeriodicCheckpointsAllRestoreExactly) {
   }
 }
 
-TEST(StreamSim, SparseAndDenseTablesMatchByteForByte) {
-  const auto events = synth_events(13, 400);
-  StreamOptions sparse_opts = test_options();
-  sparse_opts.seed = 13;
-  sparse_opts.node_table = NodeTableKind::kSparse;
-  StreamOptions dense_opts = sparse_opts;
-  dense_opts.node_table = NodeTableKind::kDense;
-
-  StreamSim sparse(sparse_opts);
-  StreamSim dense(dense_opts);
-  const DrainResult rs = drain(sparse, events, 0);
-  const DrainResult rd = drain(dense, events, 0);
-  ASSERT_TRUE(rs.summary.ok()) << rs.summary.error;
-  ASSERT_TRUE(rd.summary.ok()) << rd.summary.error;
-  EXPECT_EQ(rs.jsonl, rd.jsonl);
-
-  // The sparse table's residency tracks the backlog, not the arrival count.
-  const CjzCoreMemoryStats ms = sparse.memory_stats();
-  const CjzCoreMemoryStats md = dense.memory_stats();
-  EXPECT_EQ(ms.node_table_slots, ms.peak_live_nodes);
-  EXPECT_EQ(md.node_table_slots, rd.summary.arrivals);
-  EXPECT_LE(ms.node_table_slots, md.node_table_slots);
-}
-
 TEST(StreamSim, NonMonotoneFeedIsANamedError) {
   const std::vector<StreamEvent> events = {{10, 1, false}, {10, 1, false}};
   StreamSim sim(test_options());
@@ -426,14 +402,19 @@ TEST(StreamSim, RefusesAVersionOneCheckpoint) {
   StreamOptions opts = test_options();
   opts.max_windows = 1;
   StreamSim head(opts);
-  DrainResult head_out = drain(head, synth_events(5, 100), 0);
+  const DrainResult head_out = drain(head, synth_events(5, 100), 0);
   ASSERT_FALSE(head_out.last_checkpoint.empty());
-  const std::uint32_t v1 = 1;
-  std::memcpy(head_out.last_checkpoint.data() + 8, &v1, sizeof(v1));
-  StreamSim tail(test_options());
-  std::string error;
-  EXPECT_FALSE(tail.restore(head_out.last_checkpoint, &error));
-  EXPECT_NE(error.find("schema version mismatch (blob v1"), std::string::npos) << error;
+  // Version 2 carried a node-table echo byte that version 3 dropped.
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::vector<std::uint8_t> blob = head_out.last_checkpoint;
+    std::memcpy(blob.data() + 8, &version, sizeof(version));
+    StreamSim tail(test_options());
+    std::string error;
+    EXPECT_FALSE(tail.restore(blob, &error));
+    EXPECT_NE(error.find("schema version mismatch (blob v" + std::to_string(version)),
+              std::string::npos)
+        << error;
+  }
 }
 
 }  // namespace

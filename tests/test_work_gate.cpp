@@ -122,7 +122,6 @@ RowCounts fold(const std::string& row, const std::map<std::uint64_t, Counts>& by
 struct RowDef {
   std::string row;
   WorkloadSpec spec;
-  NodeTableKind table = NodeTableKind::kDense;
   bool single = true;  ///< also run the preset as single runs, without a plan
 };
 
@@ -135,7 +134,7 @@ WorkloadSpec preset(const std::string& scenario, slot_t horizon,
 }
 
 /// The traffic that matters: quiet_tail's and overload's shapes, E2's claim
-/// regime, a sparse node table, the log-g and bursty presets, and one
+/// regime, a long Bernoulli stream, the log-g and bursty presets, and one
 /// composition the plan path cannot take.
 std::vector<RowDef> row_defs() {
   WorkloadSpec reactive;
@@ -158,21 +157,18 @@ std::vector<RowDef> row_defs() {
                 p.arrival_margin = 0.5;
                 p.jam = 0.4;
               })},
-      {"bernoulli_stream rate=0.1 jam=0.25 t=2^16 sparse",
-       preset("bernoulli_stream", slot_t{1} << 16), NodeTableKind::kSparse},
+      {"bernoulli_stream rate=0.1 jam=0.25 t=2^16", preset("bernoulli_stream", slot_t{1} << 16)},
       {"smooth g=log t=2^14",
        preset("smooth", slot_t{1} << 14, [](ScenarioParams& p) { p.g_regime = "log"; })},
       {"bursty n=32 t=2^14",
        preset("bursty", slot_t{1} << 14, [](ScenarioParams& p) { p.n = 32; })},
-      {"bernoulli x reactive t=2^14", reactive, NodeTableKind::kDense, false},
+      {"bernoulli x reactive t=2^14", reactive, false},
   };
 }
 
 RowCounts run_sweep(const RowDef& def, int threads) {
   const CountingEngine engine;
-  SimConfig config;
-  config.node_table = def.table;
-  replicate_workload(engine, def.spec, kSeeds, kBaseSeed, threads, config);
+  replicate_workload(engine, def.spec, kSeeds, kBaseSeed, threads);
   EXPECT_EQ(engine.by_seed().size(), static_cast<std::size_t>(kSeeds)) << def.row;
   return fold("sweep " + def.row, engine.by_seed());
 }
@@ -183,7 +179,6 @@ RowCounts run_single(const RowDef& def) {
     WorkloadSpec per = def.spec;
     per.seed = kBaseSeed + static_cast<std::uint64_t>(i);
     Scenario sc = build_workload(per);
-    sc.config.node_table = def.table;
     run_scenario(engine, sc);
   }
   return fold("single " + def.row, engine.by_seed());
