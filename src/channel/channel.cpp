@@ -1,30 +1,6 @@
 #include "channel/channel.hpp"
 
-#include "common/check.hpp"
-
 namespace cr {
-
-void Channel::begin_slot(slot_t slot, bool jammed) {
-  CR_CHECK(!open_);
-  cur_ = SlotOutcome{};
-  cur_.slot = slot;
-  cur_.jammed = jammed;
-  only_sender_ = kNoNode;
-  open_ = true;
-}
-
-void Channel::broadcast(node_id id) {
-  CR_DCHECK(open_);
-  ++cur_.senders;
-  only_sender_ = (cur_.senders == 1) ? id : kNoNode;
-}
-
-SlotOutcome Channel::resolve() {
-  CR_CHECK(open_);
-  open_ = false;
-  cur_.winner = (cur_.senders == 1 && !cur_.jammed) ? only_sender_ : kNoNode;
-  return cur_;
-}
 
 SlotOutcome resolve_slot(slot_t slot, std::uint64_t senders, bool jammed, node_id lone_sender) {
   SlotOutcome out;

@@ -1,8 +1,5 @@
-// Slot resolution for the multiple-access channel.
-//
-// A Channel object is a per-slot accumulator: begin_slot(), any number of
-// broadcast() calls, then resolve() produces the SlotOutcome implementing
-// the model semantics:
+// Slot resolution for the multiple-access channel: the model semantics
+// every engine applies once it has counted a slot's senders.
 //   * exactly one broadcaster AND slot not jammed  -> success (winner id)
 //   * otherwise                                    -> silence-or-collision
 #pragma once
@@ -11,30 +8,9 @@
 
 namespace cr {
 
-class Channel {
- public:
-  /// Start accumulating slot `slot`. `jammed` is the adversary's decision,
-  /// fixed before any node transmits (the adversary moves first each slot).
-  void begin_slot(slot_t slot, bool jammed);
-
-  /// Register a broadcast by `id` in the current slot.
-  void broadcast(node_id id);
-
-  /// Finish the current slot and return its ground-truth outcome.
-  SlotOutcome resolve();
-
-  slot_t current_slot() const { return cur_.slot; }
-  bool slot_open() const { return open_; }
-
- private:
-  SlotOutcome cur_;
-  node_id only_sender_ = kNoNode;
-  bool open_ = false;
-};
-
-/// Pure-function form used by the fast engines (which count senders
-/// themselves): resolves the outcome from aggregate counts. `lone_sender`
-/// must be the sender's id when `senders == 1` (ignored otherwise).
+/// The outcome of slot `slot` from its sender count and the adversary's jam
+/// decision (fixed before any node transmits). `lone_sender` must be the
+/// sender's id when `senders == 1` (ignored otherwise).
 SlotOutcome resolve_slot(slot_t slot, std::uint64_t senders, bool jammed, node_id lone_sender);
 
 }  // namespace cr

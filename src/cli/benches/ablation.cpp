@@ -43,9 +43,9 @@ void bench_variant(const Variant& v, std::uint64_t n, slot_t stream_t,
 
   // (i) batch of n under 25% jamming: median completion (capped).
   const auto batch_runs = driver.replicate(reps, driver.seed(95000), [&](std::uint64_t s) {
-    Scenario sc = batch_scenario(n, 0.25, 400 * n, fs);
+    Scenario sc = ScenarioRegistry::instance().build(
+        "batch", {.horizon = 400 * n, .seed = s, .n = n, .jam = 0.25});
     sc.protocol = spec;
-    sc.config.seed = s;
     sc.config.stop_when_empty = true;
     return run_scenario(engine, sc);
   });

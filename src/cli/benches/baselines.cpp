@@ -58,9 +58,9 @@ Outcome race(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver& drive
   const Engine& engine = EngineRegistry::instance().preferred(spec);
   const slot_t horizon = 4000 * n;
   const auto results = driver.replicate(reps, base_seed, [&](std::uint64_t s) {
-    Scenario sc = batch_scenario(n, 0.0, horizon, functions_constant_g(4.0));
+    Scenario sc = ScenarioRegistry::instance().build(
+        "batch", {.horizon = horizon, .seed = s, .n = n, .jam = 0.0});
     sc.protocol = spec;
-    sc.config.seed = s;
     sc.config.stop_when_empty = true;
     sc.config.recording = RecordingConfig::success_times();
     return run_scenario(engine, sc);
@@ -151,9 +151,9 @@ int run(int argc, const char* const* argv) {
   for (const Contender& c : contenders(/*with_profile=*/true)) {
     const Engine& engine = EngineRegistry::instance().preferred(c.spec);
     const auto results = driver.replicate(reps, driver.seed(67000), [&](std::uint64_t s) {
-      Scenario sc = batch_scenario(nj, 0.25, 64 * nj, functions_constant_g(4.0));
+      Scenario sc = ScenarioRegistry::instance().build(
+          "batch", {.horizon = 64 * nj, .seed = s, .n = nj, .jam = 0.25});
       sc.protocol = c.spec;
-      sc.config.seed = s;
       return run_scenario(engine, sc);
     });
     const auto frac = collect(results, [&](const SimResult& r) {

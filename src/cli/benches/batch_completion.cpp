@@ -40,9 +40,9 @@ BatchStats measure(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver&
   const Engine& engine = EngineRegistry::instance().preferred(spec);
   const slot_t horizon = 400 * n;
   const auto results = driver.replicate(reps, base_seed, [&](std::uint64_t s) {
-    Scenario sc = batch_scenario(n, 0.0, horizon, functions_constant_g(4.0));
+    Scenario sc = ScenarioRegistry::instance().build(
+        "batch", {.horizon = horizon, .seed = s, .n = n, .jam = 0.0});
     sc.protocol = spec;
-    sc.config.seed = s;
     sc.config.recording = RecordingConfig::success_times();
     return run_scenario(engine, sc);
   });

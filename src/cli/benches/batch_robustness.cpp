@@ -38,9 +38,9 @@ int run(int argc, const char* const* argv) {
   Table table({"jam rate", "frac by 2n", "frac by 4n", "frac by 8n"});
   for (const double jam : {0.0, 0.1, 0.25, 0.4}) {
     const auto results = driver.replicate(reps, driver.seed(31000), [&](std::uint64_t s) {
-      Scenario sc = batch_scenario(n, jam, 8 * n, functions_constant_g(4.0));
+      Scenario sc = ScenarioRegistry::instance().build(
+          "batch", {.horizon = 8 * n, .seed = s, .n = n, .jam = jam});
       sc.protocol = h_data;
-      sc.config.seed = s;
       sc.config.recording = RecordingConfig::success_times();
       return run_scenario(engine, sc);
     });

@@ -74,9 +74,9 @@ double median_completion(const Contender& c, std::uint64_t n, double jam,
                          bool* capped) {
   const Engine& engine = EngineRegistry::instance().preferred(c.spec);
   const auto results = driver.replicate(reps, base_seed, [&](std::uint64_t s) {
-    Scenario sc = batch_scenario(n, jam, c.horizon_per_n * n, functions_constant_g(4.0));
+    Scenario sc = ScenarioRegistry::instance().build(
+        "batch", {.horizon = c.horizon_per_n * n, .seed = s, .n = n, .jam = jam});
     sc.protocol = c.spec;
-    sc.config.seed = s;
     sc.config.stop_when_empty = true;
     return run_scenario(engine, sc);
   });

@@ -42,8 +42,8 @@ int run(int argc, const char* const* argv) {
   for (std::uint64_t n = 64; n <= max_n; n <<= 1) {
     for (const double jam : {0.0, 0.25}) {
       const auto reports = driver.replicate(reps, driver.seed(91000), [&](std::uint64_t s) {
-        Scenario sc = batch_scenario(n, jam, 4'000'000, functions_constant_g(4.0));
-        sc.config.seed = s;
+        Scenario sc = ScenarioRegistry::instance().build(
+            "batch", {.horizon = 4'000'000, .seed = s, .n = n, .jam = jam});
         sc.config.stop_when_empty = true;
         sc.config.recording = RecordingConfig::node_stats();
         return energy_report(

@@ -15,7 +15,6 @@
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
 #include "exp/bench_driver.hpp"
-#include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
 
@@ -24,7 +23,7 @@ namespace cr::benches {
 namespace {
 
 /// The ScenarioParams-backed flags of this bench (everything except
-/// --scenario/--engine). Each preset declares which of these it consumes
+/// --scenario). Each preset declares which of these it consumes
 /// (ScenarioEntry::params); passing one a preset ignores is a hard error —
 /// the same no-silent-no-op rule the WorkloadSpec API enforces.
 const std::vector<std::string>& scenario_param_flags() {
@@ -33,18 +32,21 @@ const std::vector<std::string>& scenario_param_flags() {
   return flags;
 }
 
-/// "" when every explicitly-passed param flag is consumed by `entry` under
-/// `g_regime`, else an error naming the first offending key. The g=log
-/// regime has no scale, so an explicit --gamma there is the same silent
-/// no-op the WorkloadSpec validator rejects (functions_log_g ignores it).
-std::string check_consumed(const ScenarioEntry& entry,
-                           const std::vector<std::string>& passed,
-                           const std::string& g_regime) {
+/// "" when `g_regime` is known and every explicitly-passed param flag is
+/// consumed by `entry` under it, else an error naming the first offending
+/// key. A regime without a scale makes an explicit --gamma the same silent
+/// no-op the WorkloadSpec validator rejects.
+std::string check_params(const ScenarioEntry& entry, const std::vector<std::string>& passed,
+                         const std::string& g_regime) {
+  const GRegime* regime = find_g_regime(g_regime);
+  if (regime == nullptr)
+    return "unknown g regime \"" + g_regime + "\"; known: " + g_regime_names(" ");
   for (const std::string& name : passed) {
-    if (name == "gamma" && g_regime == "log")
-      return "scenario \"" + entry.name + "\" does not consume --gamma under "
-             "--g_regime=log (the log regime has no scale; it would be a silent no-op); "
-             "drop it or pick const/exp_sqrt_log";
+    if (name == "gamma" && !regime->takes_scale)
+      return "scenario \"" + entry.name + "\" does not consume --gamma under --g_regime=" +
+             g_regime + " (the " + g_regime +
+             " regime has no scale; it would be a silent no-op); drop it or pick a regime "
+             "that has one";
     if (entry.consumes(name)) continue;
     std::string consumed;
     for (const std::string& p : entry.params) consumed += " " + p;
@@ -75,7 +77,7 @@ std::string validate_cell(const std::vector<std::pair<std::string, std::string>>
   for (const auto& [key, value] : flags)
     for (const std::string& param : scenario_param_flags())
       if (key == param) passed.push_back(key);
-  return check_consumed(*entry, passed, g_regime);
+  return check_params(*entry, passed, g_regime);
 }
 
 int run(int argc, const char* const* argv) {
@@ -93,7 +95,6 @@ int run(int argc, const char* const* argv) {
   params.g_regime = driver.cli().get_string("g_regime", "const");
   params.gamma = driver.cli().get_double("gamma", 4.0);
   const std::string scenario_name = driver.cli().get_string("scenario", "batch");
-  const std::string engine_name = driver.cli().get_string("engine", "preferred");
 
   // Validate the scenario name and the passed params before burning any
   // replication time: an unknown scenario exits 2 with a suggestion, and a
@@ -102,69 +103,30 @@ int run(int argc, const char* const* argv) {
   const ScenarioEntry* entry = ScenarioRegistry::instance().find(scenario_name);
   std::string error;
   if (entry == nullptr) {
-    std::vector<std::pair<std::string, std::string>> probe_flags = {
-        {"scenario", scenario_name}};
-    error = validate_cell(probe_flags);
+    error = validate_cell({{"scenario", scenario_name}});
   } else {
     std::vector<std::string> passed;
     for (const std::string& name : scenario_param_flags())
       if (driver.cli().has(name)) passed.push_back(name);
-    error = check_consumed(*entry, passed, params.g_regime);
+    error = check_params(*entry, passed, params.g_regime);
   }
   if (!error.empty()) {
     std::fprintf(stderr, "cr bench scenario: %s\n", error.c_str());
     return 2;
   }
-
-  // Resolve the engine from one probe build — the protocol spec does not
-  // depend on the seed, so it picks the engine for every replication.
-  const Scenario probe = ScenarioRegistry::instance().build(scenario_name, params);
-  const Engine& engine = engine_name == "preferred"
-                             ? EngineRegistry::instance().preferred(probe.protocol)
-                             : EngineRegistry::instance().at(engine_name);
-  if (!engine.supports(probe.protocol)) {
-    std::string compatible;
-    for (const Engine* candidate : EngineRegistry::instance().compatible(probe.protocol)) {
-      compatible += ' ';
-      compatible += candidate->name();
-    }
-    std::fprintf(stderr,
-                 "cr bench scenario: engine \"%s\" cannot execute scenario \"%s\"'s protocol; "
-                 "compatible engines:%s\n",
-                 engine_name.c_str(), scenario_name.c_str(), compatible.c_str());
-    return 2;
-  }
-  const std::string engine_used = engine.name();
+  const WorkloadSpec spec = entry->workload(params);
+  const Engine& engine = point_engine(spec);
 
   out << "S1: scenario \"" << scenario_name << "\" at one parameter point, engine "
-      << engine_used << ", means over " << reps << " seeds\n\n";
+      << engine.name() << ", means over " << reps << " seeds\n\n";
 
-  const auto results = replicate_scenario(engine, scenario_name, params, reps,
-                                          driver.seed(50000), driver.threads());
-
-  const auto slots =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.slots); });
-  const auto arrivals =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.arrivals); });
-  const auto successes =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.successes); });
-  const auto jammed =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.jammed_slots); });
-  const auto served = collect(results, [](const SimResult& r) {
-    return r.arrivals ? static_cast<double>(r.successes) / static_cast<double>(r.arrivals)
-                      : 1.0;
-  });
-  const auto sends =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.total_sends); });
-  const auto backlog =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.live_at_end); });
-
-  Table table({"scenario", "engine", "horizon", "n", "jam", "slots", "arrivals", "successes",
-               "jammed", "served", "sends", "backlog at end"});
-  table.add_row({scenario_name, engine_used, Cell(static_cast<std::uint64_t>(params.horizon)),
-                 Cell(params.n), Cell(params.jam, 2), Cell(slots.mean(), 0),
-                 Cell(arrivals.mean(), 1), Cell(successes.mean(), 1), Cell(jammed.mean(), 1),
-                 Cell(served.mean(), 3), Cell(sends.mean(), 1), mean_sd(backlog, 1)});
+  const Table table = point_table(
+      {{"scenario", scenario_name},
+       {"engine", engine.name()},
+       {"horizon", Cell(static_cast<std::uint64_t>(params.horizon))},
+       {"n", Cell(params.n)},
+       {"jam", Cell(params.jam, 2)}},
+      replicate_workload(engine, spec, reps, driver.seed(50000), driver.threads()));
   table.print(out);
 
   if (!driver.write_csv("scenario.csv", table, scenario().csv_columns)) return 2;
@@ -188,19 +150,17 @@ BenchSpec scenario() {
       "point; sweeps come from suite grids";
   spec.flags = {
       {"scenario", "ScenarioRegistry workload name (default batch)"},
-      {"engine", "engine name, or \"preferred\" for the fastest compatible (default)"},
       {"horizon", "slot horizon (default 65536, quick 16384)"},
       {"n", "batch / burst size (default 256, quick 128)"},
       {"jam", "i.i.d. jam fraction (default 0.25)"},
       {"rate", "Bernoulli arrival rate, bernoulli_stream only (default 0.1)"},
       {"arrival_margin", "paced-arrival margin, worst_case/smooth/bursty (default 4)"},
       {"jam_margin", "budget-paced jam margin, smooth/bursty (default 8)"},
-      {"g_regime", "g regime: const | log | exp_sqrt_log (default const)"},
+      {"g_regime", "g regime: " + g_regime_names(" | ") + " (default const)"},
       {"gamma", "const-g value / exp_sqrt_log scale (default 4)"},
   };
   spec.validate_cell = validate_cell;
-  spec.csv_columns = {"scenario", "engine", "horizon", "n",      "jam",   "slots",
-                      "arrivals", "successes", "jammed", "served", "sends", "backlog_at_end"};
+  spec.csv_columns = point_csv_columns({"scenario", "engine", "horizon", "n", "jam"});
   spec.csv_row_desc = "exactly one row: aggregate counters, means over reps";
   spec.run = run;
   return spec;

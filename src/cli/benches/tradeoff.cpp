@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "adversary/arrivals.hpp"
+#include "adversary/jammers.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/csv.hpp"
 #include "common/table.hpp"
@@ -27,7 +29,27 @@ namespace {
 struct Regime {
   const char* label;
   FunctionSet fs;
+  const char* g_regime;  ///< g_regimes() name; nullptr when the table has none
+  double gamma = 4.0;
 };
+
+/// The smooth adversary saturating both budgets (margins 8) on `regime`:
+/// the "smooth" preset, except for log², which has no g regime of its own
+/// and so composes the same two components itself.
+Scenario smooth(const Regime& regime, slot_t t, std::uint64_t seed) {
+  if (regime.g_regime != nullptr)
+    return ScenarioRegistry::instance().build(
+        "smooth", {.horizon = t, .seed = seed, .arrival_margin = 8.0, .jam_margin = 8.0,
+                   .g_regime = regime.g_regime, .gamma = regime.gamma});
+  Scenario sc;
+  sc.fs = regime.fs;
+  sc.adversary = std::make_unique<ComposedAdversary>(paced_arrivals(sc.fs, 8.0),
+                                                     budget_paced_jammer(sc.fs.g, 8.0));
+  sc.config.horizon = t;
+  sc.config.seed = seed;
+  sc.protocol = cjz_protocol(sc.fs);
+  return sc;
+}
 
 struct Rep {
   SimResult res;
@@ -40,8 +62,7 @@ void run_regime(const Regime& regime, const BenchDriver& driver, int reps, int m
   for (int e = min_exp; e <= max_exp; e += 2) {
     const slot_t t = static_cast<slot_t>(1) << e;
     const auto runs = driver.replicate(reps, driver.seed(9000), [&](std::uint64_t s) {
-      Scenario sc = smooth_scenario(t, regime.fs, 8.0, 8.0);
-      sc.config.seed = s;
+      Scenario sc = smooth(regime, t, s);
       ThroughputChecker checker(sc.fs);
       Rep rep;
       rep.res = run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc, &checker);
@@ -83,10 +104,10 @@ int run(int argc, const char* const* argv) {
   Table table({"g regime", "t", "f(t)", "g(t)", "n_t", "d_t", "a_t", "ratio(final)",
                "ratio(max)", "served"});
   Regime regimes[] = {
-      {"const(4)", functions_constant_g(4.0)},
-      {"log2(x)", functions_log_g()},
-      {"log2(x)^2", FunctionSet{fn::poly_log(1.0, 2.0)}},
-      {"2^sqrt(log)", functions_exp_sqrt_log_g(1.0)},
+      {"const(4)", functions_constant_g(4.0), "const", 4.0},
+      {"log2(x)", functions_log_g(), "log"},
+      {"log2(x)^2", FunctionSet{fn::poly_log(1.0, 2.0)}, nullptr},
+      {"2^sqrt(log)", functions_exp_sqrt_log_g(1.0), "exp_sqrt_log", 1.0},
   };
   for (const Regime& regime : regimes) run_regime(regime, driver, reps, min_exp, max_exp, table);
   table.print(out);
@@ -100,8 +121,7 @@ int run(int argc, const char* const* argv) {
         const slot_t t = static_cast<slot_t>(1) << max_exp;
         const slot_t window = std::max<slot_t>(1, t / 256);
         for (const Regime& regime : regimes) {
-          Scenario sc = smooth_scenario(t, regime.fs, 8.0, 8.0);
-          sc.config.seed = driver.seed(9000);
+          Scenario sc = smooth(regime, t, driver.seed(9000));
           ThroughputChecker checker(sc.fs, window);
           WindowedMetrics windows(window);
           ObserverChain chain{&checker, &windows};

@@ -27,6 +27,13 @@ namespace cr::benches {
 
 namespace {
 
+/// The seven aggregate columns of a single-point row: display header and
+/// CSV name.
+constexpr std::pair<const char*, const char*> kAggregates[] = {
+    {"slots", "slots"},   {"arrivals", "arrivals"}, {"successes", "successes"},
+    {"jammed", "jammed"}, {"served", "served"},     {"sends", "sends"},
+    {"backlog at end", "backlog_at_end"}};
+
 bool is_component_param(const std::string& name) {
   return name.rfind("arrival.", 0) == 0 || name.rfind("jammer.", 0) == 0;
 }
@@ -34,50 +41,18 @@ bool is_component_param(const std::string& name) {
 /// Flags the driver layer owns; everything else a workload invocation
 /// carries is a workload key.
 bool is_driver_flag(const std::string& name) {
-  if (name == "engine") return true;
   for (const BenchFlag& flag : BenchDriver::standard_flags())
     if (flag.name == name) return true;
   return false;
 }
 
-/// Shared by the CLI path and the suite validator: split `flags` into
-/// workload keys, parse + validate them, resolve the engine. Returns "" and
-/// fills the outputs on success.
-std::string resolve(const std::vector<std::pair<std::string, std::string>>& flags,
-                    const std::string& engine_name, WorkloadParse* parsed,
-                    const Engine** engine) {
+/// Shared by the CLI path and the suite validator: parse + validate the
+/// workload keys among `flags`.
+WorkloadParse parse(const std::vector<std::pair<std::string, std::string>>& flags) {
   std::vector<std::pair<std::string, std::string>> kvs;
   for (const auto& [key, value] : flags)
     if (!is_driver_flag(key)) kvs.emplace_back(key, value);
-  *parsed = parse_workload(kvs);
-  if (!parsed->ok()) return parsed->error;
-  // Engine choice needs only the protocol spec — do NOT materialise the
-  // workload here: suite validation runs this per expanded cell, and some
-  // arrival processes (uniform_random) pay construction costs proportional
-  // to their parameters.
-  const ProtocolSpec protocol = workload_protocol(
-      parsed->spec.protocol, functions_for_regime(parsed->spec.g_regime, parsed->spec.gamma));
-  if (engine_name == "preferred") {
-    *engine = &EngineRegistry::instance().preferred(protocol);
-  } else {
-    *engine = EngineRegistry::instance().find(engine_name);
-    if (*engine == nullptr) {
-      std::string error = "unknown engine \"" + engine_name + "\"; known engines:";
-      for (const std::string& name : EngineRegistry::instance().names()) error += " " + name;
-      error += " (or \"preferred\")";
-      return error;
-    }
-    if (!(*engine)->supports(protocol)) {
-      std::string error = "engine \"" + engine_name + "\" cannot execute protocol \"" +
-                          parsed->spec.protocol + "\"; compatible engines:";
-      for (const Engine* candidate : EngineRegistry::instance().compatible(protocol)) {
-        error += ' ';
-        error += candidate->name();
-      }
-      return error;
-    }
-  }
-  return "";
+  return parse_workload(kvs);
 }
 
 int run(int argc, const char* const* argv) {
@@ -86,15 +61,12 @@ int run(int argc, const char* const* argv) {
                            {self.id, self.summary, self.flags, is_component_param});
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 3);
-  const std::string engine_name = driver.cli().get_string("engine", "preferred");
 
   std::vector<std::pair<std::string, std::string>> flags;
   for (const auto& [key, value] : driver.cli().raw_flags()) flags.emplace_back(key, value);
-  WorkloadParse parsed;
-  const Engine* engine = nullptr;
-  if (const std::string error = resolve(flags, engine_name, &parsed, &engine);
-      !error.empty()) {
-    std::fprintf(stderr, "cr bench workload: %s\n", error.c_str());
+  const WorkloadParse parsed = parse(flags);
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "cr bench workload: %s\n", parsed.error.c_str());
     return 2;
   }
   WorkloadSpec spec = parsed.spec;
@@ -105,38 +77,20 @@ int run(int argc, const char* const* argv) {
   // replication builds a fresh adversary (stateful, consumed per run).
   spec.seed = driver.seed(60000);
   const std::string composed = build_workload(spec).adversary->name();
+  const Engine& engine = point_engine(spec);
 
   out << "S2: workload " << composed << ", g=" << spec.g_regime << ", protocol "
-      << spec.protocol << ", engine " << engine->name() << ", means over " << reps
+      << spec.protocol << ", engine " << engine.name() << ", means over " << reps
       << " seeds\n\n";
 
-  const auto results =
-      replicate_workload(*engine, spec, reps, driver.seed(60000), driver.threads());
-
-  const auto slots =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.slots); });
-  const auto arrivals =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.arrivals); });
-  const auto successes =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.successes); });
-  const auto jammed =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.jammed_slots); });
-  const auto served = collect(results, [](const SimResult& r) {
-    return r.arrivals ? static_cast<double>(r.successes) / static_cast<double>(r.arrivals)
-                      : 1.0;
-  });
-  const auto sends =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.total_sends); });
-  const auto backlog =
-      collect(results, [](const SimResult& r) { return static_cast<double>(r.live_at_end); });
-
-  Table table({"arrival", "jammer", "g", "protocol", "engine", "horizon", "slots", "arrivals",
-               "successes", "jammed", "served", "sends", "backlog at end"});
-  table.add_row({spec.arrival.name, spec.jammer.name, spec.g_regime, spec.protocol,
-                 engine->name(), Cell(static_cast<std::uint64_t>(spec.horizon)),
-                 Cell(slots.mean(), 0), Cell(arrivals.mean(), 1), Cell(successes.mean(), 1),
-                 Cell(jammed.mean(), 1), Cell(served.mean(), 3), Cell(sends.mean(), 1),
-                 mean_sd(backlog, 1)});
+  const Table table = point_table(
+      {{"arrival", spec.arrival.name},
+       {"jammer", spec.jammer.name},
+       {"g", spec.g_regime},
+       {"protocol", spec.protocol},
+       {"engine", engine.name()},
+       {"horizon", Cell(static_cast<std::uint64_t>(spec.horizon))}},
+      replicate_workload(engine, spec, reps, driver.seed(60000), driver.threads()));
   table.print(out);
 
   if (!driver.write_csv("workload.csv", table, workload().csv_columns)) return 2;
@@ -148,15 +102,47 @@ int run(int argc, const char* const* argv) {
 }
 
 std::string validate_cell(const std::vector<std::pair<std::string, std::string>>& flags) {
-  std::string engine_name = "preferred";
-  for (const auto& [key, value] : flags)
-    if (key == "engine") engine_name = value;
-  WorkloadParse parsed;
-  const Engine* engine = nullptr;
-  return resolve(flags, engine_name, &parsed, &engine);
+  return parse(flags).error;
 }
 
 }  // namespace
+
+const Engine& point_engine(const WorkloadSpec& spec) {
+  return EngineRegistry::instance().preferred(
+      workload_protocol(spec.protocol, functions_for_regime(spec.g_regime, spec.gamma)));
+}
+
+Table point_table(const std::vector<std::pair<std::string, Cell>>& keys,
+                  const std::vector<SimResult>& results) {
+  std::vector<std::string> headers;
+  std::vector<Cell> row;
+  for (const auto& [header, cell] : keys) {
+    headers.push_back(header);
+    row.push_back(cell);
+  }
+  for (const auto& [header, column] : kAggregates) headers.emplace_back(header);
+  const auto count = [&](std::uint64_t SimResult::*field) {
+    return collect(results, [field](const SimResult& r) { return static_cast<double>(r.*field); });
+  };
+  const Accumulator served = collect(results, [](const SimResult& r) {
+    return r.arrivals ? static_cast<double>(r.successes) / static_cast<double>(r.arrivals) : 1.0;
+  });
+  row.emplace_back(count(&SimResult::slots).mean(), 0);
+  row.emplace_back(count(&SimResult::arrivals).mean(), 1);
+  row.emplace_back(count(&SimResult::successes).mean(), 1);
+  row.emplace_back(count(&SimResult::jammed_slots).mean(), 1);
+  row.emplace_back(served.mean(), 3);
+  row.emplace_back(count(&SimResult::total_sends).mean(), 1);
+  row.emplace_back(mean_sd(count(&SimResult::live_at_end), 1));
+  Table table(std::move(headers));
+  table.add_row(std::move(row));
+  return table;
+}
+
+std::vector<std::string> point_csv_columns(std::vector<std::string> keys) {
+  for (const auto& [header, column] : kAggregates) keys.emplace_back(column);
+  return keys;
+}
 
 BenchSpec workload() {
   BenchSpec spec;
@@ -172,18 +158,15 @@ BenchSpec workload() {
                   "--arrival.<param>"},
       {"jammer", "JammerRegistry component name (default none); parameters via "
                  "--jammer.<param>"},
-      {"g", "g regime: const | log | exp_sqrt_log (default const)"},
+      {"g", "g regime: " + g_regime_names(" | ") + " (default const)"},
       {"gamma", "const-g value / exp_sqrt_log scale (default 4; rejected under g=log)"},
       {"protocol", "named protocol: cjz | h_backoff | h_data | beb | sawtooth | poly "
                    "(default cjz)"},
-      {"engine", "engine name, or \"preferred\" for the fastest compatible (default)"},
       {"horizon", "slot horizon (default 65536, quick 16384)"},
   };
   spec.allows_flag = is_component_param;
   spec.validate_cell = validate_cell;
-  spec.csv_columns = {"arrival", "jammer", "g",      "protocol", "engine",
-                      "horizon", "slots",  "arrivals", "successes", "jammed",
-                      "served",  "sends",  "backlog_at_end"};
+  spec.csv_columns = point_csv_columns({"arrival", "jammer", "g", "protocol", "engine", "horizon"});
   spec.csv_row_desc = "exactly one row: aggregate counters, means over reps";
   spec.run = run;
   return spec;

@@ -43,7 +43,8 @@ int run(int argc, const char* const* argv) {
       for (int e = 14; e <= max_exp; e += (quick ? 3 : 2)) {
         const slot_t t = static_cast<slot_t>(1) << e;
         const auto results = driver.replicate(reps, driver.seed(11000), [&](std::uint64_t s) {
-          Scenario sc = worst_case_scenario(t, jam, margin, s);
+          Scenario sc = ScenarioRegistry::instance().build(
+              "worst_case", {.horizon = t, .seed = s, .jam = jam, .arrival_margin = margin});
           return run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc);
         });
         const auto arr = collect(results, [](const SimResult& r) { return double(r.arrivals); });

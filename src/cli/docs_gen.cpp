@@ -101,7 +101,7 @@ std::string registry_listing_text() {
        << entry.description << "\n";
   os << "\nprotocols (--protocol on the workload bench):\n";
   for (const std::string& name : workload_protocol_names()) os << "  " << name << "\n";
-  os << "\nengines (--engine on the scenario/workload benches; others pick preferred()):\n";
+  os << "\nengines (every bench runs on preferred(), the fastest compatible one):\n";
   for (const std::string& name : EngineRegistry::instance().names()) os << "  " << name << "\n";
   os << "\nclaims (cr verify <out_dir>; machine-checked against suite CSVs):\n";
   for (const verify::ClaimSpec& spec : verify::ClaimRegistry::instance().entries())
@@ -310,8 +310,8 @@ std::string experiments_markdown() {
      << "\n";
   for (const std::string& name : EngineRegistry::instance().names())
     os << "- `" << name << "`\n";
-  os << "\nBenches select engines via `EngineRegistry::preferred(spec)`; the\n"
-     << "`scenario` and `workload` benches expose the choice as `--engine`.\n"
+  os << "\nEvery bench runs on `EngineRegistry::preferred(spec)`, the fastest\n"
+     << "engine that can execute its protocol; no flag overrides the choice.\n"
      << "\n"
      << "## Suites\n"
      << "\n"

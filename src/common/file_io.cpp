@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -38,15 +39,23 @@ const char* file_kind(mode_t mode) {
 
 }  // namespace
 
-bool write_file_atomic(const std::string& path, std::string_view bytes, std::string* error) {
-  // The rename would replace a link, FIFO or device with a regular file and
-  // leave whatever it led to untouched, so only a regular file may stand at
-  // the path.
+bool check_publishable(const std::string& path, std::string* error) {
   struct stat st {};
-  if (::lstat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode)) {
+  if (::lstat(path.c_str(), &st) == 0) {
+    if (S_ISREG(st.st_mode)) return true;
     *error = std::string("not a regular file (") + file_kind(st.st_mode) + ")";
     return false;
   }
+  const std::string parent = std::filesystem::path(path).parent_path().string();
+  const std::string dir = parent.empty() ? "." : parent;
+  const int reason = ::stat(dir.c_str(), &st) != 0 ? errno : S_ISDIR(st.st_mode) ? 0 : ENOTDIR;
+  if (reason == 0) return true;
+  *error = "cannot use directory " + dir + ": " + std::strerror(reason);
+  return false;
+}
+
+bool write_file_atomic(const std::string& path, std::string_view bytes, std::string* error) {
+  if (!check_publishable(path, error)) return false;
   const std::string tmp = path + ".tmp-" + unique_suffix();
   std::FILE* out = std::fopen(tmp.c_str(), "wbx");  // x: O_EXCL
   if (out == nullptr) {

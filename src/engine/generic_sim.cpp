@@ -32,7 +32,6 @@ SimResult GenericSimulator::run() {
 
   Trace trace;
   PublicHistory history(trace);
-  Channel channel;
 
   SimResult result;
   std::vector<LiveNode> nodes;
@@ -55,18 +54,20 @@ SimResult GenericSimulator::run() {
     const std::uint64_t live = nodes.size();
     if (live > 0) ++result.active_slots;
 
-    channel.begin_slot(slot, action.jam);
+    std::uint64_t senders = 0;
+    node_id lone_sender = kNoNode;
     sent_flags.assign(nodes.size(), 0);
     for (std::size_t i = 0; i < nodes.size(); ++i) {
       if (nodes[i].protocol->on_slot(slot, rng_nodes)) {
         sent_flags[i] = 1;
         ++nodes[i].sends;
-        ++result.total_sends;
-        channel.broadcast(nodes[i].id);
+        lone_sender = nodes[i].id;
+        ++senders;
       }
     }
+    result.total_sends += senders;
 
-    const SlotOutcome out = channel.resolve();
+    const SlotOutcome out = resolve_slot(slot, senders, action.jam, lone_sender);
     trace.record(out);
     if (config_.recording.wants_trace()) result.slot_outcomes.push_back(out);
     if (out.jammed) ++result.jammed_slots;

@@ -32,6 +32,12 @@ std::int64_t in_range(const Cli& cli, const std::string& name, std::int64_t valu
   std::exit(2);
 }
 
+/// The one report of an output file a bench cannot write.
+void report_unwritable(const Cli& cli, const std::string& path, const std::string& error) {
+  std::fprintf(stderr, "%s: cannot write %s: %s\n", cli.program().c_str(), path.c_str(),
+               error.c_str());
+}
+
 /// Discards everything written to it (--quiet).
 std::ostream& null_stream() {
   struct NullBuf final : std::streambuf {
@@ -79,6 +85,13 @@ BenchDriver::BenchDriver(int argc, const char* const* argv, BenchInfo info)
   out_ = quiet_ ? &null_stream() : &std::cout;
   threads_ = static_cast<int>(in_range(cli_, "threads", cli_.get_int("threads", default_threads()),
                                        1, std::numeric_limits<int>::max()));
+  // An explicit --csv path that write_output would refuse fails the bench
+  // now, before the run, not after it.
+  std::string error;
+  if (const std::string path = csv_path(""); !path.empty() && !check_publishable(path, &error)) {
+    report_unwritable(cli_, path, error);
+    std::exit(2);
+  }
 }
 
 int BenchDriver::reps(int full, int quick_def) const {
@@ -108,8 +121,7 @@ bool BenchDriver::write_output(const std::string& path,
   emit(bytes);
   std::string error;
   if (!write_file_atomic(path, bytes.str(), &error)) {
-    std::fprintf(stderr, "%s: cannot write %s: %s\n", cli_.program().c_str(), path.c_str(),
-                 error.c_str());
+    report_unwritable(cli_, path, error);
     return false;
   }
   out() << "\nwrote " << path << "\n";

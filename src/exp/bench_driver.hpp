@@ -64,8 +64,10 @@ struct BenchInfo {
 
 class BenchDriver {
  public:
-  /// Parses flags, handles --help (prints usage, exits 0) and rejects
-  /// unknown flags (exits 2 with a did-you-mean message).
+  /// Parses flags, handles --help (prints usage, exits 0), rejects unknown
+  /// flags (exits 2 with a did-you-mean message) and refuses an explicit
+  /// --csv=PATH that check_publishable fails (exits 2 with write_output's
+  /// "cannot write" report), so no run starts that could not publish.
   BenchDriver(int argc, const char* const* argv, BenchInfo info);
 
   const Cli& cli() const { return cli_; }

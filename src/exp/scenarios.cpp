@@ -5,8 +5,7 @@
 #include <cstdio>
 #include <utility>
 
-#include "adversary/arrivals.hpp"
-#include "adversary/jammers.hpp"
+#include "adversary/param_schema.hpp"
 #include "common/check.hpp"
 #include "exp/workload.hpp"
 
@@ -30,15 +29,37 @@ FunctionSet functions_exp_sqrt_log_g(double scale) {
   return fs;
 }
 
+const std::vector<GRegime>& g_regimes() {
+  static const std::vector<GRegime> table = {
+      {"const", functions_constant_g, true},
+      {"log", [](double) { return functions_log_g(); }, false},
+      {"exp_sqrt_log", functions_exp_sqrt_log_g, true},
+  };
+  return table;
+}
+
+const GRegime* find_g_regime(const std::string& name) {
+  for (const GRegime& regime : g_regimes())
+    if (name == regime.name) return &regime;
+  return nullptr;
+}
+
+std::string g_regime_names(const std::string& separator) {
+  std::string out;
+  for (const GRegime& regime : g_regimes()) {
+    if (!out.empty()) out += separator;
+    out += regime.name;
+  }
+  return out;
+}
+
 FunctionSet functions_for_regime(const std::string& regime, double gamma) {
-  if (regime == "const") return functions_constant_g(gamma);
-  if (regime == "log") return functions_log_g();
-  if (regime == "exp_sqrt_log") return functions_exp_sqrt_log_g(gamma);
-  std::fprintf(stderr,
-               "functions_for_regime: unknown regime \"%s\" (known: const, log, exp_sqrt_log)\n",
-               regime.c_str());
-  CR_CHECK(false);
-  return {};
+  const GRegime* entry = find_g_regime(regime);
+  if (entry == nullptr)
+    std::fprintf(stderr, "functions_for_regime: unknown regime \"%s\" (known: %s)\n",
+                 regime.c_str(), g_regime_names(", ").c_str());
+  CR_CHECK(entry != nullptr);
+  return entry->make(gamma);
 }
 
 SimResult run_scenario(const Engine& engine, Scenario& scenario, SlotObserver* observer) {
@@ -47,71 +68,34 @@ SimResult run_scenario(const Engine& engine, Scenario& scenario, SlotObserver* o
   return engine.run(scenario.protocol, *scenario.adversary, scenario.config, observer);
 }
 
-Scenario worst_case_scenario(slot_t horizon, double jam_fraction, double arrival_margin,
-                             std::uint64_t seed) {
-  // The algorithm is always configured for constant-fraction tolerance
-  // (g = const); jam_fraction is what the adversary actually does. This
-  // keeps the arrival pacing (which depends on f, hence on g) comparable
-  // across jamming levels, including zero.
-  Scenario sc;
-  sc.fs = functions_constant_g(4.0);
-  sc.adversary = std::make_unique<ComposedAdversary>(
-      paced_arrivals(sc.fs, arrival_margin),
-      jam_fraction > 0.0 ? iid_jammer(jam_fraction) : no_jam());
-  sc.config.horizon = horizon;
-  sc.config.seed = seed;
-  sc.protocol = cjz_protocol(sc.fs);
-  return sc;
-}
-
-Scenario batch_scenario(std::uint64_t n, double jam_fraction, slot_t horizon, FunctionSet fs) {
-  Scenario sc;
-  sc.fs = std::move(fs);
-  sc.adversary = std::make_unique<ComposedAdversary>(batch_arrival(n, 1),
-                                                     jam_fraction > 0.0
-                                                         ? iid_jammer(jam_fraction)
-                                                         : no_jam());
-  sc.config.horizon = horizon;
-  sc.protocol = cjz_protocol(sc.fs);
-  return sc;
-}
-
-Scenario smooth_scenario(slot_t horizon, FunctionSet fs, double arrival_margin,
-                         double jam_margin) {
-  Scenario sc;
-  sc.fs = std::move(fs);
-  sc.adversary = std::make_unique<ComposedAdversary>(
-      paced_arrivals(sc.fs, arrival_margin), budget_paced_jammer(sc.fs.g, jam_margin));
-  sc.config.horizon = horizon;
-  sc.protocol = cjz_protocol(sc.fs);
-  return sc;
-}
-
 namespace {
 
-// The five built-in builders are thin presets over WorkloadSpec: each maps
-// its ScenarioParams onto named registry components (scenario_preset_workload
-// in src/exp/workload.cpp) and materialises the result. Parity with the
-// direct compositions is pinned byte-for-byte in tests/test_workload.cpp.
+// Building blocks of the preset mappings below.
 
-Scenario build_worst_case(const ScenarioParams& p) {
-  return build_workload(scenario_preset_workload("worst_case", p));
+/// The run-level fields every preset carries.
+WorkloadSpec run_of(const ScenarioParams& p) {
+  WorkloadSpec w;
+  w.horizon = p.horizon;
+  w.seed = p.seed;
+  return w;
 }
 
-Scenario build_batch(const ScenarioParams& p) {
-  return build_workload(scenario_preset_workload("batch", p));
+/// The params' g regime. gamma is set only where the regime takes a scale;
+/// elsewhere it would (rightly) fail validation.
+WorkloadSpec regime_of(const ScenarioParams& p) {
+  WorkloadSpec w = run_of(p);
+  w.g_regime = p.g_regime;
+  const GRegime* regime = find_g_regime(p.g_regime);
+  if (regime == nullptr || regime->takes_scale) {
+    w.gamma = p.gamma;
+    w.gamma_set = true;
+  }
+  return w;
 }
 
-Scenario build_smooth(const ScenarioParams& p) {
-  return build_workload(scenario_preset_workload("smooth", p));
-}
-
-Scenario build_bernoulli_stream(const ScenarioParams& p) {
-  return build_workload(scenario_preset_workload("bernoulli_stream", p));
-}
-
-Scenario build_bursty(const ScenarioParams& p) {
-  return build_workload(scenario_preset_workload("bursty", p));
+ComponentSpec iid_or_none(const ScenarioParams& p) {
+  return p.jam > 0.0 ? ComponentSpec{"iid", {{"fraction", double_param_text(p.jam)}}}
+                     : ComponentSpec{"none", {}};
 }
 
 }  // namespace
@@ -123,22 +107,61 @@ bool ScenarioEntry::consumes(const std::string& param) const {
 }
 
 ScenarioRegistry::ScenarioRegistry() {
-  register_scenario({"worst_case",
-                     "paced arrivals ~t/(margin·f) + i.i.d. jamming (E2)", build_worst_case,
-                     {"horizon", "seed", "jam", "arrival_margin"}});
-  register_scenario({"batch", "n nodes at slot 1 + i.i.d. jamming (E3/E4/E7)", build_batch,
-                     {"horizon", "seed", "n", "jam", "g_regime", "gamma"}});
-  register_scenario({"smooth",
-                     "budget-saturating paced arrivals + paced jamming (E1/Cor 3.6)",
-                     build_smooth,
-                     {"horizon", "seed", "arrival_margin", "jam_margin", "g_regime", "gamma"}});
-  register_scenario({"bernoulli_stream",
-                     "Bernoulli(rate) arrivals + i.i.d. jamming (E7b)", build_bernoulli_stream,
-                     {"horizon", "seed", "rate", "jam", "g_regime", "gamma"}});
-  register_scenario({"bursty",
-                     "bursts of n inside the smooth budget + paced jamming (E9)", build_bursty,
-                     {"horizon", "seed", "n", "arrival_margin", "jam_margin", "g_regime",
-                      "gamma"}});
+  register_scenario(
+      {"worst_case", "paced arrivals ~t/(margin·f) + i.i.d. jamming (E2)",
+       [](const ScenarioParams& p) {
+         // Always const-g (4): the arrival pacing depends on f, hence on g,
+         // so pinning g keeps it comparable across jam levels, zero included.
+         WorkloadSpec w = run_of(p);
+         w.arrival = {"paced", {{"margin", double_param_text(p.arrival_margin)}}};
+         w.jammer = iid_or_none(p);
+         return w;
+       },
+       {"horizon", "seed", "jam", "arrival_margin"}});
+  register_scenario(
+      {"batch", "n nodes at slot 1 + i.i.d. jamming (E3/E4/E7)",
+       [](const ScenarioParams& p) {
+         WorkloadSpec w = regime_of(p);
+         w.arrival = {"batch", {{"n", std::to_string(p.n)}}};
+         w.jammer = iid_or_none(p);
+         return w;
+       },
+       {"horizon", "seed", "n", "jam", "g_regime", "gamma"}});
+  register_scenario(
+      {"smooth", "budget-saturating paced arrivals + paced jamming (E1/Cor 3.6)",
+       [](const ScenarioParams& p) {
+         WorkloadSpec w = regime_of(p);
+         w.arrival = {"paced", {{"margin", double_param_text(p.arrival_margin)}}};
+         w.jammer = {"budget_paced", {{"margin", double_param_text(p.jam_margin)}}};
+         return w;
+       },
+       {"horizon", "seed", "arrival_margin", "jam_margin", "g_regime", "gamma"}});
+  register_scenario(
+      {"bernoulli_stream", "Bernoulli(rate) arrivals + i.i.d. jamming (E7b)",
+       [](const ScenarioParams& p) {
+         WorkloadSpec w = regime_of(p);
+         w.arrival = {"bernoulli", {{"rate", double_param_text(p.rate)}}};
+         w.jammer = iid_or_none(p);
+         return w;
+       },
+       {"horizon", "seed", "rate", "jam", "g_regime", "gamma"}});
+  register_scenario(
+      {"bursty", "bursts of n inside the smooth budget + paced jamming (E9)",
+       [](const ScenarioParams& p) {
+         // Burstiest arrival pattern still inside the smooth budget: batches
+         // of n every ceil(arrival_margin·n·f(horizon)) slots, budget-paced
+         // jamming on top (the E9 latency workload).
+         WorkloadSpec w = regime_of(p);
+         const double ft =
+             functions_for_regime(p.g_regime, p.gamma).f(static_cast<double>(p.horizon));
+         const auto period = static_cast<std::uint64_t>(
+             std::max(1.0, std::ceil(p.arrival_margin * static_cast<double>(p.n) * ft)));
+         w.arrival = {"bursty",
+                      {{"period", std::to_string(period)}, {"burst", std::to_string(p.n)}}};
+         w.jammer = {"budget_paced", {{"margin", double_param_text(p.jam_margin)}}};
+         return w;
+       },
+       {"horizon", "seed", "n", "arrival_margin", "jam_margin", "g_regime", "gamma"}});
 }
 
 ScenarioRegistry& ScenarioRegistry::instance() {
@@ -153,14 +176,7 @@ const ScenarioEntry* ScenarioRegistry::find(const std::string& name) const {
 }
 
 Scenario ScenarioRegistry::build(const std::string& name, const ScenarioParams& params) const {
-  const ScenarioEntry* entry = find(name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "ScenarioRegistry: unknown scenario \"%s\" (known:", name.c_str());
-    for (const auto& e : entries_) std::fprintf(stderr, " %s", e.name.c_str());
-    std::fprintf(stderr, ")\n");
-  }
-  CR_CHECK(entry != nullptr);
-  return entry->build(params);
+  return build_workload(scenario_preset_workload(name, params));
 }
 
 std::vector<std::string> ScenarioRegistry::names() const {
@@ -171,7 +187,7 @@ std::vector<std::string> ScenarioRegistry::names() const {
 }
 
 void ScenarioRegistry::register_scenario(ScenarioEntry entry) {
-  CR_CHECK(entry.build != nullptr);
+  CR_CHECK(entry.workload != nullptr);
   CR_CHECK(find(entry.name) == nullptr);  // names are unique keys
   entries_.push_back(std::move(entry));
 }

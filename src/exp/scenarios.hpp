@@ -1,12 +1,10 @@
 /// \file
-/// Canned scenario builders and the name-keyed scenario registry shared by
+/// The g regime table and the name-keyed scenario registry shared by
 /// benches, examples and tests.
 ///
-/// Each builder returns a Scenario — the (protocol, adversary, config)
-/// triple for a named workload from the experiment index in
-/// docs/EXPERIMENTS.md. The registry promotes the builders into named,
-/// parameterised workloads so drivers can select them by string without
-/// hand-rolled dispatch:
+/// A scenario preset is a named row that maps a ScenarioParams bundle onto
+/// a WorkloadSpec (src/exp/workload.hpp), the one description of a
+/// workload; building a preset is build_workload over that mapping:
 ///
 ///     Scenario sc = ScenarioRegistry::instance().build("worst_case", params);
 ///     SimResult r = run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc);
@@ -24,22 +22,43 @@
 
 namespace cr {
 
+struct WorkloadSpec;  // exp/workload.hpp
+
 /// The three g regimes the paper discusses.
 FunctionSet functions_constant_g(double gamma = 4.0);
 FunctionSet functions_log_g();
 FunctionSet functions_exp_sqrt_log_g(double scale = 1.0);
 
-/// Regime by name: "const" | "log" | "exp_sqrt_log". `gamma` feeds const's
-/// value and exp_sqrt_log's scale; log ignores it. Aborts on unknown names.
+/// One row of the g regime table.
+struct GRegime {
+  const char* name;
+  FunctionSet (*make)(double gamma);
+  /// Whether `gamma` sets the regime's scale (const's value, exp_sqrt_log's
+  /// scale). A regime without one ignores it, so an explicit gamma there is
+  /// rejected as a silent no-op.
+  bool takes_scale;
+};
+
+/// The regime table: "const", "log", "exp_sqrt_log". Every regime name the
+/// workload and scenario layers accept, and every list of them they print,
+/// comes from here.
+const std::vector<GRegime>& g_regimes();
+/// nullptr when unknown.
+const GRegime* find_g_regime(const std::string& name);
+/// The regime names joined by `separator`, in table order.
+std::string g_regime_names(const std::string& separator);
+
+/// Regime by name: `gamma` feeds const's value and exp_sqrt_log's scale; log
+/// ignores it. Aborts on unknown names.
 FunctionSet functions_for_regime(const std::string& regime, double gamma = 4.0);
 
 struct Scenario {
   FunctionSet fs;
   std::unique_ptr<Adversary> adversary;
   SimConfig config;
-  /// What runs on the channel. Builders default this to the CJZ algorithm
-  /// on `fs`; callers may swap in any spec to race other protocols on the
-  /// same workload.
+  /// What runs on the channel. Workloads default this to their named
+  /// protocol on `fs`; callers may swap in any spec to race other protocols
+  /// on the same workload.
   ProtocolSpec protocol;
 };
 
@@ -48,22 +67,8 @@ struct Scenario {
 SimResult run_scenario(const Engine& engine, Scenario& scenario,
                        SlotObserver* observer = nullptr);
 
-/// E2-style worst case: i.i.d. jamming at `jam_fraction` plus saturating
-/// paced arrivals (n_t tracks t/(margin·f(t))). Uses g = const.
-Scenario worst_case_scenario(slot_t horizon, double jam_fraction, double arrival_margin,
-                             std::uint64_t seed);
-
-/// Batch workload: n nodes at slot 1, i.i.d. jamming at `jam_fraction`.
-Scenario batch_scenario(std::uint64_t n, double jam_fraction, slot_t horizon,
-                        FunctionSet fs);
-
-/// Corollary 3.6 smooth adversary: paced arrivals at 1/(arrival_margin·f)
-/// and budget-paced jamming at 1/(jam_margin·g).
-Scenario smooth_scenario(slot_t horizon, FunctionSet fs, double arrival_margin,
-                         double jam_margin);
-
-/// Parameter bundle understood by the registered scenario builders. Every
-/// field has a sensible default; builders read only the fields they document.
+/// Parameter bundle understood by the registered scenario presets. Every
+/// field has a sensible default; presets read only the fields they document.
 struct ScenarioParams {
   slot_t horizon = 1 << 16;
   std::uint64_t seed = 1;
@@ -72,17 +77,17 @@ struct ScenarioParams {
   double arrival_margin = 4.0;     ///< paced-arrival margin (worst_case, smooth)
   double jam_margin = 8.0;         ///< budget-paced jam margin (smooth)
   double rate = 0.1;               ///< Bernoulli arrival rate (bernoulli_stream)
-  std::string g_regime = "const";  ///< "const" | "log" | "exp_sqrt_log"
+  std::string g_regime = "const";  ///< a g_regimes() name
   double gamma = 4.0;              ///< const-g value / exp_sqrt_log scale
 };
-
-using ScenarioBuilderFn = Scenario (*)(const ScenarioParams&);
 
 struct ScenarioEntry {
   std::string name;
   std::string description;
-  ScenarioBuilderFn build;
-  /// The ScenarioParams fields this builder actually consumes (by flag
+  /// The preset itself: the WorkloadSpec these params describe, horizon and
+  /// seed included.
+  WorkloadSpec (*workload)(const ScenarioParams&);
+  /// The ScenarioParams fields this preset actually consumes (by flag
   /// name). `cr bench scenario` and the suite validator reject an
   /// explicitly-passed parameter outside this set — a param one scenario
   /// ignores must not be a silent no-op in a sweep over scenarios.
@@ -91,19 +96,19 @@ struct ScenarioEntry {
   bool consumes(const std::string& param) const;
 };
 
-/// Name-keyed scenario registry. Seeded with the five built-in workloads
-/// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"), each a
-/// thin preset over WorkloadSpec (src/exp/workload.hpp) — byte-identical to
-/// the direct compositions, parity-tested in tests/test_workload.cpp;
-/// register_scenario() is the extension point. Registration is not
-/// thread-safe — register before fanning out runs.
+/// Name-keyed scenario registry. Seeded with the five built-in presets
+/// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"), each
+/// byte-identical to the direct composition it names (parity-tested in
+/// tests/test_workload.cpp); register_scenario() is the extension point.
+/// Registration is not thread-safe — register before fanning out runs.
 class ScenarioRegistry {
  public:
   static ScenarioRegistry& instance();
 
   /// nullptr when unknown.
   const ScenarioEntry* find(const std::string& name) const;
-  /// Aborts (CR_CHECK) on unknown names, after printing the known set.
+  /// build_workload over the preset's mapping (scenario_preset_workload):
+  /// aborts (CR_CHECK) on unknown names, after printing the known set.
   Scenario build(const std::string& name, const ScenarioParams& params = {}) const;
 
   std::vector<std::string> names() const;

@@ -1,7 +1,5 @@
 #include "exp/workload.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <set>
 
@@ -135,13 +133,14 @@ std::string validate_workload(const WorkloadSpec& spec) {
   if (std::string error = check_component(JammerRegistry::instance(), spec.jammer, "jammer");
       !error.empty())
     return error;
-  if (spec.g_regime != "const" && spec.g_regime != "log" && spec.g_regime != "exp_sqrt_log")
-    return "unknown g regime \"" + spec.g_regime + "\"; known: const log exp_sqrt_log";
-  // g=log takes no scale — an explicit gamma would be the silent no-op this
-  // API bans, so it is an error instead.
-  if (spec.gamma_set && spec.g_regime == "log")
-    return "workload key \"gamma\" is not consumed when g=log (the log regime has no scale); "
-           "drop it or pick g=const/exp_sqrt_log";
+  const GRegime* regime = find_g_regime(spec.g_regime);
+  if (regime == nullptr)
+    return "unknown g regime \"" + spec.g_regime + "\"; known: " + g_regime_names(" ");
+  // A regime without a scale ignores gamma — an explicit one would be the
+  // silent no-op this API bans, so it is an error instead.
+  if (spec.gamma_set && !regime->takes_scale)
+    return "workload key \"gamma\" is not consumed when g=" + spec.g_regime + " (the " +
+           spec.g_regime + " regime has no scale); drop it or pick a regime that has one";
   bool protocol_known = false;
   for (const std::string& name : workload_protocol_names())
     protocol_known = protocol_known || name == spec.protocol;
@@ -198,66 +197,12 @@ Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan) {
 }
 
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p) {
-  WorkloadSpec w;
-  w.horizon = p.horizon;
-  w.seed = p.seed;
-  const auto iid_or_none = [&] {
-    return p.jam > 0.0
-               ? ComponentSpec{"iid", {{"fraction", double_param_text(p.jam)}}}
-               : ComponentSpec{"none", {}};
-  };
-  const auto regime = [&] {
-    w.g_regime = p.g_regime;
-    // The log regime has no scale; setting gamma there would (rightly) fail
-    // validation, and functions_log_g ignores it anyway.
-    if (p.g_regime != "log") {
-      w.gamma = p.gamma;
-      w.gamma_set = true;
-    }
-  };
-  if (scenario == "worst_case") {
-    // Always const-g (the legacy builder pins functions_constant_g(4.0) so
-    // arrival pacing stays comparable across jam levels).
-    w.arrival = {"paced", {{"margin", double_param_text(p.arrival_margin)}}};
-    w.jammer = iid_or_none();
-    return w;
-  }
-  if (scenario == "batch") {
-    regime();
-    w.arrival = {"batch", {{"n", std::to_string(p.n)}}};
-    w.jammer = iid_or_none();
-    return w;
-  }
-  if (scenario == "smooth") {
-    regime();
-    w.arrival = {"paced", {{"margin", double_param_text(p.arrival_margin)}}};
-    w.jammer = {"budget_paced", {{"margin", double_param_text(p.jam_margin)}}};
-    return w;
-  }
-  if (scenario == "bernoulli_stream") {
-    regime();
-    w.arrival = {"bernoulli", {{"rate", double_param_text(p.rate)}}};
-    w.jammer = iid_or_none();
-    return w;
-  }
-  if (scenario == "bursty") {
-    // Burstiest arrival pattern still inside the smooth budget: batches of n
-    // every ceil(arrival_margin·n·f(horizon)) slots, budget-paced jamming on
-    // top (the E9 latency workload).
-    regime();
-    const FunctionSet fs = functions_for_regime(p.g_regime, p.gamma);
-    const double ft = fs.f(static_cast<double>(p.horizon));
-    const auto period = static_cast<std::uint64_t>(
-        std::max(1.0, std::ceil(p.arrival_margin * static_cast<double>(p.n) * ft)));
-    w.arrival = {"bursty",
-                 {{"period", std::to_string(period)}, {"burst", std::to_string(p.n)}}};
-    w.jammer = {"budget_paced", {{"margin", double_param_text(p.jam_margin)}}};
-    return w;
-  }
-  std::fprintf(stderr, "scenario_preset_workload: unknown scenario preset \"%s\"\n",
-               scenario.c_str());
-  CR_CHECK(false);
-  return w;
+  const ScenarioEntry* entry = ScenarioRegistry::instance().find(scenario);
+  if (entry == nullptr)
+    std::fprintf(stderr, "scenario_preset_workload: unknown scenario \"%s\" (known:%s)\n",
+                 scenario.c_str(), known_list(ScenarioRegistry::instance().names()).c_str());
+  CR_CHECK(entry != nullptr);
+  return entry->workload(p);
 }
 
 AdversaryPlan adversary_plan(const WorkloadSpec& spec) {

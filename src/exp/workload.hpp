@@ -10,13 +10,13 @@
 ///     arrival=bernoulli  arrival.rate=0.2  jammer=iid  jammer.fraction=0.25
 ///     g=const  gamma=4  protocol=cjz  horizon=65536
 ///
-/// so any (arrival × jammer × g × protocol × engine) combination is runnable
-/// and sweepable from JSON without touching C++. Validation is a hard error
-/// on anything a component does not consume — an unknown top-level key, a
+/// so any (arrival × jammer × g × protocol) combination is runnable and
+/// sweepable from JSON without touching C++. Validation is a hard error on
+/// anything a component does not consume — an unknown top-level key, a
 /// parameter the named component does not declare, or `gamma` under the
 /// g=log regime (which ignores it) all fail with a message naming the
-/// offending key. The five legacy scenario builders are thin presets over
-/// this type (src/exp/scenarios.cpp), parity-tested byte-identical in
+/// offending key. Every scenario preset (src/exp/scenarios.cpp) is a
+/// mapping onto this type, parity-tested byte-identical in
 /// tests/test_workload.cpp.
 #pragma once
 
@@ -42,7 +42,7 @@ struct ComponentSpec {
 struct WorkloadSpec {
   ComponentSpec arrival;
   ComponentSpec jammer;
-  std::string g_regime = "const";  ///< "const" | "log" | "exp_sqrt_log"
+  std::string g_regime = "const";  ///< a g_regimes() name
   double gamma = 4.0;              ///< const-g value / exp_sqrt_log scale
   bool gamma_set = false;          ///< gamma was given explicitly
   std::string protocol = "cjz";    ///< named protocol (workload_protocol_names())
@@ -96,11 +96,9 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
 /// across a sweep.
 Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan = nullptr);
 
-/// The WorkloadSpec behind one of the five registered scenario presets
-/// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"): the
-/// registered builders are exactly build_workload over this mapping, so any
-/// legacy scenario sweep is also expressible as a workload sweep. CR_CHECKs
-/// the scenario name.
+/// The WorkloadSpec a registered scenario preset maps `p` onto
+/// (ScenarioEntry::workload), so any scenario sweep is also expressible as
+/// a workload sweep. CR_CHECKs the scenario name.
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p);
 
 /// The sweep plan of `spec` (adversary/plan.hpp), filled by the adversary
@@ -123,9 +121,8 @@ std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSp
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template = {});
 
-/// replicate_workload over a registered scenario preset (the five built-in
-/// scenario names), via scenario_preset_workload. `params.horizon` and
-/// `params.seed` shape the spec exactly like the registry builders do.
+/// replicate_workload over a registered scenario preset, via
+/// scenario_preset_workload.
 std::vector<SimResult> replicate_scenario(const Engine& engine, const std::string& scenario,
                                           const ScenarioParams& params, int reps,
                                           std::uint64_t base_seed, int threads,

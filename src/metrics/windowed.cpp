@@ -17,7 +17,8 @@ void WindowedMetrics::on_slot(const SlotOutcome& out, std::uint64_t injected,
   cur_.jammed += out.jammed ? 1 : 0;
   cur_.sends += out.senders;
   cur_.live_max = std::max(cur_.live_max, live_nodes);
-  cur_.live_end = live_nodes;
+  // `live_nodes` counts this slot's winner, which departs as the slot ends.
+  cur_.live_end = live_nodes - (out.success() ? 1 : 0);
   live_sum_ += live_nodes;
   peak_backlog_ = std::max(peak_backlog_, live_nodes);
   if (++slots_in_window_ == window_) flush();

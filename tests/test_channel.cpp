@@ -44,49 +44,6 @@ TEST(ResolveSlot, NoCollisionDetectionFeedback) {
   EXPECT_EQ(jammed, silence);
 }
 
-TEST(Channel, AccumulatesSenders) {
-  Channel ch;
-  ch.begin_slot(1, false);
-  EXPECT_TRUE(ch.slot_open());
-  ch.broadcast(5);
-  const SlotOutcome out = ch.resolve();
-  EXPECT_FALSE(ch.slot_open());
-  EXPECT_TRUE(out.success());
-  EXPECT_EQ(out.winner, 5u);
-  EXPECT_EQ(out.senders, 1u);
-}
-
-TEST(Channel, CollisionLosesWinner) {
-  Channel ch;
-  ch.begin_slot(1, false);
-  ch.broadcast(1);
-  ch.broadcast(2);
-  const SlotOutcome out = ch.resolve();
-  EXPECT_FALSE(out.success());
-  EXPECT_EQ(out.senders, 2u);
-  EXPECT_EQ(out.winner, kNoNode);
-}
-
-TEST(Channel, JammedSlot) {
-  Channel ch;
-  ch.begin_slot(3, true);
-  ch.broadcast(9);
-  const SlotOutcome out = ch.resolve();
-  EXPECT_TRUE(out.jammed);
-  EXPECT_FALSE(out.success());
-  EXPECT_EQ(out.slot, 3u);
-}
-
-TEST(Channel, Reusable) {
-  Channel ch;
-  for (slot_t s = 1; s <= 10; ++s) {
-    ch.begin_slot(s, false);
-    if (s % 2 == 0) ch.broadcast(s);
-    const SlotOutcome out = ch.resolve();
-    EXPECT_EQ(out.success(), s % 2 == 0);
-  }
-}
-
 TEST(Trace, RecordsInOrder) {
   Trace trace;
   EXPECT_EQ(trace.storage(), Trace::Storage::kCounting);

@@ -1,6 +1,11 @@
-// Unit tests for the experiment harness.
+// Unit tests for the experiment harness and the bench driver's flag checks.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+
+#include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 
 namespace cr {
@@ -59,6 +64,33 @@ TEST(Harness, ReplicateMapCarriesArbitraryTypes) {
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0], "7");
   EXPECT_EQ(results[3], "10");
+}
+
+TEST(BenchDriverDeathTest, UnwritableCsvPathExitsFromTheConstructor) {
+  // The constructor runs before any replication, so a path write_output
+  // would refuse fails the bench before its run, not after it.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() / ("cr_bench_driver_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  fs::create_symlink(dir / "target.csv", dir / "link.csv");
+  const auto construct = [](const std::string& csv_flag) {
+    const char* argv[] = {"cr bench probe", csv_flag.c_str()};
+    BenchDriver(2, argv, {"P", "probe", {}});
+  };
+  EXPECT_EXIT(construct("--csv=" + (dir / "no" / "x.csv").string()),
+              ::testing::ExitedWithCode(2),
+              "cr bench probe: cannot write .*/no/x\\.csv: cannot use directory");
+  EXPECT_EXIT(construct("--csv=" + (dir / "link.csv").string()), ::testing::ExitedWithCode(2),
+              "cr bench probe: cannot write .*/link\\.csv: not a regular file");
+  // A writable path, and a bare --csv (its default name is the bench's),
+  // pass the constructor.
+  construct("--csv=" + (dir / "ok.csv").string());
+  construct("--csv");
+  EXPECT_FALSE(fs::exists(dir / "no"));
+  EXPECT_FALSE(fs::exists(dir / "target.csv"));
+  fs::remove_all(dir);
 }
 
 }  // namespace

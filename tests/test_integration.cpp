@@ -89,8 +89,8 @@ TEST(Integration, DynamicArrivalsAreServed) {
 }
 
 TEST(Integration, ThroughputBoundHoldsOnSmoothScenario) {
-  Scenario sc = smooth_scenario(1 << 16, functions_constant_g(4.0), 8.0, 8.0);
-  sc.config.seed = 5;
+  Scenario sc = ScenarioRegistry::instance().build(
+      "smooth", {.horizon = 1 << 16, .seed = 5, .arrival_margin = 8.0, .jam_margin = 8.0});
   ThroughputChecker checker(sc.fs);
   const SimResult res = run_fast_cjz(sc.fs, *sc.adversary, sc.config, &checker);
   EXPECT_GT(res.arrivals, 0u);

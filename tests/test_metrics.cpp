@@ -145,6 +145,20 @@ TEST(WindowedMetrics, FoldsSlotsIntoWindows) {
   EXPECT_EQ(windows.peak_backlog(), 3u);
 }
 
+TEST(WindowedMetrics, LiveEndIsTheBacklogWhenTheWindowCloses) {
+  // Engines pass the population during a slot, the slot's winner included;
+  // a window closing on a success must not count the winner as backlog.
+  WindowedMetrics windows(2);
+  windows.on_slot(resolve_slot(1, 2, false, kNoNode), 2, 2);  // collision
+  windows.on_slot(resolve_slot(2, 1, false, 0), 0, 2);        // node 0 departs
+  windows.on_slot(resolve_slot(3, 1, false, 1), 0, 1);        // node 1 departs
+  windows.on_slot(resolve_slot(4, 0, false, kNoNode), 0, 0);
+  ASSERT_EQ(windows.series().size(), 2u);
+  EXPECT_EQ(windows.series()[0].live_end, 1u);
+  EXPECT_EQ(windows.series()[0].live_max, 2u);
+  EXPECT_EQ(windows.series()[1].live_end, 0u);
+}
+
 TEST(WindowedMetrics, AgreesWithEngineCountersOnARealRun) {
   FunctionSet fs = functions_constant_g(4.0);
   ComposedAdversary adv(batch_arrival(32, 1), iid_jammer(0.2));
@@ -163,6 +177,7 @@ TEST(WindowedMetrics, AgreesWithEngineCountersOnARealRun) {
     covered += w.width();
   }
   EXPECT_EQ(covered, res.slots) << "windows tile the run exactly";
+  EXPECT_EQ(windows.series().back().live_end, res.live_at_end);
   EXPECT_EQ(successes, res.successes);
   EXPECT_EQ(jammed, res.jammed_slots);
   EXPECT_EQ(sends, res.total_sends);

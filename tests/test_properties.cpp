@@ -63,8 +63,8 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 
 struct RegimeCase {
-  const char* name;
-  int regime;  // 0 const, 1 log, 2 exp-sqrt-log
+  const char* name;  ///< g_regimes() name
+  double gamma;      ///< const's value / exp_sqrt_log's scale
 };
 
 // Without this, gtest prints the struct's raw bytes — including the `name`
@@ -76,14 +76,9 @@ void PrintTo(const RegimeCase& c, std::ostream* os) { *os << c.name; }
 class ThroughputRegime : public ::testing::TestWithParam<RegimeCase> {};
 
 TEST_P(ThroughputRegime, SmoothAdversaryRatioBounded) {
-  FunctionSet fs;
-  switch (GetParam().regime) {
-    case 0: fs = functions_constant_g(4.0); break;
-    case 1: fs = functions_log_g(); break;
-    default: fs = functions_exp_sqrt_log_g(1.0); break;
-  }
-  Scenario sc = smooth_scenario(1 << 15, fs, 8.0, 8.0);
-  sc.config.seed = 77;
+  Scenario sc = ScenarioRegistry::instance().build(
+      "smooth", {.horizon = 1 << 15, .seed = 77, .arrival_margin = 8.0, .jam_margin = 8.0,
+                 .g_regime = GetParam().name, .gamma = GetParam().gamma});
   ThroughputChecker checker(sc.fs);
   const SimResult res = run_fast_cjz(sc.fs, *sc.adversary, sc.config, &checker);
   EXPECT_GT(res.arrivals, 10u);
@@ -96,8 +91,8 @@ TEST_P(ThroughputRegime, SmoothAdversaryRatioBounded) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Regimes, ThroughputRegime,
-                         ::testing::Values(RegimeCase{"const", 0}, RegimeCase{"log", 1},
-                                           RegimeCase{"exp_sqrt_log", 2}));
+                         ::testing::Values(RegimeCase{"const", 4.0}, RegimeCase{"log", 4.0},
+                                           RegimeCase{"exp_sqrt_log", 1.0}));
 
 // ---------------------------------------------------------------------------
 // h_data batch property (the paper's Remark after Claim 3.5.1): a constant

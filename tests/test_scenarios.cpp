@@ -1,8 +1,8 @@
-// Scenario builders, the scenario registry, and the deterministic parallel
-// replication path.
+// The g regime table, the scenario registry's presets, and the
+// deterministic parallel replication path.
 //
-// The builder tests pin the documented adversary/config shapes of the three
-// g regimes and the named workloads; the determinism tests assert that
+// The shape tests pin the documented adversary/config shapes of the three
+// g regimes and the named presets; the determinism tests assert that
 // parallel replicate() output is ELEMENT-WISE IDENTICAL to the serial path
 // for threads ∈ {1, 2, 8} — the contract that makes --threads a pure
 // speed knob on every bench.
@@ -51,14 +51,25 @@ TEST(GRegimes, ForRegimeDispatchesByName) {
                    functions_exp_sqrt_log_g(1.0).g(1022.0));
 }
 
+TEST(GRegimes, TableNamesEachRegimeAndWhetherGammaScalesIt) {
+  EXPECT_EQ(g_regime_names(" | "), "const | log | exp_sqrt_log");
+  for (const GRegime& regime : g_regimes())
+    EXPECT_EQ(find_g_regime(regime.name), &regime) << regime.name;
+  EXPECT_TRUE(find_g_regime("const")->takes_scale);
+  EXPECT_FALSE(find_g_regime("log")->takes_scale);
+  EXPECT_TRUE(find_g_regime("exp_sqrt_log")->takes_scale);
+  EXPECT_EQ(find_g_regime("cubic"), nullptr);
+}
+
 TEST(GRegimesDeathTest, ForRegimeRejectsUnknownNames) {
   EXPECT_DEATH(functions_for_regime("cubic"), "unknown regime");
 }
 
-// ---------------------------------------------------------- builder shapes
+// ---------------------------------------------------------- preset shapes
 
 TEST(ScenarioBuilders, WorstCaseShape) {
-  const Scenario sc = worst_case_scenario(1 << 14, 0.25, 4.0, 42);
+  const Scenario sc = ScenarioRegistry::instance().build(
+      "worst_case", {.horizon = 1 << 14, .seed = 42, .jam = 0.25, .arrival_margin = 4.0});
   EXPECT_EQ(sc.config.horizon, static_cast<slot_t>(1 << 14));
   EXPECT_EQ(sc.config.seed, 42u);
   EXPECT_DOUBLE_EQ(sc.fs.g(123.0), 4.0);  // always configured for g = const
@@ -67,21 +78,28 @@ TEST(ScenarioBuilders, WorstCaseShape) {
 }
 
 TEST(ScenarioBuilders, WorstCaseZeroJamUsesNoJam) {
-  const Scenario sc = worst_case_scenario(1024, 0.0, 4.0, 1);
+  // g_regime is not a worst_case parameter: a log regime must not leak in.
+  const Scenario sc = ScenarioRegistry::instance().build(
+      "worst_case", {.horizon = 1024, .jam = 0.0, .arrival_margin = 4.0, .g_regime = "log"});
   EXPECT_EQ(sc.adversary->name(), "paced(1/4.000000f)+nojam");
+  EXPECT_DOUBLE_EQ(sc.fs.g(1022.0), 4.0);
 }
 
 TEST(ScenarioBuilders, BatchShape) {
-  const Scenario sc = batch_scenario(48, 0.25, 4096, functions_constant_g(4.0));
+  const Scenario sc =
+      ScenarioRegistry::instance().build("batch", {.horizon = 4096, .n = 48, .jam = 0.25});
   EXPECT_EQ(sc.config.horizon, 4096u);
   EXPECT_EQ(sc.adversary->name(), "batch(48)+iid(0.250000)");
   EXPECT_EQ(sc.protocol.kind, ProtocolSpec::Kind::kCjz);
 }
 
 TEST(ScenarioBuilders, SmoothShape) {
-  const Scenario sc = smooth_scenario(2048, functions_log_g(), 8.0, 8.0);
+  const Scenario sc = ScenarioRegistry::instance().build(
+      "smooth",
+      {.horizon = 2048, .arrival_margin = 8.0, .jam_margin = 8.0, .g_regime = "log"});
   EXPECT_EQ(sc.config.horizon, 2048u);
   EXPECT_EQ(sc.adversary->name(), "paced(1/8.000000f)+paced(1/8.000000g)");
+  EXPECT_DOUBLE_EQ(sc.fs.g(1022.0), functions_log_g().g(1022.0));
   EXPECT_EQ(sc.protocol.kind, ProtocolSpec::Kind::kCjz);
 }
 
@@ -135,8 +153,8 @@ TEST(ScenarioRegistryDeathTest, RejectsUnknownNames) {
 // ------------------------------------------------- parallel determinism
 
 SimResult run_batch_rep(std::uint64_t seed) {
-  Scenario sc = batch_scenario(24, 0.25, 100'000, functions_constant_g(4.0));
-  sc.config.seed = seed;
+  Scenario sc = ScenarioRegistry::instance().build(
+      "batch", {.horizon = 100'000, .seed = seed, .n = 24, .jam = 0.25});
   sc.config.stop_when_empty = true;
   sc.config.recording = RecordingConfig::success_times();  // exercise vector payloads too
   return run_scenario(EngineRegistry::instance().preferred(sc.protocol), sc);

@@ -308,6 +308,22 @@ TEST(StreamSim, RerunIsByteIdentical) {
   EXPECT_NE(ra.jsonl.find("\"done\":true"), std::string::npos);
 }
 
+TEST(StreamSim, LastWindowLiveEndMatchesTheDoneLine) {
+  // One node arriving in a window's last slot sends there at once and
+  // departs: the feed ends on the boundary with a success, and the closing
+  // window's backlog must be the run's backlog at its end.
+  StreamSim sim(test_options());
+  const DrainResult out = drain(sim, {{64, 1, false}}, 0);
+  ASSERT_TRUE(out.summary.ok()) << out.summary.error;
+  EXPECT_EQ(out.summary.slots, 64u);
+  EXPECT_EQ(out.summary.successes, 1u);
+  EXPECT_EQ(out.summary.live_at_end, 0u);
+  EXPECT_NE(out.jsonl.find("\"end\":64,\"arrivals\":1,\"successes\":1,"), std::string::npos)
+      << out.jsonl;
+  EXPECT_NE(out.jsonl.find("\"live_end\":0,"), std::string::npos) << out.jsonl;
+  EXPECT_NE(out.jsonl.find("\"live_at_end\":0,"), std::string::npos) << out.jsonl;
+}
+
 TEST(StreamSim, KillAtWindowRestoreIsByteIdentical) {
   const auto events = synth_events(5, 400);
 

@@ -369,14 +369,14 @@ TEST(WorkloadSuite, UnknownComponentParamAxisIsRejectedUpFront) {
   EXPECT_NE(loaded.error.find("arrivals"), std::string::npos) << loaded.error;
 }
 
-TEST(WorkloadSuite, IncompatibleEngineCellFailsAtParseTime) {
-  // beb is a factory protocol: only the generic engine executes it.
-  const auto loaded = parse_manifest(R"({
-    "name": "w",
-    "cells": [{"bench": "workload",
-               "grid": {"protocol": ["beb"], "engine": ["fast_cjz"]}}]})");
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error.find("cannot execute"), std::string::npos) << loaded.error;
+TEST(WorkloadSuite, EngineAxisFailsAtParseTime) {
+  // Every workload runs on preferred(): an engine is not a workload key.
+  for (const char* bench : {"workload", "scenario"}) {
+    const auto loaded = parse_manifest(std::string(R"({"name": "w", "cells": [{"bench": ")") +
+                                       bench + R"(", "grid": {"engine": ["generic"]}}]})");
+    ASSERT_FALSE(loaded.ok()) << bench;
+    EXPECT_NE(loaded.error.find("\"engine\""), std::string::npos) << loaded.error;
+  }
 }
 
 TEST(ScenarioSuite, UnconsumedScenarioParamFailsAtParseTimeNamingTheKey) {
