@@ -406,6 +406,16 @@ TEST(ScenarioSuite, GammaUnderLogRegimeFailsLikeTheWorkloadPath) {
   EXPECT_TRUE(const_g.ok()) << const_g.error;
 }
 
+TEST(ScenarioSuite, UnknownGRegimeFailsAtParseTimeListingTheTable) {
+  const auto loaded = parse_manifest(R"({
+    "name": "s",
+    "cells": [{"bench": "scenario", "grid": {"scenario": ["batch"], "g_regime": ["cubic"]}}]})");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("unknown g regime \"cubic\"; known: const log exp_sqrt_log"),
+            std::string::npos)
+      << loaded.error;
+}
+
 TEST(ScenarioSuite, ConsumedParamsStillPass) {
   const auto loaded = parse_manifest(R"({
     "name": "s",
