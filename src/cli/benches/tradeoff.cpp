@@ -29,18 +29,12 @@ namespace {
 struct Regime {
   const char* label;
   FunctionSet fs;
-  const char* g_regime;  ///< g_regimes() name; nullptr when the table has none
-  double gamma = 4.0;
 };
 
-/// The smooth adversary saturating both budgets (margins 8) on `regime`:
-/// the "smooth" preset, except for log², which has no g regime of its own
-/// and so composes the same two components itself.
+/// The smooth adversary saturating both budgets (margins 8) on `regime`.
+/// One composition serves every regime, log² included, which has no g
+/// regime of its own.
 Scenario smooth(const Regime& regime, slot_t t, std::uint64_t seed) {
-  if (regime.g_regime != nullptr)
-    return ScenarioRegistry::instance().build(
-        "smooth", {.horizon = t, .seed = seed, .arrival_margin = 8.0, .jam_margin = 8.0,
-                   .g_regime = regime.g_regime, .gamma = regime.gamma});
   Scenario sc;
   sc.fs = regime.fs;
   sc.adversary = std::make_unique<ComposedAdversary>(paced_arrivals(sc.fs, 8.0),
@@ -104,10 +98,10 @@ int run(int argc, const char* const* argv) {
   Table table({"g regime", "t", "f(t)", "g(t)", "n_t", "d_t", "a_t", "ratio(final)",
                "ratio(max)", "served"});
   Regime regimes[] = {
-      {"const(4)", functions_constant_g(4.0), "const", 4.0},
-      {"log2(x)", functions_log_g(), "log"},
-      {"log2(x)^2", FunctionSet{fn::poly_log(1.0, 2.0)}, nullptr},
-      {"2^sqrt(log)", functions_exp_sqrt_log_g(1.0), "exp_sqrt_log", 1.0},
+      {"const(4)", functions_constant_g(4.0)},
+      {"log2(x)", functions_log_g()},
+      {"log2(x)^2", FunctionSet{fn::poly_log(1.0, 2.0)}},
+      {"2^sqrt(log)", functions_exp_sqrt_log_g(1.0)},
   };
   for (const Regime& regime : regimes) run_regime(regime, driver, reps, min_exp, max_exp, table);
   table.print(out);
