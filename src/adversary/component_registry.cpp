@@ -1,11 +1,7 @@
 #include "adversary/component_registry.hpp"
 
-#include <cstdio>
-#include <utility>
-
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
-#include "common/check.hpp"
 
 namespace cr {
 
@@ -70,34 +66,35 @@ std::unique_ptr<Jammer> make_reactive(const ParamValues& p, const WorkloadContex
 
 }  // namespace
 
-ArrivalRegistry::ArrivalRegistry() : ComponentRegistry("arrival") {
-  register_arrival({"none", "no arrivals", {}, make_no_arrivals});
-  register_arrival({"batch",
-                    "n nodes arrive simultaneously (the paper's batch setting)",
-                    {{"n", ParamType::kUint, "256", "batch size"},
-                     {"at", ParamType::kUint, "1", "arrival slot"}},
-                    make_batch});
-  register_arrival({"bernoulli",
-                    "one node per slot w.p. rate (rate > 1: floor(rate) plus a coin)",
-                    {{"rate", ParamType::kDouble, "0.1", "per-slot arrival probability"},
-                     {"from", ParamType::kUint, "1", "first active slot"},
-                     {"to", ParamType::kUint, "0", "last active slot (0 = the run horizon)"}},
-                    make_bernoulli});
-  register_arrival({"uniform_random",
-                    "total arrival instants uniform over [1, horizon] (Lemma 4.1's "
-                    "random-injected pattern; drawn from the run seed)",
-                    {{"total", ParamType::kUint, "256", "number of arrivals"}},
-                    make_uniform_random});
-  register_arrival({"paced",
-                    "cumulative arrivals track t/(margin·f(t)) — the heaviest smooth "
-                    "pattern (Cor 3.6)",
-                    {{"margin", ParamType::kDouble, "4", "pacing margin (larger = lighter)"}},
-                    make_paced});
-  register_arrival({"bursty",
-                    "burst nodes every period slots",
-                    {{"period", ParamType::kUint, "1024", "slots between bursts"},
-                     {"burst", ParamType::kUint, "256", "nodes per burst"}},
-                    make_bursty});
+ArrivalRegistry::ArrivalRegistry() : Registry("arrival", "arrivals") {
+  add({"none", "no arrivals", {}, make_no_arrivals});
+  add({"batch",
+       "n nodes arrive simultaneously (the paper's batch setting)",
+       {{"n", ParamType::kUint, "256", "batch size"},
+        {"at", ParamType::kUint, "1", "arrival slot"}},
+       make_batch});
+  add({"bernoulli",
+       "one node per slot w.p. rate (rate > 1: floor(rate) plus a coin)",
+       {{"rate", ParamType::kDouble, "0.1", "per-slot arrival probability", {.min = 0}},
+        {"from", ParamType::kUint, "1", "first active slot"},
+        {"to", ParamType::kUint, "0", "last active slot (0 = the run horizon)"}},
+       make_bernoulli});
+  add({"uniform_random",
+       "total arrival instants uniform over [1, horizon] (Lemma 4.1's "
+       "random-injected pattern; drawn from the run seed)",
+       {{"total", ParamType::kUint, "256", "number of arrivals"}},
+       make_uniform_random});
+  add({"paced",
+       "cumulative arrivals track t/(margin·f(t)) — the heaviest smooth "
+       "pattern (Cor 3.6)",
+       {{"margin", ParamType::kDouble, "4", "pacing margin (larger = lighter)",
+         {.min = 0, .min_open = true}}},
+       make_paced});
+  add({"bursty",
+       "burst nodes every period slots",
+       {{"period", ParamType::kUint, "1024", "slots between bursts", {.min = 1}},
+        {"burst", ParamType::kUint, "256", "nodes per burst"}},
+       make_bursty});
 }
 
 ArrivalRegistry& ArrivalRegistry::instance() {
@@ -105,76 +102,38 @@ ArrivalRegistry& ArrivalRegistry::instance() {
   return registry;
 }
 
-JammerRegistry::JammerRegistry() : ComponentRegistry("jammer") {
-  register_jammer({"none", "never jams", {}, make_no_jam});
-  register_jammer({"iid",
-                   "each slot jammed independently w.p. fraction",
-                   {{"fraction", ParamType::kDouble, "0.25", "per-slot jam probability"}},
-                   make_iid});
-  register_jammer({"prefix",
-                   "jams slots [1, count] (Theorem 4.2's first move)",
-                   {{"count", ParamType::kUint, "1024", "length of the jammed prefix"}},
-                   make_prefix});
-  register_jammer({"periodic",
-                   "jams the first burst slots of every period",
-                   {{"period", ParamType::kUint, "64", "cycle length"},
-                    {"burst", ParamType::kUint, "8", "jammed slots per cycle (≤ period)"}},
-                   make_periodic});
-  register_jammer({"budget_paced",
-                   "cumulative jamming tracks t/(margin·g(t)), spent greedily",
-                   {{"margin", ParamType::kDouble, "8", "budget margin (larger = weaker)"}},
-                   make_budget_paced});
-  register_jammer({"reactive",
-                   "jams burst slots after each observed success, within the "
-                   "t/(margin·g(t)) budget",
-                   {{"margin", ParamType::kDouble, "8", "budget margin"},
-                    {"burst", ParamType::kUint, "2", "slots jammed per observed success"}},
-                   make_reactive});
+JammerRegistry::JammerRegistry() : Registry("jammer", "jammers") {
+  add({"none", "never jams", {}, make_no_jam});
+  add({"iid",
+       "each slot jammed independently w.p. fraction",
+       {{"fraction", ParamType::kDouble, "0.25", "per-slot jam probability",
+         {.min = 0, .max = 1}}},
+       make_iid});
+  add({"prefix",
+       "jams slots [1, count] (Theorem 4.2's first move)",
+       {{"count", ParamType::kUint, "1024", "length of the jammed prefix"}},
+       make_prefix});
+  add({"periodic",
+       "jams the first burst slots of every period",
+       {{"period", ParamType::kUint, "64", "cycle length", {.min = 1}},
+        {"burst", ParamType::kUint, "8", "jammed slots per cycle", {.max_param = "period"}}},
+       make_periodic});
+  add({"budget_paced",
+       "cumulative jamming tracks t/(margin·g(t)), spent greedily",
+       {{"margin", ParamType::kDouble, "8", "budget margin (larger = weaker)",
+         {.min = 0, .min_open = true}}},
+       make_budget_paced});
+  add({"reactive",
+       "jams burst slots after each observed success, within the "
+       "t/(margin·g(t)) budget",
+       {{"margin", ParamType::kDouble, "8", "budget margin", {.min = 0, .min_open = true}},
+        {"burst", ParamType::kUint, "2", "slots jammed per observed success", {.min = 1}}},
+       make_reactive});
 }
 
 JammerRegistry& JammerRegistry::instance() {
   static JammerRegistry registry;
   return registry;
 }
-
-template <typename Component>
-const ComponentEntry<Component>* ComponentRegistry<Component>::find(
-    const std::string& name) const {
-  for (const auto& entry : entries_)
-    if (entry.name == name) return &entry;
-  return nullptr;
-}
-
-template <typename Component>
-const ComponentEntry<Component>& ComponentRegistry<Component>::at(
-    const std::string& name) const {
-  const Entry* entry = find(name);
-  if (entry == nullptr) {
-    std::fprintf(stderr, "%s registry: unknown %s \"%s\" (known:", kind_, kind_, name.c_str());
-    for (const auto& e : entries_) std::fprintf(stderr, " %s", e.name.c_str());
-    std::fprintf(stderr, ")\n");
-  }
-  CR_CHECK(entry != nullptr);
-  return *entry;
-}
-
-template <typename Component>
-std::vector<std::string> ComponentRegistry<Component>::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-template <typename Component>
-void ComponentRegistry<Component>::add(Entry entry) {
-  CR_CHECK(!entry.name.empty());
-  CR_CHECK(entry.make != nullptr);
-  CR_CHECK(find(entry.name) == nullptr);  // names are unique keys
-  entries_.push_back(std::move(entry));
-}
-
-template class ComponentRegistry<ArrivalProcess>;
-template class ComponentRegistry<Jammer>;
 
 }  // namespace cr

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <set>
 
 #include "common/check.hpp"
@@ -31,7 +32,28 @@ ParamSchema::ParamSchema(std::initializer_list<ParamDef> defs) : defs_(defs) {
       CR_CHECK(parse_double_text(defs_[i].default_text, &d));
     }
     for (std::size_t j = 0; j < i; ++j) CR_CHECK(defs_[j].name != defs_[i].name);
+    CR_CHECK(defs_[i].bound.max_param.empty() || find(defs_[i].bound.max_param) != nullptr);
   }
+}
+
+namespace {
+
+std::string bound_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+}  // namespace
+
+std::string bound_text(const ParamBound& bound) {
+  std::string out;
+  const auto term = [&](const std::string& text) { out += (out.empty() ? "" : ", ") + text; };
+  if (bound.min > -std::numeric_limits<double>::infinity())
+    term((bound.min_open ? "> " : ">= ") + bound_number(bound.min));
+  if (bound.max < std::numeric_limits<double>::infinity()) term("<= " + bound_number(bound.max));
+  if (!bound.max_param.empty()) term("<= " + bound.max_param);
+  return out;
 }
 
 const ParamDef* ParamSchema::find(const std::string& name) const {
@@ -134,6 +156,32 @@ ParamValidation ParamValidation::check(
     }
     for (std::size_t i = 0; i < schema.defs().size(); ++i)
       if (schema.defs()[i].name == key) out.values.texts_[i] = value;
+  }
+  // Bounds hold for every value in force, defaults included, so a bound on
+  // another parameter (periodic's burst <= period) sees the value it runs with.
+  const auto number = [&](const std::string& name) {
+    return schema.find(name)->type == ParamType::kUint
+               ? static_cast<double>(out.values.get_uint(name))
+               : out.values.get_double(name);
+  };
+  for (const ParamDef& def : schema.defs()) {
+    const std::string& text = out.values.text(def.name);
+    const double value = number(def.name);
+    const ParamBound& bound = def.bound;
+    std::string broken;
+    if (value < bound.min || (bound.min_open && value == bound.min))
+      broken = (bound.min_open ? "> " : ">= ") + bound_number(bound.min);
+    else if (value > bound.max)
+      broken = "<= " + bound_number(bound.max);
+    else if (!bound.max_param.empty()) {
+      if (value > number(bound.max_param))
+        broken = "<= " + bound.max_param + " (" + out.values.text(bound.max_param) + ")";
+    }
+    if (!broken.empty()) {
+      out.error = subject + ": parameter \"" + def.name + "\" must be " + broken + ", got \"" +
+                  text + "\"";
+      return out;
+    }
   }
   return out;
 }

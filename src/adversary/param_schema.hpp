@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -30,12 +31,27 @@ enum class ParamType {
 /// "uint" / "double", for docs and error messages.
 std::string param_type_name(ParamType type);
 
+/// The values a parameter accepts beyond its type: at least `min` (more than
+/// `min` when `min_open`), at most `max`, and at most the value in force of
+/// the parameter named `max_param`. The default bound accepts every value.
+struct ParamBound {
+  double min = -std::numeric_limits<double>::infinity();
+  bool min_open = false;
+  double max = std::numeric_limits<double>::infinity();
+  std::string max_param{};
+};
+
+/// The bound as docs show it: ">= 0", "> 0, <= 1", "<= period"; "" when
+/// every value is accepted.
+std::string bound_text(const ParamBound& bound);
+
 /// One declared parameter of a workload component.
 struct ParamDef {
   std::string name;          ///< key as written in flags/manifests
   ParamType type = ParamType::kDouble;
   std::string default_text;  ///< default value, in source text form
   std::string help;          ///< one-line description for docs/--help
+  ParamBound bound{};        ///< values the component's constructor accepts
 };
 
 /// Ordered list of ParamDefs with unique names.
@@ -82,7 +98,8 @@ struct ParamValidation {
   /// Validate `params` against `schema`. `subject` names the component in
   /// error messages (e.g. "arrival \"bernoulli\""). Errors: a key the schema
   /// does not declare (with a did-you-mean suggestion when one is close), a
-  /// duplicated key, or a value that does not parse as the declared type.
+  /// duplicated key, a value that does not parse as the declared type, or a
+  /// value in force (given or default) outside its declared bound.
   static ParamValidation check(const ParamSchema& schema,
                                const std::vector<std::pair<std::string, std::string>>& params,
                                const std::string& subject);

@@ -83,8 +83,7 @@ void bench_variant(const Variant& v, std::uint64_t n, slot_t stream_t,
                  mean_sd(ratio, 2)});
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {ablation().id, ablation().summary, ablation().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
   const auto n = static_cast<std::uint64_t>(driver.get_int("n", 1024, 256, 1));
@@ -110,7 +109,7 @@ int run(int argc, const char* const* argv) {
   for (const Variant& v : variants) bench_variant(v, n, stream_t, driver, reps, table);
   table.print(out);
 
-  if (!driver.write_csv("ablation.csv", table, ablation().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: the constants matter most — c3 off its sweet spot slows the batch\n"
          "in BOTH directions (sparse ctrl starves restarts, dense ctrl self-collides),\n"

@@ -63,9 +63,7 @@ BatchStats measure(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver&
   return out;
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {batch_completion().id, batch_completion().summary, batch_completion().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
   const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 128));
@@ -92,7 +90,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("batch_completion.csv", table, batch_completion().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   const LinearFit fit_c = fit_linear(log_n, log_cjz90);
   out << "\nCJZ 90%-completion log-log slope = " << format_double(fit_c.slope, 2)

@@ -22,9 +22,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {batch_robustness().id, batch_robustness().summary, batch_robustness().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const auto n = static_cast<std::uint64_t>(driver.get_int("n", 4096, 1024, 1));
   const int reps = driver.reps(15, 5);
@@ -58,7 +56,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("batch_robustness.csv", table, batch_robustness().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: even at 40% jamming a constant fraction (not a vanishing one) of\n"
          "the batch is delivered within a few multiples of n — the property Phase 3\n"

@@ -9,8 +9,8 @@
 #include <utility>
 #include <vector>
 
-#include "cli/bench_registry.hpp"
 #include "common/table.hpp"
+#include "exp/bench_driver.hpp"
 #include "exp/workload.hpp"
 
 namespace cr::benches {

@@ -89,9 +89,7 @@ double median_completion(const Contender& c, std::uint64_t n, double jam,
   return q.median();
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {cd_contrast().id, cd_contrast().summary, cd_contrast().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 4);
   const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 256));
@@ -132,7 +130,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("cd_contrast.csv", table, cd_contrast().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: the cd-backon column is flat in n (constant throughput, even at\n"
          "25% jamming) — the very capability Theorem 1.3 proves unattainable without\n"

@@ -24,8 +24,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {energy().id, energy().summary, energy().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   // The cohort engine turned this bench from the suite's slowest into a
   // sub-second run (measured ~8x wall-clock at n<=2048), so the default
@@ -63,7 +62,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("energy.csv", table, energy().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: energy grows like the log^2(n) column (not like n) — polylog\n"
          "channel accesses per message, in line with the backoff-style algorithms\n"

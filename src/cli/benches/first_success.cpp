@@ -54,9 +54,7 @@ class MixedFactory final : public ProtocolFactory {
   std::unique_ptr<ProtocolFactory> backoff_factory_;
 };
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(
-      argc, argv, {first_success().id, first_success().summary, first_success().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(30, 10);
@@ -109,7 +107,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("first_success.csv", table, first_success().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: p50/m stays in a narrow band while m spans 64x (the first success\n"
          "tracks the batch's contention timescale), 25% jamming only shifts it by a\n"

@@ -38,8 +38,7 @@ struct Rep {
   std::uint64_t peak_backlog = 0;
 };
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {latency().id, latency().summary, latency().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 4);
   const int max_exp =
@@ -109,7 +108,7 @@ int run(int argc, const char* const* argv) {
   table.print(out);
 
   if (!driver.write_output(driver.csv_path("latency.csv"), [&](std::ostream& os) {
-        CsvWriter csv(os, latency().csv_columns);
+        CsvWriter csv(os, driver.spec().csv_columns);
         for (const auto& row : csv_rows) csv.row(row);
       }))
     return 2;

@@ -24,9 +24,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {lowerbound().id, lowerbound().summary, lowerbound().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(20, 8);
   const int max_exp =
@@ -69,7 +67,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("lowerbound.csv", table, lowerbound().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: 'normalized' hovers around a constant within each g block while t\n"
          "spans two orders of magnitude — the algorithm's energy matches the\n"

@@ -33,7 +33,7 @@ void measure(const ProtocolSpec& spec, const char* label, slot_t t, const BenchD
   const slot_t prefix = t / 16;
   // Sends under prefix jamming are the measurement, so every contender runs
   // on the per-node reference engine (the cohort engines aggregate).
-  const Engine& engine = EngineRegistry::instance().at("generic");
+  const Engine& engine = *EngineRegistry::instance().at("generic");
   const auto results = driver.replicate(reps, driver.seed(41000), [&](std::uint64_t s) {
     ComposedAdversary adv(batch_arrival(1, 1), prefix_jammer(prefix));
     SimConfig cfg;
@@ -58,9 +58,7 @@ void measure(const ProtocolSpec& spec, const char* label, slot_t t, const BenchD
                  mean_sd(excess_acc, 0), mean_sd(sends_acc, 1), Cell(solved, 2)});
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {nonadaptive().id, nonadaptive().summary, nonadaptive().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(20, 8);
@@ -88,7 +86,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("nonadaptive.csv", table, nonadaptive().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: the adaptive subroutine's excess is a small fraction of the\n"
          "prefix; the 1/k sequence (already decayed) pays ~a full extra prefix.\n"

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <ostream>
 
+#include "adversary/param_schema.hpp"
 #include "cli/benches/benches.hpp"
 #include "common/table.hpp"
 #include "exp/bench_driver.hpp"
@@ -32,89 +33,87 @@ const std::vector<std::string>& scenario_param_flags() {
   return flags;
 }
 
-/// "" when `g_regime` is known and every explicitly-passed param flag is
-/// consumed by `entry` under it, else an error naming the first offending
-/// key. A regime without a scale makes an explicit --gamma the same silent
-/// no-op the WorkloadSpec validator rejects.
-std::string check_params(const ScenarioEntry& entry, const std::vector<std::string>& passed,
-                         const std::string& g_regime) {
-  const GRegime* regime = find_g_regime(g_regime);
-  if (regime == nullptr)
-    return "unknown g regime \"" + g_regime + "\"; known: " + g_regime_names(" ");
-  for (const std::string& name : passed) {
-    if (name == "gamma" && !regime->takes_scale)
-      return "scenario \"" + entry.name + "\" does not consume --gamma under --g_regime=" +
-             g_regime + " (the " + g_regime +
+/// The double-valued ScenarioParams field behind flag `name`; nullptr for
+/// the other flags.
+double* double_param(ScenarioParams& params, const std::string& name) {
+  if (name == "jam") return &params.jam;
+  if (name == "rate") return &params.rate;
+  if (name == "arrival_margin") return &params.arrival_margin;
+  if (name == "jam_margin") return &params.jam_margin;
+  if (name == "gamma") return &params.gamma;
+  return nullptr;
+}
+
+/// "" when scenario `name` is registered, `params.g_regime` is known, every
+/// explicitly-passed param flag is consumed by the preset under that regime,
+/// and the WorkloadSpec the preset maps `params` to validates (component
+/// bounds, gamma > 0); else an error naming the first offending key. A
+/// regime without a scale makes an explicit --gamma the same silent no-op
+/// the WorkloadSpec validator rejects.
+std::string check_cell(const std::string& name, const std::vector<std::string>& passed,
+                       const ScenarioParams& params) {
+  const ScenarioEntry* entry = ScenarioRegistry::instance().find(name);
+  if (entry == nullptr) return ScenarioRegistry::instance().unknown(name);
+  const GRegime* regime = g_regimes().find(params.g_regime);
+  if (regime == nullptr) return g_regimes().unknown(params.g_regime);
+  for (const std::string& flag : passed) {
+    if (flag == "gamma" && !regime->takes_scale)
+      return "scenario \"" + name + "\" does not consume --gamma under --g_regime=" +
+             params.g_regime + " (the " + params.g_regime +
              " regime has no scale; it would be a silent no-op); drop it or pick a regime "
              "that has one";
-    if (entry.consumes(name)) continue;
+    if (entry->consumes(flag)) continue;
     std::string consumed;
-    for (const std::string& p : entry.params) consumed += " " + p;
-    return "scenario \"" + entry.name + "\" does not consume --" + name +
+    for (const std::string& p : entry->params) consumed += " " + p;
+    return "scenario \"" + name + "\" does not consume --" + flag +
            " (it would be a silent no-op); its parameters are:" + consumed;
   }
-  return "";
+  // The bursty preset evaluates f under the regime while it maps, so gamma's
+  // bound must hold before the mapping runs.
+  if (std::string error = check_gamma(*regime, params.gamma); !error.empty()) return error;
+  return validate_workload(entry->workload(params));
 }
 
 std::string validate_cell(const std::vector<std::pair<std::string, std::string>>& flags) {
-  std::string scenario_name = "batch";
-  std::string g_regime = "const";
-  for (const auto& [key, value] : flags) {
-    if (key == "scenario") scenario_name = value;
-    if (key == "g_regime") g_regime = value;
-  }
-  const ScenarioEntry* entry = ScenarioRegistry::instance().find(scenario_name);
-  if (entry == nullptr) {
-    std::string error = "unknown scenario \"" + scenario_name + "\"";
-    const std::string hint =
-        closest_match(scenario_name, ScenarioRegistry::instance().names());
-    if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-    error += "; known scenarios:";
-    for (const std::string& name : ScenarioRegistry::instance().names()) error += " " + name;
-    return error;
-  }
+  std::string name = "batch";
+  ScenarioParams params;
   std::vector<std::string> passed;
-  for (const auto& [key, value] : flags)
+  for (const auto& [key, value] : flags) {
+    if (key == "scenario") name = value;
+    if (key == "g_regime") params.g_regime = value;
+    if (double* field = double_param(params, key);
+        field != nullptr && !parse_double_text(value, field))
+      return "--" + key + " expects a number, got \"" + value + "\"";
     for (const std::string& param : scenario_param_flags())
       if (key == param) passed.push_back(key);
-  return check_params(*entry, passed, g_regime);
+  }
+  return check_cell(name, passed, params);
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {scenario().id, scenario().summary, scenario().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 3);
 
   ScenarioParams params;
   params.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14, 1));
   params.n = static_cast<std::uint64_t>(driver.get_int("n", 256, 128, 1));
-  params.jam = driver.cli().get_double("jam", 0.25);
-  params.rate = driver.cli().get_double("rate", 0.1);
-  params.arrival_margin = driver.cli().get_double("arrival_margin", 4.0);
-  params.jam_margin = driver.cli().get_double("jam_margin", 8.0);
+  for (const char* name : {"jam", "rate", "arrival_margin", "jam_margin", "gamma"})
+    *double_param(params, name) = driver.cli().get_double(name, *double_param(params, name));
   params.g_regime = driver.cli().get_string("g_regime", "const");
-  params.gamma = driver.cli().get_double("gamma", 4.0);
   const std::string scenario_name = driver.cli().get_string("scenario", "batch");
 
-  // Validate the scenario name and the passed params before burning any
-  // replication time: an unknown scenario exits 2 with a suggestion, and a
-  // param this preset does not consume is a hard error instead of a silent
-  // no-op (the suite validator applies the same rule at parse time).
-  const ScenarioEntry* entry = ScenarioRegistry::instance().find(scenario_name);
-  std::string error;
-  if (entry == nullptr) {
-    error = validate_cell({{"scenario", scenario_name}});
-  } else {
-    std::vector<std::string> passed;
-    for (const std::string& name : scenario_param_flags())
-      if (driver.cli().has(name)) passed.push_back(name);
-    error = check_params(*entry, passed, params.g_regime);
-  }
-  if (!error.empty()) {
+  // Validate before burning any replication time: an unknown scenario exits
+  // 2 with a suggestion, a param this preset does not consume is a hard error
+  // instead of a silent no-op, and so is a value its components reject (the
+  // suite validator applies the same rules at parse time).
+  std::vector<std::string> passed;
+  for (const std::string& name : scenario_param_flags())
+    if (driver.cli().has(name)) passed.push_back(name);
+  if (const std::string error = check_cell(scenario_name, passed, params); !error.empty()) {
     std::fprintf(stderr, "cr bench scenario: %s\n", error.c_str());
     return 2;
   }
-  const WorkloadSpec spec = entry->workload(params);
+  const WorkloadSpec spec = scenario_preset_workload(scenario_name, params);
   const Engine& engine = point_engine(spec);
 
   out << "S1: scenario \"" << scenario_name << "\" at one parameter point, engine "
@@ -129,7 +128,7 @@ int run(int argc, const char* const* argv) {
       replicate_workload(engine, spec, reps, driver.seed(50000), driver.threads()));
   table.print(out);
 
-  if (!driver.write_csv("scenario.csv", table, scenario().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: one row per invocation by design — sweeps come from suite grids\n"
          "(see suites/*.json), which expand a cell block into many invocations and\n"
@@ -156,7 +155,7 @@ BenchSpec scenario() {
       {"rate", "Bernoulli arrival rate, bernoulli_stream only (default 0.1)"},
       {"arrival_margin", "paced-arrival margin, worst_case/smooth/bursty (default 4)"},
       {"jam_margin", "budget-paced jam margin, smooth/bursty (default 8)"},
-      {"g_regime", "g regime: " + g_regime_names(" | ") + " (default const)"},
+      {"g_regime", "g regime: " + g_regimes().joined_names(" | ") + " (default const)"},
       {"gamma", "const-g value / exp_sqrt_log scale (default 4)"},
   };
   spec.validate_cell = validate_cell;

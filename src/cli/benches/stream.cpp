@@ -30,8 +30,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {stream().id, stream().summary, stream().flags});
+int run(const BenchDriver& driver) {
 
   const std::uint64_t seed = driver.seed(1);
   // Counts are read signed and range-checked before the unsigned cast, which

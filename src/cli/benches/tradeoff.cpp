@@ -83,8 +83,7 @@ void run_regime(const Regime& regime, const BenchDriver& driver, int reps, int m
   }
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv, {tradeoff().id, tradeoff().summary, tradeoff().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(10, 3);
   const int max_exp =
@@ -111,7 +110,7 @@ int run(int argc, const char* const* argv) {
   // windowed throughput/backlog from the streaming WindowedMetrics observer,
   // both attached to the same run through an ObserverChain.
   if (!driver.write_output(driver.csv_path("tradeoff_series.csv"), [&](std::ostream& os) {
-        CsvWriter csv(os, tradeoff().csv_columns);
+        CsvWriter csv(os, driver.spec().csv_columns);
         const slot_t t = static_cast<slot_t>(1) << max_exp;
         const slot_t window = std::max<slot_t>(1, t / 256);
         for (const Regime& regime : regimes) {

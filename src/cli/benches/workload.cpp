@@ -55,10 +55,7 @@ WorkloadParse parse(const std::vector<std::pair<std::string, std::string>>& flag
   return parse_workload(kvs);
 }
 
-int run(int argc, const char* const* argv) {
-  const BenchSpec& self = workload();
-  const BenchDriver driver(argc, argv,
-                           {self.id, self.summary, self.flags, is_component_param});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = driver.reps(8, 3);
 
@@ -93,7 +90,7 @@ int run(int argc, const char* const* argv) {
       replicate_workload(engine, spec, reps, driver.seed(60000), driver.threads()));
   table.print(out);
 
-  if (!driver.write_csv("workload.csv", table, workload().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: one row per invocation by design — grids over\n"
          "(arrival × jammer × g × protocol) come from suite manifests\n"
@@ -108,8 +105,8 @@ std::string validate_cell(const std::vector<std::pair<std::string, std::string>>
 }  // namespace
 
 const Engine& point_engine(const WorkloadSpec& spec) {
-  return EngineRegistry::instance().preferred(
-      workload_protocol(spec.protocol, functions_for_regime(spec.g_regime, spec.gamma)));
+  return EngineRegistry::instance().preferred(workload_protocols().at(spec.protocol).make(
+      functions_for_regime(spec.g_regime, spec.gamma)));
 }
 
 Table point_table(const std::vector<std::pair<std::string, Cell>>& keys,
@@ -158,10 +155,10 @@ BenchSpec workload() {
                   "--arrival.<param>"},
       {"jammer", "JammerRegistry component name (default none); parameters via "
                  "--jammer.<param>"},
-      {"g", "g regime: " + g_regime_names(" | ") + " (default const)"},
+      {"g", "g regime: " + g_regimes().joined_names(" | ") + " (default const)"},
       {"gamma", "const-g value / exp_sqrt_log scale (default 4; rejected under g=log)"},
-      {"protocol", "named protocol: cjz | h_backoff | h_data | beb | sawtooth | poly "
-                   "(default cjz)"},
+      {"protocol",
+       "named protocol: " + workload_protocols().joined_names(" | ") + " (default cjz)"},
       {"horizon", "slot horizon (default 65536, quick 16384)"},
   };
   spec.allows_flag = is_component_param;

@@ -23,9 +23,7 @@ namespace cr::benches {
 
 namespace {
 
-int run(int argc, const char* const* argv) {
-  const BenchDriver driver(argc, argv,
-                           {worstcase().id, worstcase().summary, worstcase().flags});
+int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
   const int reps = driver.reps(6, 3);
@@ -63,7 +61,7 @@ int run(int argc, const char* const* argv) {
   }
   table.print(out);
 
-  if (!driver.write_csv("worstcase.csv", table, worstcase().csv_columns)) return 2;
+  if (!driver.write_csv(table)) return 2;
 
   out << "\nReading: down each (jam, margin) block the normalized column is flat in t;\n"
          "across margins it saturates at a constant ceiling — goodput Theta(t/log t),\n"

@@ -43,14 +43,17 @@ std::string column_list(const BenchSpec& spec) {
   return out;
 }
 
-/// "—" for parameterless components, else "`p` (type, default d): help; …".
+/// "—" for parameterless components, else "`p` (type[, bound], default d):
+/// help; …".
 std::string schema_cell(const ParamSchema& schema) {
   if (schema.empty()) return "—";
   std::string out;
   for (const ParamDef& def : schema.defs()) {
     if (!out.empty()) out += "; ";
-    out += "`" + def.name + "` (" + param_type_name(def.type) + ", default " +
-           def.default_text + "): " + def.help;
+    const std::string bound = bound_text(def.bound);
+    out += "`" + def.name + "` (" + param_type_name(def.type) +
+           (bound.empty() ? "" : ", " + bound) + ", default " + def.default_text +
+           "): " + def.help;
   }
   return out;
 }
@@ -80,34 +83,30 @@ void component_tables(std::ostringstream& os) {
 
 std::string registry_listing_text() {
   std::ostringstream os;
+  // One "  <name><padding><text>" line; names shorter than `width` are padded to it.
+  const auto line = [&](const std::string& name, std::size_t width, const std::string& text) {
+    os << "  " << name << std::string(name.size() < width ? width - name.size() : 1, ' ') << text
+       << "\n";
+  };
   os << "benches (cr bench <name>):\n";
   for (const BenchSpec& spec : BenchRegistry::instance().entries())
-    os << "  " << spec.name << std::string(spec.name.size() < 18 ? 18 - spec.name.size() : 1, ' ')
-       << spec.id << "  " << spec.summary << "\n";
+    line(spec.name, 18, spec.id + "  " + spec.summary);
   os << "\nscenarios (cr bench scenario --scenario=<name>; presets over WorkloadSpec):\n";
   for (const ScenarioEntry& entry : ScenarioRegistry::instance().entries())
-    os << "  " << entry.name
-       << std::string(entry.name.size() < 18 ? 18 - entry.name.size() : 1, ' ')
-       << entry.description << "\n";
+    line(entry.name, 18, entry.description);
   os << "\narrivals (cr bench workload --arrival=<name>; params via --arrival.<p>):\n";
   for (const ArrivalEntry& entry : ArrivalRegistry::instance().entries())
-    os << "  " << entry.name
-       << std::string(entry.name.size() < 18 ? 18 - entry.name.size() : 1, ' ')
-       << entry.description << "\n";
+    line(entry.name, 18, entry.description);
   os << "\njammers (cr bench workload --jammer=<name>; params via --jammer.<p>):\n";
   for (const JammerEntry& entry : JammerRegistry::instance().entries())
-    os << "  " << entry.name
-       << std::string(entry.name.size() < 18 ? 18 - entry.name.size() : 1, ' ')
-       << entry.description << "\n";
+    line(entry.name, 18, entry.description);
   os << "\nprotocols (--protocol on the workload bench):\n";
-  for (const std::string& name : workload_protocol_names()) os << "  " << name << "\n";
+  for (const std::string& name : workload_protocols().names()) os << "  " << name << "\n";
   os << "\nengines (every bench runs on preferred(), the fastest compatible one):\n";
   for (const std::string& name : EngineRegistry::instance().names()) os << "  " << name << "\n";
   os << "\nclaims (cr verify <out_dir>; machine-checked against suite CSVs):\n";
   for (const verify::ClaimSpec& spec : verify::ClaimRegistry::instance().entries())
-    os << "  " << spec.id
-       << std::string(spec.id.size() < 26 ? 26 - spec.id.size() : 1, ' ') << spec.title
-       << "\n";
+    line(spec.id, 26, spec.title);
   os << "\n`cr list --md` prints docs/EXPERIMENTS.md; `cr help` prints usage.\n";
   return os.str();
 }
@@ -297,15 +296,8 @@ std::string experiments_markdown() {
      << "```\n"
      << "\n";
   component_tables(os);
-  os << "\nNamed protocols (`--protocol`): ";
-  {
-    std::string names;
-    for (const std::string& name : workload_protocol_names()) {
-      if (!names.empty()) names += ", ";
-      names += "`" + name + "`";
-    }
-    os << names << ".\n";
-  }
+  os << "\nNamed protocols (`--protocol`): `" << workload_protocols().joined_names("`, `")
+     << "`.\n";
   os << "\n## Engines\n"
      << "\n";
   for (const std::string& name : EngineRegistry::instance().names())

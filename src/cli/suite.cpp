@@ -290,14 +290,7 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
       return fail("cells: \"bench\" (string) is required in every entry");
     block.bench = bench->as_string();
     const BenchSpec* bench_spec = registry.find(block.bench);
-    if (bench_spec == nullptr) {
-      std::string known;
-      for (const auto& n : registry.names()) known += " " + n;
-      std::string error = "unknown bench \"" + block.bench + "\"";
-      const std::string hint = closest_match(block.bench, registry.names());
-      if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-      return fail(error + "; known benches:" + known);
-    }
+    if (bench_spec == nullptr) return fail(registry.unknown(block.bench));
     if (const JsonValue* grid = item->find("grid")) {
       if (!grid->is_object()) return fail(block.bench + ": \"grid\" must be an object");
       for (const auto& [axis, values] : grid->members()) {

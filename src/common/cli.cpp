@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "common/check.hpp"
 
 namespace cr {
 
@@ -61,10 +60,10 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
   const bool parsed =
       !text.empty() && end == text.c_str() + text.size() && errno != ERANGE;
   if (!parsed) {
-    std::fprintf(stderr, "Cli: flag --%s expects an integer, got \"%s\"\n",
+    std::fprintf(stderr, "%s: --%s expects an integer, got \"%s\"\n", program_.c_str(),
                  name.c_str(), text.c_str());
+    std::exit(2);
   }
-  CR_CHECK(parsed);
   return value;
 }
 
@@ -86,10 +85,10 @@ double Cli::get_double(const std::string& name, double def) const {
   const bool parsed =
       !text.empty() && end == text.c_str() + text.size() && !overflow;
   if (!parsed) {
-    std::fprintf(stderr, "Cli: flag --%s expects a number, got \"%s\"\n",
+    std::fprintf(stderr, "%s: --%s expects a number, got \"%s\"\n", program_.c_str(),
                  name.c_str(), text.c_str());
+    std::exit(2);
   }
-  CR_CHECK(parsed);
   return value;
 }
 

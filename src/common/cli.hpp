@@ -34,6 +34,8 @@ class Cli {
   bool has(const std::string& name) const;
 
   std::string get_string(const std::string& name, const std::string& def) const;
+  /// A value that does not parse as the type prints "<program>: --<name>
+  /// expects an integer|a number, got "<text>"" and exits 2.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "common/check.hpp"
@@ -103,10 +102,10 @@ class FastBatchEngine final : public Engine {
 
 }  // namespace
 
-EngineRegistry::EngineRegistry() {
-  register_engine(std::make_unique<GenericEngine>());
-  register_engine(std::make_unique<FastCjzEngine>());
-  register_engine(std::make_unique<FastBatchEngine>());
+EngineRegistry::EngineRegistry() : Registry("engine", "engines") {
+  add(std::make_unique<GenericEngine>());
+  add(std::make_unique<FastCjzEngine>());
+  add(std::make_unique<FastBatchEngine>());
 }
 
 EngineRegistry& EngineRegistry::instance() {
@@ -114,33 +113,9 @@ EngineRegistry& EngineRegistry::instance() {
   return registry;
 }
 
-const Engine* EngineRegistry::find(const std::string& name) const {
-  for (const auto& engine : engines_)
-    if (engine->name() == name) return engine.get();
-  return nullptr;
-}
-
-const Engine& EngineRegistry::at(const std::string& name) const {
-  const Engine* engine = find(name);
-  if (engine == nullptr) {
-    std::fprintf(stderr, "EngineRegistry: unknown engine \"%s\" (known:", name.c_str());
-    for (const auto& e : engines_) std::fprintf(stderr, " %s", e->name().c_str());
-    std::fprintf(stderr, ")\n");
-  }
-  CR_CHECK(engine != nullptr);
-  return *engine;
-}
-
-std::vector<std::string> EngineRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(engines_.size());
-  for (const auto& engine : engines_) out.push_back(engine->name());
-  return out;
-}
-
 std::vector<const Engine*> EngineRegistry::compatible(const ProtocolSpec& spec) const {
   std::vector<const Engine*> out;
-  for (const auto& engine : engines_)
+  for (const auto& engine : entries())
     if (engine->supports(spec)) out.push_back(engine.get());
   std::stable_sort(out.begin(), out.end(), [](const Engine* a, const Engine* b) {
     return a->speed_rank() > b->speed_rank();
@@ -152,12 +127,6 @@ const Engine& EngineRegistry::preferred(const ProtocolSpec& spec) const {
   const auto engines = compatible(spec);
   CR_CHECK(!engines.empty());
   return *engines.front();
-}
-
-void EngineRegistry::register_engine(std::unique_ptr<Engine> engine) {
-  CR_CHECK(engine != nullptr);
-  CR_CHECK(find(engine->name()) == nullptr);  // names are unique keys
-  engines_.push_back(std::move(engine));
 }
 
 }  // namespace cr

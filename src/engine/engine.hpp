@@ -25,6 +25,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/functions.hpp"
+#include "common/registry.hpp"
 #include "engine/sim_result.hpp"
 #include "protocols/batch.hpp"
 #include "protocols/cjz_node.hpp"
@@ -85,19 +86,12 @@ class Engine {
                         SlotObserver* observer = nullptr) const = 0;
 };
 
-/// Name-keyed engine registry. Seeded with the three built-ins ("generic",
-/// "fast_cjz", "fast_batch"); register_engine() is the extension point.
-/// Registration is not thread-safe — register before fanning out runs.
-class EngineRegistry {
+/// Name-keyed engine registry, a Registry (common/registry.hpp) owning its
+/// engines. Seeded with the three built-ins ("generic", "fast_cjz",
+/// "fast_batch").
+class EngineRegistry final : public Registry<std::unique_ptr<Engine>, &Engine::name> {
  public:
   static EngineRegistry& instance();
-
-  /// nullptr when unknown.
-  const Engine* find(const std::string& name) const;
-  /// Aborts (CR_CHECK) on unknown names: bench flags are validated upstream.
-  const Engine& at(const std::string& name) const;
-
-  std::vector<std::string> names() const;
 
   /// All engines that can execute `spec`, ordered fastest first.
   std::vector<const Engine*> compatible(const ProtocolSpec& spec) const;
@@ -105,11 +99,8 @@ class EngineRegistry {
   /// reference engine supports everything).
   const Engine& preferred(const ProtocolSpec& spec) const;
 
-  void register_engine(std::unique_ptr<Engine> engine);
-
  private:
   EngineRegistry();
-  std::vector<std::unique_ptr<Engine>> engines_;
 };
 
 }  // namespace cr

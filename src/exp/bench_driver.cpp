@@ -64,21 +64,21 @@ const std::vector<BenchFlag>& BenchDriver::standard_flags() {
   return flags;
 }
 
-BenchDriver::BenchDriver(int argc, const char* const* argv, BenchInfo info)
-    : cli_(argc, argv), info_(std::move(info)) {
+BenchDriver::BenchDriver(const BenchSpec& spec, int argc, const char* const* argv)
+    : spec_(spec), cli_(argc, argv) {
   for (const BenchFlag& flag : standard_flags()) cli_.declare({flag.name.c_str()});
-  for (const BenchFlag& flag : info_.flags) cli_.declare({flag.name.c_str()});
+  for (const BenchFlag& flag : spec_.flags) cli_.declare({flag.name.c_str()});
   if (cli_.get_bool("help", false)) {
-    std::printf("%s — %s\n\nflags:\n", info_.id.c_str(), info_.title.c_str());
+    std::printf("%s — %s\n\nflags:\n", spec_.id.c_str(), spec_.summary.c_str());
     for (const BenchFlag& flag : standard_flags())
       std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
-    for (const BenchFlag& flag : info_.flags)
+    for (const BenchFlag& flag : spec_.flags)
       std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
     std::exit(0);
   }
-  if (info_.dynamic_flag != nullptr)
+  if (spec_.allows_flag != nullptr)
     for (const std::string& name : cli_.unknown_flags())
-      if (info_.dynamic_flag(name)) cli_.declare({name.c_str()});
+      if (spec_.allows_flag(name)) cli_.declare({name.c_str()});
   cli_.reject_unknown();
   quick_ = cli_.get_bool("quick", false);
   quiet_ = cli_.get_bool("quiet", false);
@@ -105,7 +105,8 @@ std::int64_t BenchDriver::get_int(const std::string& name, std::int64_t full,
 }
 
 std::uint64_t BenchDriver::seed(std::uint64_t def) const {
-  return static_cast<std::uint64_t>(cli_.get_int("seed", static_cast<std::int64_t>(def)));
+  const auto value = static_cast<std::int64_t>(def);
+  return static_cast<std::uint64_t>(get_int("seed", value, value, 0));
 }
 
 std::string BenchDriver::csv_path(const std::string& def) const {
@@ -128,10 +129,10 @@ bool BenchDriver::write_output(const std::string& path,
   return true;
 }
 
-bool BenchDriver::write_csv(const std::string& def, const Table& table,
-                            const std::vector<std::string>& columns) const {
-  return write_output(csv_path(def),
-                      [&](std::ostream& os) { write_table_csv(table, columns, os); });
+bool BenchDriver::write_csv(const Table& table) const {
+  return write_output(csv_path(spec_.name + ".csv"), [&](std::ostream& os) {
+    write_table_csv(table, spec_.csv_columns, os);
+  });
 }
 
 }  // namespace cr

@@ -1,9 +1,11 @@
 /// \file
-/// Shared driver for the CLI benches (standalone wrappers and `cr bench`).
+/// BenchSpec, the one declaration of a CLI bench, and BenchDriver, the
+/// shared driver `cr bench <name>` builds from it.
 ///
-/// Every bench used to hand-roll the same prologue: parse Cli, read
-/// --reps/--quick, pick quick-mode defaults, loop seeds serially. BenchDriver
-/// centralises that contract:
+/// A bench is a BenchSpec row in the BenchRegistry (src/cli/): its name,
+/// paper claim, flags, CSV schema and run function. BenchRegistry::run
+/// builds a BenchDriver from the spec and hands it to the run function, so
+/// the prologue every bench shares lives here:
 ///
 ///   * uniform flags: --reps, --seed, --threads, --quick, --csv, --quiet,
 ///     --help — declared once, plus the bench's own flags (each with a help
@@ -19,14 +21,16 @@
 ///     never silenced, and a CSV that cannot be written fails the bench
 ///     (write_output) instead of leaving a short file behind.
 ///
-/// Usage:
-///   BenchDriver driver(argc, argv, {"E2", "worst-case throughput",
-///                                   {{"max_exp", "largest horizon exponent"}}});
-///   const int reps = driver.reps(6, 3);
-///   const auto results = driver.replicate(reps, 11000, [&](std::uint64_t s) {
-///     Scenario sc = ...; sc.config.seed = s;
-///     return run_scenario(engine, sc);
-///   });
+/// Usage, inside a bench's run function:
+///   int run(const BenchDriver& driver) {
+///     const int reps = driver.reps(6, 3);
+///     const auto results = driver.replicate(reps, driver.seed(11000), [&](std::uint64_t s) {
+///       Scenario sc = ...; sc.config.seed = s;
+///       return run_scenario(engine, sc);
+///     });
+///     ...
+///     return driver.write_csv(table) ? 0 : 2;
+///   }
 #pragma once
 
 #include <cstdint>
@@ -34,6 +38,7 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -51,27 +56,54 @@ struct BenchFlag {
   std::string help;  ///< one-line description
 };
 
-struct BenchInfo {
-  std::string id;     ///< experiment number, e.g. "E2"
-  std::string title;  ///< one-line description for --help
-  std::vector<BenchFlag> flags;  ///< bench-specific flags beyond the standard set
+class BenchDriver;
+
+/// Everything `cr` needs to run and document one experiment.
+struct BenchSpec {
+  std::string name;     ///< subcommand, e.g. "latency"
+  std::string id;       ///< experiment number, e.g. "E9"
+  std::string summary;  ///< one-line description (--help, `cr list`)
+  std::string claim;    ///< paper claim / section the bench exercises
+  std::string outcome;  ///< expected qualitative outcome (docs index table)
+  /// Bench-specific flags beyond the uniform BenchDriver set.
+  std::vector<BenchFlag> flags;
+  /// Column schema of the --csv output (machine-readable names; the
+  /// rendered table may use prettier display headers).
+  std::vector<std::string> csv_columns;
+  /// What one CSV row is (docs: e.g. "one (regime, t, burst) cell,
+  /// means over reps").
+  std::string csv_row_desc;
+  /// Entry point, handed the driver built from this spec and the flags.
+  /// Returns the process exit code.
+  int (*run)(const BenchDriver& driver) = nullptr;
+
   /// Optional: accept flags whose names are dynamic (the workload bench's
   /// `arrival.<param>`/`jammer.<param>` keys). A passed flag matching the
-  /// predicate is treated as declared; precise validation (is the parameter
-  /// real for the chosen component?) stays with the bench.
-  bool (*dynamic_flag)(const std::string& name) = nullptr;
+  /// predicate counts as declared, in BenchDriver and in the suite
+  /// validator; precise validation (is the parameter real for the chosen
+  /// component?) stays with the bench.
+  bool (*allows_flag)(const std::string& name) = nullptr;
+
+  /// Optional: semantic validation of one fully-expanded suite cell (the
+  /// flag list the cell would pass, minus runner-controlled flags). Returns
+  /// "" when valid, else a message naming the offending key. Runs at
+  /// manifest-parse time, so a bad cell fails BEFORE anything executes.
+  std::string (*validate_cell)(const std::vector<std::pair<std::string, std::string>>& flags) =
+      nullptr;
 };
 
 class BenchDriver {
  public:
-  /// Parses flags, handles --help (prints usage, exits 0), rejects unknown
-  /// flags (exits 2 with a did-you-mean message) and refuses an explicit
-  /// --csv=PATH that check_publishable fails (exits 2 with write_output's
-  /// "cannot write" report), so no run starts that could not publish.
-  BenchDriver(int argc, const char* const* argv, BenchInfo info);
+  /// Parses `spec`'s flags, handles --help (prints usage, exits 0), rejects
+  /// unknown flags (exits 2 with a did-you-mean message) and refuses an
+  /// explicit --csv=PATH that check_publishable fails (exits 2 with
+  /// write_output's "cannot write" report), so no run starts that could not
+  /// publish. `spec` must outlive the driver; argv[0] names the bench in
+  /// diagnostics.
+  BenchDriver(const BenchSpec& spec, int argc, const char* const* argv);
 
   const Cli& cli() const { return cli_; }
-  const BenchInfo& info() const { return info_; }
+  const BenchSpec& spec() const { return spec_; }
 
   bool quick() const { return quick_; }
   /// --quiet: narrative output is discarded (out() is a null sink), so
@@ -101,7 +133,8 @@ class BenchDriver {
   /// The largest horizon exponent a bench accepts: slot_t{1} << 64 is
   /// undefined.
   static constexpr std::int64_t kMaxExponent = 62;
-  /// --seed, defaulting to the bench's fixed base seed.
+  /// --seed, defaulting to the bench's fixed base seed; range-checked to
+  /// [0, 2^63 - 1] like get_int.
   std::uint64_t seed(std::uint64_t def) const;
   /// --csv=PATH; empty when not requested. Bare --csv selects `def`.
   std::string csv_path(const std::string& def) const;
@@ -114,10 +147,9 @@ class BenchDriver {
   /// stderr, when the file cannot be written; the bench then exits 2.
   bool write_output(const std::string& path,
                     const std::function<void(std::ostream&)>& emit) const;
-  /// write_output of `table` (write_table_csv under `columns`) at
-  /// csv_path(def).
-  bool write_csv(const std::string& def, const Table& table,
-                 const std::vector<std::string>& columns) const;
+  /// write_output of `table` (write_table_csv under the spec's
+  /// csv_columns) at csv_path("<spec name>.csv").
+  bool write_csv(const Table& table) const;
 
   /// Deterministic parallel replication over seeds base .. base+reps-1,
   /// honouring --threads. `run` must be safe to call concurrently (build all
@@ -132,8 +164,8 @@ class BenchDriver {
   static const std::vector<BenchFlag>& standard_flags();
 
  private:
+  const BenchSpec& spec_;
   Cli cli_;
-  BenchInfo info_;
   bool quick_ = false;
   bool quiet_ = false;
   int threads_ = 1;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "adversary/param_schema.hpp"
@@ -29,37 +28,17 @@ FunctionSet functions_exp_sqrt_log_g(double scale) {
   return fs;
 }
 
-const std::vector<GRegime>& g_regimes() {
-  static const std::vector<GRegime> table = {
-      {"const", functions_constant_g, true},
-      {"log", [](double) { return functions_log_g(); }, false},
-      {"exp_sqrt_log", functions_exp_sqrt_log_g, true},
-  };
+const Registry<GRegime>& g_regimes() {
+  static const Registry<GRegime> table(
+      "g regime", "g regimes",
+      {{"const", functions_constant_g, true},
+       {"log", [](double) { return functions_log_g(); }, false},
+       {"exp_sqrt_log", functions_exp_sqrt_log_g, true}});
   return table;
 }
 
-const GRegime* find_g_regime(const std::string& name) {
-  for (const GRegime& regime : g_regimes())
-    if (name == regime.name) return &regime;
-  return nullptr;
-}
-
-std::string g_regime_names(const std::string& separator) {
-  std::string out;
-  for (const GRegime& regime : g_regimes()) {
-    if (!out.empty()) out += separator;
-    out += regime.name;
-  }
-  return out;
-}
-
 FunctionSet functions_for_regime(const std::string& regime, double gamma) {
-  const GRegime* entry = find_g_regime(regime);
-  if (entry == nullptr)
-    std::fprintf(stderr, "functions_for_regime: unknown regime \"%s\" (known: %s)\n",
-                 regime.c_str(), g_regime_names(", ").c_str());
-  CR_CHECK(entry != nullptr);
-  return entry->make(gamma);
+  return g_regimes().at(regime).make(gamma);
 }
 
 SimResult run_scenario(const Engine& engine, Scenario& scenario, SlotObserver* observer) {
@@ -85,7 +64,7 @@ WorkloadSpec run_of(const ScenarioParams& p) {
 WorkloadSpec regime_of(const ScenarioParams& p) {
   WorkloadSpec w = run_of(p);
   w.g_regime = p.g_regime;
-  const GRegime* regime = find_g_regime(p.g_regime);
+  const GRegime* regime = g_regimes().find(p.g_regime);
   if (regime == nullptr || regime->takes_scale) {
     w.gamma = p.gamma;
     w.gamma_set = true;
@@ -93,9 +72,11 @@ WorkloadSpec regime_of(const ScenarioParams& p) {
   return w;
 }
 
+/// No jammer at jam 0; any other value, out-of-range ones included, is the
+/// i.i.d. jammer's fraction, so validation sees it.
 ComponentSpec iid_or_none(const ScenarioParams& p) {
-  return p.jam > 0.0 ? ComponentSpec{"iid", {{"fraction", double_param_text(p.jam)}}}
-                     : ComponentSpec{"none", {}};
+  return p.jam == 0.0 ? ComponentSpec{"none", {}}
+                      : ComponentSpec{"iid", {{"fraction", double_param_text(p.jam)}}};
 }
 
 }  // namespace
@@ -106,8 +87,8 @@ bool ScenarioEntry::consumes(const std::string& param) const {
   return false;
 }
 
-ScenarioRegistry::ScenarioRegistry() {
-  register_scenario(
+ScenarioRegistry::ScenarioRegistry() : Registry("scenario", "scenarios") {
+  add(
       {"worst_case", "paced arrivals ~t/(margin·f) + i.i.d. jamming (E2)",
        [](const ScenarioParams& p) {
          // Always const-g (4): the arrival pacing depends on f, hence on g,
@@ -118,7 +99,7 @@ ScenarioRegistry::ScenarioRegistry() {
          return w;
        },
        {"horizon", "seed", "jam", "arrival_margin"}});
-  register_scenario(
+  add(
       {"batch", "n nodes at slot 1 + i.i.d. jamming (E3/E4/E7)",
        [](const ScenarioParams& p) {
          WorkloadSpec w = regime_of(p);
@@ -127,7 +108,7 @@ ScenarioRegistry::ScenarioRegistry() {
          return w;
        },
        {"horizon", "seed", "n", "jam", "g_regime", "gamma"}});
-  register_scenario(
+  add(
       {"smooth", "budget-saturating paced arrivals + paced jamming (E1/Cor 3.6)",
        [](const ScenarioParams& p) {
          WorkloadSpec w = regime_of(p);
@@ -136,7 +117,7 @@ ScenarioRegistry::ScenarioRegistry() {
          return w;
        },
        {"horizon", "seed", "arrival_margin", "jam_margin", "g_regime", "gamma"}});
-  register_scenario(
+  add(
       {"bernoulli_stream", "Bernoulli(rate) arrivals + i.i.d. jamming (E7b)",
        [](const ScenarioParams& p) {
          WorkloadSpec w = regime_of(p);
@@ -145,7 +126,7 @@ ScenarioRegistry::ScenarioRegistry() {
          return w;
        },
        {"horizon", "seed", "rate", "jam", "g_regime", "gamma"}});
-  register_scenario(
+  add(
       {"bursty", "bursts of n inside the smooth budget + paced jamming (E9)",
        [](const ScenarioParams& p) {
          // Burstiest arrival pattern still inside the smooth budget: batches
@@ -169,27 +150,8 @@ ScenarioRegistry& ScenarioRegistry::instance() {
   return registry;
 }
 
-const ScenarioEntry* ScenarioRegistry::find(const std::string& name) const {
-  for (const auto& entry : entries_)
-    if (entry.name == name) return &entry;
-  return nullptr;
-}
-
 Scenario ScenarioRegistry::build(const std::string& name, const ScenarioParams& params) const {
   return build_workload(scenario_preset_workload(name, params));
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& entry : entries_) out.push_back(entry.name);
-  return out;
-}
-
-void ScenarioRegistry::register_scenario(ScenarioEntry entry) {
-  CR_CHECK(entry.workload != nullptr);
-  CR_CHECK(find(entry.name) == nullptr);  // names are unique keys
-  entries_.push_back(std::move(entry));
 }
 
 }  // namespace cr

@@ -17,6 +17,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/functions.hpp"
+#include "common/registry.hpp"
 #include "engine/engine.hpp"
 #include "engine/sim_result.hpp"
 
@@ -31,7 +32,7 @@ FunctionSet functions_exp_sqrt_log_g(double scale = 1.0);
 
 /// One row of the g regime table.
 struct GRegime {
-  const char* name;
+  std::string name;
   FunctionSet (*make)(double gamma);
   /// Whether `gamma` sets the regime's scale (const's value, exp_sqrt_log's
   /// scale). A regime without one ignores it, so an explicit gamma there is
@@ -42,11 +43,7 @@ struct GRegime {
 /// The regime table: "const", "log", "exp_sqrt_log". Every regime name the
 /// workload and scenario layers accept, and every list of them they print,
 /// comes from here.
-const std::vector<GRegime>& g_regimes();
-/// nullptr when unknown.
-const GRegime* find_g_regime(const std::string& name);
-/// The regime names joined by `separator`, in table order.
-std::string g_regime_names(const std::string& separator);
+const Registry<GRegime>& g_regimes();
 
 /// Regime by name: `gamma` feeds const's value and exp_sqrt_log's scale; log
 /// ignores it. Aborts on unknown names.
@@ -96,29 +93,20 @@ struct ScenarioEntry {
   bool consumes(const std::string& param) const;
 };
 
-/// Name-keyed scenario registry. Seeded with the five built-in presets
-/// ("worst_case", "batch", "smooth", "bernoulli_stream", "bursty"), each
-/// byte-identical to the direct composition it names (parity-tested in
-/// tests/test_workload.cpp); register_scenario() is the extension point.
-/// Registration is not thread-safe — register before fanning out runs.
-class ScenarioRegistry {
+/// Name-keyed scenario registry, a Registry (common/registry.hpp). Seeded
+/// with the five built-in presets ("worst_case", "batch", "smooth",
+/// "bernoulli_stream", "bursty"), each byte-identical to the direct
+/// composition it names (parity-tested in tests/test_workload.cpp).
+class ScenarioRegistry final : public Registry<ScenarioEntry> {
  public:
   static ScenarioRegistry& instance();
 
-  /// nullptr when unknown.
-  const ScenarioEntry* find(const std::string& name) const;
   /// build_workload over the preset's mapping (scenario_preset_workload):
   /// aborts (CR_CHECK) on unknown names, after printing the known set.
   Scenario build(const std::string& name, const ScenarioParams& params = {}) const;
 
-  std::vector<std::string> names() const;
-  const std::vector<ScenarioEntry>& entries() const { return entries_; }
-
-  void register_scenario(ScenarioEntry entry);
-
  private:
   ScenarioRegistry();
-  std::vector<ScenarioEntry> entries_;
 };
 
 }  // namespace cr

@@ -22,23 +22,12 @@ bool has_prefix(const std::string& text, const std::string& prefix) {
   return text.rfind(prefix, 0) == 0;
 }
 
-std::string known_list(const std::vector<std::string>& names) {
-  std::string out;
-  for (const std::string& name : names) out += " " + name;
-  return out;
-}
-
 /// Validate one component against its registry entry; empty on success.
-template <typename Registry>
-std::string check_component(const Registry& registry, const ComponentSpec& component,
+template <typename ComponentRegistry>
+std::string check_component(const ComponentRegistry& registry, const ComponentSpec& component,
                             const std::string& kind) {
   const auto* entry = registry.find(component.name);
-  if (entry == nullptr) {
-    std::string error = "unknown " + kind + " \"" + component.name + "\"";
-    const std::string hint = closest_match(component.name, registry.names());
-    if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-    return error + "; known " + kind + "s:" + known_list(registry.names());
-  }
+  if (entry == nullptr) return registry.unknown(component.name);
   const auto checked = ParamValidation::check(entry->schema, component.params,
                                              kind + " \"" + component.name + "\"");
   return checked.error;
@@ -52,29 +41,32 @@ const std::vector<std::string>& workload_keys() {
   return keys;
 }
 
-const std::vector<std::string>& workload_protocol_names() {
-  static const std::vector<std::string> names = {"cjz",  "h_backoff", "h_data",
-                                                 "beb",  "sawtooth",  "poly"};
-  return names;
-}
-
-ProtocolSpec workload_protocol(const std::string& name, const FunctionSet& fs) {
-  if (name == "cjz") return cjz_protocol(fs);
-  if (name == "h_backoff")
-    return factory_protocol("h-backoff", [fs] { return backoff_protocol_factory(fs); });
-  if (name == "h_data") return profile_protocol(profiles::h_data());
-  if (name == "beb")
-    return factory_protocol("windowed-beb", [] { return windowed_backoff_factory({}); });
-  if (name == "sawtooth")
-    return factory_protocol("windowed-sawtooth", [] {
-      return windowed_backoff_factory({WindowScheme::kSawtooth, 2.0});
-    });
-  if (name == "poly")
-    return factory_protocol("windowed-poly", [] {
-      return windowed_backoff_factory({WindowScheme::kPolynomial, 2.0});
-    });
-  CR_CHECK(false);  // names are validated upstream
-  return {};
+const Registry<ProtocolEntry>& workload_protocols() {
+  static const Registry<ProtocolEntry> table(
+      "protocol", "protocols",
+      {{"cjz", [](const FunctionSet& fs) { return cjz_protocol(fs); }},
+       {"h_backoff",
+        [](const FunctionSet& fs) {
+          return factory_protocol("h-backoff", [fs] { return backoff_protocol_factory(fs); });
+        }},
+       {"h_data", [](const FunctionSet&) { return profile_protocol(profiles::h_data()); }},
+       {"beb",
+        [](const FunctionSet&) {
+          return factory_protocol("windowed-beb", [] { return windowed_backoff_factory({}); });
+        }},
+       {"sawtooth",
+        [](const FunctionSet&) {
+          return factory_protocol("windowed-sawtooth", [] {
+            return windowed_backoff_factory({WindowScheme::kSawtooth, 2.0});
+          });
+        }},
+       {"poly",
+        [](const FunctionSet&) {
+          return factory_protocol("windowed-poly", [] {
+            return windowed_backoff_factory({WindowScheme::kPolynomial, 2.0});
+          });
+        }}});
+  return table;
 }
 
 WorkloadParse parse_workload(const std::vector<std::pair<std::string, std::string>>& kvs) {
@@ -116,9 +108,9 @@ WorkloadParse parse_workload(const std::vector<std::pair<std::string, std::strin
       std::string error = "unknown workload key \"" + key + "\"";
       const std::string hint = closest_match(key, workload_keys());
       if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-      error += "; workload keys:" + known_list(workload_keys()) +
-               " plus arrival.<param>/jammer.<param> (see cr list)";
-      return fail(std::move(error));
+      error += "; workload keys:";
+      for (const std::string& name : workload_keys()) error += " " + name;
+      return fail(error + " plus arrival.<param>/jammer.<param> (see cr list)");
     }
   }
   out.error = validate_workload(out.spec);
@@ -133,25 +125,24 @@ std::string validate_workload(const WorkloadSpec& spec) {
   if (std::string error = check_component(JammerRegistry::instance(), spec.jammer, "jammer");
       !error.empty())
     return error;
-  const GRegime* regime = find_g_regime(spec.g_regime);
-  if (regime == nullptr)
-    return "unknown g regime \"" + spec.g_regime + "\"; known: " + g_regime_names(" ");
+  const GRegime* regime = g_regimes().find(spec.g_regime);
+  if (regime == nullptr) return g_regimes().unknown(spec.g_regime);
   // A regime without a scale ignores gamma — an explicit one would be the
   // silent no-op this API bans, so it is an error instead.
   if (spec.gamma_set && !regime->takes_scale)
     return "workload key \"gamma\" is not consumed when g=" + spec.g_regime + " (the " +
            spec.g_regime + " regime has no scale); drop it or pick a regime that has one";
-  bool protocol_known = false;
-  for (const std::string& name : workload_protocol_names())
-    protocol_known = protocol_known || name == spec.protocol;
-  if (!protocol_known) {
-    std::string error = "unknown protocol \"" + spec.protocol + "\"";
-    const std::string hint = closest_match(spec.protocol, workload_protocol_names());
-    if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-    return error + "; known protocols:" + known_list(workload_protocol_names());
-  }
+  if (std::string error = check_gamma(*regime, spec.gamma); !error.empty()) return error;
+  if (workload_protocols().find(spec.protocol) == nullptr)
+    return workload_protocols().unknown(spec.protocol);
   if (spec.horizon < 1) return "workload key \"horizon\" must be >= 1";
   return "";
+}
+
+std::string check_gamma(const GRegime& regime, double gamma) {
+  if (!regime.takes_scale || gamma > 0.0) return "";
+  return "workload key \"gamma\" must be > 0 when g=" + regime.name + ", got " +
+         double_param_text(gamma);
 }
 
 std::vector<std::pair<std::string, std::string>> workload_to_flags(const WorkloadSpec& spec) {
@@ -192,17 +183,12 @@ Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan) {
   sc.adversary = std::move(adversary);
   sc.config.horizon = spec.horizon;
   sc.config.seed = spec.seed;
-  sc.protocol = workload_protocol(spec.protocol, sc.fs);
+  sc.protocol = workload_protocols().at(spec.protocol).make(sc.fs);
   return sc;
 }
 
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p) {
-  const ScenarioEntry* entry = ScenarioRegistry::instance().find(scenario);
-  if (entry == nullptr)
-    std::fprintf(stderr, "scenario_preset_workload: unknown scenario \"%s\" (known:%s)\n",
-                 scenario.c_str(), known_list(ScenarioRegistry::instance().names()).c_str());
-  CR_CHECK(entry != nullptr);
-  return entry->workload(p);
+  return ScenarioRegistry::instance().at(scenario).workload(p);
 }
 
 AdversaryPlan adversary_plan(const WorkloadSpec& spec) {

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "adversary/plan.hpp"
+#include "common/registry.hpp"
 #include "exp/scenarios.hpp"
 
 namespace cr {
@@ -45,7 +46,7 @@ struct WorkloadSpec {
   std::string g_regime = "const";  ///< a g_regimes() name
   double gamma = 4.0;              ///< const-g value / exp_sqrt_log scale
   bool gamma_set = false;          ///< gamma was given explicitly
-  std::string protocol = "cjz";    ///< named protocol (workload_protocol_names())
+  std::string protocol = "cjz";    ///< a workload_protocols() name
   slot_t horizon = 1 << 16;
   std::uint64_t seed = 1;          ///< not part of the flat form (runner-owned)
 
@@ -56,12 +57,16 @@ struct WorkloadSpec {
 /// ride under "arrival."/"jammer." prefixes).
 const std::vector<std::string>& workload_keys();
 
-/// Protocols nameable in a WorkloadSpec ("cjz", the windowed-backoff
-/// baselines, "h_backoff", "h_data").
-const std::vector<std::string>& workload_protocol_names();
-/// Materialise the named protocol on `fs`. CR_CHECKs the name (validated
-/// upstream by parse/validate).
-ProtocolSpec workload_protocol(const std::string& name, const FunctionSet& fs);
+/// One row of the protocol table: a name and the ProtocolSpec it runs on a
+/// FunctionSet (protocols that do not read `fs` ignore it).
+struct ProtocolEntry {
+  std::string name;
+  ProtocolSpec (*make)(const FunctionSet& fs);
+};
+
+/// The protocols nameable in a WorkloadSpec: "cjz", "h_backoff", "h_data"
+/// and the windowed-backoff baselines "beb", "sawtooth", "poly".
+const Registry<ProtocolEntry>& workload_protocols();
 
 struct WorkloadParse {
   WorkloadSpec spec;
@@ -71,14 +76,19 @@ struct WorkloadParse {
 };
 
 /// Parse AND validate the flat form: unknown keys, unknown component names,
-/// undeclared or ill-typed component parameters, unknown g regime/protocol,
-/// horizon < 1 and gamma-under-g=log are all hard errors. `kvs` is every
-/// workload key in application order (later duplicates are errors).
+/// undeclared, ill-typed or out-of-bound component parameters, unknown g
+/// regime/protocol, horizon < 1, gamma-under-g=log and a gamma <= 0 are all
+/// hard errors. `kvs` is every workload key in application order (later
+/// duplicates are errors).
 WorkloadParse parse_workload(const std::vector<std::pair<std::string, std::string>>& kvs);
 
 /// Semantic re-validation of an already-built spec (what parse_workload ran
 /// after parsing). Empty string = valid.
 std::string validate_workload(const WorkloadSpec& spec);
+
+/// validate_workload's gamma bound: a regime that takes a scale needs
+/// gamma > 0. Empty string = valid.
+std::string check_gamma(const GRegime& regime, double gamma);
 
 /// Canonical flat form: component names always, other keys only when they
 /// differ from the defaults. parse_workload(workload_to_flags(s)).spec == s

@@ -89,25 +89,11 @@ std::string ClaimContext::csv_path(const std::string& cell_id) const {
   return out_dir_ + "/" + cell_id + ".csv";
 }
 
-ClaimRegistry::ClaimRegistry() { register_paper_claims(*this); }
+ClaimRegistry::ClaimRegistry() : Registry("claim", "claims") { register_paper_claims(*this); }
 
 ClaimRegistry& ClaimRegistry::instance() {
   static ClaimRegistry registry;
   return registry;
-}
-
-const ClaimSpec* ClaimRegistry::find(const std::string& id) const {
-  for (const ClaimSpec& spec : entries_)
-    if (spec.id == id) return &spec;
-  return nullptr;
-}
-
-void ClaimRegistry::register_claim(ClaimSpec spec) {
-  CR_CHECK(!spec.id.empty());
-  CR_CHECK(!spec.cells.empty());
-  CR_CHECK(spec.check != nullptr);
-  CR_CHECK(find(spec.id) == nullptr);
-  entries_.push_back(std::move(spec));
 }
 
 }  // namespace cr::verify

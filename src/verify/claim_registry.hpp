@@ -1,8 +1,9 @@
 /// \file
-/// ClaimRegistry — the sixth name-keyed registry (after Engine, Scenario,
-/// Bench, Arrival, Jammer): every paper claim the repo reproduces registers
-/// an executable acceptance test here, and `cr verify` / tests/test_claims
-/// both evaluate the same entries — one assertion path, two harnesses.
+/// ClaimRegistry — every paper claim the repo reproduces registers an
+/// executable acceptance test here, and `cr verify` / tests/test_claims both
+/// evaluate the same entries — one assertion path, two harnesses. Like every
+/// name-keyed table it is a Registry (src/common/registry.hpp), keyed by the
+/// claim id.
 ///
 /// A ClaimSpec names the claim (paper-anchored id like "thm1.2-tradeoff"),
 /// the suite cell(s) whose CSVs supply the evidence, the columns it reads,
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "common/csv_read.hpp"
+#include "common/registry.hpp"
 #include "common/stat_assert.hpp"
 
 namespace cr::verify {
@@ -117,24 +119,14 @@ struct ClaimSpec {
   }
 };
 
-/// Name-keyed registry of the paper's claims, seeded in registration order
+/// Id-keyed registry of the paper's claims, seeded in registration order
 /// with the 12 E-bench claims plus the scenario-sweep claims (claims.cpp).
-/// register_claim() is the extension point; registration is not thread-safe
-/// — register before evaluating.
-class ClaimRegistry {
+class ClaimRegistry final : public Registry<ClaimSpec, &ClaimSpec::id> {
  public:
   static ClaimRegistry& instance();
 
-  /// nullptr when unknown.
-  const ClaimSpec* find(const std::string& id) const;
-
-  const std::vector<ClaimSpec>& entries() const { return entries_; }
-
-  void register_claim(ClaimSpec spec);
-
  private:
   ClaimRegistry();
-  std::vector<ClaimSpec> entries_;
 };
 
 /// Seeds `registry` with the paper claims (defined in claims.cpp; called by

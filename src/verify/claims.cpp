@@ -484,7 +484,7 @@ CheckResult check_scenario_jam_rate(ClaimContext& ctx) {
 }  // namespace
 
 void register_paper_claims(ClaimRegistry& registry) {
-  registry.register_claim(
+  registry.add(
       {.id = "thm1.2-tradeoff",
        .title = "Throughput/density tradeoff is a flat regime constant",
        .statement = "Theorem 1.2: at arrival and departure rates Theta(t / log t), the "
@@ -495,7 +495,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"tradeoff__seed-default"},
        .columns = {"regime", "ratio"},
        .check = &check_tradeoff});
-  registry.register_claim(
+  registry.add(
       {.id = "thm1.2-worstcase",
        .title = "Worst-case throughput keeps the 1/log t shape",
        .statement = "Theorem 1.2 / Section 1: the worst-case adversarial arrival stream at "
@@ -507,7 +507,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"worstcase__seed-default"},
        .columns = {"arrival_margin", "served", "norm_succ"},
        .check = &check_worstcase});
-  registry.register_claim(
+  registry.add(
       {.id = "claim3.5.1-completion",
        .title = "Batch completion is O(n); the robust baseline's is not",
        .statement = "Claim 3.5.1: a batch of n stations completes in O(n) slots — cjz "
@@ -518,7 +518,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"batch_completion__seed-default"},
        .columns = {"protocol", "p_done_50n", "p_done_200n", "slots90_over_n"},
        .check = &check_batch_completion});
-  registry.register_claim(
+  registry.add(
       {.id = "rem3.5-robustness",
        .title = "Batch completion degrades gracefully under jamming",
        .statement = "Remark 3.5: jamming slows batch completion by at most a constant "
@@ -531,7 +531,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .quick_cells = {"batch_robustness__n-256__seed-31000"},
        .columns = {"jam", "frac_by_8n"},
        .check = &check_batch_robustness});
-  registry.register_claim(
+  registry.add(
       {.id = "thm4.2-nonadaptive",
        .title = "Non-adaptive protocols pay for jammed prefixes; adaptive ones do not",
        .statement = "Theorem 4.2: after a jammed prefix, the adaptive h-backoff protocol's "
@@ -544,7 +544,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"nonadaptive__seed-default"},
        .columns = {"t", "protocol", "excess", "solved"},
        .check = &check_nonadaptive});
-  registry.register_claim(
+  registry.add(
       {.id = "thm1.3-lowerbound",
        .title = "Measured delay tracks the send-budget lower bound",
        .statement = "Theorem 1.3: with a per-station send budget g(t), the first success "
@@ -557,7 +557,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"lowerbound__seed-default"},
        .columns = {"g", "normalized"},
        .check = &check_lowerbound});
-  registry.register_claim(
+  registry.add(
       {.id = "sec1-baselines",
        .title = "Linear completion does not cost robustness",
        .statement = "Section 1: the paper protocol completes batches in Theta(n) like the "
@@ -568,7 +568,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"baselines__seed-default"},
        .columns = {"protocol", "completion_over_n", "frac_by_32n"},
        .check = &check_baselines});
-  registry.register_claim(
+  registry.add(
       {.id = "lem3.2-first-success",
        .title = "First success after a join burst is linear in the burst",
        .statement = "Lemma 3.2: after m stations join, the median first-success time is a "
@@ -579,7 +579,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"first_success__seed-default"},
        .columns = {"p50_over_m", "solved"},
        .check = &check_first_success});
-  registry.register_claim(
+  registry.add(
       {.id = "cor3.6-latency",
        .title = "Burst latency is linear in the burst size",
        .statement = "Corollary 3.6: in the constant-rate regime a burst of b arrivals "
@@ -591,7 +591,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"latency__seed-default"},
        .columns = {"regime", "burst", "stranded", "lat_p99", "peak_backlog"},
        .check = &check_latency});
-  registry.register_claim(
+  registry.add(
       {.id = "thm1.2-energy",
        .title = "Per-node energy is polylog",
        .statement = "Theorem 1.2 (energy): sends per node to batch completion track "
@@ -603,7 +603,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .quick_cells = {"energy__max_n-128__seed-91000"},
        .columns = {"energy_mean", "log2n_sq"},
        .check = &check_energy});
-  registry.register_claim(
+  registry.add(
       {.id = "sec2.1-ablation",
        .title = "The protocol's constants are load-bearing",
        .statement = "Section 2.1: the published constants matter — the full protocol "
@@ -615,7 +615,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"ablation__seed-default"},
        .columns = {"variant", "stream_served", "completion_over_n"},
        .check = &check_ablation});
-  registry.register_claim(
+  registry.add(
       {.id = "sec1-cd-contrast",
        .title = "No collision detection is the hard part",
        .statement = "Section 1 (model): with collision detection batch resolution is easy "
@@ -627,7 +627,7 @@ void register_paper_claims(ClaimRegistry& registry) {
        .cells = {"cd_contrast__seed-default"},
        .columns = {"cd_backon_over_n", "cjz_over_n", "no_cd_over_n"},
        .check = &check_cd_contrast});
-  registry.register_claim(
+  registry.add(
       {.id = "scenario-batch-clears",
        .title = "Composed batch scenario clears its backlog under jamming",
        .statement = "End-to-end scenario sweep: the batch workload on the registry-composed "
@@ -638,7 +638,7 @@ void register_paper_claims(ClaimRegistry& registry) {
                        "scenario__scenario-batch__jam-0.25__horizon-4096__n-64__seed-2"},
        .columns = {"served", "backlog_at_end"},
        .check = &check_scenario_batch});
-  registry.register_claim(
+  registry.add(
       {.id = "scenario-worstcase-served",
        .title = "Composed worst-case scenario stays fully served",
        .statement = "End-to-end scenario sweep: the Theta(t / log t) worst-case arrival "
@@ -650,7 +650,7 @@ void register_paper_claims(ClaimRegistry& registry) {
                        "scenario__scenario-worst_case__jam-0.25__horizon-4096__seed-2"},
        .columns = {"served"},
        .check = &check_scenario_worstcase});
-  registry.register_claim(
+  registry.add(
       {.id = "scenario-iid-jam-rate",
        .title = "The iid jammer delivers its nominal rate",
        .statement = "Adversary sanity for every other claim: the iid jammer's realized "

@@ -1,8 +1,9 @@
 # Bench integer flags must be range-checked (driven by the
 # bench_count_flags CTest entry): a --reps below 1, a negative or zero size,
-# or a size below the first one the bench's sweep runs exits 2 with a
-# message naming the flag, instead of aborting on a CR_CHECK or an
-# exception, or writing a header-only CSV with exit 0.
+# a size below the first one the bench's sweep runs, or a negative --seed
+# exits 2 with a message naming the flag, instead of aborting on a CR_CHECK
+# or an exception, writing a header-only CSV with exit 0, or running a seed
+# wrapped to 2^64 - 5.
 #
 # Expects -DCR=<cr binary> and -DOUT=<scratch dir for the --csv files>.
 if(NOT DEFINED CR OR NOT DEFINED OUT)
@@ -19,7 +20,8 @@ foreach(case
     "scenario|horizon|0"
     "worstcase|max_exp|10"
     "energy|max_n|32"
-    "baselines|max_n|16")
+    "baselines|max_n|16"
+    "scenario|seed|-5")
   string(REPLACE "|" ";" parts "${case}")
   list(GET parts 0 bench)
   list(GET parts 1 flag)

@@ -48,7 +48,7 @@ void expect_within_three_se(const std::string& what, Mean got, Mean pinned) {
 
 constexpr int kThreads = 4;
 
-const Engine& fast_cjz() { return EngineRegistry::instance().at("fast_cjz"); }
+const Engine& fast_cjz() { return *EngineRegistry::instance().at("fast_cjz"); }
 
 // perfbench `overload`'s shape at 2^14: worst-case arrivals at twice
 // capacity under 40% jamming.

@@ -1,5 +1,5 @@
-// Unit tests for Cli numeric-flag validation: malformed values must fail
-// loudly via CR_CHECK instead of silently parsing to 0.
+// Unit tests for Cli numeric-flag validation: malformed values must exit 2
+// naming the program and the flag instead of silently parsing to 0.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
@@ -39,44 +39,52 @@ TEST(CliValidate, MissingFlagsFallBackToDefaults) {
 
 TEST(CliValidateDeathTest, RejectsGarbageInt) {
   const Cli cli = make_cli({"--n=abc"});
-  EXPECT_DEATH(cli.get_int("n", 0), "expects an integer");
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "prog: --n expects an integer");
 }
 
 TEST(CliValidateDeathTest, RejectsTrailingJunkInt) {
   const Cli cli = make_cli({"--n=12x"});
-  EXPECT_DEATH(cli.get_int("n", 0), "expects an integer");
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "prog: --n expects an integer");
 }
 
 TEST(CliValidateDeathTest, RejectsFloatAsInt) {
   const Cli cli = make_cli({"--n=3.5"});
-  EXPECT_DEATH(cli.get_int("n", 0), "expects an integer");
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "prog: --n expects an integer");
 }
 
 TEST(CliValidateDeathTest, RejectsIntOverflow) {
   const Cli cli = make_cli({"--n=99999999999999999999999999"});
-  EXPECT_DEATH(cli.get_int("n", 0), "expects an integer");
+  EXPECT_EXIT(cli.get_int("n", 0), ::testing::ExitedWithCode(2),
+              "prog: --n expects an integer");
 }
 
 TEST(CliValidateDeathTest, RejectsDoubleOverflow) {
   const Cli cli = make_cli({"--rate=1e999"});
-  EXPECT_DEATH(cli.get_double("rate", 0.0), "expects a number");
+  EXPECT_EXIT(cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+              "prog: --rate expects a number");
 }
 
 TEST(CliValidateDeathTest, RejectsGarbageDouble) {
   const Cli cli = make_cli({"--rate=fast"});
-  EXPECT_DEATH(cli.get_double("rate", 0.0), "expects a number");
+  EXPECT_EXIT(cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+              "prog: --rate expects a number");
 }
 
 TEST(CliValidateDeathTest, RejectsTrailingJunkDouble) {
   const Cli cli = make_cli({"--rate=0.5qq"});
-  EXPECT_DEATH(cli.get_double("rate", 0.0), "expects a number");
+  EXPECT_EXIT(cli.get_double("rate", 0.0), ::testing::ExitedWithCode(2),
+              "prog: --rate expects a number");
 }
 
 TEST(CliValidateDeathTest, RejectsBareBoolReadAsInt) {
   // `--verbose` with no value stores "true"; asking for it as an int must
-  // abort rather than return 0.
+  // exit 2 rather than return 0.
   const Cli cli = make_cli({"--verbose"});
-  EXPECT_DEATH(cli.get_int("verbose", 0), "expects an integer");
+  EXPECT_EXIT(cli.get_int("verbose", 0), ::testing::ExitedWithCode(2),
+              "prog: --verbose expects an integer");
 }
 
 // Unknown-flag rejection: a typo like --rep=10 must fail loudly instead of

@@ -67,7 +67,7 @@ void compare_batch_metric(const ProtocolSpec& spec, std::uint64_t n, double jam,
                           std::uint64_t base_seed, int reps, double rel_slack,
                           const std::function<double(const SimResult&)>& metric,
                           bool expect_complete) {
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   const auto ref_runs = replicate(reps, base_seed, [&](std::uint64_t s) {
     return run_batch(reference, spec, n, jam, s);
   });
@@ -128,7 +128,7 @@ TEST(CrossEngine, HdataBatchAgrees) {
     cfg.seed = s;
     return engine.run(spec, adv, cfg);
   };
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   const auto ref_runs =
       replicate(reps, 700, [&](std::uint64_t s) { return run_windowed(reference, s); });
   const auto m_ref =
@@ -153,7 +153,7 @@ TEST(CrossEngine, DynamicArrivalFirstSuccessAgrees) {
     cfg.seed = s;
     return engine.run(spec, adv, cfg);
   };
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   const auto ref_runs =
       replicate(reps, 900, [&](std::uint64_t s) { return run_one(reference, s); });
   const auto s_ref =
@@ -203,7 +203,7 @@ MetricSample sample_metrics(const Engine& engine, const std::string& scenario,
 }
 
 TEST(CrossEngineMetrics, LatencyAndEnergyParityOnEveryRegistryScenario) {
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   const int reps = 12;
   for (const std::string& name : ScenarioRegistry::instance().names()) {
     ScenarioParams params;
@@ -255,7 +255,7 @@ TEST(CrossEngineMetrics, ProfileProtocolEnergyParity) {
     }
     return std::pair{energy_mean, latency_mean};
   };
-  const auto [ref_energy, ref_latency] = sample(EngineRegistry::instance().at(kReference));
+  const auto [ref_energy, ref_latency] = sample(*EngineRegistry::instance().at(kReference));
   for (const Engine* engine : candidates(spec)) {
     const auto [fast_energy, fast_latency] = sample(*engine);
     EXPECT_TRUE(stat::means_agree(ref_energy, fast_energy, 3.0, 0.15, 0.5))
@@ -327,7 +327,7 @@ TEST(CrossEngineFuzz, RandomizedRegistrySweep) {
   // observation). Horizons are small so the whole sweep stays well under
   // the 5s budget.
   const std::vector<std::string> workloads = ScenarioRegistry::instance().names();
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   Rng fuzz(0xF0220721u);
   const char* regimes[] = {"const", "log", "exp_sqrt_log"};
   const int kCases = 200;
@@ -398,7 +398,7 @@ TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
   // (an i.i.d. jammer past the plan's quiet point) does jammed_slots match
   // in distribution instead of exactly.
   const std::vector<std::string> workloads = ScenarioRegistry::instance().names();
-  const Engine& fast = EngineRegistry::instance().at("fast_cjz");
+  const Engine& fast = *EngineRegistry::instance().at("fast_cjz");
   Rng fuzz(0x10C857E9u);
   const char* regimes[] = {"const", "log", "exp_sqrt_log"};
   const int kCases = 100;
@@ -446,7 +446,7 @@ TEST(CrossEngineFuzz, ProfileEngineRandomizedSweep) {
   // Same differential contract for fast_batch (profile specs are not in the
   // scenario registry, which is CJZ-flavoured).
   const ProtocolSpec spec = profile_protocol(profiles::h_data());
-  const Engine& reference = EngineRegistry::instance().at(kReference);
+  const Engine& reference = *EngineRegistry::instance().at(kReference);
   const auto fast_engines = candidates(spec);
   ASSERT_FALSE(fast_engines.empty());
   const Engine& fast = *fast_engines.front();

@@ -35,15 +35,15 @@ TEST(EngineRegistryTest, CapabilityMatrix) {
 
   // The reference engine executes everything; each cohort engine exactly its
   // own protocol family.
-  EXPECT_TRUE(registry.at("generic").supports(cjz));
-  EXPECT_TRUE(registry.at("generic").supports(profile));
-  EXPECT_TRUE(registry.at("generic").supports(custom));
-  EXPECT_TRUE(registry.at("fast_cjz").supports(cjz));
-  EXPECT_FALSE(registry.at("fast_cjz").supports(profile));
-  EXPECT_FALSE(registry.at("fast_cjz").supports(custom));
-  EXPECT_TRUE(registry.at("fast_batch").supports(profile));
-  EXPECT_FALSE(registry.at("fast_batch").supports(cjz));
-  EXPECT_FALSE(registry.at("fast_batch").supports(custom));
+  EXPECT_TRUE(registry.at("generic")->supports(cjz));
+  EXPECT_TRUE(registry.at("generic")->supports(profile));
+  EXPECT_TRUE(registry.at("generic")->supports(custom));
+  EXPECT_TRUE(registry.at("fast_cjz")->supports(cjz));
+  EXPECT_FALSE(registry.at("fast_cjz")->supports(profile));
+  EXPECT_FALSE(registry.at("fast_cjz")->supports(custom));
+  EXPECT_TRUE(registry.at("fast_batch")->supports(profile));
+  EXPECT_FALSE(registry.at("fast_batch")->supports(cjz));
+  EXPECT_FALSE(registry.at("fast_batch")->supports(custom));
 }
 
 TEST(EngineRegistryTest, PreferredPicksTheFastestCompatibleEngine) {

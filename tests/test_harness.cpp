@@ -75,9 +75,11 @@ TEST(BenchDriverDeathTest, UnwritableCsvPathExitsFromTheConstructor) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   fs::create_symlink(dir / "target.csv", dir / "link.csv");
-  const auto construct = [](const std::string& csv_flag) {
+  BenchSpec spec;
+  spec.name = "probe";
+  const auto construct = [&](const std::string& csv_flag) {
     const char* argv[] = {"cr bench probe", csv_flag.c_str()};
-    BenchDriver(2, argv, {"P", "probe", {}});
+    BenchDriver(spec, 2, argv);
   };
   EXPECT_EXIT(construct("--csv=" + (dir / "no" / "x.csv").string()),
               ::testing::ExitedWithCode(2),

@@ -27,7 +27,7 @@
 namespace cr {
 namespace {
 
-const Engine& fast_cjz() { return EngineRegistry::instance().at("fast_cjz"); }
+const Engine& fast_cjz() { return *EngineRegistry::instance().at("fast_cjz"); }
 
 WorkloadSpec make_spec(ComponentSpec arrival, ComponentSpec jammer, slot_t horizon = 4096) {
   WorkloadSpec spec;
@@ -502,7 +502,7 @@ class EveryThird final : public Jammer {
 
 void register_outside_components() {
   static const bool registered = [] {
-    ArrivalRegistry::instance().register_arrival(
+    ArrivalRegistry::instance().add(
         {"test_trickle",
          "two nodes every `every` slots until `until`",
          {{"every", ParamType::kUint, "16", "slots between arrivals"},
@@ -510,7 +510,7 @@ void register_outside_components() {
          [](const ParamValues& p, const WorkloadContext&) -> std::unique_ptr<ArrivalProcess> {
            return std::make_unique<Trickle>(p.get_uint("every"), p.get_uint("until"));
          }});
-    JammerRegistry::instance().register_jammer(
+    JammerRegistry::instance().add(
         {"test_every_third", "jams every third slot", {},
          [](const ParamValues&, const WorkloadContext&) -> std::unique_ptr<Jammer> {
            return std::make_unique<EveryThird>();

@@ -52,17 +52,17 @@ TEST(GRegimes, ForRegimeDispatchesByName) {
 }
 
 TEST(GRegimes, TableNamesEachRegimeAndWhetherGammaScalesIt) {
-  EXPECT_EQ(g_regime_names(" | "), "const | log | exp_sqrt_log");
-  for (const GRegime& regime : g_regimes())
-    EXPECT_EQ(find_g_regime(regime.name), &regime) << regime.name;
-  EXPECT_TRUE(find_g_regime("const")->takes_scale);
-  EXPECT_FALSE(find_g_regime("log")->takes_scale);
-  EXPECT_TRUE(find_g_regime("exp_sqrt_log")->takes_scale);
-  EXPECT_EQ(find_g_regime("cubic"), nullptr);
+  EXPECT_EQ(g_regimes().joined_names(" | "), "const | log | exp_sqrt_log");
+  for (const GRegime& regime : g_regimes().entries())
+    EXPECT_EQ(g_regimes().find(regime.name), &regime) << regime.name;
+  EXPECT_TRUE(g_regimes().at("const").takes_scale);
+  EXPECT_FALSE(g_regimes().at("log").takes_scale);
+  EXPECT_TRUE(g_regimes().at("exp_sqrt_log").takes_scale);
+  EXPECT_EQ(g_regimes().find("cubic"), nullptr);
 }
 
 TEST(GRegimesDeathTest, ForRegimeRejectsUnknownNames) {
-  EXPECT_DEATH(functions_for_regime("cubic"), "unknown regime");
+  EXPECT_DEATH(functions_for_regime("cubic"), "unknown g regime \"cubic\"");
 }
 
 // ---------------------------------------------------------- preset shapes

@@ -2,15 +2,17 @@
 // typed component registries behind it (src/adversary/component_registry.hpp,
 // src/adversary/param_schema.hpp):
 //
-//   * ParamSchema validation — unknown/ill-typed/duplicated parameters are
-//     hard errors naming the offending key; defaults resolve;
+//   * ParamSchema validation — unknown/ill-typed/duplicated/out-of-bound
+//     parameters are hard errors naming the offending key; defaults resolve;
 //   * flat-form parse/serialize round-trips and its hard-error cases
 //     (unknown keys, unknown components, gamma under g=log);
 //   * preset parity — the five registered scenario builders, now thin
 //     presets over WorkloadSpec, produce byte-identical SimResults to the
 //     direct hand-built compositions they replaced;
-//   * suite integration — a manifest cell carrying an unconsumed workload
-//     or scenario parameter fails at parse time, naming the key.
+//   * suite integration — a manifest cell carrying an unconsumed or
+//     out-of-range workload or scenario parameter fails at parse time,
+//     naming the key;
+//   * the CLI — an out-of-range parameter exits 2 naming it and its bound.
 #include "exp/workload.hpp"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "adversary/arrivals.hpp"
 #include "adversary/component_registry.hpp"
 #include "adversary/jammers.hpp"
+#include "cli/bench_registry.hpp"
 #include "cli/suite.hpp"
 #include "common/json.hpp"
 #include "exp/scenarios.hpp"
@@ -74,6 +77,35 @@ TEST(ParamSchema, IllTypedValueIsAnError) {
       test_schema(), {{"n", "1"}, {"n", "2"}}, "arrival \"x\"");
   EXPECT_FALSE(duplicate.ok());
   EXPECT_NE(duplicate.error.find("twice"), std::string::npos) << duplicate.error;
+}
+
+TEST(ParamSchema, BoundsHoldForEveryValueInForce) {
+  static const ParamSchema schema = {
+      {"rate", ParamType::kDouble, "0.5", "probability", {.min = 0, .max = 1}},
+      {"margin", ParamType::kDouble, "4", "margin", {.min = 0, .min_open = true}},
+      {"period", ParamType::kUint, "8", "cycle", {.min = 1}},
+      {"burst", ParamType::kUint, "2", "per cycle", {.max_param = "period"}},
+  };
+  const auto check = [](const KV& params) {
+    return ParamValidation::check(schema, params, "jammer \"x\"").error;
+  };
+  EXPECT_EQ(check({}), "");
+  EXPECT_EQ(check({{"rate", "1"}, {"margin", "1e-9"}, {"period", "1"}, {"burst", "1"}}), "");
+  EXPECT_EQ(check({{"rate", "-0.5"}}),
+            "jammer \"x\": parameter \"rate\" must be >= 0, got \"-0.5\"");
+  EXPECT_EQ(check({{"rate", "2"}}), "jammer \"x\": parameter \"rate\" must be <= 1, got \"2\"");
+  EXPECT_EQ(check({{"margin", "0"}}),
+            "jammer \"x\": parameter \"margin\" must be > 0, got \"0\"");
+  EXPECT_EQ(check({{"period", "0"}}),
+            "jammer \"x\": parameter \"period\" must be >= 1, got \"0\"");
+  // The bound on another parameter reads its value in force: the default
+  // burst (2) breaks it when only the period is lowered.
+  EXPECT_EQ(check({{"period", "1"}}),
+            "jammer \"x\": parameter \"burst\" must be <= period (1), got \"2\"");
+  EXPECT_EQ(bound_text(schema.defs()[0].bound), ">= 0, <= 1");
+  EXPECT_EQ(bound_text(schema.defs()[1].bound), "> 0");
+  EXPECT_EQ(bound_text(schema.defs()[3].bound), "<= period");
+  EXPECT_EQ(bound_text({}), "");
 }
 
 TEST(ParamSchema, ScalarTextParsers) {
@@ -222,7 +254,7 @@ TEST(WorkloadBuild, DeterministicPerSeed) {
 }
 
 TEST(WorkloadBuild, EveryProtocolRunsOnSomeEngine) {
-  for (const std::string& protocol : workload_protocol_names()) {
+  for (const std::string& protocol : workload_protocols().names()) {
     WorkloadSpec spec;
     spec.arrival = {"batch", {{"n", "16"}}};
     spec.protocol = protocol;
@@ -411,9 +443,44 @@ TEST(ScenarioSuite, UnknownGRegimeFailsAtParseTimeListingTheTable) {
     "name": "s",
     "cells": [{"bench": "scenario", "grid": {"scenario": ["batch"], "g_regime": ["cubic"]}}]})");
   ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.error.find("unknown g regime \"cubic\"; known: const log exp_sqrt_log"),
-            std::string::npos)
+  EXPECT_NE(
+      loaded.error.find("unknown g regime \"cubic\"; known g regimes: const log exp_sqrt_log"),
+      std::string::npos)
       << loaded.error;
+}
+
+TEST(ScenarioSuite, OutOfRangeParamFailsAtParseTimeNamingTheBound) {
+  // The preset's WorkloadSpec is validated, component bounds included.
+  const auto jam = parse_manifest(R"({
+    "name": "s", "cells": [{"bench": "scenario", "grid": {"jam": [0.25, 2]}}]})");
+  ASSERT_FALSE(jam.ok());
+  EXPECT_NE(jam.error.find("jammer \"iid\": parameter \"fraction\" must be <= 1, got \"2\""),
+            std::string::npos)
+      << jam.error;
+  const auto margin = parse_manifest(R"({
+    "name": "s",
+    "cells": [{"bench": "scenario", "grid": {"scenario": ["smooth"], "arrival_margin": [0]}}]})");
+  ASSERT_FALSE(margin.ok());
+  EXPECT_NE(margin.error.find("parameter \"margin\" must be > 0"), std::string::npos)
+      << margin.error;
+  const auto gamma = parse_manifest(R"({
+    "name": "s",
+    "cells": [{"bench": "scenario", "grid": {"scenario": ["bursty"], "gamma": [0]}}]})");
+  ASSERT_FALSE(gamma.ok());
+  EXPECT_NE(gamma.error.find("\"gamma\" must be > 0 when g=const"), std::string::npos)
+      << gamma.error;
+  const auto text = parse_manifest(R"({
+    "name": "s", "cells": [{"bench": "scenario", "grid": {"jam": ["abc"]}}]})");
+  ASSERT_FALSE(text.ok());
+  EXPECT_NE(text.error.find("--jam expects a number, got \"abc\""), std::string::npos)
+      << text.error;
+  const auto rate = parse_manifest(R"({
+    "name": "w",
+    "cells": [{"bench": "workload",
+               "grid": {"arrival": ["bernoulli"], "arrival.rate": [-1]}}]})");
+  ASSERT_FALSE(rate.ok());
+  EXPECT_NE(rate.error.find("parameter \"rate\" must be >= 0"), std::string::npos)
+      << rate.error;
 }
 
 TEST(ScenarioSuite, ConsumedParamsStillPass) {
@@ -429,6 +496,56 @@ TEST(WorkloadSuite, SuggestsBenchNameOnTypo) {
       parse_manifest(R"({"name": "s", "cells": [{"bench": "worklod"}]})");
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.error.find("did you mean \"workload\""), std::string::npos) << loaded.error;
+}
+
+// --- the CLI ------------------------------------------------------------------
+
+TEST(ParamBounds, BenchesExitTwoNamingTheParameterAndItsBound) {
+  // Each of these used to pass validation and abort in a component's
+  // constructor (CR_CHECK); now the bench exits 2 before any run.
+  const struct {
+    const char* bench;
+    std::vector<std::string> flags;
+    std::string message;
+  } cases[] = {
+      {"scenario", {"--jam=2"}, "jammer \"iid\": parameter \"fraction\" must be <= 1, got \"2\""},
+      {"scenario", {"--jam=-1"}, "jammer \"iid\": parameter \"fraction\" must be >= 0"},
+      {"workload",
+       {"--jammer=iid", "--jammer.fraction=2"},
+       "jammer \"iid\": parameter \"fraction\" must be <= 1"},
+      {"workload",
+       {"--arrival=bernoulli", "--arrival.rate=-1"},
+       "arrival \"bernoulli\": parameter \"rate\" must be >= 0, got \"-1\""},
+      {"scenario",
+       {"--scenario=smooth", "--arrival_margin=0"},
+       "arrival \"paced\": parameter \"margin\" must be > 0, got \"0\""},
+      {"scenario",
+       {"--scenario=smooth", "--jam_margin=-1"},
+       "jammer \"budget_paced\": parameter \"margin\" must be > 0, got \"-1\""},
+      {"workload",
+       {"--arrival=bursty", "--arrival.period=0"},
+       "arrival \"bursty\": parameter \"period\" must be >= 1, got \"0\""},
+      {"scenario", {"--gamma=0"}, "workload key \"gamma\" must be > 0 when g=const, got 0"},
+      {"scenario",
+       {"--scenario=bursty", "--gamma=0"},
+       "workload key \"gamma\" must be > 0 when g=const, got 0"},
+      {"workload",
+       {"--g=exp_sqrt_log", "--gamma=-1"},
+       "workload key \"gamma\" must be > 0 when g=exp_sqrt_log, got -1"},
+      {"workload",
+       {"--jammer=periodic", "--jammer.period=4", "--jammer.burst=9"},
+       "jammer \"periodic\": parameter \"burst\" must be <= period (4), got \"9\""},
+  };
+  for (const auto& c : cases) {
+    std::vector<std::string> args = {"--quick", "--reps=1", "--threads=1"};
+    args.insert(args.end(), c.flags.begin(), c.flags.end());
+    ::testing::internal::CaptureStderr();
+    const int rc = BenchRegistry::instance().run(c.bench, args);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 2) << c.bench << " " << c.flags.back();
+    EXPECT_NE(err.find("cr bench " + std::string(c.bench) + ": " + c.message), std::string::npos)
+        << err;
+  }
 }
 
 }  // namespace
