@@ -14,12 +14,12 @@ std::unique_ptr<ArrivalProcess> make_no_arrivals(const ParamValues&, const Workl
 }
 
 std::unique_ptr<ArrivalProcess> make_batch(const ParamValues& p, const WorkloadContext&) {
-  return batch_arrival(p.get_uint("n"), p.get_uint("at"));
+  return batch_arrival(p.as_uint("n"), p.as_uint("at"));
 }
 
 std::unique_ptr<ArrivalProcess> make_bernoulli(const ParamValues& p, const WorkloadContext& ctx) {
-  const std::uint64_t to = p.get_uint("to");
-  return bernoulli_arrivals(p.get_double("rate"), p.get_uint("from"),
+  const std::uint64_t to = p.as_uint("to");
+  return bernoulli_arrivals(p.as_double("rate"), p.as_uint("from"),
                             to == 0 ? ctx.horizon : static_cast<slot_t>(to));
 }
 
@@ -27,15 +27,15 @@ std::unique_ptr<ArrivalProcess> make_uniform_random(const ParamValues& p,
                                                     const WorkloadContext& ctx) {
   // Construction-time randomness comes from the run seed, so the workload
   // stays a pure function of (spec, seed) like everything else.
-  return uniform_random_arrivals(p.get_uint("total"), ctx.horizon, ctx.seed);
+  return uniform_random_arrivals(p.as_uint("total"), ctx.horizon, ctx.seed);
 }
 
 std::unique_ptr<ArrivalProcess> make_paced(const ParamValues& p, const WorkloadContext& ctx) {
-  return paced_arrivals(ctx.fs, p.get_double("margin"));
+  return paced_arrivals(ctx.fs, p.as_double("margin"));
 }
 
 std::unique_ptr<ArrivalProcess> make_bursty(const ParamValues& p, const WorkloadContext&) {
-  return bursty_arrivals(p.get_uint("period"), p.get_uint("burst"));
+  return bursty_arrivals(p.as_uint("period"), p.as_uint("burst"));
 }
 
 // --- built-in jammers ------------------------------------------------------
@@ -45,23 +45,23 @@ std::unique_ptr<Jammer> make_no_jam(const ParamValues&, const WorkloadContext&) 
 }
 
 std::unique_ptr<Jammer> make_iid(const ParamValues& p, const WorkloadContext&) {
-  return iid_jammer(p.get_double("fraction"));
+  return iid_jammer(p.as_double("fraction"));
 }
 
 std::unique_ptr<Jammer> make_prefix(const ParamValues& p, const WorkloadContext&) {
-  return prefix_jammer(p.get_uint("count"));
+  return prefix_jammer(p.as_uint("count"));
 }
 
 std::unique_ptr<Jammer> make_periodic(const ParamValues& p, const WorkloadContext&) {
-  return periodic_jammer(p.get_uint("period"), p.get_uint("burst"));
+  return periodic_jammer(p.as_uint("period"), p.as_uint("burst"));
 }
 
 std::unique_ptr<Jammer> make_budget_paced(const ParamValues& p, const WorkloadContext& ctx) {
-  return budget_paced_jammer(ctx.fs.g, p.get_double("margin"));
+  return budget_paced_jammer(ctx.fs.g, p.as_double("margin"));
 }
 
 std::unique_ptr<Jammer> make_reactive(const ParamValues& p, const WorkloadContext& ctx) {
-  return reactive_jammer(ctx.fs.g, p.get_double("margin"), p.get_uint("burst"));
+  return reactive_jammer(ctx.fs.g, p.as_double("margin"), p.as_uint("burst"));
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "adversary/param_schema.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -15,36 +16,48 @@ std::string param_type_name(ParamType type) {
   switch (type) {
     case ParamType::kUint: return "uint";
     case ParamType::kDouble: return "double";
+    case ParamType::kText: return "text";
   }
   return "?";
 }
 
-ParamSchema::ParamSchema(std::initializer_list<ParamDef> defs) : defs_(defs) {
-  for (std::size_t i = 0; i < defs_.size(); ++i) {
-    CR_CHECK(!defs_[i].name.empty());
-    // Declared defaults must themselves validate — they are what the docs
-    // advertise and what ParamValues falls back to.
-    if (defs_[i].type == ParamType::kUint) {
-      std::uint64_t u = 0;
-      CR_CHECK(parse_uint_text(defs_[i].default_text, &u));
-    } else {
-      double d = 0.0;
-      CR_CHECK(parse_double_text(defs_[i].default_text, &d));
-    }
-    for (std::size_t j = 0; j < i; ++j) CR_CHECK(defs_[j].name != defs_[i].name);
-    CR_CHECK(defs_[i].bound.max_param.empty() || find(defs_[i].bound.max_param) != nullptr);
-  }
-}
-
 namespace {
 
+/// Whether `text` parses as a value of `type`.
+bool parses_as(ParamType type, const std::string& text) {
+  std::uint64_t u = 0;
+  double d = 0.0;
+  if (type == ParamType::kText) return true;
+  return type == ParamType::kUint ? parse_uint_text(text, &u) : parse_double_text(text, &d);
+}
+
+/// Integers exactly ("2147483647", not "2.14748e+09"), other values as %g.
 std::string bound_number(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%g", v);
+  if (v == std::floor(v) && std::fabs(v) < 0x1p53)
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  else
+    std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
 }  // namespace
+
+ParamSchema::ParamSchema(std::initializer_list<ParamDef> defs) : defs_(defs) {
+  for (std::size_t i = 0; i < defs_.size(); ++i) {
+    const ParamDef& def = defs_[i];
+    CR_CHECK(!def.name.empty());
+    // Declared defaults must themselves validate — they are what the docs
+    // advertise and what ParamValues falls back to.
+    CR_CHECK(parses_as(def.type, def.default_text));
+    CR_CHECK(def.quick_text.empty() || parses_as(def.type, def.quick_text));
+    for (std::size_t j = 0; j < i; ++j) CR_CHECK(defs_[j].name != def.name);
+    // A text row takes no bound, and a bound names a numeric row.
+    CR_CHECK(def.type != ParamType::kText || bound_text(def.bound).empty());
+    const ParamDef* cap = find(def.bound.max_param);
+    CR_CHECK(def.bound.max_param.empty() || (cap != nullptr && cap->type != ParamType::kText));
+  }
+}
 
 std::string bound_text(const ParamBound& bound) {
   std::string out;
@@ -54,6 +67,18 @@ std::string bound_text(const ParamBound& bound) {
   if (bound.max < std::numeric_limits<double>::infinity()) term("<= " + bound_number(bound.max));
   if (!bound.max_param.empty()) term("<= " + bound.max_param);
   return out;
+}
+
+std::string param_facts(const ParamDef& def) {
+  const char* quote = def.type == ParamType::kText ? "\"" : "";
+  const std::string bound = bound_text(def.bound);
+  std::string out = "(";
+  out.append(param_type_name(def.type));
+  if (!bound.empty()) out.append(", ").append(bound);
+  out.append(", default ").append(quote).append(def.default_text).append(quote);
+  if (!def.quick_text.empty() && def.quick_text != def.default_text)
+    out.append(", quick ").append(quote).append(def.quick_text).append(quote);
+  return out + ")";
 }
 
 const ParamDef* ParamSchema::find(const std::string& name) const {
@@ -77,8 +102,9 @@ bool parse_uint_text(const std::string& text, std::uint64_t* out) {
 
 std::string double_param_text(double v) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, v);
+  CR_CHECK(end.ec == std::errc());
+  return std::string(buf, end.ptr);
 }
 
 bool parse_double_text(const std::string& text, double* out) {
@@ -91,7 +117,7 @@ bool parse_double_text(const std::string& text, double* out) {
   return true;
 }
 
-std::uint64_t ParamValues::get_uint(const std::string& name) const {
+std::uint64_t ParamValues::as_uint(const std::string& name) const {
   const ParamDef* def = schema_ == nullptr ? nullptr : schema_->find(name);
   CR_CHECK(def != nullptr && def->type == ParamType::kUint);
   std::uint64_t value = 0;
@@ -99,7 +125,7 @@ std::uint64_t ParamValues::get_uint(const std::string& name) const {
   return value;
 }
 
-double ParamValues::get_double(const std::string& name) const {
+double ParamValues::as_double(const std::string& name) const {
   const ParamDef* def = schema_ == nullptr ? nullptr : schema_->find(name);
   CR_CHECK(def != nullptr && def->type == ParamType::kDouble);
   double value = 0.0;
@@ -118,11 +144,13 @@ const std::string& ParamValues::text(const std::string& name) const {
 
 ParamValidation ParamValidation::check(
     const ParamSchema& schema, const std::vector<std::pair<std::string, std::string>>& params,
-    const std::string& subject) {
+    const std::string& subject, bool quick) {
   ParamValidation out;
   out.values.schema_ = &schema;
   out.values.texts_.reserve(schema.defs().size());
-  for (const ParamDef& def : schema.defs()) out.values.texts_.push_back(def.default_text);
+  for (const ParamDef& def : schema.defs())
+    out.values.texts_.push_back(quick && !def.quick_text.empty() ? def.quick_text
+                                                                 : def.default_text);
 
   std::set<std::string> seen;
   for (const auto& [key, value] : params) {
@@ -146,10 +174,7 @@ ParamValidation ParamValidation::check(
       out.error = subject + ": parameter \"" + key + "\" given twice";
       return out;
     }
-    const bool parses = def->type == ParamType::kUint
-                            ? [&] { std::uint64_t u; return parse_uint_text(value, &u); }()
-                            : [&] { double d; return parse_double_text(value, &d); }();
-    if (!parses) {
+    if (!parses_as(def->type, value)) {
       out.error = subject + ": parameter \"" + key + "\" expects a " +
                   param_type_name(def->type) + ", got \"" + value + "\"";
       return out;
@@ -161,10 +186,11 @@ ParamValidation ParamValidation::check(
   // another parameter (periodic's burst <= period) sees the value it runs with.
   const auto number = [&](const std::string& name) {
     return schema.find(name)->type == ParamType::kUint
-               ? static_cast<double>(out.values.get_uint(name))
-               : out.values.get_double(name);
+               ? static_cast<double>(out.values.as_uint(name))
+               : out.values.as_double(name);
   };
   for (const ParamDef& def : schema.defs()) {
+    if (def.type == ParamType::kText) continue;  // takes no bound
     const std::string& text = out.values.text(def.name);
     const double value = number(def.name);
     const ParamBound& bound = def.bound;

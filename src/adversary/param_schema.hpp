@@ -1,18 +1,21 @@
 /// \file
-/// Typed parameter schemas for self-describing workload components.
+/// Typed parameter schemas for self-describing workload components and
+/// bench flags.
 ///
 /// Every registered arrival process and jammer declares a ParamSchema: the
 /// full list of parameters it consumes, each with a type, a default and a
-/// one-line help string. Validation is structural and total — a key the
-/// schema does not declare is a hard error naming the offending key, and a
-/// value that does not parse as its declared type is a hard error too. This
-/// is what kills the "silent no-op parameter" class of bugs: there is no
-/// code path on which an unknown or unconsumed parameter is quietly
-/// ignored.
+/// one-line help string. Every bench declares its own flags the same way
+/// (BenchSpec::flags in src/exp/bench_driver.hpp), where a row may also
+/// carry a quick default for `--quick` runs. Validation is structural and
+/// total — a key the schema does not declare is a hard error naming the
+/// offending key, and a value that does not parse as its declared type is a
+/// hard error too. This is what kills the "silent no-op parameter" class of
+/// bugs: there is no code path on which an unknown or unconsumed parameter
+/// is quietly ignored.
 ///
 /// The same declarations feed `cr list --md` (docs/EXPERIMENTS.md grows a
-/// table per component) and `cr bench workload --help`, so the docs cannot
-/// drift from what validation actually accepts.
+/// table per component and a flag list per bench) and every bench's
+/// `--help`, so the docs cannot drift from what validation actually accepts.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +29,10 @@ namespace cr {
 enum class ParamType {
   kUint,    ///< non-negative integer (fits std::uint64_t, decimal digits)
   kDouble,  ///< finite decimal number
+  kText,    ///< any text (a name or a path); takes no bound
 };
 
-/// "uint" / "double", for docs and error messages.
+/// "uint" / "double" / "text", for docs and error messages.
 std::string param_type_name(ParamType type);
 
 /// The values a parameter accepts beyond its type: at least `min` (more than
@@ -45,14 +49,19 @@ struct ParamBound {
 /// every value is accepted.
 std::string bound_text(const ParamBound& bound);
 
-/// One declared parameter of a workload component.
+/// One declared parameter of a workload component or flag of a bench.
 struct ParamDef {
   std::string name;          ///< key as written in flags/manifests
   ParamType type = ParamType::kDouble;
   std::string default_text;  ///< default value, in source text form
   std::string help;          ///< one-line description for docs/--help
   ParamBound bound{};        ///< values the component's constructor accepts
+  std::string quick_text{};  ///< default under --quick; empty: default_text
 };
+
+/// How docs and --help show a row's facts: "(<type>[, <bound>], default
+/// <d>[, quick <q>])", with a text default in quotes.
+std::string param_facts(const ParamDef& def);
 
 /// Ordered list of ParamDefs with unique names.
 class ParamSchema {
@@ -70,15 +79,17 @@ class ParamSchema {
   std::vector<ParamDef> defs_;
 };
 
-/// Validated, typed parameter values for one component: every declared
-/// parameter resolves to either the supplied text or its default, and the
-/// typed getters never fail (validation already proved the text parses).
+/// Validated, typed parameter values for one component or bench: every
+/// declared parameter resolves to either the supplied text or its default,
+/// and the typed getters never fail (validation already proved the text
+/// parses).
 class ParamValues {
  public:
-  std::uint64_t get_uint(const std::string& name) const;
-  double get_double(const std::string& name) const;
+  std::uint64_t as_uint(const std::string& name) const;
+  double as_double(const std::string& name) const;
 
-  /// The raw text backing `name` (supplied or default).
+  /// The raw text backing `name` (supplied or default); the value of a text
+  /// parameter.
   const std::string& text(const std::string& name) const;
 
  private:
@@ -96,13 +107,15 @@ struct ParamValidation {
   bool ok() const { return error.empty(); }
 
   /// Validate `params` against `schema`. `subject` names the component in
-  /// error messages (e.g. "arrival \"bernoulli\""). Errors: a key the schema
-  /// does not declare (with a did-you-mean suggestion when one is close), a
-  /// duplicated key, a value that does not parse as the declared type, or a
-  /// value in force (given or default) outside its declared bound.
+  /// error messages (e.g. "arrival \"bernoulli\""). Parameters not given
+  /// take their default, or under `quick` their quick default where they
+  /// declare one. Errors: a key the schema does not declare (with a
+  /// did-you-mean suggestion when one is close), a duplicated key, a value
+  /// that does not parse as the declared type, or a value in force (given or
+  /// default) outside its declared bound.
   static ParamValidation check(const ParamSchema& schema,
                                const std::vector<std::pair<std::string, std::string>>& params,
-                               const std::string& subject);
+                               const std::string& subject, bool quick = false);
 };
 
 /// Strict scalar parses shared by the validator (and usable by callers that
@@ -111,9 +124,9 @@ struct ParamValidation {
 bool parse_uint_text(const std::string& text, std::uint64_t* out);
 bool parse_double_text(const std::string& text, double* out);
 
-/// Round-trip-exact text for a double param value (%.17g — survives
-/// parse_double_text bit-for-bit). Presets use it to serialize derived
-/// parameter values.
+/// The shortest text that parse_double_text reads back bit-for-bit ("0.1",
+/// not "0.10000000000000001"). Presets use it to serialize derived
+/// parameter values, and bench rows to print a default held in a struct.
 std::string double_param_text(double v);
 
 }  // namespace cr

@@ -85,8 +85,8 @@ void bench_variant(const Variant& v, std::uint64_t n, slot_t stream_t,
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(10, 4);
-  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 1024, 256, 1));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const std::uint64_t n = driver.flags().as_uint("n");
   const slot_t stream_t = driver.quick() ? (1 << 15) : (1 << 17);
 
   out << "E12: ablations of the algorithm's design choices (g = const(4))\n"
@@ -133,7 +133,9 @@ BenchSpec ablation() {
   spec.outcome =
       "the c₃/c_f constants matter most (both directions hurt); channel swap and "
       "Phase 2 are adversarial-robustness devices with little stochastic effect";
-  spec.flags = {{"n", "batch size for the completion measurement (default 1024, quick 256)"}};
+  spec.flags = {{"n", ParamType::kUint, "1024", "batch size for the completion measurement",
+                 {.min = 1}, "256"},
+                reps_flag(10, 4)};
   spec.csv_columns = {"variant", "batch_completion_median", "completion_over_n",
                       "stream_served", "bound_ratio_max"};
   spec.csv_row_desc = "one variant row; medians/means over reps (bound ratio is mean±sd)";

@@ -72,8 +72,8 @@ Outcome race(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver& drive
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
-  const int reps = driver.reps(7, 3);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 512, 256, 64));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const std::uint64_t max_n = driver.flags().as_uint("max_n");
 
   out << "E7: CJZ vs classical backoff baselines on an n-node batch (no jamming)\n"
       << "median completion (slots; '>' = some runs hit the horizon cap) and\n"
@@ -178,7 +178,9 @@ BenchSpec baselines() {
   spec.outcome =
       "on benign workloads windowed schemes are competitive; h_data collapses on "
       "batches; only CJZ has worst-case guarantees across all tables";
-  spec.flags = {{"max_n", "largest batch size for the race table (default 512, quick 256)"}};
+  spec.flags = {{"max_n", ParamType::kUint, "512", "largest batch size for the race table",
+                 {.min = 64}, "256"},
+                reps_flag(7, 3)};
   spec.csv_columns = {"n", "protocol", "median_completion", "completion_over_n",
                       "frac_by_32n"};
   spec.csv_row_desc =

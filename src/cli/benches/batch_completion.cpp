@@ -65,8 +65,8 @@ BatchStats measure(const ProtocolSpec& spec, std::uint64_t n, const BenchDriver&
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(20, 8);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 128));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const std::uint64_t max_n = driver.flags().as_uint("max_n");
 
   out << "E3 (Claim 3.5.1): delivering ALL n batch messages\n"
       << "Prediction: P[h_data-batch finishes within c*n slots] -> 0 as n grows\n"
@@ -112,8 +112,10 @@ BenchSpec batch_completion() {
   spec.outcome =
       "P[h_data finishes within c·n] → 0 as n grows; CJZ finishes every time, "
       "~linear 90%-completion scaling";
-  spec.flags = {{"max_n", "largest batch size: n sweeps 128..max_n doubling "
-                          "(default 4096, quick 1024)"}};
+  spec.flags = {{"max_n", ParamType::kUint, "4096",
+                 "largest batch size: n sweeps 128..max_n doubling",
+                 {.min = 128}, "1024"},
+                reps_flag(20, 8)};
   spec.csv_columns = {"n", "protocol", "p_done_50n", "p_done_200n", "median_slots_90pct",
                       "slots90_over_n"};
   spec.csv_row_desc = "one (n, protocol) cell; empirical probabilities and medians over reps";

@@ -24,8 +24,8 @@ namespace {
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const auto n = static_cast<std::uint64_t>(driver.get_int("n", 4096, 1024, 1));
-  const int reps = driver.reps(15, 5);
+  const std::uint64_t n = driver.flags().as_uint("n");
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
 
   out << "E4: h_data-batch delivers a constant fraction of n in O(n) slots under jamming\n"
       << "n = " << n << ", i.i.d. jamming at the given rate.\n\n";
@@ -75,7 +75,9 @@ BenchSpec batch_robustness() {
   spec.outcome =
       "h_data-batch delivers a constant fraction of n within O(n) slots even at "
       "40% jamming";
-  spec.flags = {{"n", "batch size (default 4096, quick 1024)"}};
+  spec.flags = {{"n", ParamType::kUint, "4096", "batch size",
+                 {.min = 1}, "1024"},
+                reps_flag(15, 5)};
   spec.csv_columns = {"jam", "frac_by_2n", "frac_by_4n", "frac_by_8n"};
   spec.csv_row_desc = "one jam-rate row; fractions are mean±sd over reps";
   spec.run = run;

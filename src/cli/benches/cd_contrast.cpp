@@ -91,8 +91,8 @@ double median_completion(const Contender& c, std::uint64_t n, double jam,
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(8, 4);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 4096, 1024, 256));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const std::uint64_t max_n = driver.flags().as_uint("max_n");
 
   out << "E13: the collision-detection boundary (intro framing)\n"
       << "Batch of n, median completion/n ('>' = horizon-capped runs).\n"
@@ -150,8 +150,10 @@ BenchSpec cd_contrast() {
   spec.outcome =
       "with CD, completion/n is flat even under jamming; without CD the same "
       "controller collapses while CJZ pays only the optimal Θ(log n)";
-  spec.flags = {{"max_n", "largest batch size: n sweeps 256..max_n doubling "
-                          "(default 4096, quick 1024)"}};
+  spec.flags = {{"max_n", ParamType::kUint, "4096",
+                 "largest batch size: n sweeps 256..max_n doubling",
+                 {.min = 256}, "1024"},
+                reps_flag(8, 4)};
   spec.csv_columns = {"n", "jam", "cd_backon_over_n", "cjz_over_n", "no_cd_over_n"};
   spec.csv_row_desc =
       "one (n, jam) row; median completion/n per contender, '>' prefixes "

@@ -29,8 +29,8 @@ int run(const BenchDriver& driver) {
   // The cohort engine turned this bench from the suite's slowest into a
   // sub-second run (measured ~8x wall-clock at n<=2048), so the default
   // sweep now reaches 4x further than the generic engine used to afford.
-  const int reps = driver.reps(8, 3);
-  const auto max_n = static_cast<std::uint64_t>(driver.get_int("max_n", 2048, 256, 64));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const std::uint64_t max_n = driver.flags().as_uint("max_n");
 
   out << "E10: per-node channel accesses (energy) for the CJZ algorithm\n"
       << "Batch of n, preferred engine. Prediction: mean/p99 energy = O(log^2 n),\n"
@@ -81,8 +81,10 @@ BenchSpec energy() {
   spec.outcome =
       "per-node sends grow like log²(n), not n; runs on the preferred cohort engine "
       "(~8× wall-clock vs the generic engine it used to pin)";
-  spec.flags = {{"max_n", "largest batch size: n sweeps 64..max_n doubling "
-                          "(default 2048, quick 256)"}};
+  spec.flags = {{"max_n", ParamType::kUint, "2048",
+                 "largest batch size: n sweeps 64..max_n doubling",
+                 {.min = 64}, "256"},
+                reps_flag(8, 3)};
   spec.csv_columns = {"n", "jam", "energy_mean", "energy_p50", "energy_p99", "energy_max",
                       "log2n_sq"};
   spec.csv_row_desc = "one (n, jam) cell; means over reps of per-run energy quantiles";

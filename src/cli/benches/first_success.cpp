@@ -57,7 +57,7 @@ class MixedFactory final : public ProtocolFactory {
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
-  const int reps = driver.reps(30, 10);
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
 
   out << "E8 (Lemmas 3.2/3.3): first success in mixed batch + backoff traffic\n"
       << "m synchronized h_ctrl-batch nodes from slot 1 + backoff joiners spread over\n"
@@ -127,7 +127,7 @@ BenchSpec first_success() {
   spec.outcome =
       "first success within ~O(m log m) slots of a batch timescale (p50/m flat), "
       "robust to 25% jamming";
-  spec.flags = {};
+  spec.flags = {reps_flag(30, 10)};
   spec.csv_columns = {"m", "jam", "t", "joiners", "p50", "p99", "p50_over_m", "solved"};
   spec.csv_row_desc = "one (m, jam) cell; quantiles over reps";
   spec.run = run;

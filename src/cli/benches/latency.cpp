@@ -40,9 +40,8 @@ struct Rep {
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(10, 4);
-  const int max_exp =
-      static_cast<int>(driver.get_int("max_exp", 18, 16, 1, BenchDriver::kMaxExponent));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const auto max_exp = static_cast<int>(driver.flags().as_uint("max_exp"));
 
   out << "E9 (Corollary 3.6): node latency under smooth adversaries\n"
       << "Paced arrivals 1/(8f), budget jamming 1/(8g). Latency = slots in system.\n\n";
@@ -131,7 +130,9 @@ BenchSpec latency() {
   spec.outcome =
       "p99 latency ~ burst·f (constant service factor); stranded count and peak "
       "backlog ~ one burst";
-  spec.flags = {{"max_exp", "horizon exponent: runs at t = 2^max_exp (default 18, quick 16)"}};
+  spec.flags = {{"max_exp", ParamType::kUint, "18", "horizon exponent: runs at t = 2^max_exp",
+                 {.min = 1, .max = BenchDriver::kMaxExponent}, "16"},
+                reps_flag(10, 4)};
   spec.csv_columns = {"regime", "t",       "burst",   "departed",    "stranded",
                       "lat_p50", "lat_p99", "lat_max", "peak_backlog"};
   spec.csv_row_desc =

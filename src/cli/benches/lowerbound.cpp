@@ -26,9 +26,8 @@ namespace {
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(20, 8);
-  const int max_exp =
-      static_cast<int>(driver.get_int("max_exp", 20, 17, 13, BenchDriver::kMaxExponent));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const auto max_exp = static_cast<int>(driver.flags().as_uint("max_exp"));
 
   out << "E6 (Thm 1.3 / Lemma 4.1): sends before first success vs the lower bound\n"
       << "Theorem 1.3 adversary (prefix + random jamming, one node), h-backoff node.\n"
@@ -84,8 +83,10 @@ BenchSpec lowerbound() {
   spec.summary = "sends before first success vs the lower bound (Thm 1.3)";
   spec.claim = "Theorem 1.3 / Lemma 4.1 tightness";
   spec.outcome = "sends before first success ≈ c·log²t/log²g (normalized column flat)";
-  spec.flags = {{"max_exp", "largest horizon exponent: t sweeps 2^13..2^max_exp "
-                            "(default 20, quick 17)"}};
+  spec.flags = {{"max_exp", ParamType::kUint, "20",
+                 "largest horizon exponent: t sweeps 2^13..2^max_exp",
+                 {.min = 13, .max = BenchDriver::kMaxExponent}, "17"},
+                reps_flag(20, 8)};
   spec.csv_columns = {"g", "t", "first_success_mean", "sends_mean", "bound", "normalized"};
   spec.csv_row_desc = "one (g, t) cell; means over reps (sends_mean is mean±sd)";
   spec.run = run;

@@ -61,9 +61,8 @@ void measure(const ProtocolSpec& spec, const char* label, slot_t t, const BenchD
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
-  const int reps = driver.reps(20, 8);
-  const int max_exp =
-      static_cast<int>(driver.get_int("max_exp", 18, 16, 14, BenchDriver::kMaxExponent));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const auto max_exp = static_cast<int>(driver.flags().as_uint("max_exp"));
 
   out << "E5 (Theorem 4.2): adaptive backoff vs non-adaptive sequences under prefix jam\n"
       << "Single node, slots [1, t/16] jammed. 'excess' = first success - prefix.\n\n";
@@ -163,8 +162,10 @@ BenchSpec nonadaptive() {
       "adaptive h-backoff recovers from a jammed prefix quickly; 1/k pays ~a full "
       "prefix; 1/k^0.75 survives jamming but is superlinearly slow on batches — no "
       "fixed sequence wins both";
-  spec.flags = {{"max_exp", "largest horizon exponent for the prefix-jam table "
-                            "(default 18, quick 16)"}};
+  spec.flags = {{"max_exp", ParamType::kUint, "18",
+                 "largest horizon exponent for the prefix-jam table",
+                 {.min = 14, .max = BenchDriver::kMaxExponent}, "16"},
+                reps_flag(20, 8)};
   spec.csv_columns = {"t", "protocol", "jam_prefix", "first_success", "excess", "sends",
                       "solved"};
   spec.csv_row_desc =

@@ -9,7 +9,6 @@
 //
 //   cr bench scenario --scenario=bursty --n=64 --jam_margin=8 --reps=8
 //   cr suite run ... with "grid": {"scenario": ["batch","worst_case"], ...}
-#include <cstdio>
 #include <ostream>
 
 #include "adversary/param_schema.hpp"
@@ -23,25 +22,19 @@ namespace cr::benches {
 
 namespace {
 
-/// The ScenarioParams-backed flags of this bench (everything except
-/// --scenario). Each preset declares which of these it consumes
-/// (ScenarioEntry::params); passing one a preset ignores is a hard error —
-/// the same no-silent-no-op rule the WorkloadSpec API enforces.
-const std::vector<std::string>& scenario_param_flags() {
-  static const std::vector<std::string> flags = {
-      "horizon", "n", "jam", "rate", "arrival_margin", "jam_margin", "g_regime", "gamma"};
-  return flags;
-}
-
-/// The double-valued ScenarioParams field behind flag `name`; nullptr for
-/// the other flags.
-double* double_param(ScenarioParams& params, const std::string& name) {
-  if (name == "jam") return &params.jam;
-  if (name == "rate") return &params.rate;
-  if (name == "arrival_margin") return &params.arrival_margin;
-  if (name == "jam_margin") return &params.jam_margin;
-  if (name == "gamma") return &params.gamma;
-  return nullptr;
+/// The ScenarioParams the validated flags describe (seed aside: the
+/// replication sweep sets it). One mapping serves run and validate_cell.
+ScenarioParams scenario_params(const ParamValues& flags) {
+  ScenarioParams params;
+  params.horizon = flags.as_uint("horizon");
+  params.n = flags.as_uint("n");
+  params.jam = flags.as_double("jam");
+  params.rate = flags.as_double("rate");
+  params.arrival_margin = flags.as_double("arrival_margin");
+  params.jam_margin = flags.as_double("jam_margin");
+  params.g_regime = flags.text("g_regime");
+  params.gamma = flags.as_double("gamma");
+  return params;
 }
 
 /// "" when scenario `name` is registered, `params.g_regime` is known, every
@@ -74,45 +67,23 @@ std::string check_cell(const std::string& name, const std::vector<std::string>& 
   return validate_workload(entry->workload(params));
 }
 
-std::string validate_cell(const std::vector<std::pair<std::string, std::string>>& flags) {
-  std::string name = "batch";
-  ScenarioParams params;
+/// An unknown scenario, a param this preset does not consume and a value its
+/// components reject are all errors, on the command line and in a suite
+/// cell alike. Every flag but the preset's name and the replication count is
+/// a preset parameter.
+std::string validate_cell(const ParamValues& values, const FlagList& flags) {
   std::vector<std::string> passed;
-  for (const auto& [key, value] : flags) {
-    if (key == "scenario") name = value;
-    if (key == "g_regime") params.g_regime = value;
-    if (double* field = double_param(params, key);
-        field != nullptr && !parse_double_text(value, field))
-      return "--" + key + " expects a number, got \"" + value + "\"";
-    for (const std::string& param : scenario_param_flags())
-      if (key == param) passed.push_back(key);
-  }
-  return check_cell(name, passed, params);
+  for (const auto& [key, value] : flags)
+    if (key != "scenario" && key != "reps") passed.push_back(key);
+  return check_cell(values.text("scenario"), passed, scenario_params(values));
 }
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(8, 3);
-
-  ScenarioParams params;
-  params.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14, 1));
-  params.n = static_cast<std::uint64_t>(driver.get_int("n", 256, 128, 1));
-  for (const char* name : {"jam", "rate", "arrival_margin", "jam_margin", "gamma"})
-    *double_param(params, name) = driver.cli().get_double(name, *double_param(params, name));
-  params.g_regime = driver.cli().get_string("g_regime", "const");
-  const std::string scenario_name = driver.cli().get_string("scenario", "batch");
-
-  // Validate before burning any replication time: an unknown scenario exits
-  // 2 with a suggestion, a param this preset does not consume is a hard error
-  // instead of a silent no-op, and so is a value its components reject (the
-  // suite validator applies the same rules at parse time).
-  std::vector<std::string> passed;
-  for (const std::string& name : scenario_param_flags())
-    if (driver.cli().has(name)) passed.push_back(name);
-  if (const std::string error = check_cell(scenario_name, passed, params); !error.empty()) {
-    std::fprintf(stderr, "cr bench scenario: %s\n", error.c_str());
-    return 2;
-  }
+  const ParamValues& flags = driver.flags();
+  const int reps = static_cast<int>(flags.as_uint("reps"));
+  const ScenarioParams params = scenario_params(flags);
+  const std::string scenario_name = flags.text("scenario");
   const WorkloadSpec spec = scenario_preset_workload(scenario_name, params);
   const Engine& engine = point_engine(spec);
 
@@ -147,16 +118,25 @@ BenchSpec scenario() {
   spec.outcome =
       "one CSV row of aggregate counters for the named scenario at one parameter "
       "point; sweeps come from suite grids";
+  const ScenarioParams base;  // the defaults the flags override
   spec.flags = {
-      {"scenario", "ScenarioRegistry workload name (default batch)"},
-      {"horizon", "slot horizon (default 65536, quick 16384)"},
-      {"n", "batch / burst size (default 256, quick 128)"},
-      {"jam", "i.i.d. jam fraction (default 0.25)"},
-      {"rate", "Bernoulli arrival rate, bernoulli_stream only (default 0.1)"},
-      {"arrival_margin", "paced-arrival margin, worst_case/smooth/bursty (default 4)"},
-      {"jam_margin", "budget-paced jam margin, smooth/bursty (default 8)"},
-      {"g_regime", "g regime: " + g_regimes().joined_names(" | ") + " (default const)"},
-      {"gamma", "const-g value / exp_sqrt_log scale (default 4)"},
+      {"scenario", ParamType::kText, "batch", "ScenarioRegistry workload name"},
+      {"horizon", ParamType::kUint, std::to_string(base.horizon), "slot horizon",
+       {.min = 1}, "16384"},
+      {"n", ParamType::kUint, std::to_string(base.n), "batch / burst size", {.min = 1},
+       "128"},
+      {"jam", ParamType::kDouble, double_param_text(base.jam), "i.i.d. jam fraction"},
+      {"rate", ParamType::kDouble, double_param_text(base.rate),
+       "Bernoulli arrival rate, bernoulli_stream only"},
+      {"arrival_margin", ParamType::kDouble, double_param_text(base.arrival_margin),
+       "paced-arrival margin, worst_case/smooth/bursty"},
+      {"jam_margin", ParamType::kDouble, double_param_text(base.jam_margin),
+       "budget-paced jam margin, smooth/bursty"},
+      {"g_regime", ParamType::kText, base.g_regime,
+       "g regime: " + g_regimes().joined_names(" | ")},
+      {"gamma", ParamType::kDouble, double_param_text(base.gamma),
+       "const-g value / exp_sqrt_log scale"},
+      reps_flag(8, 3),
   };
   spec.validate_cell = validate_cell;
   spec.csv_columns = point_csv_columns({"scenario", "engine", "horizon", "n", "jam"});

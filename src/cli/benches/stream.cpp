@@ -31,31 +31,17 @@ namespace cr::benches {
 namespace {
 
 int run(const BenchDriver& driver) {
-
+  const ParamValues& flags = driver.flags();
   const std::uint64_t seed = driver.seed(1);
-  // Counts are read signed and range-checked before the unsigned cast, which
-  // would turn -1 into 2^64-1.
-  bool counts_ok = true;
-  const auto count = [&](const char* name, std::int64_t full, std::int64_t quick,
-                         std::int64_t min) {
-    const std::int64_t value = driver.cli().get_int(name, driver.quick() ? quick : full);
-    if (value < min) {
-      std::fprintf(stderr, "cr stream: --%s must be >= %lld (got %lld)\n", name,
-                   static_cast<long long>(min), static_cast<long long>(value));
-      counts_ok = false;
-    }
-    return static_cast<std::uint64_t>(value);
-  };
-  const slot_t window = count("window", 1024, 256, 1);
-  const auto ring_capacity = static_cast<std::size_t>(count("ring", 1024, 1024, 1));
-  const std::uint64_t synth_count = count("synth", 0, 0, 0);
-  const std::uint64_t max_windows = count("max_windows", 0, 0, 0);
-  const slot_t checkpoint_every = count("checkpoint_every", 0, 0, 0);
-  if (!counts_ok) return 2;
-  const std::string trace_path = driver.cli().get_string("trace", "-");
-  const std::string overflow = driver.cli().get_string("overflow", "block");
-  const std::string checkpoint_path = driver.cli().get_string("checkpoint", "");
-  const std::string restore_path = driver.cli().get_string("restore", "");
+  const slot_t window = flags.as_uint("window");
+  const auto ring_capacity = static_cast<std::size_t>(flags.as_uint("ring"));
+  const std::uint64_t synth_count = flags.as_uint("synth");
+  const std::uint64_t max_windows = flags.as_uint("max_windows");
+  const slot_t checkpoint_every = flags.as_uint("checkpoint_every");
+  const std::string& trace_path = flags.text("trace");
+  const std::string& overflow = flags.text("overflow");
+  const std::string& checkpoint_path = flags.text("checkpoint");
+  const std::string& restore_path = flags.text("restore");
 
   if (overflow != "block" && overflow != "drop") {
     std::fprintf(stderr, "cr stream: --overflow must be block or drop (got \"%s\")\n",
@@ -224,19 +210,25 @@ BenchSpec stream() {
       "one JSON line per completed metrics window plus a final {\"done\":...} summary; "
       "byte-identical across kill/checkpoint/restore on the same feed";
   spec.flags = {
-      {"trace", "arrival trace path, \"-\" = stdin (lines: slot inject [jam01]; default -)"},
-      {"synth", "generate N synthetic feed events instead of reading a trace (default 0)"},
-      {"window", "metrics window width in slots (default 1024, quick 256)"},
-      {"ring", "SPSC ring-buffer capacity in events (default 1024)"},
-      {"overflow", "ring-full policy: block (lossless) | drop (count drops; default block)"},
-      {"checkpoint", "checkpoint blob path (written atomically; default: none)"},
-      {"checkpoint_every", "cut a checkpoint every N slots (0 = only at stop; default 0)"},
-      {"restore", "resume from this checkpoint blob, re-feeding the same trace"},
-      {"max_windows", "stop after N completed windows (0 = run to feed EOF; default 0)"},
+      {"trace", ParamType::kText, "-",
+       "arrival trace path, \"-\" = stdin (lines: slot inject [jam01])"},
+      {"synth", ParamType::kUint, "0",
+       "generate N synthetic feed events instead of reading a trace"},
+      {"window", ParamType::kUint, "1024", "metrics window width in slots", {.min = 1}, "256"},
+      {"ring", ParamType::kUint, "1024", "SPSC ring-buffer capacity in events", {.min = 1}},
+      {"overflow", ParamType::kText, "block",
+       "ring-full policy: block (lossless) | drop (count drops)"},
+      {"checkpoint", ParamType::kText, "",
+       "checkpoint blob path, written atomically; empty = none"},
+      {"checkpoint_every", ParamType::kUint, "0",
+       "cut a checkpoint every N slots (0 = only at stop)"},
+      {"restore", ParamType::kText, "",
+       "resume from this checkpoint blob, re-feeding the same trace; empty = none"},
+      {"max_windows", ParamType::kUint, "0",
+       "stop after N completed windows (0 = run to feed EOF)"},
   };
   spec.csv_columns = {};
-  spec.csv_row_desc =
-      "no CSV — output is JSON lines on stdout, one object per completed window";
+  spec.csv_row_desc = "output is JSON lines on stdout, one object per completed window";
   spec.run = run;
   return spec;
 }

@@ -85,9 +85,8 @@ void run_regime(const Regime& regime, const BenchDriver& driver, int reps, int m
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(10, 3);
-  const int max_exp =
-      static_cast<int>(driver.get_int("max_exp", 20, 16, 14, BenchDriver::kMaxExponent));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const auto max_exp = static_cast<int>(driver.flags().as_uint("max_exp"));
   const int min_exp = 14;
 
   out << "E1 (Theorem 1.2): (f,g)-throughput ratio vs t across g regimes\n"
@@ -149,8 +148,10 @@ BenchSpec tradeoff() {
   spec.outcome =
       "ratio a_t/(n_t·f + d_t·g) flat in t for every g regime; constant throughput "
       "in the 2^√log regime (Remark 2)";
-  spec.flags = {{"max_exp", "largest horizon exponent: t sweeps 2^14..2^max_exp "
-                            "(default 20, quick 16)"}};
+  spec.flags = {{"max_exp", ParamType::kUint, "20",
+                 "largest horizon exponent: t sweeps 2^14..2^max_exp",
+                 {.min = 14, .max = BenchDriver::kMaxExponent}, "16"},
+                reps_flag(10, 3)};
   spec.csv_columns = {"regime", "t",   "n_t",           "d_t",          "a_t",
                       "ratio",  "win_successes", "win_live_mean", "win_live_max"};
   spec.csv_row_desc =

@@ -14,7 +14,6 @@
 // same grid works from a suite cell, e.g.
 //   "grid": {"arrival": ["batch", "paced"], "jammer": ["none", "iid"]}
 // — the (arrival × jammer) product with zero new C++.
-#include <cstdio>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
@@ -38,37 +37,27 @@ bool is_component_param(const std::string& name) {
   return name.rfind("arrival.", 0) == 0 || name.rfind("jammer.", 0) == 0;
 }
 
-/// Flags the driver layer owns; everything else a workload invocation
-/// carries is a workload key.
-bool is_driver_flag(const std::string& name) {
-  for (const BenchFlag& flag : BenchDriver::standard_flags())
-    if (flag.name == name) return true;
-  return false;
+/// Shared by run and validate_cell: parse + validate the workload keys among
+/// `flags`, which are all of them but the replication count.
+WorkloadParse parse(const FlagList& flags) {
+  FlagList kvs;
+  for (const auto& [key, value] : flags)
+    if (key != "reps") kvs.emplace_back(key, value);
+  return parse_workload(kvs);
 }
 
-/// Shared by the CLI path and the suite validator: parse + validate the
-/// workload keys among `flags`.
-WorkloadParse parse(const std::vector<std::pair<std::string, std::string>>& flags) {
-  std::vector<std::pair<std::string, std::string>> kvs;
-  for (const auto& [key, value] : flags)
-    if (!is_driver_flag(key)) kvs.emplace_back(key, value);
-  return parse_workload(kvs);
+std::string validate_cell(const ParamValues&, const FlagList& flags) {
+  return parse(flags).error;
 }
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
-  const int reps = driver.reps(8, 3);
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
 
-  std::vector<std::pair<std::string, std::string>> flags;
-  for (const auto& [key, value] : driver.cli().raw_flags()) flags.emplace_back(key, value);
-  const WorkloadParse parsed = parse(flags);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "cr bench workload: %s\n", parsed.error.c_str());
-    return 2;
-  }
-  WorkloadSpec spec = parsed.spec;
-  if (!driver.cli().has("horizon"))
-    spec.horizon = static_cast<slot_t>(driver.get_int("horizon", 1 << 16, 1 << 14, 1));
+  // The driver validated the flags (validate_cell), so the parse succeeds;
+  // the horizon row adds its quick default when none was given.
+  WorkloadSpec spec = parse(driver.passed_flags()).spec;
+  spec.horizon = driver.flags().as_uint("horizon");
 
   // One probe build names the composition for the narrative line; every
   // replication builds a fresh adversary (stateful, consumed per run).
@@ -96,10 +85,6 @@ int run(const BenchDriver& driver) {
          "(arrival × jammer × g × protocol) come from suite manifests\n"
          "(see suites/workload_grid_quick.json).\n";
   return 0;
-}
-
-std::string validate_cell(const std::vector<std::pair<std::string, std::string>>& flags) {
-  return parse(flags).error;
 }
 
 }  // namespace
@@ -150,16 +135,21 @@ BenchSpec workload() {
   spec.outcome =
       "one CSV row of aggregate counters for the composed workload at one "
       "parameter point; grids come from suite manifests";
+  const WorkloadSpec base;  // the defaults the flags override
   spec.flags = {
-      {"arrival", "ArrivalRegistry component name (default none); parameters via "
-                  "--arrival.<param>"},
-      {"jammer", "JammerRegistry component name (default none); parameters via "
-                 "--jammer.<param>"},
-      {"g", "g regime: " + g_regimes().joined_names(" | ") + " (default const)"},
-      {"gamma", "const-g value / exp_sqrt_log scale (default 4; rejected under g=log)"},
-      {"protocol",
-       "named protocol: " + workload_protocols().joined_names(" | ") + " (default cjz)"},
-      {"horizon", "slot horizon (default 65536, quick 16384)"},
+      {"arrival", ParamType::kText, base.arrival.name,
+       "ArrivalRegistry component name; parameters via --arrival.<param>"},
+      {"jammer", ParamType::kText, base.jammer.name,
+       "JammerRegistry component name; parameters via --jammer.<param>"},
+      {"g", ParamType::kText, base.g_regime,
+       "g regime: " + g_regimes().joined_names(" | ")},
+      {"gamma", ParamType::kDouble, double_param_text(base.gamma),
+       "const-g value / exp_sqrt_log scale; rejected under g=log"},
+      {"protocol", ParamType::kText, base.protocol,
+       "named protocol: " + workload_protocols().joined_names(" | ")},
+      {"horizon", ParamType::kUint, std::to_string(base.horizon), "slot horizon",
+       {.min = 1}, "16384"},
+      reps_flag(8, 3),
   };
   spec.allows_flag = is_component_param;
   spec.validate_cell = validate_cell;

@@ -26,9 +26,8 @@ namespace {
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const bool quick = driver.quick();
-  const int reps = driver.reps(6, 3);
-  const int max_exp =
-      static_cast<int>(driver.get_int("max_exp", 20, 17, 14, BenchDriver::kMaxExponent));
+  const int reps = static_cast<int>(driver.flags().as_uint("reps"));
+  const auto max_exp = static_cast<int>(driver.flags().as_uint("max_exp"));
 
   out << "E2: worst-case throughput under constant-fraction jamming\n"
       << "Prediction: successes*log2(t)/t flat in t and capped by a constant\n"
@@ -79,8 +78,10 @@ BenchSpec worstcase() {
   spec.claim = "Introduction headline; Θ(1/log t) optimality";
   spec.outcome =
       "successes·log2(t)/t flat in t, capped by a constant, even at 40% jamming";
-  spec.flags = {{"max_exp", "largest horizon exponent: t sweeps 2^14..2^max_exp "
-                            "(default 20, quick 17)"}};
+  spec.flags = {{"max_exp", ParamType::kUint, "20",
+                 "largest horizon exponent: t sweeps 2^14..2^max_exp",
+                 {.min = 14, .max = BenchDriver::kMaxExponent}, "17"},
+                reps_flag(6, 3)};
   spec.csv_columns = {"jam", "arrival_margin", "t", "arrivals", "successes", "served",
                       "norm_succ"};
   spec.csv_row_desc =

@@ -71,6 +71,19 @@ int usage(int exit_code) {
   return exit_code;
 }
 
+/// Cli's `--name value` rule lets a bare boolean written BEFORE a positional
+/// argument swallow it as its value (`cr suite run --force suites/x.json`,
+/// `cr verify --quick out/quick`). A boolean flag carrying a word
+/// parse_bool_text does not know is exactly that case: the value goes back
+/// to `positional` and the flag reads as set.
+bool take_bool(const cr::Cli& cli, const char* name, std::vector<std::string>* positional) {
+  const std::string value = cli.get_string(name, "");
+  if (value.empty()) return false;
+  bool set = true;
+  if (!cr::parse_bool_text(value, &set)) positional->push_back(value);
+  return set;
+}
+
 #ifndef CR_BUILD_TYPE
 #define CR_BUILD_TYPE "unspecified"
 #endif
@@ -115,22 +128,9 @@ int run_suite_cmd(const std::string& sub, int argc, const char* const* argv) {
   cli.declare({"out", "quick", "shard", "threads", "force", "cache"});
   cli.reject_unknown();
   cr::SuiteRunOptions opts;
-  // Cli's `--name value` rule means a bare boolean written BEFORE the
-  // manifest path swallows the path as its value (`cr suite run --force
-  // suites/x.json`). A boolean flag carrying a non-boolean value is exactly
-  // that case: reinterpret the value as the manifest path and the flag as
-  // set.
   std::vector<std::string> paths = cli.positional();
-  const auto take_bool = [&](const char* name) {
-    const std::string value = cli.get_string(name, "");
-    if (value.empty()) return false;
-    if (value == "true" || value == "1" || value == "yes") return true;
-    if (value == "false" || value == "0" || value == "no") return false;
-    paths.push_back(value);
-    return true;
-  };
-  opts.quick = take_bool("quick");
-  opts.force = take_bool("force");
+  opts.quick = take_bool(cli, "quick", &paths);
+  opts.force = take_bool(cli, "force", &paths);
   if (paths.size() != 1) {
     std::fprintf(stderr, "cr suite %s: exactly one manifest path is required\n", sub.c_str());
     return 2;
@@ -213,20 +213,8 @@ int run_verify_cmd(int argc, const char* const* argv) {
   cli.declare({"quick", "report"});
   cli.reject_unknown();
   cr::verify::VerifyOptions opts;
-  // Same bare-boolean-before-positional fixup as `cr suite run`: `cr verify
-  // --quick out/quick` parses "out/quick" as --quick's value.
   std::vector<std::string> paths = cli.positional();
-  const std::string quick_value = cli.get_string("quick", "");
-  if (!quick_value.empty()) {
-    if (quick_value == "true" || quick_value == "1" || quick_value == "yes") {
-      opts.quick = true;
-    } else if (quick_value == "false" || quick_value == "0" || quick_value == "no") {
-      opts.quick = false;
-    } else {
-      paths.push_back(quick_value);
-      opts.quick = true;
-    }
-  }
+  opts.quick = take_bool(cli, "quick", &paths);
   if (paths.size() != 1) {
     std::fprintf(stderr, "cr verify: exactly one suite output directory is required\n");
     return 2;

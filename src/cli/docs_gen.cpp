@@ -24,23 +24,19 @@ std::string md_cell(const std::string& text) {
   return out;
 }
 
-std::string flag_list(const BenchSpec& spec) {
-  if (spec.flags.empty()) return "—";
+/// "`<prefix>a`, `<prefix>b`, …".
+std::string code_list(const std::vector<std::string>& names, const std::string& prefix = "") {
   std::string out;
-  for (const BenchFlag& flag : spec.flags) {
-    if (!out.empty()) out += ", ";
-    out += "`--" + flag.name + "`";
-  }
+  for (const std::string& name : names)
+    out.append(out.empty() ? "`" : ", `").append(prefix).append(name).append("`");
   return out;
 }
 
-std::string column_list(const BenchSpec& spec) {
-  std::string out;
-  for (const std::string& column : spec.csv_columns) {
-    if (!out.empty()) out += ", ";
-    out += "`" + column + "`";
-  }
-  return out;
+/// The bench's flags as a code list, "—" when it has none.
+std::string flag_list(const BenchSpec& spec) {
+  std::vector<std::string> names;
+  for (const ParamDef& def : spec.flags.defs()) names.push_back(def.name);
+  return names.empty() ? "—" : code_list(names, "--");
 }
 
 /// "—" for parameterless components, else "`p` (type[, bound], default d):
@@ -50,10 +46,7 @@ std::string schema_cell(const ParamSchema& schema) {
   std::string out;
   for (const ParamDef& def : schema.defs()) {
     if (!out.empty()) out += "; ";
-    const std::string bound = bound_text(def.bound);
-    out += "`" + def.name + "` (" + param_type_name(def.type) +
-           (bound.empty() ? "" : ", " + bound) + ", default " + def.default_text +
-           "): " + def.help;
+    out += "`" + def.name + "` " + param_facts(def) + ": " + def.help;
   }
   return out;
 }
@@ -142,6 +135,13 @@ std::string experiments_markdown() {
   for (const BenchFlag& flag : BenchDriver::standard_flags())
     os << "| `--" << flag.name << "` | " << md_cell(flag.help) << " |\n";
   os << "\n"
+     << "Each bench's own flags, `--reps` among them for a bench that\n"
+     << "replicates, are typed rows with a default, a `--quick` default and a\n"
+     << "bound (see the bench reference below). One check reads them on the\n"
+     << "command line and in every cell of a suite manifest, so a bad value exits\n"
+     << "2 naming the flag, or fails the manifest load naming the cell and the\n"
+     << "flag, before anything runs.\n"
+     << "\n"
      << "Unknown or misspelled flags are rejected with a did-you-mean message\n"
      << "(exit 2). `--threads` never changes results: replication seeds are\n"
      << "independent by construction (splitmix64-seeded xoshiro256\\*\\* streams),\n"
@@ -207,11 +207,15 @@ std::string experiments_markdown() {
        << md_cell(spec.summary) << ". Claim: " << md_cell(spec.claim) << ".\n";
     if (!spec.flags.empty()) {
       os << "\n";
-      for (const BenchFlag& flag : spec.flags)
-        os << "- `--" << flag.name << "` — " << md_cell(flag.help) << "\n";
+      for (const ParamDef& def : spec.flags.defs())
+        os << "- `--" << def.name << "` — " << md_cell(def.help) << " "
+           << md_cell(param_facts(def)) << "\n";
     }
-    os << "\nCSV (`--csv`): " << column_list(spec) << ".\n"
-       << "One row = " << md_cell(spec.csv_row_desc) << ".\n";
+    if (spec.csv_columns.empty())
+      os << "\nNo CSV (no `--csv`, no suite cell): " << md_cell(spec.csv_row_desc) << ".\n";
+    else
+      os << "\nCSV (`--csv`): " << code_list(spec.csv_columns) << ".\n"
+         << "One row = " << md_cell(spec.csv_row_desc) << ".\n";
   }
   os << "\n## Machine-checked claims (`cr verify`)\n"
      << "\n"
@@ -231,20 +235,9 @@ std::string experiments_markdown() {
      << "| Claim | Title | Bound (full) | Bound (`--quick`) | Evidence cells | Columns |\n"
      << "| --- | --- | --- | --- | --- | --- |\n";
   for (const verify::ClaimSpec& spec : verify::ClaimRegistry::instance().entries()) {
-    std::string cells, quick_cells, columns;
-    for (const std::string& cell : spec.cells) {
-      if (!cells.empty()) cells += ", ";
-      cells += "`" + cell + "`";
-    }
-    for (const std::string& cell : spec.quick_cells) {
-      if (!quick_cells.empty()) quick_cells += ", ";
-      quick_cells += "`" + cell + "`";
-    }
-    if (!quick_cells.empty()) cells += " (quick: " + quick_cells + ")";
-    for (const std::string& column : spec.columns) {
-      if (!columns.empty()) columns += ", ";
-      columns += "`" + column + "`";
-    }
+    std::string cells = code_list(spec.cells);
+    if (!spec.quick_cells.empty()) cells += " (quick: " + code_list(spec.quick_cells) + ")";
+    const std::string columns = code_list(spec.columns);
     os << "| `" << spec.id << "` | " << md_cell(spec.title) << " | " << md_cell(spec.bound)
        << " | " << md_cell(spec.quick_bound.empty() ? "same" : spec.quick_bound) << " | "
        << cells << " | " << columns << " |\n";
@@ -262,15 +255,9 @@ std::string experiments_markdown() {
      << "\n"
      << "| Name | Workload | Consumed params |\n"
      << "| --- | --- | --- |\n";
-  for (const ScenarioEntry& entry : ScenarioRegistry::instance().entries()) {
-    std::string params;
-    for (const std::string& p : entry.params) {
-      if (!params.empty()) params += ", ";
-      params += "`" + p + "`";
-    }
-    os << "| `" << entry.name << "` | " << md_cell(entry.description) << " | " << params
-       << " |\n";
-  }
+  for (const ScenarioEntry& entry : ScenarioRegistry::instance().entries())
+    os << "| `" << entry.name << "` | " << md_cell(entry.description) << " | "
+       << code_list(entry.params) << " |\n";
   os << "\n## Workload composition\n"
      << "\n"
      << "`cr bench workload` composes a workload from first principles instead\n"

@@ -8,7 +8,6 @@
 #include <filesystem>
 #include <map>
 #include <ostream>
-#include <set>
 
 #include "cli/bench_registry.hpp"
 #include "common/file_io.hpp"
@@ -22,35 +21,14 @@ namespace cr {
 
 namespace {
 
-/// Flags the runner itself controls; a manifest naming one is a mistake.
-/// --quick is reserved too: it is a run option (`cr suite run --quick`) and
-/// the stale-resume guard tracks it, so a per-cell override would record
-/// wrong provenance.
-const std::set<std::string>& reserved_flags() {
-  static const std::set<std::string> reserved = {"seed",    "csv",  "quiet",
-                                                 "threads", "help", "quick"};
-  return reserved;
-}
-
-bool is_standard_flag(const std::string& name) {
-  for (const BenchFlag& flag : BenchDriver::standard_flags())
-    if (flag.name == name) return true;
-  return false;
-}
-
-bool bench_declares(const BenchSpec& spec, const std::string& name) {
-  for (const BenchFlag& flag : spec.flags)
-    if (flag.name == name) return true;
-  return false;
-}
-
-/// A flag a manifest may set on `bench`: declared by it, accepted by its
-/// dynamic-flag predicate (the workload bench's `arrival.*`/`jammer.*`
-/// keys), or a standard flag that is not runner-reserved.
+/// A flag a manifest may set on `bench`: one of its rows or a key its
+/// dynamic-flag predicate accepts (the workload bench's `arrival.*`/
+/// `jammer.*` keys). The driver's uniform flags are the runner's: --seed
+/// comes from "seeds", --quick from `cr suite run --quick` (the stale-resume
+/// guard tracks it, so a per-cell override would record wrong provenance).
 bool flag_allowed(const BenchSpec& spec, const std::string& name) {
-  if (reserved_flags().count(name)) return false;
   if (spec.allows_flag != nullptr && spec.allows_flag(name)) return true;
-  return bench_declares(spec, name) || is_standard_flag(name);
+  return spec.flags.find(name) != nullptr;
 }
 
 /// Manifest scalars become flag text: numbers keep their raw source bytes,
@@ -270,7 +248,7 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
   if (const JsonValue* defaults = root.find("defaults")) {
     if (!defaults->is_object()) return fail("\"defaults\" must be an object");
     for (const auto& [key, value] : defaults->members()) {
-      if (reserved_flags().count(key))
+      if (BenchDriver::is_standard_flag(key))
         return fail("defaults: --" + key + " is controlled by the suite runner");
       std::string text;
       if (!scalar_flag_text(*value, &text))
@@ -291,6 +269,9 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
     block.bench = bench->as_string();
     const BenchSpec* bench_spec = registry.find(block.bench);
     if (bench_spec == nullptr) return fail(registry.unknown(block.bench));
+    if (bench_spec->csv_columns.empty())
+      return fail("bench \"" + block.bench +
+                  "\" writes no CSV, so it cannot be a suite cell (a cell's result is its CSV)");
     if (const JsonValue* grid = item->find("grid")) {
       if (!grid->is_object()) return fail(block.bench + ": \"grid\" must be an object");
       for (const auto& [axis, values] : grid->members()) {
@@ -339,9 +320,9 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
 
   // Every suite-wide default must mean something somewhere, or it is a typo.
   for (const auto& [key, value] : out.spec.defaults) {
-    bool used = is_standard_flag(key);
+    bool used = false;
     for (const auto& block : out.spec.blocks)
-      used = used || bench_declares(*registry.find(block.bench), key);
+      used = used || registry.find(block.bench)->flags.find(key) != nullptr;
     if (!used) return fail("defaults: \"" + key + "\" is not a flag of any bench in this suite");
   }
 
@@ -365,16 +346,21 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
                             "rename the values to differ in filesystem-safe characters");
   }
 
-  // Benches with semantic cell validation (the scenario preset's
-  // consumed-param rule, the workload bench's component schemas) veto bad
-  // cells last — an unconsumed parameter or unknown component in a manifest
-  // axis fails the whole load with a message naming the key, BEFORE anything
-  // runs.
+  // Every cell's flags pass the check its bench's driver runs — each row's
+  // type and bound, then the bench's semantic validation (the scenario
+  // preset's consumed-param rule, the workload bench's component schemas) —
+  // so a bad value fails the whole load with a message naming the cell and
+  // the flag, BEFORE anything runs. The run mode only changes the defaults
+  // of the rows a cell does not set, so the check reads the full-size ones.
   for (const SuiteCell& cell : expanded) {
-    const BenchSpec& bench_spec = *registry.find(cell.bench);
-    if (bench_spec.validate_cell == nullptr) continue;
-    const std::string cell_error = bench_spec.validate_cell(cell.flags);
-    if (!cell_error.empty()) return fail("cell \"" + cell.id + "\": " + cell_error);
+    // The flags as the bench's Cli reads them: by name, the later value of a
+    // flag (a grid axis over a suite default) winning.
+    std::map<std::string, std::string> by_name;
+    for (const auto& [key, value] : cell.flags) by_name[key] = value;
+    const ParamValidation checked =
+        check_bench_flags(*registry.find(cell.bench), FlagList(by_name.begin(), by_name.end()),
+                          false, "cell \"" + cell.id + "\"");
+    if (!checked.ok()) return fail(checked.error);
   }
   return out;
 }

@@ -19,12 +19,13 @@
 ///     ]
 ///   }
 ///
-/// The runner expands the grid in manifest order, validates every bench and
-/// flag name against the BenchRegistry BEFORE running anything, and executes
-/// each cell in a forked child (`--quiet --csv=<output_dir>/<cell id>.csv`)
-/// — so a cell that exits or aborts (e.g. a type-invalid flag value hitting
-/// CR_CHECK) is recorded as "failed" and the remaining cells still run —
-/// fanning the cell's replications across the PR-2 thread pool.
+/// The runner expands the grid in manifest order, validates every bench,
+/// flag name and flag value against the BenchRegistry BEFORE running
+/// anything (each cell's flags pass the check its bench's driver runs), and
+/// executes each cell in a forked child (`--quiet --csv=<output_dir>/<cell
+/// id>.csv`) — so a cell that exits or aborts at run time is recorded as
+/// "failed" and the remaining cells still run — fanning the cell's
+/// replications across the replication thread pool.
 ///
 /// One cell loop serves `cr suite run` and `cr suite expand` (its plan, run
 /// dry). Properties the tests pin down:
@@ -98,9 +99,11 @@ struct SuiteLoadResult {
   bool ok() const { return error.empty(); }
 };
 
-/// Parse + validate a manifest against the BenchRegistry (bench names, flag
-/// names — a typo fails here, before any cell runs). `source` names the
-/// manifest in error messages.
+/// Parse + validate a manifest against the BenchRegistry (bench names, a
+/// bench that writes no CSV, flag names, and each expanded cell's flag
+/// values through check_bench_flags — a typo or a bad value fails here,
+/// naming the cell and the flag, before any cell runs).
+/// `source` names the manifest in error messages.
 SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source);
 /// Read + parse_suite a manifest file.
 SuiteLoadResult load_suite(const std::string& path);

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-
 namespace cr {
 
 Cli::Cli(int argc, const char* const* argv) {
@@ -29,31 +28,26 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const {
-  {
-    const std::lock_guard<std::mutex> lock(known_mutex_);
-    known_.insert(name);
-  }
-  return flags_.count(name) > 0;
-}
-
-std::string Cli::get_string(const std::string& name, const std::string& def) const {
+const std::string* Cli::value_of(const std::string& name) const {
   {
     const std::lock_guard<std::mutex> lock(known_mutex_);
     known_.insert(name);
   }
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : it->second;
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return value_of(name) != nullptr; }
+
+std::string Cli::get_string(const std::string& name, const std::string& def) const {
+  const std::string* text = value_of(name);
+  return text == nullptr ? def : *text;
 }
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
-  {
-    const std::lock_guard<std::mutex> lock(known_mutex_);
-    known_.insert(name);
-  }
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& text = it->second;
+  const std::string* found = value_of(name);
+  if (found == nullptr) return def;
+  const std::string& text = *found;
   char* end = nullptr;
   errno = 0;
   const std::int64_t value = std::strtoll(text.c_str(), &end, 10);
@@ -68,13 +62,9 @@ std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
 }
 
 double Cli::get_double(const std::string& name, double def) const {
-  {
-    const std::lock_guard<std::mutex> lock(known_mutex_);
-    known_.insert(name);
-  }
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  const std::string& text = it->second;
+  const std::string* found = value_of(name);
+  if (found == nullptr) return def;
+  const std::string& text = *found;
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(text.c_str(), &end);
@@ -93,13 +83,21 @@ double Cli::get_double(const std::string& name, double def) const {
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {
-  {
-    const std::lock_guard<std::mutex> lock(known_mutex_);
-    known_.insert(name);
+  const std::string* text = value_of(name);
+  bool value = def;
+  if (text != nullptr && !parse_bool_text(*text, &value)) {
+    std::fprintf(stderr, "%s: --%s expects true or false, got \"%s\"\n", program_.c_str(),
+                 name.c_str(), text->c_str());
+    std::exit(2);
   }
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  return value;
+}
+
+bool parse_bool_text(const std::string& text, bool* out) {
+  const bool yes = text == "true" || text == "1" || text == "yes";
+  if (!yes && text != "false" && text != "0" && text != "no") return false;
+  *out = yes;
+  return true;
 }
 
 std::size_t edit_distance(const std::string& a, const std::string& b) {

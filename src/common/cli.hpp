@@ -1,6 +1,7 @@
 // Tiny command-line flag parser for the bench and example binaries.
 //
 // Accepts --name=value and --name value; bare --flag is boolean true.
+// Booleans read true/1/yes and false/0/no; any other text exits 2.
 // Unknown positional arguments are collected and retrievable.
 //
 // Binaries declare their known flags and call reject_unknown() so a typo
@@ -27,6 +28,10 @@ std::size_t edit_distance(const std::string& a, const std::string& b);
 /// and workload-parameter validation.
 std::string closest_match(const std::string& name, const std::vector<std::string>& candidates);
 
+/// The words a boolean flag takes: true/1/yes and false/0/no. False, with
+/// `*out` untouched, for anything else.
+bool parse_bool_text(const std::string& text, bool* out);
+
 class Cli {
  public:
   Cli(int argc, const char* const* argv);
@@ -38,6 +43,8 @@ class Cli {
   /// expects an integer|a number, got "<text>"" and exits 2.
   std::int64_t get_int(const std::string& name, std::int64_t def) const;
   double get_double(const std::string& name, double def) const;
+  /// A value parse_bool_text refuses prints "<program>: --<name> expects
+  /// true or false, got "<text>"" and exits 2.
   bool get_bool(const std::string& name, bool def) const;
 
   /// Register flag names as known without reading them.
@@ -53,12 +60,16 @@ class Cli {
   const std::vector<std::string>& positional() const { return positional_; }
   const std::string& program() const { return program_; }
 
-  /// Every --name=value pair as parsed, in name order. For flag sets whose
-  /// names are dynamic (the workload bench's `arrival.*`/`jammer.*` keys);
-  /// callers remain responsible for declaring what they consume.
+  /// Every --name=value pair as parsed, in name order: what BenchDriver
+  /// checks a bench's flags from, dynamic names (the workload bench's
+  /// `arrival.*`/`jammer.*` keys) included. Callers remain responsible for
+  /// declaring what they consume.
   const std::map<std::string, std::string>& raw_flags() const { return flags_; }
 
  private:
+  /// Registers `name` as known; its value, or nullptr when not passed.
+  const std::string* value_of(const std::string& name) const;
+
   std::string program_;
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;

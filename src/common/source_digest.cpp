@@ -34,6 +34,7 @@ const std::string& source_digest() {
 std::string version_json(const std::string& git_sha, const std::string& build_type) {
   std::ostringstream os;
   os << "{\n"
+     << "  \"schema\": \"cr-version/1\",\n"
      << "  \"git_sha\": " << json_quote(git_sha) << ",\n"
      << "  \"build\": " << json_quote(build_type.empty() ? "unspecified" : build_type)
      << ",\n"

@@ -28,8 +28,8 @@ namespace cr {
 /// "unknown" only if /proc/self/exe cannot be read.
 const std::string& source_digest();
 
-/// `cr version --json`: a single JSON object with the provenance fields a
-/// cache key or a bug report needs. `git_sha`/`build_type` are passed in
+/// `cr version --json`: a single JSON object, schema "cr-version/1", with
+/// the provenance fields a cache key or a bug report needs. `git_sha`/`build_type` are passed in
 /// (they are CLI-layer facts); `source_digest` and the C++ standard are
 /// added here. The output parses with cr::JsonValue (round-trip tested).
 std::string version_json(const std::string& git_sha, const std::string& build_type);

@@ -81,21 +81,6 @@ inline CheckResult growth_at_least(double small, double large, double min_factor
   return check_fail(os.str());
 }
 
-/// `large` grew by at most `max_factor` relative to `small` (polylog style
-/// checks: scaling up the instance must NOT scale the measurement much).
-inline CheckResult growth_at_most(double small, double large, double max_factor) {
-  const double factor = small != 0.0 ? large / small : 0.0;
-  if (large <= max_factor * small) {
-    std::ostringstream os;
-    os << small << " -> " << large << " is " << factor << "x (<= " << max_factor << "x)";
-    return check_pass(os.str());
-  }
-  std::ostringstream os;
-  os << "expected growth <= " << max_factor << "x but " << small << " -> " << large << " is "
-     << factor << "x";
-  return check_fail(os.str());
-}
-
 /// The two scalars agree within a multiplicative band:
 /// min/max >= 1/max_ratio. Used for "this normalized quantity is flat"
 /// claims.
@@ -148,21 +133,6 @@ inline CheckResult mean_at_most(const Accumulator& a, const Accumulator& b, doub
   std::ostringstream os;
   os << "expected mean(a) <= " << factor << "*mean(b) but a=" << describe(a)
      << " b=" << describe(b);
-  return check_fail(os.str());
-}
-
-/// Empirical quantile q of the sample within [lo, hi] (fixed seeds make
-/// this deterministic; bounds encode the claim's predicted band).
-inline CheckResult quantile_within(const Quantiles& sample, double q, double lo, double hi) {
-  const double value = sample.quantile(q);
-  if (value >= lo && value <= hi) {
-    std::ostringstream os;
-    os << "quantile(" << q << ") = " << value << " inside [" << lo << ", " << hi << "]";
-    return check_pass(os.str());
-  }
-  std::ostringstream os;
-  os << "quantile(" << q << ") = " << value << " outside [" << lo << ", " << hi << "] over "
-     << sample.size() << " samples";
   return check_fail(os.str());
 }
 

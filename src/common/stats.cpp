@@ -70,17 +70,6 @@ double Quantiles::quantile(double q) const {
   return xs_[idx == 0 ? 0 : std::min(idx - 1, n - 1)];
 }
 
-Summary summarize(const std::string& name, const Accumulator& acc) {
-  Summary s;
-  s.name = name;
-  s.mean = acc.mean();
-  s.stddev = acc.stddev();
-  s.min = acc.min();
-  s.max = acc.max();
-  s.n = acc.count();
-  return s;
-}
-
 LinearFit fit_linear(const std::vector<double>& xs, const std::vector<double>& ys) {
   CR_CHECK(xs.size() == ys.size());
   CR_CHECK(xs.size() >= 2);

@@ -2,11 +2,10 @@
 //
 // Accumulator      — streaming mean/variance (Welford), min/max, count.
 // Quantiles        — exact empirical quantiles over a stored sample.
-// Summary          — value bundle emitted by the harness.
+// LinearFit        — least-squares scaling exponents.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace cr {
@@ -58,18 +57,6 @@ class Quantiles {
   mutable bool sorted_ = false;
   void ensure_sorted() const;
 };
-
-/// Aggregate of one measured quantity across replications.
-struct Summary {
-  std::string name;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  std::uint64_t n = 0;
-};
-
-Summary summarize(const std::string& name, const Accumulator& acc);
 
 /// Ordinary least squares fit y ≈ slope·x + intercept. Requires xs.size() ==
 /// ys.size() >= 2. Used by benches to report empirical scaling exponents

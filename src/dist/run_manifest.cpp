@@ -67,6 +67,7 @@ struct Fields {
 
 std::string RunManifest::to_json() const {
   std::string out = "{\n";
+  out += "  \"schema\": " + json_quote(kSchema) + ",\n";
   out += "  \"suite\": " + json_quote(suite) + ",\n";
   out += "  \"description\": " + json_quote(description) + ",\n";
   out += "  \"git_sha\": " + json_quote(git_sha) + ",\n";
@@ -105,6 +106,11 @@ ManifestParse RunManifest::parse(const std::string& text) {
   }
   RunManifest& m = out.manifest;
   Fields top{*json.value, "", &out.error};
+  std::string schema;
+  top.text("schema", &schema, true);
+  if (out.ok() && schema != kSchema)
+    top.fail("\"schema\" is \"" + schema + "\", not \"" + kSchema +
+             "\": a run manifest in another format");
   top.text("suite", &m.suite, true);
   top.text("description", &m.description);
   top.text("git_sha", &m.git_sha);

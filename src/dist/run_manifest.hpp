@@ -4,10 +4,12 @@
 /// `cr verify`. This is the one place the format is written and read.
 ///
 /// to_json() keeps the layout perfbench and tests/golden/dist_smoke.cmake
-/// read: one header key per line in member order ("merged_from" only when
-/// set), one cell per line, seconds as `%.3f`, and `null` for a missing seed
-/// or csv_fnv. parse() requires string "suite" and "config_hash", boolean
-/// "quick" and a "cells" array whose entries have string "id" and "status";
+/// read: "schema" first, then one header key per line in member order
+/// ("merged_from" only when set), one cell per line, seconds as `%.3f`, and
+/// `null` for a missing seed or csv_fnv. parse() requires "schema" to be
+/// kSchema (so resume and merge refuse a manifest in another format), string
+/// "suite" and "config_hash", boolean "quick" and a "cells" array whose
+/// entries have string "id" and "status";
 /// other fields may be absent but must have their kind when present, and
 /// unknown keys are ignored. Seeds are exact uint64s (a double loses those
 /// above 2^53). Bad input yields a named diagnostic, never a CR_CHECK abort.
@@ -23,6 +25,9 @@ namespace cr {
 struct ManifestParse;
 
 struct RunManifest {
+  /// The format this code writes and reads, the manifest's "schema" key.
+  static constexpr const char* kSchema = "cr-run-manifest/1";
+
   /// One expanded suite cell and what became of it.
   struct Cell {
     std::string id;  ///< its CSV is `<id>.csv`

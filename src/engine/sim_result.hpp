@@ -95,15 +95,6 @@ struct SimResult {
   std::vector<NodeStats> node_stats;    ///< tier >= kNodeStats
   std::vector<SlotOutcome> slot_outcomes;  ///< tier >= kFullTrace (per slot)
 
-  /// Classical throughput at the end of the run: n_t / a_t (>= 1 is ideal;
-  /// the paper lower-bounds n_t/a_t, we report its reciprocal form too).
-  double arrivals_per_active_slot() const {
-    return active_slots ? static_cast<double>(arrivals) / static_cast<double>(active_slots) : 0.0;
-  }
-  double successes_per_slot() const {
-    return slots ? static_cast<double>(successes) / static_cast<double>(slots) : 0.0;
-  }
-
   /// Field-wise equality — what "bit-identical replication" means in the
   /// parallel-vs-serial determinism tests and the cross-engine fuzz loop.
   friend bool operator==(const SimResult&, const SimResult&) = default;

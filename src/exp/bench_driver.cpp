@@ -52,11 +52,10 @@ std::ostream& null_stream() {
 
 const std::vector<BenchFlag>& BenchDriver::standard_flags() {
   static const std::vector<BenchFlag> flags = {
-      {"reps", "replications per table cell (quick-aware default)"},
       {"seed", "base seed; seeds S..S+reps-1 are used"},
       {"threads", "parallel replication workers (default: all cores; results identical)"},
       {"quick", "smaller sizes/reps for smoke runs"},
-      {"csv", "write the machine-readable result table to PATH"},
+      {"csv", "write the machine-readable result table to PATH (benches with a CSV)"},
       {"quiet", "suppress narrative output and skip narrative-only sub-tables; "
                 "CSV unchanged"},
       {"help", "print usage and exit"},
@@ -64,27 +63,62 @@ const std::vector<BenchFlag>& BenchDriver::standard_flags() {
   return flags;
 }
 
+bool BenchDriver::is_standard_flag(const std::string& name) {
+  for (const BenchFlag& flag : standard_flags())
+    if (flag.name == name) return true;
+  return false;
+}
+
+ParamDef reps_flag(int full, int quick) {
+  return {"reps", ParamType::kUint, std::to_string(full), "replications per table cell",
+          {.min = 1, .max = std::numeric_limits<int>::max()}, std::to_string(quick)};
+}
+
+ParamValidation check_bench_flags(const BenchSpec& spec, const FlagList& flags, bool quick,
+                                  const std::string& subject) {
+  FlagList rows;
+  for (const auto& flag : flags)
+    if (spec.allows_flag == nullptr || !spec.allows_flag(flag.first)) rows.push_back(flag);
+  ParamValidation checked = ParamValidation::check(spec.flags, rows, subject, quick);
+  if (checked.ok() && spec.validate_cell != nullptr)
+    if (const std::string error = spec.validate_cell(checked.values, flags); !error.empty())
+      checked.error = subject + ": " + error;
+  return checked;
+}
+
 BenchDriver::BenchDriver(const BenchSpec& spec, int argc, const char* const* argv)
     : spec_(spec), cli_(argc, argv) {
-  for (const BenchFlag& flag : standard_flags()) cli_.declare({flag.name.c_str()});
-  for (const BenchFlag& flag : spec_.flags) cli_.declare({flag.name.c_str()});
+  const bool has_csv = !spec_.csv_columns.empty();
+  for (const BenchFlag& flag : standard_flags())
+    if (flag.name != "csv" || has_csv) cli_.declare({flag.name.c_str()});
+  for (const ParamDef& def : spec_.flags.defs()) cli_.declare({def.name.c_str()});
   if (cli_.get_bool("help", false)) {
     std::printf("%s — %s\n\nflags:\n", spec_.id.c_str(), spec_.summary.c_str());
     for (const BenchFlag& flag : standard_flags())
-      std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
-    for (const BenchFlag& flag : spec_.flags)
-      std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
+      if (flag.name != "csv" || has_csv)
+        std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
+    for (const ParamDef& def : spec_.flags.defs())
+      std::printf("  --%-10s %s %s\n", def.name.c_str(), def.help.c_str(),
+                  param_facts(def).c_str());
     std::exit(0);
   }
-  if (spec_.allows_flag != nullptr)
-    for (const std::string& name : cli_.unknown_flags())
-      if (spec_.allows_flag(name)) cli_.declare({name.c_str()});
+  for (const auto& [name, value] : cli_.raw_flags()) {
+    if (is_standard_flag(name)) continue;
+    if (spec_.allows_flag != nullptr && spec_.allows_flag(name)) cli_.declare({name.c_str()});
+    passed_.emplace_back(name, value);
+  }
   cli_.reject_unknown();
   quick_ = cli_.get_bool("quick", false);
   quiet_ = cli_.get_bool("quiet", false);
   out_ = quiet_ ? &null_stream() : &std::cout;
   threads_ = static_cast<int>(in_range(cli_, "threads", cli_.get_int("threads", default_threads()),
                                        1, std::numeric_limits<int>::max()));
+  ParamValidation checked = check_bench_flags(spec_, passed_, quick_, cli_.program());
+  if (!checked.ok()) {
+    std::fprintf(stderr, "%s\n", checked.error.c_str());
+    std::exit(2);
+  }
+  flags_ = std::move(checked.values);
   // An explicit --csv path that write_output would refuse fails the bench
   // now, before the run, not after it.
   std::string error;
@@ -94,23 +128,14 @@ BenchDriver::BenchDriver(const BenchSpec& spec, int argc, const char* const* arg
   }
 }
 
-int BenchDriver::reps(int full, int quick_def) const {
-  return static_cast<int>(get_int("reps", full, quick_def, 1, std::numeric_limits<int>::max()));
-}
-
-std::int64_t BenchDriver::get_int(const std::string& name, std::int64_t full,
-                                  std::int64_t quick_def, std::int64_t min,
-                                  std::int64_t max) const {
-  return in_range(cli_, name, cli_.get_int(name, quick_ ? quick_def : full), min, max);
-}
-
 std::uint64_t BenchDriver::seed(std::uint64_t def) const {
   const auto value = static_cast<std::int64_t>(def);
-  return static_cast<std::uint64_t>(get_int("seed", value, value, 0));
+  return static_cast<std::uint64_t>(in_range(cli_, "seed", cli_.get_int("seed", value), 0,
+                                             std::numeric_limits<std::int64_t>::max()));
 }
 
 std::string BenchDriver::csv_path(const std::string& def) const {
-  if (!cli_.has("csv")) return "";
+  if (spec_.csv_columns.empty() || !cli_.has("csv")) return "";
   const std::string path = cli_.get_string("csv", def);
   return (path.empty() || path == "true") ? def : path;
 }

@@ -7,12 +7,15 @@
 /// builds a BenchDriver from the spec and hands it to the run function, so
 /// the prologue every bench shares lives here:
 ///
-///   * uniform flags: --reps, --seed, --threads, --quick, --csv, --quiet,
-///     --help — declared once, plus the bench's own flags (each with a help
-///     line for --help and `cr list`), with unknown flags rejected loudly
+///   * one declaration per flag: the bench's own flags are ParamSchema rows
+///     (name, type, default, quick default, bound, help), `--reps` among
+///     them for a bench that replicates (reps_flag). The driver checks the
+///     passed flags once (check_bench_flags, which `cr suite` runs on every
+///     manifest cell too) and hands the bench the validated values, flags();
+///     `--help` and `cr list --md` render the rows;
+///   * uniform flags: --seed, --threads, --quick, --csv (for a bench with
+///     CSV columns), --quiet, --help, with unknown flags rejected loudly
 ///     (a typo like --rep=10 exits with a did-you-mean message);
-///   * quick-aware defaults: reps(6, 3) reads --reps with a default of 6,
-///     or 3 under --quick;
 ///   * deterministic parallel replication: replicate() fans seeds across
 ///     --threads workers (default: all hardware threads) and returns
 ///     seed-ordered results bit-identical to a serial run;
@@ -21,9 +24,12 @@
 ///     never silenced, and a CSV that cannot be written fails the bench
 ///     (write_output) instead of leaving a short file behind.
 ///
-/// Usage, inside a bench's run function:
+/// Usage: a bench declares its rows and reads them in its run function.
+///   spec.flags = {{"max_n", ParamType::kUint, "2048", "largest batch size", {.min = 64}, "256"},
+///                 reps_flag(8, 3)};
+///
 ///   int run(const BenchDriver& driver) {
-///     const int reps = driver.reps(6, 3);
+///     const int reps = static_cast<int>(driver.flags().as_uint("reps"));
 ///     const auto results = driver.replicate(reps, driver.seed(11000), [&](std::uint64_t s) {
 ///       Scenario sc = ...; sc.config.seed = s;
 ///       return run_scenario(engine, sc);
@@ -36,11 +42,11 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "adversary/param_schema.hpp"
 #include "common/cli.hpp"
 #include "exp/harness.hpp"
 
@@ -48,13 +54,15 @@ namespace cr {
 
 class Table;  // common/table.hpp
 
-/// One bench-specific flag: its name and the one-line help shown by
-/// --help, `cr list --md` and docs/EXPERIMENTS.md (all generated from the
-/// same declaration, so they cannot drift).
+/// One of the driver's uniform flags: its name and the one-line help shown
+/// by --help and docs/EXPERIMENTS.md.
 struct BenchFlag {
   std::string name;  ///< flag name without the leading "--"
   std::string help;  ///< one-line description
 };
+
+/// Flag name and value pairs, in the order given.
+using FlagList = std::vector<std::pair<std::string, std::string>>;
 
 class BenchDriver;
 
@@ -65,13 +73,15 @@ struct BenchSpec {
   std::string summary;  ///< one-line description (--help, `cr list`)
   std::string claim;    ///< paper claim / section the bench exercises
   std::string outcome;  ///< expected qualitative outcome (docs index table)
-  /// Bench-specific flags beyond the uniform BenchDriver set.
-  std::vector<BenchFlag> flags;
+  /// The bench's own flags beyond the uniform BenchDriver set, one row each
+  /// (`--reps` is one, for a bench that replicates: reps_flag).
+  ParamSchema flags;
   /// Column schema of the --csv output (machine-readable names; the
-  /// rendered table may use prettier display headers).
+  /// rendered table may use prettier display headers). A bench without
+  /// columns takes no --csv and cannot be a suite cell.
   std::vector<std::string> csv_columns;
   /// What one CSV row is (docs: e.g. "one (regime, t, burst) cell,
-  /// means over reps").
+  /// means over reps"); without columns, what the bench outputs instead.
   std::string csv_row_desc;
   /// Entry point, handed the driver built from this spec and the flags.
   /// Returns the process exit code.
@@ -80,22 +90,35 @@ struct BenchSpec {
   /// Optional: accept flags whose names are dynamic (the workload bench's
   /// `arrival.<param>`/`jammer.<param>` keys). A passed flag matching the
   /// predicate counts as declared, in BenchDriver and in the suite
-  /// validator; precise validation (is the parameter real for the chosen
-  /// component?) stays with the bench.
+  /// validator, and skips the row check; precise validation (is the
+  /// parameter real for the chosen component?) is validate_cell's.
   bool (*allows_flag)(const std::string& name) = nullptr;
 
-  /// Optional: semantic validation of one fully-expanded suite cell (the
-  /// flag list the cell would pass, minus runner-controlled flags). Returns
-  /// "" when valid, else a message naming the offending key. Runs at
-  /// manifest-parse time, so a bad cell fails BEFORE anything executes.
-  std::string (*validate_cell)(const std::vector<std::pair<std::string, std::string>>& flags) =
-      nullptr;
+  /// Optional: semantic validation of one invocation, a command line or a
+  /// suite cell, after its flags passed the row check. `values` are the
+  /// validated rows, `flags` every bench flag the invocation passes (dynamic
+  /// ones included). Returns "" when valid, else a message naming the
+  /// offending key. check_bench_flags runs it, so a bad suite cell fails at
+  /// manifest-parse time, BEFORE anything executes.
+  std::string (*validate_cell)(const ParamValues& values, const FlagList& flags) = nullptr;
 };
+
+/// The `--reps` row of a bench that replicates: replications per table
+/// cell, `full` by default and `quick` under --quick, at least 1.
+ParamDef reps_flag(int full, int quick);
+
+/// Check one invocation's bench flags (every flag but the uniform ones) for
+/// `spec`: the rows through ParamValidation::check, with quick defaults
+/// under `quick`, then spec.validate_cell. Flags allows_flag accepts skip
+/// the row check. Errors start with `subject`.
+ParamValidation check_bench_flags(const BenchSpec& spec, const FlagList& flags, bool quick,
+                                  const std::string& subject);
 
 class BenchDriver {
  public:
   /// Parses `spec`'s flags, handles --help (prints usage, exits 0), rejects
-  /// unknown flags (exits 2 with a did-you-mean message) and refuses an
+  /// unknown flags (exits 2 with a did-you-mean message), refuses flags that
+  /// fail check_bench_flags (exits 2 with its diagnostic) and refuses an
   /// explicit --csv=PATH that check_publishable fails (exits 2 with
   /// write_output's "cannot write" report), so no run starts that could not
   /// publish. `spec` must outlive the driver; argv[0] names the bench in
@@ -104,6 +127,13 @@ class BenchDriver {
 
   const Cli& cli() const { return cli_; }
   const BenchSpec& spec() const { return spec_; }
+
+  /// The validated value of every row of spec().flags: passed, or its
+  /// default (its quick default under --quick).
+  const ParamValues& flags() const { return flags_; }
+  /// The bench flags as passed (every flag but the uniform ones), dynamic
+  /// ones included.
+  const FlagList& passed_flags() const { return passed_; }
 
   bool quick() const { return quick_; }
   /// --quiet: narrative output is discarded (out() is a null sink), so
@@ -121,20 +151,12 @@ class BenchDriver {
   /// human-facing tables and commentary.
   std::ostream& out() const { return *out_; }
 
-  /// --reps, defaulting to `full` (or `quick_def` under --quick); at least 1.
-  int reps(int full, int quick_def) const;
-  /// Any integer flag with quick-aware defaults, range-checked: a value
-  /// outside [min, max] prints "<program>: --<name> must be >= <min>, got
-  /// <value>" (or "<= <max>") to stderr and exits 2. A size flag's `min` is
-  /// the first size its sweep runs, so no value leaves the CSV header-only.
-  std::int64_t get_int(const std::string& name, std::int64_t full, std::int64_t quick_def,
-                       std::int64_t min,
-                       std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
   /// The largest horizon exponent a bench accepts: slot_t{1} << 64 is
   /// undefined.
-  static constexpr std::int64_t kMaxExponent = 62;
-  /// --seed, defaulting to the bench's fixed base seed; range-checked to
-  /// [0, 2^63 - 1] like get_int.
+  static constexpr int kMaxExponent = 62;
+  /// --seed, defaulting to the bench's fixed base seed; a value outside
+  /// [0, 2^63 - 1] prints "<program>: --seed must be >= 0, got <value>" to
+  /// stderr and exits 2.
   std::uint64_t seed(std::uint64_t def) const;
   /// --csv=PATH; empty when not requested. Bare --csv selects `def`.
   std::string csv_path(const std::string& def) const;
@@ -160,12 +182,16 @@ class BenchDriver {
     return replicate_map(n, base_seed, std::forward<Fn>(run), threads_);
   }
 
-  /// The uniform flags every bench accepts, for docs generation.
+  /// The uniform flags every bench accepts (--csv only with CSV columns),
+  /// for docs generation.
   static const std::vector<BenchFlag>& standard_flags();
+  static bool is_standard_flag(const std::string& name);
 
  private:
   const BenchSpec& spec_;
   Cli cli_;
+  FlagList passed_;
+  ParamValues flags_;
   bool quick_ = false;
   bool quiet_ = false;
   int threads_ = 1;

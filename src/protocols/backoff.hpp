@@ -40,8 +40,6 @@ class BackoffProcess {
   std::uint64_t virtual_slots() const { return vslot_; }
   std::uint64_t stage() const { return stage_; }
   std::uint64_t stage_length() const { return stage_len_; }
-  /// Distinct send slots drawn for the current stage.
-  std::size_t sends_this_stage() const { return send_offsets_.size(); }
   std::uint64_t total_sends() const { return total_sends_; }
 
  private:

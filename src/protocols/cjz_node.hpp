@@ -88,7 +88,6 @@ class CjzNode final : public NodeProtocol {
   slot_t l3() const { return l3_; }
   /// Phase-3 control channel parity (valid in Phase 3).
   int ctrl_channel() const { return ctrl_parity_; }
-  std::uint64_t backoff_total_sends() const { return backoff_.total_sends(); }
 
  private:
   const FunctionSet* fs_;

@@ -1,6 +1,7 @@
 # `cr version` provenance (driven by the cr_version CTest entry): the text
-# form runs, and `--json` carries the four keys CI reads, with the source
-# digest (the CellCache key component) as 16 hex digits.
+# form runs, and `--json` is schema "cr-version/1" and carries the four keys
+# CI reads, with the source digest (the CellCache key component) as 16 hex
+# digits.
 #
 # Expects -DCR=<cr binary>.
 if(NOT DEFINED CR)
@@ -15,6 +16,9 @@ endif()
 execute_process(COMMAND ${CR} version --json RESULT_VARIABLE rc OUTPUT_VARIABLE json)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "cr version --json exited ${rc}:\n${json}")
+endif()
+if(NOT json MATCHES "^{\n  \"schema\": \"cr-version/1\",\n")
+  message(FATAL_ERROR "cr version --json does not start with its schema:\n${json}")
 endif()
 foreach(key git_sha build source_digest cxx)
   if(NOT json MATCHES "\"${key}\": ")

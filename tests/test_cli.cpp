@@ -87,6 +87,14 @@ TEST(CliValidateDeathTest, RejectsBareBoolReadAsInt) {
               "prog: --verbose expects an integer");
 }
 
+TEST(CliValidateDeathTest, RejectsAnUnknownBooleanWord) {
+  // A misspelled word must not read as false: `--quick=ture` would run the
+  // full-size sweep.
+  const Cli cli = make_cli({"--quick=ture"});
+  EXPECT_EXIT(cli.get_bool("quick", false), ::testing::ExitedWithCode(2),
+              "prog: --quick expects true or false, got \"ture\"");
+}
+
 // Unknown-flag rejection: a typo like --rep=10 must fail loudly instead of
 // silently running with the default.
 

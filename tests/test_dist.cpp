@@ -214,6 +214,7 @@ TEST(SourceDigest, IsStableSixteenHex) {
 TEST(VersionJson, RoundTripsThroughTheJsonReader) {
   const JsonParseResult parsed = JsonValue::parse(version_json("abc1234", "Debug"));
   ASSERT_TRUE(parsed.ok()) << parsed.error;
+  EXPECT_EQ(parsed.value->find("schema")->as_string(), "cr-version/1");
   EXPECT_EQ(parsed.value->find("git_sha")->as_string(), "abc1234");
   EXPECT_EQ(parsed.value->find("build")->as_string(), "Debug");
   EXPECT_EQ(parsed.value->find("source_digest")->as_string(), source_digest());
@@ -381,7 +382,8 @@ class MergeTest : public ::testing::Test {
   std::string manifest(const std::string& name, const std::string& config,
                        const std::string& cells, bool quick = false) {
     const fs::path path = dir_ / name;
-    spit(path, std::string("{\"suite\": \"s\", \"description\": \"d\", ") +
+    spit(path, std::string("{\"schema\": \"cr-run-manifest/1\", ") +
+                   "\"suite\": \"s\", \"description\": \"d\", " +
                    "\"git_sha\": \"abc\", \"config_hash\": \"" + config +
                    "\", \"shard\": \"1/1\", \"quick\": " + (quick ? "true" : "false") +
                    ", \"started_utc\": \"2026-01-01T00:00:00Z\", " +
@@ -490,6 +492,16 @@ TEST_F(MergeTest, RejectsACellThatFailedInEveryManifest) {
       "rerun.json", "cafe", cell("c1", "ok", "1111111111111111") + ", " + cell("c2", "shard", ""));
   EXPECT_EQ(merge({a, b, rerun}, &log), 0) << log;
   EXPECT_TRUE(fs::exists(dir_ / "manifest.json"));
+}
+
+TEST_F(MergeTest, RefusesAManifestOfAnotherFormat) {
+  const std::string a = manifest("a.json", "cafe", cell("c1", "ok", "00000000000000aa"));
+  std::string text = slurp(a);
+  text.replace(text.find("cr-run-manifest/1"), 17, "cr-run-manifest/2");
+  spit(a, text);
+  std::string log;
+  EXPECT_EQ(merge({a}, &log), 2);
+  EXPECT_NE(log.find("cr-run-manifest/2"), std::string::npos) << log;
 }
 
 TEST_F(MergeTest, RejectsPreChecksumEraManifests) {

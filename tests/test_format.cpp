@@ -105,12 +105,14 @@ TEST(Cli, Defaults) {
 }
 
 TEST(Cli, BoolSpellings) {
-  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false"};
-  Cli cli(5, argv);
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=yes", "--d=false", "--e=0", "--f=no"};
+  Cli cli(7, argv);
   EXPECT_TRUE(cli.get_bool("a", false));
   EXPECT_TRUE(cli.get_bool("b", false));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+  EXPECT_FALSE(cli.get_bool("e", true));
+  EXPECT_FALSE(cli.get_bool("f", true));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
@@ -77,6 +78,7 @@ TEST(BenchDriverDeathTest, UnwritableCsvPathExitsFromTheConstructor) {
   fs::create_symlink(dir / "target.csv", dir / "link.csv");
   BenchSpec spec;
   spec.name = "probe";
+  spec.csv_columns = {"x"};
   const auto construct = [&](const std::string& csv_flag) {
     const char* argv[] = {"cr bench probe", csv_flag.c_str()};
     BenchDriver(spec, 2, argv);
@@ -93,6 +95,29 @@ TEST(BenchDriverDeathTest, UnwritableCsvPathExitsFromTheConstructor) {
   EXPECT_FALSE(fs::exists(dir / "no"));
   EXPECT_FALSE(fs::exists(dir / "target.csv"));
   fs::remove_all(dir);
+}
+
+TEST(BenchDriverDeathTest, FlagsAreCheckedAgainstTheRows) {
+  BenchSpec spec;
+  spec.name = "probe";
+  ParamDef max_n{"max_n", ParamType::kUint, "64", "largest size"};
+  max_n.bound.min = 16;
+  max_n.quick_text = "32";
+  spec.flags = {max_n, reps_flag(4, 2)};
+  const auto construct = [&](std::vector<const char*> args) {
+    args.insert(args.begin(), "cr bench probe");
+    return BenchDriver(spec, static_cast<int>(args.size()), args.data());
+  };
+  // Defaults, quick defaults and passed values come back validated.
+  EXPECT_EQ(construct({}).flags().as_uint("max_n"), 64u);
+  EXPECT_EQ(construct({"--quick"}).flags().as_uint("reps"), 2u);
+  EXPECT_EQ(construct({"--quick", "--max_n=20"}).flags().as_uint("max_n"), 20u);
+  EXPECT_EXIT(construct({"--max_n=8"}), ::testing::ExitedWithCode(2),
+              "cr bench probe: parameter \"max_n\" must be >= 16, got \"8\"");
+  EXPECT_EXIT(construct({"--reps=-1"}), ::testing::ExitedWithCode(2),
+              "cr bench probe: parameter \"reps\" expects a uint, got \"-1\"");
+  EXPECT_EXIT(construct({"--rep=3"}), ::testing::ExitedWithCode(2),
+              "unknown flag --rep \\(did you mean --reps\\?\\)");
 }
 
 }  // namespace

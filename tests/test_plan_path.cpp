@@ -508,7 +508,7 @@ void register_outside_components() {
          {{"every", ParamType::kUint, "16", "slots between arrivals"},
           {"until", ParamType::kUint, "600", "last arrival slot"}},
          [](const ParamValues& p, const WorkloadContext&) -> std::unique_ptr<ArrivalProcess> {
-           return std::make_unique<Trickle>(p.get_uint("every"), p.get_uint("until"));
+           return std::make_unique<Trickle>(p.as_uint("every"), p.as_uint("until"));
          }});
     JammerRegistry::instance().add(
         {"test_every_third", "jams every third slot", {},

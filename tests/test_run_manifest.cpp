@@ -52,7 +52,7 @@ std::string slurp(const fs::path& path) {
 // ---------------------------------------------------------------------------
 // Pinned bytes. Each literal is a manifest the pre-RunManifest writers
 // emitted (suite.cpp, merge.cpp), captured verbatim except for the
-// timestamps, which are fixed here.
+// timestamps, which are fixed here, and the "schema" key, which came later.
 
 const char* const kDescription =
     "quote \" backslash \\ tab \t newline \n ctl \x01 utf8 \xC3\xA9 end";
@@ -76,6 +76,7 @@ RunManifest pinned_suite_run() {
 }
 
 const char* const kPinnedSuiteRun = R"({
+  "schema": "cr-run-manifest/1",
   "suite": "pin \"q\" \\ name",
   "description": "quote \" backslash \\ tab \t newline \n ctl \u0001 utf8 )"
                                     "\xC3\xA9"
@@ -95,6 +96,7 @@ const char* const kPinnedSuiteRun = R"({
 )";
 
 const char* const kPinnedMerged = R"({
+  "schema": "cr-run-manifest/1",
   "suite": "dist_smoke",
   "description": "Two fast deterministic cells for the distributed-runner end-to-end test (tests/golden/dist_smoke.cmake): cold/warm CellCache round-trip, `--shard=1/2` + `--shard=2/2` and `cr suite merge` inside the output directory through the real cr binary. Deliberately tiny so the whole flow runs in seconds under sanitizers.",
   "git_sha": "unknown",
@@ -123,9 +125,9 @@ TEST(RunManifestBytes, SuiteRunManifestMatchesPinnedLayout) {
 }
 
 TEST(RunManifestBytes, RetiredWorkerKeyIsIgnored) {
-  // Manifests written by an older `cr` may carry a "worker" key; resume and
-  // merge scan every manifest in a directory, so it must parse, and the key
-  // is dropped.
+  // Unknown keys, like the "worker" key an older `cr` wrote, are ignored:
+  // resume and merge scan every manifest in a directory, so it must parse,
+  // and the key is dropped.
   std::string old = kPinnedSuiteRun;
   old.insert(old.find("  \"git_sha\""), "  \"worker\": \"host-4242-1a2b3c4d\",\n");
   const ManifestParse parsed = RunManifest::parse(old);
@@ -286,6 +288,25 @@ TEST(RunManifestFuzz, KindSwapsAreNamedDiagnostics) {
   }
 }
 
+TEST(RunManifestSchema, AManifestInAnotherFormatIsRefused) {
+  // Resume, merge and verify all read manifests through parse(), so a
+  // manifest of another format, or of the unversioned one before it, is a
+  // named diagnostic rather than a guess at what its keys mean.
+  const std::string v1 = kPinnedMerged;
+  const ManifestParse v2 =
+      RunManifest::parse(swap(v1, "\"cr-run-manifest/1\"", "\"cr-run-manifest/2\""));
+  EXPECT_FALSE(v2.ok());
+  EXPECT_NE(v2.error.find("\"schema\" is \"cr-run-manifest/2\", not \"cr-run-manifest/1\""),
+            std::string::npos)
+      << v2.error;
+  const ManifestParse none = RunManifest::parse(swap(v1, "  \"schema\": \"cr-run-manifest/1\",\n", ""));
+  EXPECT_FALSE(none.ok());
+  EXPECT_NE(none.error.find("\"schema\" must be present and a string"), std::string::npos)
+      << none.error;
+  EXPECT_TRUE(RunManifest::parse(v1).ok());
+  EXPECT_EQ(v1.find("{\n  \"schema\": \"cr-run-manifest/1\",\n"), 0u);  // the first key
+}
+
 TEST(RunManifestFuzz, RandomMutantsParseOrReturnADiagnostic) {
   std::mt19937_64 gen(0xF022ull);
   const std::vector<std::string> seeds = {kPinnedSuiteRun, kPinnedMerged};
@@ -375,14 +396,18 @@ TEST(RunManifestVerify, MalformedManifestIsASetupError) {
   };
   std::string out;
   // A missing "quick" used to read as false; now the run refuses to guess.
-  EXPECT_EQ(verify_with(R"({"suite": "s", "config_hash": "c", "cells": []})", &out), 2);
+  EXPECT_EQ(verify_with(R"({"schema": "cr-run-manifest/1", "suite": "s", "config_hash": "c",
+                            "cells": []})",
+                        &out),
+            2);
   EXPECT_NE(out.find("\"quick\""), std::string::npos) << out;
   EXPECT_NE(out.find("manifest.json"), std::string::npos) << out;
   // A truncated manifest: the JSON reader's diagnostic comes through.
   EXPECT_EQ(verify_with(std::string(kPinnedSuiteRun).substr(0, 200), &out), 2);
   EXPECT_NE(out.find("line "), std::string::npos) << out;
   // A well-formed one verifies.
-  EXPECT_EQ(verify_with(R"({"suite": "s", "config_hash": "c", "quick": false, "cells": []})",
+  EXPECT_EQ(verify_with(R"({"schema": "cr-run-manifest/1", "suite": "s", "config_hash": "c",
+                            "quick": false, "cells": []})",
                         &out),
             0)
       << out;

@@ -127,16 +127,6 @@ TEST(Quantiles, TinySampleTailBehaviour) {
   EXPECT_DOUBLE_EQ(three.quantile(1.0 / 3.0), 10.0);
 }
 
-TEST(Summary, FromAccumulator) {
-  Accumulator acc;
-  acc.add(1.0);
-  acc.add(2.0);
-  const Summary s = summarize("metric", acc);
-  EXPECT_EQ(s.name, "metric");
-  EXPECT_DOUBLE_EQ(s.mean, 1.5);
-  EXPECT_EQ(s.n, 2u);
-}
-
 TEST(LinearFit, ExactLine) {
   std::vector<double> xs, ys;
   for (int i = 0; i < 20; ++i) {

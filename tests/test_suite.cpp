@@ -84,6 +84,64 @@ TEST(SuiteParse, RejectsNonIntegerAndOverflowingSeeds) {
   EXPECT_EQ(max_ok.spec.blocks[0].seeds[0], static_cast<std::uint64_t>(INT64_MAX));
 }
 
+TEST(SuiteParse, RejectsBadFlagValuesNamingTheCellAndTheFlag) {
+  // Each value fails its bench's row (type or bound) at load, before any
+  // cell runs, in the wording the bench's own command line prints.
+  const struct {
+    const char* cell;
+    const char* message;
+  } cases[] = {
+      {R"({"bench": "worstcase", "grid": {"max_exp": [10]}})",
+       R"(cell "worstcase__max_exp-10__seed-default": parameter "max_exp" must be >= 14, got "10")"},
+      {R"({"bench": "scenario", "grid": {"n": [0]}})",
+       R"(cell "scenario__n-0__seed-default": parameter "n" must be >= 1, got "0")"},
+      {R"({"bench": "energy", "grid": {"max_n": ["abc"]}})",
+       R"(cell "energy__max_n-abc__seed-default": parameter "max_n" expects a uint, got "abc")"},
+      {R"({"bench": "worstcase", "grid": {"reps": [0]}})",
+       R"(cell "worstcase__reps-0__seed-default": parameter "reps" must be >= 1, got "0")"},
+  };
+  for (const auto& c : cases) {
+    const auto loaded = parse(std::string(R"({"name": "s", "cells": [)") + c.cell + "]}");
+    EXPECT_FALSE(loaded.ok()) << c.cell;
+    EXPECT_NE(loaded.error.find(c.message), std::string::npos) << loaded.error;
+  }
+  // A suite default is checked in every cell it reaches.
+  const auto defaults = parse(
+      R"({"name": "s", "defaults": {"reps": 0}, "cells": [{"bench": "latency"}]})");
+  EXPECT_FALSE(defaults.ok());
+  EXPECT_NE(defaults.error.find(R"(parameter "reps" must be >= 1)"), std::string::npos)
+      << defaults.error;
+}
+
+TEST(SuiteParse, GridAxisOverridesASuiteDefault) {
+  // The cell passes both, and the bench reads the later one, the axis: the
+  // check must see the value the bench runs with, not a duplicate.
+  const auto loaded = parse(R"({"name": "s", "defaults": {"reps": 0},
+      "cells": [{"bench": "latency", "grid": {"reps": [2]}}]})");
+  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  const auto cells = expand_suite(loaded.spec);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].flags.back(), (std::pair<std::string, std::string>{"reps", "2"}));
+}
+
+TEST(SuiteParse, RejectsABenchThatWritesNoCsv) {
+  // A stream cell would run, write nothing and be recorded failed.
+  const auto loaded =
+      parse(R"({"name": "s", "cells": [{"bench": "stream", "grid": {"synth": [100]}}]})");
+  EXPECT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error.find("bench \"stream\" writes no CSV"), std::string::npos)
+      << loaded.error;
+}
+
+TEST(StreamBenchDeathTest, TakesNeitherRepsNorCsv) {
+  // `cr stream` neither replicates nor writes a CSV, so neither flag may be
+  // accepted and then ignored.
+  EXPECT_EXIT(BenchRegistry::instance().run("stream", {"--synth=10", "--reps=3"}),
+              ::testing::ExitedWithCode(2), "cr bench stream: unknown flag --reps");
+  EXPECT_EXIT(BenchRegistry::instance().run("stream", {"--synth=10", "--csv=x.csv"}),
+              ::testing::ExitedWithCode(2), "cr bench stream: unknown flag --csv");
+}
+
 TEST(SuiteParse, RejectsDefaultNoBenchDeclares) {
   const auto loaded = parse(
       R"({"name": "s", "defaults": {"max_n": 64}, "cells": [{"bench": "latency"}]})");
@@ -142,7 +200,7 @@ TEST(SuiteExpand, DefaultsApplyOnlyWhereDeclared) {
   };
   EXPECT_EQ(flags_of(cells[0]).count("max_n"), 1u);  // energy declares --max_n
   EXPECT_EQ(flags_of(cells[1]).count("max_n"), 0u);  // latency does not
-  EXPECT_EQ(flags_of(cells[0]).at("reps"), "3");     // standard flag: everywhere
+  EXPECT_EQ(flags_of(cells[0]).at("reps"), "3");     // a row of both benches
   EXPECT_EQ(flags_of(cells[1]).at("reps"), "3");
 }
 
@@ -373,16 +431,17 @@ TEST_F(SuiteRunTest, UnreadableManifestBlocksResumeUntilForced) {
 }
 
 TEST_F(SuiteRunTest, FailedCellIsIsolatedAndRemainingCellsStillRun) {
-  // "junk" passes name validation (any scalar is legal manifest text) but
-  // aborts the bench's Cli::get_int at run time. The forked-child isolation
-  // must turn that into one "failed" cell, not a dead suite process.
-  const auto loaded = parse(R"({"name": "tiny", "defaults": {"reps": 1},
-      "cells": [
-        {"bench": "scenario", "grid": {"horizon": ["junk"], "n": [16]}},
-        {"bench": "scenario", "grid": {"horizon": [512], "n": [16]}}]})");
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
+  // A "junk" horizon fails manifest parsing, so the spec is built directly
+  // (run_suite does not re-parse): the bench's driver then exits 2 at run
+  // time, and the forked-child isolation must turn that into one "failed"
+  // cell, not a dead suite process.
+  SuiteSpec spec;
+  spec.name = "tiny";
+  spec.defaults = {{"reps", "1"}};
+  spec.blocks = {{"scenario", {{"horizon", {"junk"}}, {"n", {"16"}}}, {}},
+                 {"scenario", {{"horizon", {"512"}}, {"n", {"16"}}}, {}}};
   std::ostringstream log;
-  EXPECT_EQ(run_suite(loaded.spec, options(), log), 1);
+  EXPECT_EQ(run_suite(spec, options(), log), 1);
   EXPECT_EQ(csv_contents().size(), 1u);  // the good cell's CSV exists
   EXPECT_NE(log.str().find("failed"), std::string::npos) << log.str();
   EXPECT_NE(log.str().find("1 ran, 0 cached, 0 cache hits, 1 failed"), std::string::npos)

@@ -325,7 +325,8 @@ TEST_F(VerifyTest, JamRateClaimJudgesServedOnTheCellMean) {
 TEST_F(VerifyTest, RunVerifyExitCodesAndReport) {
   write_file("fixture_cell.csv", "value\n7\n");
   write_file("manifest.json",
-             R"({"suite": "fixture", "config_hash": "cafe1234", "quick": false, "cells": []})");
+             R"({"schema": "cr-run-manifest/1", "suite": "fixture", "config_hash": "cafe1234",
+                 "quick": false, "cells": []})");
   // All-pass: exit 0.
   std::vector<ClaimSpec> passing = {fixture_claim("fixture-pass", &passing_check)};
   verify::VerifyOptions opts;

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/component_registry.hpp"
@@ -46,16 +47,16 @@ const ParamSchema& test_schema() {
 TEST(ParamSchema, DefaultsResolveWhenUnset) {
   const auto checked = ParamValidation::check(test_schema(), {}, "arrival \"x\"");
   ASSERT_TRUE(checked.ok()) << checked.error;
-  EXPECT_EQ(checked.values.get_uint("n"), 256u);
-  EXPECT_DOUBLE_EQ(checked.values.get_double("rate"), 0.5);
+  EXPECT_EQ(checked.values.as_uint("n"), 256u);
+  EXPECT_DOUBLE_EQ(checked.values.as_double("rate"), 0.5);
 }
 
 TEST(ParamSchema, SuppliedValuesOverrideDefaults) {
   const auto checked =
       ParamValidation::check(test_schema(), {{"n", "7"}, {"rate", "0.125"}}, "arrival \"x\"");
   ASSERT_TRUE(checked.ok()) << checked.error;
-  EXPECT_EQ(checked.values.get_uint("n"), 7u);
-  EXPECT_DOUBLE_EQ(checked.values.get_double("rate"), 0.125);
+  EXPECT_EQ(checked.values.as_uint("n"), 7u);
+  EXPECT_DOUBLE_EQ(checked.values.as_double("rate"), 0.125);
 }
 
 TEST(ParamSchema, UnknownParamNamesTheKey) {
@@ -472,7 +473,8 @@ TEST(ScenarioSuite, OutOfRangeParamFailsAtParseTimeNamingTheBound) {
   const auto text = parse_manifest(R"({
     "name": "s", "cells": [{"bench": "scenario", "grid": {"jam": ["abc"]}}]})");
   ASSERT_FALSE(text.ok());
-  EXPECT_NE(text.error.find("--jam expects a number, got \"abc\""), std::string::npos)
+  EXPECT_NE(text.error.find("parameter \"jam\" expects a double, got \"abc\""),
+            std::string::npos)
       << text.error;
   const auto rate = parse_manifest(R"({
     "name": "w",
@@ -500,9 +502,20 @@ TEST(WorkloadSuite, SuggestsBenchNameOnTypo) {
 
 // --- the CLI ------------------------------------------------------------------
 
+/// `text` as a POSIX extended regex that matches it literally.
+std::string literal_regex(const std::string& text) {
+  std::string out;
+  for (const char c : text) {
+    if (std::string_view("\\^$.|?*+()[]{}").find(c) != std::string_view::npos) out += '\\';
+    out += c;
+  }
+  return out;
+}
+
 TEST(ParamBounds, BenchesExitTwoNamingTheParameterAndItsBound) {
-  // Each of these used to pass validation and abort in a component's
-  // constructor (CR_CHECK); now the bench exits 2 before any run.
+  // Each value must make the bench's driver exit 2 before any run, naming
+  // the parameter and its bound, rather than reach a component's
+  // constructor (CR_CHECK).
   const struct {
     const char* bench;
     std::vector<std::string> flags;
@@ -539,12 +552,9 @@ TEST(ParamBounds, BenchesExitTwoNamingTheParameterAndItsBound) {
   for (const auto& c : cases) {
     std::vector<std::string> args = {"--quick", "--reps=1", "--threads=1"};
     args.insert(args.end(), c.flags.begin(), c.flags.end());
-    ::testing::internal::CaptureStderr();
-    const int rc = BenchRegistry::instance().run(c.bench, args);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(rc, 2) << c.bench << " " << c.flags.back();
-    EXPECT_NE(err.find("cr bench " + std::string(c.bench) + ": " + c.message), std::string::npos)
-        << err;
+    EXPECT_EXIT(BenchRegistry::instance().run(c.bench, args), ::testing::ExitedWithCode(2),
+                literal_regex("cr bench " + std::string(c.bench) + ": " + c.message))
+        << c.bench << " " << c.flags.back();
   }
 }
 
