@@ -14,11 +14,10 @@
 //   cr stream --trace=feed.txt --max_windows=8 ... (see --help)
 //
 // JSON lines go to stdout; operational notes (event counts, drops, memory
-// footprint) go to stderr, so piped output stays machine-readable.
-#include <atomic>
+// footprint, the slots stepped and folded, ring sleeps) go to stderr, so
+// piped output stays machine-readable.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
+#include <optional>
 #include <thread>
 
 #include "cli/benches/benches.hpp"
@@ -101,38 +100,35 @@ int run(const BenchDriver& driver) {
     });
   }
 
-  // The trace file is opened before the producer thread starts so a bad
-  // path fails fast with exit 2 instead of mid-run.
-  std::ifstream trace_file;
-  std::istream* trace_in = &std::cin;
-  if (synth_count == 0 && trace_path != "-") {
-    trace_file.open(trace_path);
-    if (!trace_file) {
+  // The trace (a file, or stdin for "-") is opened before the producer
+  // thread starts so a bad path fails fast with exit 2 instead of mid-run.
+  std::optional<LineReader> trace;
+  if (synth_count == 0) {
+    trace.emplace(trace_path);
+    if (!trace->ok()) {
       std::fprintf(stderr, "cr stream: cannot open trace \"%s\"\n", trace_path.c_str());
       return 2;
     }
-    trace_in = &trace_file;
   }
 
   EventRing ring(ring_capacity);
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> dropped{0};
-  std::string feed_error;  // written by the producer, read after join()
+  // Written by the producer, read after join().
+  std::uint64_t dropped = 0;
+  std::string feed_error;
 
+  // Read before the consumer starts: run() moves the feed cursor.
+  std::uint64_t skip = sim.feed_skip();
   std::thread producer([&] {
-    std::uint64_t skip = sim.feed_skip();
+    // False once the consumer has hung up: nothing more will be read.
     const auto feed = [&](const StreamEvent& ev) -> bool {
       if (skip > 0) {
         --skip;
         return true;
       }
-      if (policy == OverflowPolicy::kBlock) {
-        while (!ring.try_push(ev)) {
-          if (stop.load(std::memory_order_acquire)) return false;
-          std::this_thread::yield();
-        }
-      } else if (!ring.try_push(ev)) {
-        dropped.fetch_add(1, std::memory_order_relaxed);
+      if (policy == OverflowPolicy::kBlock) return ring.push(ev);
+      if (!ring.try_push(ev)) {
+        if (ring.hung_up()) return false;
+        ++dropped;
       }
       return true;
     };
@@ -141,10 +137,10 @@ int run(const BenchDriver& driver) {
       for (std::uint64_t i = 0; i < synth_count; ++i)
         if (!feed(synth.next())) break;
     } else {
-      std::string line;
+      std::string_view line;
       std::string error;
       StreamEvent ev;
-      while (std::getline(*trace_in, line)) {
+      while (trace->next(&line)) {
         if (!parse_stream_event(line, &ev, &error)) {
           if (!error.empty()) {
             feed_error = error;
@@ -154,12 +150,12 @@ int run(const BenchDriver& driver) {
         }
         if (!feed(ev)) break;
       }
+      if (!trace->ok()) feed_error = "cannot read trace \"" + trace_path + "\": " + trace->error();
     }
     ring.close();
   });
 
   const StreamRunSummary summary = sim.run(ring, driver.out());
-  stop.store(true, std::memory_order_release);
   producer.join();
 
   if (!feed_error.empty()) {
@@ -181,11 +177,20 @@ int run(const BenchDriver& driver) {
                static_cast<unsigned long long>(summary.successes),
                static_cast<unsigned long long>(summary.live_at_end),
                static_cast<unsigned long long>(summary.windows),
-               static_cast<unsigned long long>(dropped.load()));
+               static_cast<unsigned long long>(dropped));
   std::fprintf(stderr, "stream: peak live %llu, resident slots %llu (%llu bytes)\n",
                static_cast<unsigned long long>(mem.peak_live_nodes),
                static_cast<unsigned long long>(mem.node_table_slots),
                static_cast<unsigned long long>(mem.node_bytes));
+  std::fprintf(stderr,
+               "stream: %llu slots stepped, %llu silent, %llu folded in %llu runs; "
+               "ring sleeps: producer %llu, consumer %llu\n",
+               static_cast<unsigned long long>(summary.work.slots_stepped),
+               static_cast<unsigned long long>(summary.work.slots_silent),
+               static_cast<unsigned long long>(summary.work.slots_skipped),
+               static_cast<unsigned long long>(summary.folds),
+               static_cast<unsigned long long>(ring.producer_sleeps()),
+               static_cast<unsigned long long>(ring.consumer_sleeps()));
   if (!checkpoint_error.empty()) {
     std::fprintf(stderr, "cr stream: checkpoint %s: %s\n", checkpoint_path.c_str(),
                  checkpoint_error.c_str());
@@ -209,13 +214,14 @@ BenchSpec stream() {
   spec.outcome =
       "one JSON line per completed metrics window plus a final {\"done\":...} summary; "
       "byte-identical across kill/checkpoint/restore on the same feed";
+  const ParamBound at_least_one{.min = 1};
   spec.flags = {
       {"trace", ParamType::kText, "-",
        "arrival trace path, \"-\" = stdin (lines: slot inject [jam01])"},
       {"synth", ParamType::kUint, "0",
        "generate N synthetic feed events instead of reading a trace"},
-      {"window", ParamType::kUint, "1024", "metrics window width in slots", {.min = 1}, "256"},
-      {"ring", ParamType::kUint, "1024", "SPSC ring-buffer capacity in events", {.min = 1}},
+      {"window", ParamType::kUint, "1024", "metrics window width in slots", at_least_one, "256"},
+      {"ring", ParamType::kUint, "1024", "SPSC ring-buffer capacity in events", at_least_one},
       {"overflow", ParamType::kText, "block",
        "ring-full policy: block (lossless) | drop (count drops)"},
       {"checkpoint", ParamType::kText, "",

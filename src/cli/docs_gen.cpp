@@ -132,8 +132,12 @@ std::string experiments_markdown() {
      << "\n"
      << "| Flag | Meaning |\n"
      << "| --- | --- |\n";
-  for (const BenchFlag& flag : BenchDriver::standard_flags())
-    os << "| `--" << flag.name << "` | " << md_cell(flag.help) << " |\n";
+  for (const BenchFlag& flag : BenchDriver::standard_flags()) {
+    os << "| `--" << flag.name << "` | " << md_cell(flag.help);
+    if (!flag.single_run_help.empty())
+      os << ". Without `--reps`: " << md_cell(flag.single_run_help);
+    os << " |\n";
+  }
   os << "\n"
      << "Each bench's own flags, `--reps` among them for a bench that\n"
      << "replicates, are typed rows with a default, a `--quick` default and a\n"

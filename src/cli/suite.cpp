@@ -3,6 +3,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -353,13 +354,8 @@ SuiteLoadResult parse_suite(const JsonValue& root, const std::string& source) {
   // the flag, BEFORE anything runs. The run mode only changes the defaults
   // of the rows a cell does not set, so the check reads the full-size ones.
   for (const SuiteCell& cell : expanded) {
-    // The flags as the bench's Cli reads them: by name, the later value of a
-    // flag (a grid axis over a suite default) winning.
-    std::map<std::string, std::string> by_name;
-    for (const auto& [key, value] : cell.flags) by_name[key] = value;
-    const ParamValidation checked =
-        check_bench_flags(*registry.find(cell.bench), FlagList(by_name.begin(), by_name.end()),
-                          false, "cell \"" + cell.id + "\"");
+    const ParamValidation checked = check_bench_flags(*registry.find(cell.bench), cell.flags,
+                                                      false, "cell \"" + cell.id + "\"");
     if (!checked.ok()) return fail(checked.error);
   }
   return out;
@@ -385,10 +381,15 @@ std::vector<SuiteCell> expand_suite(const SuiteSpec& spec) {
   std::vector<SuiteCell> cells;
   for (const auto& block : spec.blocks) {
     const BenchSpec& bench_spec = registry.at(block.bench);
-    // Suite-wide defaults apply where they mean something for this bench.
+    // Suite-wide defaults apply where they mean something for this bench and
+    // the block does not set the flag itself: an overridden default would
+    // stay in the cell's flags as a dead value and in its config hash.
     std::vector<std::pair<std::string, std::string>> base;
-    for (const auto& def : spec.defaults)
-      if (flag_allowed(bench_spec, def.first)) base.push_back(def);
+    for (const auto& def : spec.defaults) {
+      const auto set_by_block = [&](const auto& axis) { return axis.first == def.first; };
+      if (flag_allowed(bench_spec, def.first) && std::ranges::none_of(block.grid, set_by_block))
+        base.push_back(def);
+    }
 
     // Row-major over the axes as written (rightmost fastest), like nested
     // loops in the manifest's own order.

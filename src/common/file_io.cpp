@@ -1,5 +1,6 @@
 #include "common/file_io.hpp"
 
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -98,6 +99,51 @@ std::string utc_now() {
   char buf[32];
   std::strftime(buf, sizeof buf, "%Y-%m-%dT%H:%M:%SZ", &tm);
   return buf;
+}
+
+LineReader::LineReader(const std::string& path) : buf_(std::size_t{1} << 16) {
+  if (path == "-") {
+    fd_ = STDIN_FILENO;
+    return;
+  }
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  owned_ = fd_ >= 0;
+  if (!owned_) error_ = std::strerror(errno);
+}
+
+LineReader::~LineReader() {
+  if (owned_) ::close(fd_);
+}
+
+bool LineReader::next(std::string_view* line) {
+  while (ok()) {
+    const char* first = buf_.data() + begin_;
+    if (const void* nl = std::memchr(first, '\n', end_ - begin_)) {
+      const auto len = static_cast<std::size_t>(static_cast<const char*>(nl) - first);
+      *line = std::string_view(first, len);
+      begin_ += len + 1;
+      return true;
+    }
+    if (eof_) {
+      if (begin_ == end_) return false;
+      *line = std::string_view(first, end_ - begin_);
+      begin_ = end_;
+      return true;
+    }
+    // Move the partial line to the front, grow a full block, read more.
+    std::memmove(buf_.data(), first, end_ - begin_);
+    end_ -= begin_;
+    begin_ = 0;
+    if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    const ssize_t n = ::read(fd_, buf_.data() + end_, buf_.size() - end_);
+    if (n > 0)
+      end_ += static_cast<std::size_t>(n);
+    else if (n == 0)
+      eof_ = true;
+    else if (errno != EINTR)
+      error_ = std::strerror(errno);
+  }
+  return false;
 }
 
 }  // namespace cr

@@ -1,11 +1,13 @@
 /// \file
 /// File helpers for the artifacts the suite, dist and verify layers publish
 /// (CSVs, run manifests, CellCache entries, the verify report, `cr stream`
-/// checkpoints).
+/// checkpoints), and the line reader `cr stream` reads its feed with.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace cr {
 
@@ -36,5 +38,35 @@ std::string unique_suffix();
 
 /// The current UTC time as `YYYY-MM-DDTHH:MM:SSZ`, which sorts as a string.
 std::string utc_now();
+
+/// The lines of a file or of standard input, read a block at a time with
+/// read(2) and handed out in place: no stdio, no per-line allocation, and
+/// standard input reads as fast as a file. A last line without a newline is
+/// still a line; a line longer than the block grows it.
+class LineReader {
+ public:
+  /// Reads `path`, or standard input for "-". ok() is false, with error()
+  /// naming the reason, when the path cannot be opened.
+  explicit LineReader(const std::string& path);
+  ~LineReader();
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  /// The next line, without its '\n', valid until the next call. False at
+  /// the end of the input, or on a read error (ok() then turns false).
+  bool next(std::string_view* line);
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+
+ private:
+  int fd_ = -1;
+  bool owned_ = false;
+  bool eof_ = false;
+  std::vector<char> buf_;
+  std::size_t begin_ = 0;  ///< first byte not yet handed out
+  std::size_t end_ = 0;    ///< one past the last byte read
+  std::string error_;
+};
 
 }  // namespace cr

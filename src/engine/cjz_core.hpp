@@ -87,20 +87,15 @@ class CjzCore {
   /// driver simulates). Returns true when a stop condition tripped — the
   /// driver must not step further and should call finish().
   bool step(slot_t slot, const AdversaryAction& action, SlotObserver* observer) {
-    // Protocol-silent fast path: nobody live and nothing arriving. Then no
-    // cohort has members and the calendar is empty (it is cleared when the
-    // last node departs), so the slot cannot consume a draw and only the
-    // counters move — this is the per-slot floor of a quiescent tail, and
-    // skipping straight to it keeps the scalar engines' empty-horizon
-    // throughput independent of how much inlining the busy path attracts.
+    // Protocol-silent fast path: nobody live and nothing arriving — the
+    // one-slot case of skip_silent(). This is the per-slot floor of a
+    // quiescent tail, and skipping straight to it keeps the scalar engines'
+    // empty-horizon throughput independent of how much inlining the busy
+    // path attracts.
     if (live_ == 0 && action.inject == 0) {
       ++work_.slots_silent;
-      const SlotOutcome out = resolve_slot(slot, 0, action.jam, kNoNode);
-      if (trace_.storage() != Trace::Storage::kDisabled) trace_.record(out);
-      if (config_.recording.wants_trace()) result_.slot_outcomes.push_back(out);
-      if (out.jammed) ++result_.jammed_slots;
+      const SlotOutcome out = pass_silent(slot, action.jam);
       if (observer != nullptr) observer->on_slot(out, 0, 0);
-      result_.slots = slot;
       if (config_.stop_when_empty && result_.arrivals > 0) return true;
       if (config_.stop_after_first_success && result_.successes > 0) return true;
       return false;
@@ -239,6 +234,21 @@ class CjzCore {
     if (config_.stop_when_empty && result_.arrivals > 0 && live_ == 0) return true;
     if (config_.stop_after_first_success && result_.successes > 0) return true;
     return false;
+  }
+
+  /// Advance through slot `last` in one call, every slot from the one after
+  /// the last stepped being protocol-silent and unjammed: nobody live,
+  /// nothing arriving. The counters move as that many step() calls with an
+  /// empty action would move them (step()'s silent short-circuit is the
+  /// one-slot case), except that the slots count in work().slots_skipped
+  /// and no observer sees them: the caller folds them into its own
+  /// (WindowedMetrics::on_empty_slots). Only for drivers whose config sets
+  /// no stop condition.
+  void skip_silent(slot_t last) {
+    CR_CHECK(live_ == 0 && last > result_.slots);
+    CR_DCHECK(!config_.stop_when_empty && !config_.stop_after_first_success);
+    work_.slots_skipped += last - result_.slots;
+    (void)pass_silent(last, false);
   }
 
   /// Seal the run: backlog, stranded node stats, observer end hook. Call
@@ -678,6 +688,25 @@ class CjzCore {
     const slot_t next_begin = n.from + 2 * ((len << 1) - 1);
     if (next_begin <= config_.horizon)
       schedule({next_begin, CalendarEvent::Kind::kStageBegin, idx, n.gen});
+  }
+
+  /// The counters of the protocol-silent slots result_.slots + 1 .. last,
+  /// all jammed or none. With nobody live no cohort has members and the
+  /// calendar is empty (it is cleared when the last node departs), so no
+  /// slot can consume a draw. Outcomes are built per slot only when a trace
+  /// records them. Returns the last slot's outcome.
+  SlotOutcome pass_silent(slot_t last, bool jam) {
+    const bool traced = trace_.storage() != Trace::Storage::kDisabled;
+    const bool recorded = config_.recording.wants_trace();
+    SlotOutcome out;
+    for (slot_t s = traced || recorded ? result_.slots + 1 : last; s <= last; ++s) {
+      out = resolve_slot(s, 0, jam, kNoNode);
+      if (traced) trace_.record(out);
+      if (recorded) result_.slot_outcomes.push_back(out);
+    }
+    if (jam) result_.jammed_slots += last - result_.slots;
+    result_.slots = last;
+    return out;
   }
 
   /// calendar_.push, counted in work_.

@@ -1,9 +1,10 @@
 #include "engine/stream.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <limits>
 #include <string_view>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/stream_tags.hpp"
@@ -33,6 +34,10 @@ bool parse_digits(std::string_view field, std::uint64_t* out) {
 
 }  // namespace
 
+void EventRing::wake_sleeper(std::atomic<std::uint32_t>& asleep) {
+  if (asleep.exchange(0, std::memory_order_seq_cst) != 0) asleep.notify_one();
+}
+
 StreamSim::StreamSim(const StreamOptions& opts)
     : opts_(opts),
       core_(&fs_, stream_config(opts), CjzOptions{}, Trace::Storage::kDisabled),
@@ -61,37 +66,55 @@ void StreamSim::step_slot(slot_t slot, const AdversaryAction& action) {
   // No stop flags are set in streaming configs, so step() never trips.
   (void)core_.step(slot, action, &windowed_);
   cur_slot_ = slot;
-  if (checkpoint_sink_ && opts_.checkpoint_every > 0 && slot % opts_.checkpoint_every == 0)
-    checkpoint_sink_(snapshot());
+  cut_due_checkpoint();
+}
+
+void StreamSim::fold_silent(slot_t last) {
+  core_.skip_silent(last);
+  windowed_.on_empty_slots(cur_slot_ + 1, last - cur_slot_);
+  cur_slot_ = last;
+  ++folds_;
+  cut_due_checkpoint();
+}
+
+void StreamSim::cut_due_checkpoint() {
+  if (cur_slot_ != next_checkpoint_) return;
+  next_checkpoint_ += opts_.checkpoint_every;
+  checkpoint_sink_(snapshot());
 }
 
 StreamRunSummary StreamSim::run(EventRing& ring, std::ostream& out) {
   out_ = &out;
   StreamRunSummary s;
+  // The first slot divisible by checkpoint_every after the cursor; none
+  // without a sink. Slots stay below 2^62, so the sums cannot wrap.
+  const slot_t every = opts_.checkpoint_every;
+  next_checkpoint_ = checkpoint_sink_ && every > 0 ? cur_slot_ - cur_slot_ % every + every
+                                                   : std::numeric_limits<slot_t>::max();
   bool stop_max = false;
+  bool eof = false;
   for (;;) {
-    if (opts_.max_windows > 0 && windows_emitted_ >= opts_.max_windows) {
-      stop_max = true;
-      break;
-    }
-    if (!has_pending_) {
-      if (!ring.try_pop(pending_)) {
-        if (ring.exhausted()) break;
-        std::this_thread::yield();
-        continue;
+    if (!eof) {
+      if (opts_.max_windows > 0 && windows_emitted_ >= opts_.max_windows) {
+        stop_max = true;
+        break;
       }
-      has_pending_ = true;
+      if (!has_pending_) {
+        has_pending_ = ring.pop(pending_);
+        eof = !has_pending_;
+      }
     }
-    if (pending_.slot <= cur_slot_) {
+    // At EOF the open window is padded to its boundary with empty slots,
+    // which flushes it through the sink.
+    if (eof && cur_slot_ % opts_.window == 0) break;
+    if (has_pending_ && pending_.slot <= cur_slot_) {
       s.error = "stream: feed slot " + std::to_string(pending_.slot) +
                 " is not ahead of the simulation (at slot " + std::to_string(cur_slot_) +
                 "); feed slots must be strictly increasing";
       break;
     }
     const slot_t next = cur_slot_ + 1;
-    if (next < pending_.slot) {
-      step_slot(next, AdversaryAction{});
-    } else {
+    if (has_pending_ && pending_.slot == next) {
       AdversaryAction action;
       action.inject = pending_.inject;
       action.jam = pending_.jam;
@@ -100,16 +123,26 @@ StreamRunSummary StreamSim::run(EventRing& ring, std::ostream& out) {
       has_pending_ = false;
       ++events_applied_;
       step_slot(next, action);
+    } else if (core_.live() > 0) {
+      step_slot(next, AdversaryAction{});
+    } else {
+      // Nobody live and no event before `last`: fold the run of silent
+      // slots, ending it at the window's last slot and at the next
+      // checkpoint slot so windows, checkpoints and a max_windows stop land
+      // on the slots that stepping each slot puts them on.
+      slot_t last = std::min(cur_slot_ - cur_slot_ % opts_.window + opts_.window,
+                             next_checkpoint_);
+      if (has_pending_) last = std::min(last, pending_.slot - 1);
+      fold_silent(last);
     }
   }
+  ring.hang_up();
 
   if (s.error.empty() && !stop_max) {
-    // EOF: pad the open window to its boundary with empty slots, which
-    // flushes it through the sink, then cut the final checkpoint and write
-    // the summary line. A max_windows stop does none of this — the restored
-    // tail re-enters here at the true EOF, so head + tail output
-    // concatenates byte-identically with the uninterrupted run.
-    while (cur_slot_ % opts_.window != 0) step_slot(cur_slot_ + 1, AdversaryAction{});
+    // EOF: cut the final checkpoint and write the summary line. A
+    // max_windows stop does neither and pads nothing — the restored tail
+    // re-enters the loop at the true EOF, so head + tail output concatenates
+    // byte-identically with the uninterrupted run.
     if (checkpoint_sink_) checkpoint_sink_(snapshot());
     const SimResult& pr = core_.partial_result();
     char buf[256];
@@ -133,6 +166,8 @@ StreamRunSummary StreamSim::run(EventRing& ring, std::ostream& out) {
   s.windows = windows_emitted_;
   s.events_applied = events_applied_;
   s.stopped_by_max_windows = stop_max;
+  s.work = core_.work();
+  s.folds = folds_;
   out_ = nullptr;
   return s;
 }
@@ -172,9 +207,9 @@ bool StreamSim::restore(const std::uint8_t* data, std::size_t size, std::string*
   return true;
 }
 
-bool parse_stream_event(const std::string& line, StreamEvent* ev, std::string* error) {
+bool parse_stream_event(std::string_view line, StreamEvent* ev, std::string* error) {
   if (error != nullptr) error->clear();
-  const std::string_view text = std::string_view(line).substr(0, line.find('#'));
+  const std::string_view text = line.substr(0, line.find('#'));
   std::string_view fields[4];
   std::size_t count = 0;
   for (std::size_t i = 0; count < 4;) {
@@ -196,7 +231,8 @@ bool parse_stream_event(const std::string& line, StreamEvent* ev, std::string* e
   if (count < 2 || count > 3 || !parse_digits(fields[0], &slot) ||
       !parse_digits(fields[1], &inject) ||
       (count == 3 && (!parse_digits(fields[2], &jam) || jam > 1)))
-    return fail("stream: malformed trace line \"" + line + "\" (want: slot inject [jam01])");
+    return fail("stream: malformed trace line \"" + std::string(line) +
+                "\" (want: slot inject [jam01])");
   if (slot == 0) return fail("stream: trace slot 0 is invalid (slots are 1-based)");
   if (slot > kStreamHorizon)
     return fail("stream: trace slot " + std::to_string(slot) + " is past the stream horizon " +

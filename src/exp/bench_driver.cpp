@@ -52,8 +52,10 @@ std::ostream& null_stream() {
 
 const std::vector<BenchFlag>& BenchDriver::standard_flags() {
   static const std::vector<BenchFlag> flags = {
-      {"seed", "base seed; seeds S..S+reps-1 are used"},
-      {"threads", "parallel replication workers (default: all cores; results identical)"},
+      {"seed", "base seed; seeds S..S+reps-1 are used",
+       "seed of the one run; this bench takes no --reps"},
+      {"threads", "parallel replication workers (default: all cores; results identical)",
+       "unused: this bench runs no replications"},
       {"quick", "smaller sizes/reps for smoke runs"},
       {"csv", "write the machine-readable result table to PATH (benches with a CSV)"},
       {"quiet", "suppress narrative output and skip narrative-only sub-tables; "
@@ -61,6 +63,10 @@ const std::vector<BenchFlag>& BenchDriver::standard_flags() {
       {"help", "print usage and exit"},
   };
   return flags;
+}
+
+const std::string& BenchFlag::help_for(const BenchSpec& spec) const {
+  return single_run_help.empty() || spec.flags.find("reps") != nullptr ? help : single_run_help;
 }
 
 bool BenchDriver::is_standard_flag(const std::string& name) {
@@ -96,7 +102,7 @@ BenchDriver::BenchDriver(const BenchSpec& spec, int argc, const char* const* arg
     std::printf("%s — %s\n\nflags:\n", spec_.id.c_str(), spec_.summary.c_str());
     for (const BenchFlag& flag : standard_flags())
       if (flag.name != "csv" || has_csv)
-        std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help.c_str());
+        std::printf("  --%-10s %s\n", flag.name.c_str(), flag.help_for(spec_).c_str());
     for (const ParamDef& def : spec_.flags.defs())
       std::printf("  --%-10s %s %s\n", def.name.c_str(), def.help.c_str(),
                   param_facts(def).c_str());

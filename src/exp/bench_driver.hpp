@@ -54,11 +54,19 @@ namespace cr {
 
 class Table;  // common/table.hpp
 
+struct BenchSpec;
+
 /// One of the driver's uniform flags: its name and the one-line help shown
 /// by --help and docs/EXPERIMENTS.md.
 struct BenchFlag {
   std::string name;  ///< flag name without the leading "--"
   std::string help;  ///< one-line description
+  /// The description a bench with no `reps` row shows instead (empty: the
+  /// same as `help`).
+  std::string single_run_help = {};
+
+  /// The description `spec` shows.
+  const std::string& help_for(const BenchSpec& spec) const;
 };
 
 /// Flag name and value pairs, in the order given.

@@ -24,6 +24,19 @@ void WindowedMetrics::on_slot(const SlotOutcome& out, std::uint64_t injected,
   if (++slots_in_window_ == window_) flush();
 }
 
+void WindowedMetrics::on_empty_slots(slot_t first, slot_t count) {
+  while (count > 0) {
+    const slot_t take = std::min<slot_t>(count, window_ - slots_in_window_);
+    if (slots_in_window_ == 0) cur_.start = first;
+    first += take;
+    count -= take;
+    cur_.end = first - 1;
+    cur_.live_end = 0;
+    slots_in_window_ += take;
+    if (slots_in_window_ == window_) flush();
+  }
+}
+
 void WindowedMetrics::on_run_end(const SimResult&) {
   if (slots_in_window_ > 0) flush();
 }

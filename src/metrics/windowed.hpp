@@ -44,6 +44,11 @@ class WindowedMetrics final : public SlotObserver {
   void on_slot(const SlotOutcome& out, std::uint64_t injected, std::uint64_t live_nodes) override;
   void on_run_end(const SimResult& result) override;
 
+  /// Fold `count` empty slots starting at `first` (no arrival, sender or
+  /// jam, nobody live) in O(windows closed): the same as `count` on_slot()
+  /// calls for them.
+  void on_empty_slots(slot_t first, slot_t count);
+
   const std::vector<WindowStats>& series() const { return series_; }
   slot_t window() const { return window_; }
 

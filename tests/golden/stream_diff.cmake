@@ -8,9 +8,12 @@
 #      head+tail output must byte-match the golden too — restore-then-
 #      continue is indistinguishable from never having stopped.
 #
+# With -DSTDIN=ON every run reads the trace on standard input (`--trace=-`,
+# the default feed) instead of by path, and must print the same bytes.
+#
 # Invoked by CTest (see tests/CMakeLists.txt, labels `golden;stream`) as
 #   cmake -DCR=<cr binary> -DTRACE=<stream_trace.txt> -DGOLDEN=<stream_quick.jsonl>
-#         -DOUT=<outdir/prefix> -P stream_diff.cmake
+#         -DOUT=<outdir/prefix> [-DSTDIN=ON] -P stream_diff.cmake
 #
 # To regenerate after an intentional engine/metrics change:
 #   ./build/src/cr stream --trace=tests/golden/stream_trace.txt --window=256 --seed=5 \
@@ -21,11 +24,18 @@ foreach(var CR TRACE GOLDEN OUT)
   endif()
 endforeach()
 
-set(flags --trace=${TRACE} --window=256 --seed=5)
+set(flags --window=256 --seed=5)
+if(STDIN)
+  set(feed INPUT_FILE ${TRACE})
+else()
+  set(feed)
+  list(APPEND flags --trace=${TRACE})
+endif()
 
 # 1. Uninterrupted run.
 execute_process(
   COMMAND ${CR} stream ${flags}
+  ${feed}
   RESULT_VARIABLE run_rc
   OUTPUT_FILE ${OUT}_full.jsonl
   ERROR_QUIET)
@@ -45,6 +55,7 @@ endif()
 # 2. Kill after 4 windows, checkpointing at the stop.
 execute_process(
   COMMAND ${CR} stream ${flags} --max_windows=4 --checkpoint=${OUT}_head.snap
+  ${feed}
   RESULT_VARIABLE head_rc
   OUTPUT_FILE ${OUT}_head.jsonl
   ERROR_QUIET)
@@ -55,6 +66,7 @@ endif()
 # 3. Restore and run the tail to EOF on the same trace.
 execute_process(
   COMMAND ${CR} stream ${flags} --restore=${OUT}_head.snap
+  ${feed}
   RESULT_VARIABLE tail_rc
   OUTPUT_FILE ${OUT}_tail.jsonl
   ERROR_QUIET)

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -118,6 +119,26 @@ TEST(BenchDriverDeathTest, FlagsAreCheckedAgainstTheRows) {
               "cr bench probe: parameter \"reps\" expects a uint, got \"-1\"");
   EXPECT_EXIT(construct({"--rep=3"}), ::testing::ExitedWithCode(2),
               "unknown flag --rep \\(did you mean --reps\\?\\)");
+}
+
+TEST(BenchFlag, SeedAndThreadsHelpSaysWhetherTheBenchReplicates) {
+  // A bench without a reps row (cr stream) runs one seed and no replication
+  // workers, and its --help must not promise either.
+  BenchSpec single;
+  single.name = "probe";
+  BenchSpec replicated = single;
+  replicated.flags = {reps_flag(4, 2)};
+  std::map<std::string, std::pair<std::string, std::string>> help;
+  for (const BenchFlag& flag : BenchDriver::standard_flags())
+    help[flag.name] = {flag.help_for(replicated), flag.help_for(single)};
+  using Pair = std::pair<std::string, std::string>;
+  EXPECT_EQ(help["seed"], Pair("base seed; seeds S..S+reps-1 are used",
+                               "seed of the one run; this bench takes no --reps"));
+  EXPECT_EQ(help["threads"],
+            Pair("parallel replication workers (default: all cores; results identical)",
+                 "unused: this bench runs no replications"));
+  for (const char* same : {"quick", "csv", "quiet", "help"})
+    EXPECT_EQ(help[same].first, help[same].second) << same;
 }
 
 }  // namespace

@@ -3,18 +3,25 @@
 // kill/restore contract — all in-process (the CLI end-to-end byte-diff is
 // the golden_stream_kill_restore CTest in tests/golden/stream_diff.cmake).
 #include <gtest/gtest.h>
+#include <time.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/functions.hpp"
 #include "common/rng.hpp"
+#include "engine/cjz_core.hpp"
 #include "engine/stream.hpp"
+#include "metrics/windowed.hpp"
 
 namespace cr {
 namespace {
@@ -105,6 +112,138 @@ TEST(EventRing, DropPolicyCountsEveryLoss) {
   EXPECT_EQ(received + dropped.load(), kEvents);
   EXPECT_GE(received, 1u);
 }
+
+// The blocking calls: push() sleeps on a full ring, pop() on an empty one.
+
+/// Wait (sleeping, never for long) until `asleep()` says the other thread
+/// went to sleep.
+template <typename Asleep>
+void await_sleep(Asleep asleep) {
+  while (!asleep()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+}
+
+TEST(EventRing, HangUpReleasesAProducerAsleepInPush) {
+  EventRing ring(2);
+  ASSERT_TRUE(ring.push({1, 1, false}));
+  ASSERT_TRUE(ring.push({2, 1, false}));
+  std::atomic<int> pushed{-1};
+  std::thread producer([&] { pushed = ring.push({3, 1, false}) ? 1 : 0; });
+  await_sleep([&] { return ring.producer_sleeps() > 0; });
+  EXPECT_EQ(pushed.load(), -1) << "push() must wait on a full ring";
+  ring.hang_up();
+  producer.join();
+  EXPECT_EQ(pushed.load(), 0) << "push() must give up once the consumer hangs up";
+  EXPECT_EQ(ring.size(), 2u);
+}
+
+TEST(EventRing, CloseReleasesAConsumerAsleepInPop) {
+  EventRing ring(4);
+  std::atomic<int> popped{-1};
+  std::thread consumer([&] {
+    StreamEvent ev;
+    popped = ring.pop(ev) ? 1 : 0;
+  });
+  await_sleep([&] { return ring.consumer_sleeps() > 0; });
+  EXPECT_EQ(popped.load(), -1) << "pop() must wait on an empty ring";
+  ring.close();
+  consumer.join();
+  EXPECT_EQ(popped.load(), 0) << "pop() on a closed, drained ring is EOF";
+}
+
+TEST(EventRing, APushWakesAConsumerAsleepInPop) {
+  EventRing ring(4);
+  StreamEvent got;
+  std::thread consumer([&] { EXPECT_TRUE(ring.pop(got)); });
+  await_sleep([&] { return ring.consumer_sleeps() > 0; });
+  ASSERT_TRUE(ring.try_push({7, 2, true}));
+  consumer.join();
+  EXPECT_EQ(got, (StreamEvent{7, 2, true}));
+}
+
+TEST(EventRing, AProducerSleepsUntilTheRingIsDrainedToHalf) {
+  EventRing ring(4);
+  for (slot_t s = 1; s <= 4; ++s) ASSERT_TRUE(ring.push({s, 1, false}));
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] { pushed = ring.push({5, 1, false}); });
+  await_sleep([&] { return ring.producer_sleeps() > 0; });
+  StreamEvent ev;
+  ASSERT_TRUE(ring.pop(ev));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(pushed.load()) << "one free slot is not half drained";
+  ASSERT_TRUE(ring.pop(ev));
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(ring.size(), 3u);
+}
+
+TEST(EventRing, AnIdleConsumerSleepsInsteadOfSpinning) {
+  // Fed nothing for 500 ms, the consumer must use (almost) no CPU.
+  EventRing ring(1024);
+  double cpu_ms = -1;
+  std::thread consumer([&] {
+    const auto thread_ms = [] {
+      timespec ts{};
+      clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+      return static_cast<double>(ts.tv_sec) * 1e3 + static_cast<double>(ts.tv_nsec) / 1e6;
+    };
+    const double before = thread_ms();
+    StreamEvent ev;
+    EXPECT_FALSE(ring.pop(ev));
+    cpu_ms = thread_ms() - before;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  ring.close();
+  consumer.join();
+  EXPECT_GE(cpu_ms, 0.0);
+  EXPECT_LT(cpu_ms, 50.0);
+}
+
+/// The lossless and drop-counting handoffs again, through pop() and (for
+/// the block policy) push(), at capacities 1 and 3.
+class RingHandoff : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(RingHandoff, BlockPolicyIsLossless) {
+  constexpr std::uint64_t kEvents = 20000;
+  EventRing ring(GetParam());
+  std::thread producer([&ring] {
+    for (std::uint64_t i = 1; i <= kEvents; ++i) EXPECT_TRUE(ring.push({i, i, false}));
+    ring.close();
+  });
+  std::uint64_t received = 0;
+  StreamEvent ev;
+  while (ring.pop(ev)) {
+    ++received;
+    EXPECT_EQ(ev.slot, received) << "events must arrive in push order";
+    EXPECT_EQ(ev.inject, received);
+  }
+  producer.join();
+  EXPECT_EQ(received, kEvents);
+  EXPECT_TRUE(ring.exhausted());
+}
+
+TEST_P(RingHandoff, DropPolicyCountsEveryLoss) {
+  constexpr std::uint64_t kEvents = 20000;
+  EventRing ring(GetParam());
+  std::uint64_t dropped = 0;
+  std::thread producer([&ring, &dropped] {
+    for (std::uint64_t i = 1; i <= kEvents; ++i)
+      if (!ring.try_push({i, i, false})) ++dropped;
+    ring.close();
+  });
+  std::uint64_t received = 0;
+  std::uint64_t last_slot = 0;
+  StreamEvent ev;
+  while (ring.pop(ev)) {
+    ++received;
+    EXPECT_GT(ev.slot, last_slot) << "drops must preserve the survivors' order";
+    last_slot = ev.slot;
+  }
+  producer.join();
+  EXPECT_EQ(received + dropped, kEvents);
+  EXPECT_GE(received, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacity, RingHandoff, ::testing::Values(1, 3));
 
 // ---------------------------------------------------------------------------
 // Feed parsing and the synthetic generator.
@@ -383,6 +522,182 @@ TEST(StreamSim, PeriodicCheckpointsAllRestoreExactly) {
     ASSERT_TRUE(tail_out.summary.ok()) << tail_out.summary.error;
     EXPECT_TRUE(whole.ends_with(tail_out.jsonl)) << "checkpoint " << ci;
   }
+}
+
+// ---------------------------------------------------------------------------
+// StreamSim's idle fold against stepping every slot.
+// ---------------------------------------------------------------------------
+
+/// A feed whose gaps run from 1 slot to several hundred (longer than the
+/// widest window tested), with bursts, jams, and jam-only events that
+/// inject nobody.
+std::vector<StreamEvent> gapped_events(std::uint64_t seed, std::size_t count) {
+  Rng rng(seed);
+  std::vector<StreamEvent> events;
+  slot_t slot = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t kind = rng.uniform_u64(4);
+    slot += kind == 0 ? 1 + rng.uniform_u64(3) : kind == 1 ? 100 + rng.uniform_u64(400)
+                                                           : 1 + rng.uniform_u64(40);
+    StreamEvent ev;
+    ev.slot = slot;
+    ev.inject = rng.uniform_u64(8) == 0 ? 0 : 1 + rng.uniform_u64(rng.uniform_u64(6) == 0 ? 12 : 2);
+    ev.jam = rng.uniform01() < 0.2;
+    events.push_back(ev);
+  }
+  return events;
+}
+
+/// The window line StreamSim writes for window `index`.
+std::string window_line(std::uint64_t index, const WindowStats& ws) {
+  using ull = unsigned long long;
+  char buf[512];
+  std::snprintf(buf, sizeof(buf),
+                "{\"window\":%llu,\"start\":%llu,\"end\":%llu,\"arrivals\":%llu,"
+                "\"successes\":%llu,\"jammed\":%llu,\"sends\":%llu,\"live_max\":%llu,"
+                "\"live_end\":%llu,\"live_mean\":%.6f}\n",
+                static_cast<ull>(index), static_cast<ull>(ws.start), static_cast<ull>(ws.end),
+                static_cast<ull>(ws.arrivals), static_cast<ull>(ws.successes),
+                static_cast<ull>(ws.jammed), static_cast<ull>(ws.sends),
+                static_cast<ull>(ws.live_max), static_cast<ull>(ws.live_end), ws.live_mean);
+  return buf;
+}
+
+/// What a plain loop that steps the core at every slot, with a
+/// WindowedMetrics observer, produces for `events`: the window lines, the
+/// slots a checkpoint would be cut after (periodic ones, then the final one
+/// at EOF), and the core's counters.
+struct SteppedRun {
+  std::string windows;
+  std::vector<slot_t> checkpoints;
+  SimResult result;
+};
+
+SteppedRun step_every_slot(const std::vector<StreamEvent>& events, const StreamOptions& opts) {
+  FunctionSet fs;
+  SimConfig config;
+  config.horizon = kStreamHorizon;
+  config.seed = opts.seed;
+  config.recording = RecordingConfig::none();
+  CjzCore core(&fs, config, CjzOptions{}, Trace::Storage::kDisabled);
+  WindowedMetrics windowed(opts.window);
+  SteppedRun run;
+  // EOF pads the last event's window to its end.
+  const slot_t end = (events.back().slot + opts.window - 1) / opts.window * opts.window;
+  std::size_t next = 0;
+  for (slot_t slot = 1; slot <= end; ++slot) {
+    AdversaryAction action;
+    if (next < events.size() && events[next].slot == slot) {
+      action.inject = events[next].inject;
+      action.jam = events[next].jam;
+      ++next;
+    }
+    EXPECT_FALSE(core.step(slot, action, &windowed));
+    if (opts.checkpoint_every > 0 && slot % opts.checkpoint_every == 0)
+      run.checkpoints.push_back(slot);
+  }
+  run.checkpoints.push_back(end);
+  for (std::size_t i = 0; i < windowed.series().size(); ++i)
+    run.windows += window_line(i + 1, windowed.series()[i]);
+  run.result = core.partial_result();
+  return run;
+}
+
+class StreamFold : public ::testing::TestWithParam<std::tuple<slot_t, slot_t>> {};
+
+TEST_P(StreamFold, WindowsAndCheckpointsMatchSteppingEverySlot) {
+  StreamOptions opts;
+  opts.seed = 11;
+  opts.window = std::get<0>(GetParam());
+  opts.checkpoint_every = std::get<1>(GetParam());
+  const auto events = gapped_events(opts.window * 31 + opts.checkpoint_every, 300);
+  const SteppedRun want = step_every_slot(events, opts);
+
+  StreamSim sim(opts);
+  std::vector<slot_t> checkpoints;
+  sim.set_checkpoint_sink(
+      [&](const std::vector<std::uint8_t>&) { checkpoints.push_back(sim.current_slot()); });
+  EventRing ring(events.size());
+  for (const StreamEvent& ev : events) ASSERT_TRUE(ring.try_push(ev));
+  ring.close();
+  std::ostringstream os;
+  const StreamRunSummary got = sim.run(ring, os);
+  ASSERT_TRUE(got.ok()) << got.error;
+
+  const std::string jsonl = os.str();
+  EXPECT_EQ(jsonl.substr(0, jsonl.rfind("{\"done\":")), want.windows);
+  EXPECT_EQ(checkpoints, want.checkpoints);
+  const SimResult& r = sim.partial_result();
+  EXPECT_EQ(r.slots, want.result.slots);
+  EXPECT_EQ(r.arrivals, want.result.arrivals);
+  EXPECT_EQ(r.successes, want.result.successes);
+  EXPECT_EQ(r.jammed_slots, want.result.jammed_slots);
+  EXPECT_EQ(r.active_slots, want.result.active_slots);
+  EXPECT_EQ(r.total_sends, want.result.total_sends);
+  // The gaps leave idle runs to fold, and every slot is accounted for once.
+  EXPECT_GT(got.folds, 0u);
+  EXPECT_GT(got.work.slots_silent, 0u) << "jam-only events with nobody live";
+  EXPECT_EQ(got.work.slots_stepped + got.work.slots_silent + got.work.slots_skipped, r.slots);
+}
+
+TEST_P(StreamFold, AMaxWindowsStopLandsOnTheSameSlot) {
+  StreamOptions opts;
+  opts.seed = 11;
+  opts.window = std::get<0>(GetParam());
+  opts.checkpoint_every = std::get<1>(GetParam());
+  const auto events = gapped_events(opts.window * 31 + opts.checkpoint_every, 300);
+  const SteppedRun want = step_every_slot(events, opts);
+
+  opts.max_windows = 5;
+  StreamSim head(opts);
+  const DrainResult out = drain(head, events, 0);
+  ASSERT_TRUE(out.summary.stopped_by_max_windows);
+  EXPECT_EQ(head.current_slot(), 5 * opts.window);
+  EXPECT_EQ(out.jsonl, want.windows.substr(0, want.windows.find("{\"window\":6,")));
+}
+
+INSTANTIATE_TEST_SUITE_P(WindowByCheckpoint, StreamFold,
+                         ::testing::Combine(::testing::Values<slot_t>(1, 7, 64),
+                                            ::testing::Values<slot_t>(1, 5, 100)));
+
+TEST(CjzCore, SkipSilentMovesTheCountersAsSteppingWould) {
+  // A traced, fully recording core: skip_silent must leave what stepping
+  // the same empty slots leaves, and count them as skipped.
+  FunctionSet fs;
+  SimConfig config;
+  config.horizon = 1 << 12;
+  config.seed = 3;
+  config.recording = RecordingConfig{RecordingTier::kFullTrace};
+  CjzCore stepped(&fs, config, CjzOptions{});
+  CjzCore skipped(&fs, config, CjzOptions{});
+  AdversaryAction arrive;
+  arrive.inject = 2;
+  for (CjzCore* core : {&stepped, &skipped}) {
+    slot_t slot = 0;
+    (void)core->step(++slot, arrive, nullptr);
+    while (core->live() > 0) (void)core->step(++slot, AdversaryAction{}, nullptr);
+  }
+  const slot_t from = stepped.partial_result().slots;
+  for (slot_t slot = from + 1; slot <= from + 300; ++slot)
+    (void)stepped.step(slot, AdversaryAction{}, nullptr);
+  skipped.skip_silent(from + 100);
+  skipped.skip_silent(from + 300);
+
+  EXPECT_EQ(skipped.work().slots_skipped, 300u);
+  EXPECT_EQ(stepped.work().slots_silent, 300u);
+  const SimResult& a = stepped.partial_result();
+  const SimResult& b = skipped.partial_result();
+  EXPECT_EQ(b.slots, a.slots);
+  EXPECT_EQ(b.jammed_slots, a.jammed_slots);
+  EXPECT_EQ(b.active_slots, a.active_slots);
+  ASSERT_EQ(b.slot_outcomes.size(), a.slot_outcomes.size());
+  for (std::size_t i = 0; i < a.slot_outcomes.size(); ++i) {
+    EXPECT_EQ(b.slot_outcomes[i].slot, a.slot_outcomes[i].slot);
+    EXPECT_EQ(b.slot_outcomes[i].senders, a.slot_outcomes[i].senders);
+    EXPECT_EQ(b.slot_outcomes[i].winner, a.slot_outcomes[i].winner);
+  }
+  EXPECT_EQ(skipped.trace().slots(), stepped.trace().slots());
+  EXPECT_EQ(skipped.trace().total_successes(), stepped.trace().total_successes());
 }
 
 TEST(StreamSim, NonMonotoneFeedIsANamedError) {

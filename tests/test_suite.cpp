@@ -114,14 +114,20 @@ TEST(SuiteParse, RejectsBadFlagValuesNamingTheCellAndTheFlag) {
 }
 
 TEST(SuiteParse, GridAxisOverridesASuiteDefault) {
-  // The cell passes both, and the bench reads the later one, the axis: the
-  // check must see the value the bench runs with, not a duplicate.
-  const auto loaded = parse(R"({"name": "s", "defaults": {"reps": 0},
+  // The axis is the value the bench runs with. The overridden default is a
+  // dead flag, so it must reach neither the cell's command line nor its
+  // config hash; a default the block does not set stays.
+  const auto with_default = parse(R"({"name": "s", "defaults": {"reps": 0, "max_exp": 12},
       "cells": [{"bench": "latency", "grid": {"reps": [2]}}]})");
-  ASSERT_TRUE(loaded.ok()) << loaded.error;
-  const auto cells = expand_suite(loaded.spec);
+  const auto without = parse(R"({"name": "s", "defaults": {"max_exp": 12},
+      "cells": [{"bench": "latency", "grid": {"reps": [2]}}]})");
+  ASSERT_TRUE(with_default.ok()) << with_default.error;
+  ASSERT_TRUE(without.ok()) << without.error;
+  const auto cells = expand_suite(with_default.spec);
   ASSERT_EQ(cells.size(), 1u);
-  EXPECT_EQ(cells[0].flags.back(), (std::pair<std::string, std::string>{"reps", "2"}));
+  const std::vector<std::pair<std::string, std::string>> want = {{"max_exp", "12"}, {"reps", "2"}};
+  EXPECT_EQ(cells[0].flags, want);
+  EXPECT_EQ(suite_config_hash(cells), suite_config_hash(expand_suite(without.spec)));
 }
 
 TEST(SuiteParse, RejectsABenchThatWritesNoCsv) {
