@@ -94,7 +94,7 @@ class CjzCore {
     // path attracts.
     if (live_ == 0 && action.inject == 0) {
       ++work_.slots_silent;
-      const SlotOutcome out = pass_silent(slot, action.jam);
+      const SlotOutcome out = pass_silent(slot, slot, action.jam);
       if (observer != nullptr) observer->on_slot(out, 0, 0);
       if (config_.stop_when_empty && result_.arrivals > 0) return true;
       if (config_.stop_after_first_success && result_.successes > 0) return true;
@@ -248,7 +248,7 @@ class CjzCore {
     CR_CHECK(live_ == 0 && last > result_.slots);
     CR_DCHECK(!config_.stop_when_empty && !config_.stop_after_first_success);
     work_.slots_skipped += last - result_.slots;
-    (void)pass_silent(last, false);
+    (void)pass_silent(result_.slots + 1, last, false);
   }
 
   /// Seal the run: backlog, stranded node stats, observer end hook. Call
@@ -690,21 +690,25 @@ class CjzCore {
       schedule({next_begin, CalendarEvent::Kind::kStageBegin, idx, n.gen});
   }
 
-  /// The counters of the protocol-silent slots result_.slots + 1 .. last,
-  /// all jammed or none. With nobody live no cohort has members and the
-  /// calendar is empty (it is cleared when the last node departs), so no
-  /// slot can consume a draw. Outcomes are built per slot only when a trace
-  /// records them. Returns the last slot's outcome.
-  SlotOutcome pass_silent(slot_t last, bool jam) {
+  /// The counters of the protocol-silent slots first .. last, all jammed or
+  /// none. With nobody live no cohort has members and the calendar is empty
+  /// (it is cleared when the last node departs), so no slot can consume a
+  /// draw. Returns the last slot's outcome. The last slot stays out of the
+  /// loop: as the only iteration of one, step()'s silent slot took twice as
+  /// long (GCC 12, -O2).
+  SlotOutcome pass_silent(slot_t first, slot_t last, bool jam) {
     const bool traced = trace_.storage() != Trace::Storage::kDisabled;
     const bool recorded = config_.recording.wants_trace();
-    SlotOutcome out;
-    for (slot_t s = traced || recorded ? result_.slots + 1 : last; s <= last; ++s) {
-      out = resolve_slot(s, 0, jam, kNoNode);
-      if (traced) trace_.record(out);
-      if (recorded) result_.slot_outcomes.push_back(out);
-    }
-    if (jam) result_.jammed_slots += last - result_.slots;
+    const auto record = [&](const SlotOutcome& o) {
+      if (traced) trace_.record(o);
+      if (recorded) result_.slot_outcomes.push_back(o);
+    };
+    // The slots before the last matter only to a trace.
+    if (traced || recorded)
+      for (slot_t s = first; s < last; ++s) record(resolve_slot(s, 0, jam, kNoNode));
+    const SlotOutcome out = resolve_slot(last, 0, jam, kNoNode);
+    record(out);
+    if (jam) result_.jammed_slots += last - first + 1;
     result_.slots = last;
     return out;
   }

@@ -700,6 +700,30 @@ TEST(CjzCore, SkipSilentMovesTheCountersAsSteppingWould) {
   EXPECT_EQ(skipped.trace().total_successes(), stepped.trace().total_successes());
 }
 
+TEST(StreamSim, AnEarlyStopReleasesAProducerAsleepInPush) {
+  // A max_windows stop leaves most of the feed unread; run() must hang up
+  // so the producer, asleep on the full ring, returns instead of hanging.
+  StreamOptions opts = test_options();
+  opts.max_windows = 2;
+  StreamSim sim(opts);
+  EventRing ring(4);
+  const auto events = synth_events(5, 2000);
+  std::size_t pushed = 0;
+  std::thread producer([&] {
+    for (const StreamEvent& ev : events) {
+      if (!ring.push(ev)) break;
+      ++pushed;
+    }
+    ring.close();
+  });
+  std::ostringstream os;
+  const StreamRunSummary summary = sim.run(ring, os);
+  producer.join();
+  EXPECT_TRUE(summary.stopped_by_max_windows);
+  EXPECT_TRUE(ring.hung_up());
+  EXPECT_LT(pushed, events.size());
+}
+
 TEST(StreamSim, NonMonotoneFeedIsANamedError) {
   const std::vector<StreamEvent> events = {{10, 1, false}, {10, 1, false}};
   StreamSim sim(test_options());
