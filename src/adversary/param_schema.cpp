@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <set>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -43,7 +44,7 @@ std::string bound_number(double v) {
 
 }  // namespace
 
-ParamSchema::ParamSchema(std::initializer_list<ParamDef> defs) : defs_(defs) {
+ParamSchema::ParamSchema(std::vector<ParamDef> defs) : defs_(std::move(defs)) {
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     const ParamDef& def = defs_[i];
     CR_CHECK(!def.name.empty());

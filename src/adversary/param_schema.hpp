@@ -67,7 +67,10 @@ std::string param_facts(const ParamDef& def);
 class ParamSchema {
  public:
   ParamSchema() = default;
-  ParamSchema(std::initializer_list<ParamDef> defs);
+  ParamSchema(std::initializer_list<ParamDef> defs)
+      : ParamSchema(std::vector<ParamDef>(defs)) {}
+  /// For a schema assembled from another's rows plus its own.
+  explicit ParamSchema(std::vector<ParamDef> defs);
 
   /// nullptr when `name` is not declared.
   const ParamDef* find(const std::string& name) const;

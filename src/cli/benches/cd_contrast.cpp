@@ -7,62 +7,31 @@
 //
 //   * cd-backon   — multiplicative backon/backoff with ternary feedback
 //   * cjz         — the paper's algorithm, binary feedback
-//   * cd-backon run WITHOUT CD (its backon signal removed) — a controller
+//   * cd-backon run WITHOUT CD (`collision_detection = false`: silence
+//     sounds like a collision, so its backon signal is gone) — a controller
 //     built for the wrong model, to show the degradation is structural.
+//
+// Both cd-backon contenders run on the fast_batch cohort engine (a batch is
+// one cohort sharing one sending probability).
 //
 // Prediction: cd-backon's batch completion/n is ~constant in n (constant
 // throughput) even at 25% jamming; CJZ pays the Θ(log n) factor (the best
 // possible without CD, Theorem 1.3); the degraded controller collapses.
-#include <memory>
 #include <ostream>
 
 #include "cli/benches/benches.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "engine/engine.hpp"
 #include "exp/bench_driver.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
-#include "protocols/cd_backon.hpp"
 
 namespace cr::benches {
 
 namespace {
 
-/// Strips the CD feedback from an inner protocol: routes the ternary signal
-/// through the binary no-CD path, emulating the same controller deployed on
-/// a channel without collision detection.
-class NoCdWrapper final : public NodeProtocol {
- public:
-  explicit NoCdWrapper(std::unique_ptr<NodeProtocol> inner) : inner_(std::move(inner)) {}
-  bool on_slot(slot_t now, Rng& rng) override { return inner_->on_slot(now, rng); }
-  void on_feedback(slot_t now, Feedback fb, bool sent, bool own) override {
-    inner_->on_feedback(now, fb, sent, own);
-  }
-  void on_feedback_cd(slot_t now, CdFeedback fb, bool sent, bool own) override {
-    inner_->on_feedback(now,
-                        fb == CdFeedback::kSuccess ? Feedback::kSuccess
-                                                   : Feedback::kSilenceOrCollision,
-                        sent, own);
-  }
-
- private:
-  std::unique_ptr<NodeProtocol> inner_;
-};
-
-class NoCdFactory final : public ProtocolFactory {
- public:
-  explicit NoCdFactory(std::unique_ptr<ProtocolFactory> inner) : inner_(std::move(inner)) {}
-  std::unique_ptr<NodeProtocol> spawn(node_id id, slot_t arrival, Rng& rng) override {
-    return std::make_unique<NoCdWrapper>(inner_->spawn(id, arrival, rng));
-  }
-  std::string name() const override { return inner_->name() + "-no-cd"; }
-
- private:
-  std::unique_ptr<ProtocolFactory> inner_;
-};
-
 struct Contender {
-  const char* label;
   ProtocolSpec spec;
   /// The degraded controller provably stalls; a tighter guard horizon keeps
   /// the bench fast (it reports '>cap' either way).
@@ -100,14 +69,9 @@ int run(const BenchDriver& driver) {
       << "under jamming); withOUT CD the same controller collapses, and the best\n"
       << "possible (CJZ) pays the Theta(log n) factor.\n\n";
 
-  const Contender cd_backon{"cd-backon",
-                            factory_protocol("cd-backon", [] { return cd_backon_factory({}); }),
-                            200};
-  const Contender cjz{"cjz", cjz_protocol(functions_constant_g(4.0)), 200};
-  const Contender no_cd{"no-cd", factory_protocol("cd-backon-no-cd", [] {
-                          return std::make_unique<NoCdFactory>(cd_backon_factory({}));
-                        }),
-                        20};
+  const Contender cd_backon{cd_backon_protocol({}), 200};
+  const Contender cjz{cjz_protocol(functions_constant_g(4.0)), 200};
+  const Contender no_cd{cd_backon_protocol({.collision_detection = false}), 20};
 
   Table table({"n", "jam", "cd-backon /n", "cjz /n", "backon-without-cd /n"});
   for (std::uint64_t n = 256; n <= max_n; n <<= 1) {

@@ -106,7 +106,8 @@ int run(const BenchDriver& driver) {
   if (synth_count == 0) {
     trace.emplace(trace_path);
     if (!trace->ok()) {
-      std::fprintf(stderr, "cr stream: cannot open trace \"%s\"\n", trace_path.c_str());
+      std::fprintf(stderr, "cr stream: cannot open trace \"%s\": %s\n", trace_path.c_str(),
+                   trace->error().c_str());
       return 2;
     }
   }
@@ -156,6 +157,9 @@ int run(const BenchDriver& driver) {
   });
 
   const StreamRunSummary summary = sim.run(ring, driver.out());
+  // After an early stop the producer may be waiting for input on a pipe
+  // that stays open; it must stop reading, not hold up the exit.
+  if (trace) trace->cancel();
   producer.join();
 
   if (!feed_error.empty()) {

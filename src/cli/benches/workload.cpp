@@ -37,27 +37,17 @@ bool is_component_param(const std::string& name) {
   return name.rfind("arrival.", 0) == 0 || name.rfind("jammer.", 0) == 0;
 }
 
-/// Shared by run and validate_cell: parse + validate the workload keys among
-/// `flags`, which are all of them but the replication count.
-WorkloadParse parse(const FlagList& flags) {
-  FlagList kvs;
-  for (const auto& [key, value] : flags)
-    if (key != "reps") kvs.emplace_back(key, value);
-  return parse_workload(kvs);
-}
-
-std::string validate_cell(const ParamValues&, const FlagList& flags) {
-  return parse(flags).error;
+std::string validate_cell(const ParamValues& values, const FlagList& flags) {
+  return workload_from_values(values, flags).error;
 }
 
 int run(const BenchDriver& driver) {
   std::ostream& out = driver.out();
   const int reps = static_cast<int>(driver.flags().as_uint("reps"));
 
-  // The driver validated the flags (validate_cell), so the parse succeeds;
-  // the horizon row adds its quick default when none was given.
-  WorkloadSpec spec = parse(driver.passed_flags()).spec;
-  spec.horizon = driver.flags().as_uint("horizon");
+  // The driver validated the flags (validate_cell), so the spec is valid;
+  // the horizon row holds its quick default when none was given.
+  WorkloadSpec spec = workload_from_values(driver.flags(), driver.passed_flags()).spec;
 
   // One probe build names the composition for the narrative line; every
   // replication builds a fresh adversary (stateful, consumed per run).
@@ -135,22 +125,9 @@ BenchSpec workload() {
   spec.outcome =
       "one CSV row of aggregate counters for the composed workload at one "
       "parameter point; grids come from suite manifests";
-  const WorkloadSpec base;  // the defaults the flags override
-  spec.flags = {
-      {"arrival", ParamType::kText, base.arrival.name,
-       "ArrivalRegistry component name; parameters via --arrival.<param>"},
-      {"jammer", ParamType::kText, base.jammer.name,
-       "JammerRegistry component name; parameters via --jammer.<param>"},
-      {"g", ParamType::kText, base.g_regime,
-       "g regime: " + g_regimes().joined_names(" | ")},
-      {"gamma", ParamType::kDouble, double_param_text(base.gamma),
-       "const-g value / exp_sqrt_log scale; rejected under g=log"},
-      {"protocol", ParamType::kText, base.protocol,
-       "named protocol: " + workload_protocols().joined_names(" | ")},
-      {"horizon", ParamType::kUint, std::to_string(base.horizon), "slot horizon",
-       {.min = 1}, "16384"},
-      reps_flag(8, 3),
-  };
+  std::vector<ParamDef> rows = workload_schema().defs();
+  rows.push_back(reps_flag(8, 3));
+  spec.flags = ParamSchema(std::move(rows));
   spec.allows_flag = is_component_param;
   spec.validate_cell = validate_cell;
   spec.csv_columns = point_csv_columns({"arrival", "jammer", "g", "protocol", "engine", "horizon"});

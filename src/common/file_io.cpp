@@ -1,6 +1,7 @@
 #include "common/file_io.hpp"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -104,15 +105,46 @@ std::string utc_now() {
 LineReader::LineReader(const std::string& path) : buf_(std::size_t{1} << 16) {
   if (path == "-") {
     fd_ = STDIN_FILENO;
+  } else {
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    owned_ = fd_ >= 0;
+    if (!owned_) {
+      error_ = std::strerror(errno);
+      return;
+    }
+  }
+  struct stat st {};
+  if (::fstat(fd_, &st) != 0) {
+    error_ = std::strerror(errno);  // e.g. standard input is closed
     return;
   }
-  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  owned_ = fd_ >= 0;
-  if (!owned_) error_ = std::strerror(errno);
+  if (S_ISREG(st.st_mode)) return;
+  if (::pipe2(wake_, O_CLOEXEC) != 0) error_ = std::strerror(errno);
 }
 
 LineReader::~LineReader() {
   if (owned_) ::close(fd_);
+  for (const int fd : wake_)
+    if (fd >= 0) ::close(fd);
+}
+
+void LineReader::cancel() {
+  // The byte is never read, so the pipe stays readable: every later poll
+  // sees the cancellation too.
+  const char byte = 1;
+  if (wake_[1] >= 0) (void)!::write(wake_[1], &byte, 1);
+}
+
+bool LineReader::wait_for_input() {
+  if (wake_[0] < 0) return true;
+  pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_[0], POLLIN, 0}};
+  while (::poll(fds, 2, -1) < 0) {
+    if (errno != EINTR) {
+      error_ = std::strerror(errno);
+      return false;
+    }
+  }
+  return fds[1].revents == 0;
 }
 
 bool LineReader::next(std::string_view* line) {
@@ -135,6 +167,7 @@ bool LineReader::next(std::string_view* line) {
     end_ -= begin_;
     begin_ = 0;
     if (end_ == buf_.size()) buf_.resize(2 * buf_.size());
+    if (!wait_for_input()) return false;
     const ssize_t n = ::read(fd_, buf_.data() + end_, buf_.size() - end_);
     if (n > 0)
       end_ += static_cast<std::size_t>(n);

@@ -43,6 +43,11 @@ std::string utc_now();
 /// read(2) and handed out in place: no stdio, no per-line allocation, and
 /// standard input reads as fast as a file. A last line without a newline is
 /// still a line; a line longer than the block grows it.
+///
+/// Input that can block (a pipe, a FIFO, a terminal) is waited for with
+/// poll(2) together with a wake-up pipe, once per block, so cancel() from
+/// another thread stops a reader whose writer keeps the input open and
+/// sends nothing.
 class LineReader {
  public:
   /// Reads `path`, or standard input for "-". ok() is false, with error()
@@ -53,16 +58,29 @@ class LineReader {
   LineReader& operator=(const LineReader&) = delete;
 
   /// The next line, without its '\n', valid until the next call. False at
-  /// the end of the input, or on a read error (ok() then turns false).
+  /// the end of the input, on a read error (ok() then turns false), or
+  /// once cancel() has been called and the buffered lines are spent.
   bool next(std::string_view* line);
+
+  /// Stop reading: a next() waiting for input returns false, and so does
+  /// every later one that would wait. Safe to call from another thread
+  /// while next() runs.
+  void cancel();
 
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }
 
  private:
+  /// Whether input is ready to read: false once cancel() was called (or
+  /// poll fails, which sets error_).
+  bool wait_for_input();
+
   int fd_ = -1;
   bool owned_ = false;
   bool eof_ = false;
+  /// Read and write ends of the wake-up pipe; -1 for a regular file,
+  /// whose reads never wait.
+  int wake_[2] = {-1, -1};
   std::vector<char> buf_;
   std::size_t begin_ = 0;  ///< first byte not yet handed out
   std::size_t end_ = 0;    ///< one past the last byte read

@@ -1,6 +1,7 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
 #include "common/check.hpp"
@@ -27,6 +28,17 @@ ProtocolSpec profile_protocol(SendProfile profile) {
   return spec;
 }
 
+ProtocolSpec cd_backon_protocol(CdBackonOptions options) {
+  const std::string error = cd_backon_options_error(options);
+  if (!error.empty()) std::fprintf(stderr, "cd_backon_protocol: %s\n", error.c_str());
+  CR_CHECK(error.empty());
+  ProtocolSpec spec;
+  spec.kind = ProtocolSpec::Kind::kCdBackon;
+  spec.label = options.collision_detection ? "cd-backon" : "cd-backon-no-cd";
+  spec.cd_backon = options;
+  return spec;
+}
+
 ProtocolSpec factory_protocol(std::string label,
                               std::function<std::unique_ptr<ProtocolFactory>()> make) {
   CR_CHECK(make != nullptr);
@@ -43,6 +55,8 @@ std::unique_ptr<ProtocolFactory> make_protocol_factory(const ProtocolSpec& spec)
       return std::make_unique<CjzFactory>(spec.fs, spec.cjz_options);
     case ProtocolSpec::Kind::kProfile:
       return std::make_unique<ProfileProtocolFactory>(*spec.profile);
+    case ProtocolSpec::Kind::kCdBackon:
+      return cd_backon_factory(spec.cd_backon);
     case ProtocolSpec::Kind::kFactory:
       return spec.make_factory();
   }
@@ -84,18 +98,23 @@ class FastCjzEngine final : public Engine {
   }
 };
 
-/// Cohort engine specialised to probability-profile protocols.
+/// Cohort engine for protocols whose sending probability nodes that arrive
+/// together share: probability profiles (a function of age) and the
+/// cd-backon controller (a function of the public feedback since arrival).
 class FastBatchEngine final : public Engine {
  public:
   std::string name() const override { return "fast_batch"; }
   bool supports(const ProtocolSpec& spec) const override {
-    return spec.kind == ProtocolSpec::Kind::kProfile;
+    return spec.kind == ProtocolSpec::Kind::kProfile ||
+           spec.kind == ProtocolSpec::Kind::kCdBackon;
   }
   int speed_rank() const override { return 100; }
 
   SimResult run(const ProtocolSpec& spec, Adversary& adversary, const SimConfig& config,
                 SlotObserver* observer) const override {
     CR_CHECK(supports(spec));
+    if (spec.kind == ProtocolSpec::Kind::kCdBackon)
+      return run_fast_batch(spec.cd_backon, adversary, config, observer);
     return run_fast_batch(*spec.profile, adversary, config, observer);
   }
 };

@@ -2,7 +2,8 @@
 /// Unified engine layer: every simulator behind one polymorphic interface.
 ///
 /// A ProtocolSpec describes WHAT runs on the channel (the CJZ algorithm, a
-/// probability-profile protocol, or an arbitrary ProtocolFactory); an Engine
+/// probability-profile protocol, the collision-detection backon/backoff
+/// controller, or an arbitrary ProtocolFactory); an Engine
 /// is a strategy for HOW to execute it (reference per-node simulation or one
 /// of the cohort-based fast engines). Engines self-describe which specs they
 /// can execute, so callers select one through the EngineRegistry instead of
@@ -28,6 +29,7 @@
 #include "common/registry.hpp"
 #include "engine/sim_result.hpp"
 #include "protocols/batch.hpp"
+#include "protocols/cd_backon.hpp"
 #include "protocols/cjz_node.hpp"
 #include "protocols/protocol.hpp"
 
@@ -38,9 +40,10 @@ namespace cr {
 /// the spec; each run builds its own per-run state from it).
 struct ProtocolSpec {
   enum class Kind {
-    kCjz,      ///< the paper's algorithm, parameterised by a FunctionSet
-    kProfile,  ///< fixed per-age probability profile (h-batch family)
-    kFactory,  ///< arbitrary ProtocolFactory (reference engine only)
+    kCjz,       ///< the paper's algorithm, parameterised by a FunctionSet
+    kProfile,   ///< fixed per-age probability profile (h-batch family)
+    kCdBackon,  ///< backon/backoff controller, with or without its CD signal
+    kFactory,   ///< arbitrary ProtocolFactory (reference engine only)
   };
 
   Kind kind = Kind::kCjz;
@@ -48,6 +51,7 @@ struct ProtocolSpec {
   FunctionSet fs;                      ///< kCjz
   CjzOptions cjz_options;              ///< kCjz
   std::optional<SendProfile> profile;  ///< kProfile
+  CdBackonOptions cd_backon;           ///< kCdBackon
   /// kFactory: builds a fresh factory per run (must be re-invocable and
   /// thread-safe — parallel replications call it concurrently).
   std::function<std::unique_ptr<ProtocolFactory>()> make_factory;
@@ -56,6 +60,9 @@ struct ProtocolSpec {
 /// Spec constructors (the only supported way to build one).
 ProtocolSpec cjz_protocol(FunctionSet fs, CjzOptions options = {});
 ProtocolSpec profile_protocol(SendProfile profile);
+/// Checks `options` (cd_backon_options_error) and, when one is bad, prints
+/// "cd_backon_protocol: <field> must be ..." and aborts.
+ProtocolSpec cd_backon_protocol(CdBackonOptions options);
 ProtocolSpec factory_protocol(std::string label,
                               std::function<std::unique_ptr<ProtocolFactory>()> make);
 

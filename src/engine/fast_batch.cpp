@@ -1,6 +1,7 @@
 #include "engine/fast_batch.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <utility>
 
 #include "channel/channel.hpp"
@@ -10,11 +11,24 @@
 
 namespace cr {
 
-FastBatchSimulator::FastBatchSimulator(SendProfile profile, Adversary& adversary,
-                                       SimConfig config)
-    : profile_(std::move(profile)), adversary_(adversary), config_(config) {}
+FastBatchSimulator::FastBatchSimulator(std::variant<SendProfile, CdBackonOptions> law,
+                                       Adversary& adversary, SimConfig config)
+    : law_(std::move(law)), adversary_(adversary), config_(config) {}
 
 SimResult FastBatchSimulator::run() {
+  return std::visit([this](const auto& law) { return run_law(law); }, law_);
+}
+
+template <typename Law>
+SimResult FastBatchSimulator::run_law(const Law& law) {
+  constexpr bool kCdBackon = std::is_same_v<Law, CdBackonOptions>;
+  // The members' sending probability in `slot`.
+  const auto probability = [&law](const Cohort& cohort, slot_t slot) {
+    if constexpr (kCdBackon)
+      return cohort.p;
+    else
+      return law(slot - cohort.arrival + 1);
+  };
   Rng root(config_.seed);
   Rng rng_adv = root.fork(streams::kAdversary);
   Rng rng = root.fork(streams::kBatchMain);
@@ -37,7 +51,8 @@ SimResult FastBatchSimulator::run() {
 
     CR_CHECK(action.inject <= config_.max_live_nodes - live);
     if (action.inject > 0) {
-      Cohort fresh{slot, action.inject, {}};
+      Cohort fresh{slot, action.inject, 0.0, {}};
+      if constexpr (kCdBackon) fresh.p = law.p0;
       if (attribute) fresh.member_sends.assign(action.inject, 0);
       cohorts.push_back(std::move(fresh));
       live += action.inject;
@@ -52,8 +67,7 @@ SimResult FastBatchSimulator::run() {
     for (std::size_t ci = 0; ci < cohorts.size(); ++ci) {
       const Cohort& cohort = cohorts[ci];
       if (cohort.count == 0) continue;
-      const std::uint64_t age = slot - cohort.arrival + 1;
-      const std::uint64_t c = rng.binomial(cohort.count, profile_(age));
+      const std::uint64_t c = rng.binomial(cohort.count, probability(cohort, slot));
       if (c > 0) {
         senders += c;
         draws.emplace_back(ci, c);
@@ -109,6 +123,12 @@ SimResult FastBatchSimulator::run() {
       if (config_.recording.wants_success_times()) result.success_times.push_back(slot);
     }
 
+    if constexpr (kCdBackon) {
+      const CdFeedback fb = out.cd_feedback();
+      for (Cohort& cohort : cohorts)
+        if (cohort.count > 0) cohort.p = cd_backon_next(law, cohort.p, fb);
+    }
+
     // Periodically drop drained cohorts so long runs stay lean.
     if ((slot & 0xFFF) == 0)
       std::erase_if(cohorts, [](const Cohort& c) { return c.count == 0; });
@@ -134,9 +154,9 @@ SimResult FastBatchSimulator::run() {
   return result;
 }
 
-SimResult run_fast_batch(const SendProfile& profile, Adversary& adversary,
+SimResult run_fast_batch(std::variant<SendProfile, CdBackonOptions> law, Adversary& adversary,
                          const SimConfig& config, SlotObserver* observer) {
-  FastBatchSimulator sim(profile, adversary, config);
+  FastBatchSimulator sim(std::move(law), adversary, config);
   sim.set_observer(observer);
   return sim.run();
 }

@@ -1,7 +1,6 @@
 #include "exp/workload.hpp"
 
 #include <cstdio>
-#include <set>
 
 #include "adversary/component_registry.hpp"
 #include "common/check.hpp"
@@ -35,10 +34,25 @@ std::string check_component(const ComponentRegistry& registry, const ComponentSp
 
 }  // namespace
 
-const std::vector<std::string>& workload_keys() {
-  static const std::vector<std::string> keys = {"arrival", "jammer",  "g",
-                                                "gamma",   "protocol", "horizon"};
-  return keys;
+const ParamSchema& workload_schema() {
+  static const ParamSchema schema = [] {
+    const WorkloadSpec base;  // the defaults the keys override
+    const ParamBound at_least_one{.min = 1};
+    return ParamSchema{
+        {"arrival", ParamType::kText, base.arrival.name,
+         "ArrivalRegistry component name; parameters via --arrival.<param>"},
+        {"jammer", ParamType::kText, base.jammer.name,
+         "JammerRegistry component name; parameters via --jammer.<param>"},
+        {"g", ParamType::kText, base.g_regime, "g regime: " + g_regimes().joined_names(" | ")},
+        {"gamma", ParamType::kDouble, double_param_text(base.gamma),
+         "const-g value / exp_sqrt_log scale; rejected under g=log"},
+        {"protocol", ParamType::kText, base.protocol,
+         "named protocol: " + workload_protocols().joined_names(" | ")},
+        {"horizon", ParamType::kUint, std::to_string(base.horizon), "slot horizon",
+         at_least_one, "16384"},
+    };
+  }();
+  return schema;
 }
 
 const Registry<ProtocolEntry>& workload_protocols() {
@@ -70,50 +84,53 @@ const Registry<ProtocolEntry>& workload_protocols() {
 }
 
 WorkloadParse parse_workload(const std::vector<std::pair<std::string, std::string>>& kvs) {
-  WorkloadParse out;
-  std::set<std::string> seen;
-  auto fail = [&](std::string msg) {
-    out.error = std::move(msg);
-    return out;
-  };
-  auto once = [&](const std::string& key) { return seen.insert(key).second; };
-
+  const ParamSchema& schema = workload_schema();
+  std::vector<std::pair<std::string, std::string>> rows;
   for (const auto& [key, value] : kvs) {
-    if (key == "arrival" || key == "jammer") {
-      if (!once(key)) return fail("workload key \"" + key + "\" given twice");
-      (key == "arrival" ? out.spec.arrival : out.spec.jammer).name = value;
-    } else if (has_prefix(key, kArrivalPrefix)) {
-      out.spec.arrival.params.emplace_back(key.substr(kArrivalPrefix.size()), value);
-    } else if (has_prefix(key, kJammerPrefix)) {
-      out.spec.jammer.params.emplace_back(key.substr(kJammerPrefix.size()), value);
-    } else if (key == "g") {
-      if (!once(key)) return fail("workload key \"g\" given twice");
-      out.spec.g_regime = value;
-    } else if (key == "gamma") {
-      if (!once(key)) return fail("workload key \"gamma\" given twice");
-      if (!parse_double_text(value, &out.spec.gamma))
-        return fail("workload key \"gamma\" expects a number, got \"" + value + "\"");
-      out.spec.gamma_set = true;
-    } else if (key == "protocol") {
-      if (!once(key)) return fail("workload key \"protocol\" given twice");
-      out.spec.protocol = value;
-    } else if (key == "horizon") {
-      if (!once(key)) return fail("workload key \"horizon\" given twice");
-      std::uint64_t horizon = 0;
-      if (!parse_uint_text(value, &horizon))
-        return fail("workload key \"horizon\" expects a uint, got \"" + value + "\"");
-      out.spec.horizon = static_cast<slot_t>(horizon);
-    } else {
+    if (has_prefix(key, kArrivalPrefix) || has_prefix(key, kJammerPrefix)) continue;
+    if (schema.find(key) == nullptr) {
       // Unknown top-level key: the hard error the whole design exists for.
-      std::string error = "unknown workload key \"" + key + "\"";
-      const std::string hint = closest_match(key, workload_keys());
-      if (!hint.empty()) error += " (did you mean \"" + hint + "\"?)";
-      error += "; workload keys:";
-      for (const std::string& name : workload_keys()) error += " " + name;
-      return fail(error + " plus arrival.<param>/jammer.<param> (see cr list)");
+      std::vector<std::string> names;
+      for (const ParamDef& def : schema.defs()) names.push_back(def.name);
+      WorkloadParse out;
+      out.error = "unknown workload key \"" + key + "\"";
+      const std::string hint = closest_match(key, names);
+      if (!hint.empty()) out.error += " (did you mean \"" + hint + "\"?)";
+      out.error += "; workload keys:";
+      for (const std::string& name : names) out.error += " " + name;
+      out.error += " plus arrival.<param>/jammer.<param> (see cr list)";
+      return out;
     }
+    rows.emplace_back(key, value);
   }
-  out.error = validate_workload(out.spec);
+  const ParamValidation checked = ParamValidation::check(schema, rows, "workload");
+  if (!checked.ok()) {
+    WorkloadParse out;
+    out.error = checked.error;
+    return out;
+  }
+  return workload_from_values(checked.values, kvs);
+}
+
+WorkloadParse workload_from_values(const ParamValues& values,
+                                   const std::vector<std::pair<std::string, std::string>>& kvs) {
+  WorkloadParse out;
+  WorkloadSpec& spec = out.spec;
+  spec.arrival.name = values.text("arrival");
+  spec.jammer.name = values.text("jammer");
+  spec.g_regime = values.text("g");
+  spec.gamma = values.as_double("gamma");
+  spec.protocol = values.text("protocol");
+  spec.horizon = values.as_uint("horizon");
+  for (const auto& [key, value] : kvs) {
+    if (has_prefix(key, kArrivalPrefix))
+      spec.arrival.params.emplace_back(key.substr(kArrivalPrefix.size()), value);
+    else if (has_prefix(key, kJammerPrefix))
+      spec.jammer.params.emplace_back(key.substr(kJammerPrefix.size()), value);
+    else if (key == "gamma")
+      spec.gamma_set = true;
+  }
+  out.error = validate_workload(spec);
   return out;
 }
 

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/param_schema.hpp"
 #include "adversary/plan.hpp"
 #include "common/registry.hpp"
 #include "exp/scenarios.hpp"
@@ -53,9 +54,11 @@ struct WorkloadSpec {
   bool operator==(const WorkloadSpec&) const = default;
 };
 
-/// Keys understood at the top level of the flat form (component parameters
-/// ride under "arrival."/"jammer." prefixes).
-const std::vector<std::string>& workload_keys();
+/// The top-level keys of the flat form, one row each with its WorkloadSpec
+/// default (component parameters ride under "arrival."/"jammer."
+/// prefixes). `cr bench workload` declares these rows as its flags; the
+/// horizon row's quick default is that bench's.
+const ParamSchema& workload_schema();
 
 /// One row of the protocol table: a name and the ProtocolSpec it runs on a
 /// FunctionSet (protocols that do not read `fs` ignore it).
@@ -76,11 +79,20 @@ struct WorkloadParse {
 };
 
 /// Parse AND validate the flat form: unknown keys, unknown component names,
-/// undeclared, ill-typed or out-of-bound component parameters, unknown g
+/// undeclared, ill-typed or out-of-bound parameters, unknown g
 /// regime/protocol, horizon < 1, gamma-under-g=log and a gamma <= 0 are all
 /// hard errors. `kvs` is every workload key in application order (later
-/// duplicates are errors).
+/// duplicates are errors). Checks the top-level keys against
+/// workload_schema(), then reads the spec with workload_from_values.
 WorkloadParse parse_workload(const std::vector<std::pair<std::string, std::string>>& kvs);
+
+/// The validated spec that `values` — workload_schema() rows, already
+/// checked by ParamValidation (under a schema that may hold more rows) —
+/// and the "arrival.<param>"/"jammer.<param>" keys among `kvs` describe;
+/// `kvs` also says whether gamma was given. Other keys in `kvs` are
+/// ignored: they are the rows `values` holds.
+WorkloadParse workload_from_values(const ParamValues& values,
+                                   const std::vector<std::pair<std::string, std::string>>& kvs);
 
 /// Semantic re-validation of an already-built spec (what parse_workload ran
 /// after parsing). Empty string = valid.

@@ -442,21 +442,24 @@ TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
   }
 }
 
-TEST(CrossEngineFuzz, ProfileEngineRandomizedSweep) {
-  // Same differential contract for fast_batch (profile specs are not in the
-  // scenario registry, which is CJZ-flavoured).
-  const ProtocolSpec spec = profile_protocol(profiles::h_data());
+/// The differential contract for fast_batch on `spec` (its specs are not in
+/// the scenario registry, which is CJZ-flavoured): `cases` randomized batches
+/// with and without jamming. Per case the adversary counters match the
+/// reference engine's exactly, both engines' full-trace results are
+/// internally consistent, the fast engine reruns bit-identically, and every
+/// recording tier leaves its trajectory untouched.
+void fast_batch_fuzz(const ProtocolSpec& spec, std::uint64_t fuzz_seed, int cases) {
   const Engine& reference = *EngineRegistry::instance().at(kReference);
   const auto fast_engines = candidates(spec);
   ASSERT_FALSE(fast_engines.empty());
   const Engine& fast = *fast_engines.front();
-  Rng fuzz(0xBA7C4u);
-  for (int c = 0; c < 60; ++c) {
+  Rng fuzz(fuzz_seed);
+  for (int c = 0; c < cases; ++c) {
     const std::uint64_t n = 1 + fuzz.uniform_u64(32);
     const slot_t horizon = 256 + fuzz.uniform_u64(768);
     const double jam = (c % 2 == 0) ? 0.3 * fuzz.uniform01() : 0.0;
     const std::uint64_t seed = fuzz.next_u64();
-    const std::string tag = "profile case=" + std::to_string(c);
+    const std::string tag = spec.label + " case=" + std::to_string(c);
     auto run_on = [&](const Engine& engine, RecordingConfig recording) {
       ComposedAdversary adv(batch_arrival(n, 1 + (c % 5)),
                             jam > 0 ? iid_jammer(jam) : no_jam());
@@ -474,10 +477,33 @@ TEST(CrossEngineFuzz, ProfileEngineRandomizedSweep) {
     EXPECT_EQ(ref.jammed_slots, fst.jammed_slots) << tag;
     expect_internally_consistent(ref, tag + " [generic]");
     expect_internally_consistent(fst, tag + " [" + fast.name() + "]");
-    const SimResult bare = run_on(fast, RecordingConfig::none());
-    EXPECT_EQ(bare.successes, fst.successes) << tag;
-    EXPECT_EQ(bare.total_sends, fst.total_sends) << tag;
+    for (const RecordingConfig tier : {RecordingConfig::none(), RecordingConfig::success_times(),
+                                       RecordingConfig::node_stats()}) {
+      const SimResult lower = run_on(fast, tier);
+      const std::string tier_tag = tag + " tier=" + std::to_string(static_cast<int>(tier.tier));
+      EXPECT_EQ(lower.successes, fst.successes) << tier_tag;
+      EXPECT_EQ(lower.total_sends, fst.total_sends) << tier_tag;
+      EXPECT_EQ(lower.first_success, fst.first_success) << tier_tag;
+      EXPECT_EQ(lower.last_success, fst.last_success) << tier_tag;
+      EXPECT_EQ(lower.active_slots, fst.active_slots) << tier_tag;
+      EXPECT_EQ(lower.live_at_end, fst.live_at_end) << tier_tag;
+      if (tier.wants_success_times()) {
+        EXPECT_EQ(lower.success_times, fst.success_times) << tier_tag;
+      }
+      if (tier.wants_node_stats()) {
+        EXPECT_EQ(lower.node_stats, fst.node_stats) << tier_tag;
+      }
+    }
   }
+}
+
+TEST(CrossEngineFuzz, ProfileEngineRandomizedSweep) {
+  fast_batch_fuzz(profile_protocol(profiles::h_data()), 0xBA7C4u, 60);
+}
+
+TEST(CrossEngineFuzz, CdBackonRandomizedSweep) {
+  fast_batch_fuzz(cd_backon_protocol({}), 0xCDBAC0u, 60);
+  fast_batch_fuzz(cd_backon_protocol({.collision_detection = false}), 0xCDBAC1u, 60);
 }
 
 }  // namespace

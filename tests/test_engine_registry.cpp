@@ -32,16 +32,20 @@ TEST(EngineRegistryTest, CapabilityMatrix) {
   const ProtocolSpec profile = profile_protocol(profiles::h_data());
   const ProtocolSpec custom =
       factory_protocol("beb", [] { return windowed_backoff_factory({}); });
+  const ProtocolSpec cd_backon = cd_backon_protocol({});
 
   // The reference engine executes everything; each cohort engine exactly its
-  // own protocol family.
+  // own protocol families.
   EXPECT_TRUE(registry.at("generic")->supports(cjz));
   EXPECT_TRUE(registry.at("generic")->supports(profile));
   EXPECT_TRUE(registry.at("generic")->supports(custom));
+  EXPECT_TRUE(registry.at("generic")->supports(cd_backon));
   EXPECT_TRUE(registry.at("fast_cjz")->supports(cjz));
   EXPECT_FALSE(registry.at("fast_cjz")->supports(profile));
   EXPECT_FALSE(registry.at("fast_cjz")->supports(custom));
+  EXPECT_FALSE(registry.at("fast_cjz")->supports(cd_backon));
   EXPECT_TRUE(registry.at("fast_batch")->supports(profile));
+  EXPECT_TRUE(registry.at("fast_batch")->supports(cd_backon));
   EXPECT_FALSE(registry.at("fast_batch")->supports(cjz));
   EXPECT_FALSE(registry.at("fast_batch")->supports(custom));
 }
@@ -50,6 +54,9 @@ TEST(EngineRegistryTest, PreferredPicksTheFastestCompatibleEngine) {
   const auto& registry = EngineRegistry::instance();
   EXPECT_EQ(registry.preferred(cjz_protocol(functions_constant_g(4.0))).name(), "fast_cjz");
   EXPECT_EQ(registry.preferred(profile_protocol(profiles::h_data())).name(), "fast_batch");
+  EXPECT_EQ(registry.preferred(cd_backon_protocol({})).name(), "fast_batch");
+  EXPECT_EQ(registry.preferred(cd_backon_protocol({.collision_detection = false})).name(),
+            "fast_batch");
   EXPECT_EQ(registry
                 .preferred(factory_protocol("beb",
                                             [] { return windowed_backoff_factory({}); }))
@@ -70,6 +77,9 @@ TEST(ProtocolSpecTest, MakeFactoryMaterialisesEveryKind) {
             "cjz[g=const(4), cf=1, a=1, c3=2]");
   EXPECT_EQ(make_protocol_factory(profile_protocol(profiles::h_data()))->name(),
             "profile[h_data]");
+  EXPECT_EQ(make_protocol_factory(cd_backon_protocol({}))->name(), "cd-backon");
+  EXPECT_EQ(make_protocol_factory(cd_backon_protocol({.collision_detection = false}))->name(),
+            "cd-backon-no-cd");
   const ProtocolSpec custom =
       factory_protocol("beb", [] { return windowed_backoff_factory({}); });
   EXPECT_NE(make_protocol_factory(custom), nullptr);
