@@ -1,6 +1,6 @@
 // RNG substrate microbenchmarks: scalar draws vs the batched block APIs the
-// plan path and the CJZ core lean on (Rng::fill coin buffers,
-// CounterRng::fill / Stream::fill paired Philox blocks). Run by hand; the
+// CJZ core leans on (fill() on a CounterRng or a Stream: paired Philox blocks),
+// beside the sequential generator's scalar loop. Run by hand; the
 // bit-exactness of every batched call against its scalar loop is asserted in
 // tests/test_rng.cpp — this file only tracks the throughput gap that
 // justifies the batching.
@@ -13,19 +13,6 @@
 namespace {
 
 using namespace cr;
-
-void BM_RngFill(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  Rng rng(1);
-  std::vector<std::uint64_t> out(n);
-  for (auto _ : state) {
-    rng.fill(out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_RngFill)->Arg(64)->Arg(4096);
 
 void BM_RngScalarLoop(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

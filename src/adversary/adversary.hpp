@@ -13,9 +13,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
-#include "adversary/plan.hpp"
 #include "channel/trace.hpp"
 #include "channel/types.hpp"
 #include "common/rng.hpp"
@@ -27,6 +27,17 @@ struct AdversaryAction {
   std::uint64_t inject = 0;  ///< nodes arriving at the beginning of this slot
 };
 
+/// A quiet-tail certificate: no arrival at any slot past `quiet_after`, and
+/// every slot past it jammed i.i.d. at `tail_jam`, whatever the run does.
+/// Once a run is past quiet_after with nobody live, only its jam count can
+/// still move, so fast_cjz draws that count at once (engine/fast_cjz.hpp).
+struct QuietTail {
+  slot_t quiet_after = 0;
+  double tail_jam = 0.0;
+
+  friend bool operator==(const QuietTail&, const QuietTail&) = default;
+};
+
 class Adversary {
  public:
   virtual ~Adversary() = default;
@@ -36,16 +47,10 @@ class Adversary {
 
   virtual std::string name() const = 0;
 
-  /// This adversary's whole behaviour, precomputed for a sweep's plan path
-  /// (engine/plan_path.hpp), or null. Only sweeps attach one
-  /// (replicate_workload); an engine that can use it may skip on_slot()
-  /// entirely, one that cannot ignores it.
-  virtual const AdversaryPlan* plan() const { return nullptr; }
-
-  /// Describe this adversary's whole behaviour over [1, plan.horizon] in
-  /// `plan`; true when it could (the default, false: it reads the history
-  /// or the run seed). Filling may step its state: plan on a fresh one.
-  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
+  /// The quiet-tail certificate attached to this run, if any. Only sweeps
+  /// attach one (replicate_workload); an engine that can use it stops
+  /// calling on_slot() at the tail, one that cannot ignores it.
+  virtual std::optional<QuietTail> quiet_tail() const { return std::nullopt; }
 };
 
 /// Arrival side of a composed adversary.
@@ -55,10 +60,9 @@ class ArrivalProcess {
   virtual std::uint64_t arrivals(slot_t slot, const PublicHistory& history, Rng& rng) = 0;
   virtual std::string name() const = 0;
 
-  /// Adversary::fill_plan for the arrival side, asked before the jammer:
-  /// the shared schedule or the Bernoulli coin fields, and quiet_after when
-  /// the last arrival slot is known.
-  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
+  /// The last slot at which this process can inject (0: none at all),
+  /// known without running it; nullopt when only a run can tell.
+  virtual std::optional<slot_t> last_arrival() const { return std::nullopt; }
 };
 
 /// Jamming side of a composed adversary.
@@ -68,16 +72,11 @@ class Jammer {
   virtual bool jams(slot_t slot, const PublicHistory& history, Rng& rng) = 0;
   virtual std::string name() const = 0;
 
-  /// Adversary::fill_plan for the jam side: the shared bitmap or the i.i.d.
-  /// coin fields, and tail_jam when the slots past quiet_after are jammed
-  /// i.i.d. (a jammer may raise quiet_after, never lower it).
-  virtual bool fill_plan(AdversaryPlan& /*plan*/) { return false; }
+  /// The jam side of a certificate: a slot past which this jammer jams
+  /// i.i.d. at a fixed rate whatever the history, with that rate; nullopt
+  /// when it has none.
+  virtual std::optional<QuietTail> iid_tail() const { return std::nullopt; }
 };
-
-/// fill_plan for a component that reads neither the history nor the rng:
-/// its answers for every slot, in order, become the shared schedule/bitmap.
-bool walk_plan(ArrivalProcess& arrivals, AdversaryPlan& plan);
-bool walk_plan(Jammer& jammer, AdversaryPlan& plan);
 
 /// Composes an ArrivalProcess with a Jammer. Each component draws from its
 /// own forked RNG stream (derived from the engine's adversary stream on the
@@ -91,22 +90,17 @@ class ComposedAdversary final : public Adversary {
   AdversaryAction on_slot(slot_t slot, const PublicHistory& history, Rng& rng) override;
   std::string name() const override;
 
-  /// Asks both components, the arrivals first. Both are always asked, so the
-  /// tail certificate holds what each side knows.
-  bool fill_plan(AdversaryPlan& plan) override {
-    const bool arrivals_planned = arrivals_->fill_plan(plan);
-    return jammer_->fill_plan(plan) && arrivals_planned;
-  }
-
-  /// Attach the sweep's precomputed plan for these two components (not
-  /// owned; it must outlive every run of this adversary).
-  void set_plan(const AdversaryPlan* plan) { plan_ = plan; }
-  const AdversaryPlan* plan() const override { return plan_; }
+  /// Attach to this adversary's runs the certificate the two components
+  /// state: quiet past both the last arrival and the jammer's i.i.d. onset,
+  /// jammed at the jammer's rate; none when either side states nothing.
+  /// Steps no state.
+  void attach_quiet_tail();
+  std::optional<QuietTail> quiet_tail() const override { return tail_; }
 
  private:
   std::unique_ptr<ArrivalProcess> arrivals_;
   std::unique_ptr<Jammer> jammer_;
-  const AdversaryPlan* plan_ = nullptr;
+  std::optional<QuietTail> tail_;
   /// Per-component streams, forked lazily from the first on_slot rng (which
   /// the engine hands over unconsumed — fork() itself draws nothing).
   bool streams_forked_ = false;

@@ -12,11 +12,7 @@ class NoJam final : public Jammer {
  public:
   bool jams(slot_t, const PublicHistory&, Rng&) override { return false; }
   std::string name() const override { return "nojam"; }
-  bool fill_plan(AdversaryPlan& plan) override {
-    plan.clear_jams();
-    plan.tail_jam = 0.0;
-    return true;
-  }
+  std::optional<QuietTail> iid_tail() const override { return QuietTail{0, 0.0}; }
 };
 
 class IidJammer final : public Jammer {
@@ -26,11 +22,7 @@ class IidJammer final : public Jammer {
   }
   bool jams(slot_t, const PublicHistory&, Rng& rng) override { return rng.bernoulli(fraction_); }
   std::string name() const override { return "iid(" + std::to_string(fraction_) + ")"; }
-  bool fill_plan(AdversaryPlan& plan) override {
-    plan.iid_jams = true;
-    plan.jam_rate = plan.tail_jam = fraction_;
-    return true;
-  }
+  std::optional<QuietTail> iid_tail() const override { return QuietTail{0, fraction_}; }
 
  private:
   double fraction_;
@@ -41,11 +33,7 @@ class PrefixJammer final : public Jammer {
   explicit PrefixJammer(slot_t count) : count_(count) {}
   bool jams(slot_t slot, const PublicHistory&, Rng&) override { return slot <= count_; }
   std::string name() const override { return "prefix(" + std::to_string(count_) + ")"; }
-  bool fill_plan(AdversaryPlan& plan) override {
-    plan.tail_jam = 0.0;
-    plan.quiet_after = std::max(plan.quiet_after, count_);
-    return walk_plan(*this, plan);
-  }
+  std::optional<QuietTail> iid_tail() const override { return QuietTail{count_, 0.0}; }
 
  private:
   slot_t count_;
@@ -63,7 +51,6 @@ class PeriodicJammer final : public Jammer {
   std::string name() const override {
     return "periodic(" + std::to_string(burst_) + "/" + std::to_string(period_) + ")";
   }
-  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
 
  private:
   slot_t period_, burst_;
@@ -82,7 +69,6 @@ class BudgetPacedJammer final : public Jammer {
     return true;
   }
   std::string name() const override { return "paced(1/" + std::to_string(margin_) + "g)"; }
-  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
 
  private:
   GrowthFn g_;

@@ -19,9 +19,9 @@ class Trace {
  public:
   /// Storage policy: kCounting keeps the running counters — everything the
   /// registry's composed adversaries consult. kDisabled keeps nothing at
-  /// all: the owner promises no component ever reads the history (the plan
-  /// path, whose adversaries are precomputed, and snapshot-bearing cores),
-  /// and the engine skips record() entirely — the Trace is a dead field.
+  /// all: the owner promises no component ever reads the history (the
+  /// snapshot-bearing stream core), and the engine skips record() entirely —
+  /// the Trace is a dead field.
   /// Calling record() on a disabled trace is a bug.
   enum class Storage : std::uint8_t { kCounting, kDisabled };
 

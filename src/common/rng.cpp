@@ -36,12 +36,6 @@ std::uint64_t Rng::next_u64() {
   return result;
 }
 
-void Rng::fill(std::uint64_t* out, std::size_t n) {
-  // The state words live in registers for the whole loop — one cross-TU
-  // call per block instead of one per draw.
-  for (std::size_t i = 0; i < n; ++i) out[i] = next_u64();
-}
-
 // The distribution methods delegate to the rng_detail templates (shared with
 // CounterRng::Stream); the sequences are bit-identical to the pre-template
 // implementations because the templates are those implementations, moved.

@@ -28,13 +28,12 @@
 // and uses a clamped normal approximation only when n·p is large, where the
 // relative error is negligible for simulation purposes (documented below).
 //
-// Batched draws: both substrates expose block APIs that produce the same
-// values as repeated scalar draws — Rng::fill walks the sequential state in
-// one call, and CounterRng::fill / Stream::fill evaluate Philox blocks two
-// at a time so the ten-round latency chains overlap. Every
-// batched call is bit-identical to the equivalent scalar loop (asserted in
-// tests/test_rng.cpp); the plan path (engine/plan_path.hpp) leans on this
-// equivalence to fill adversary coins in blocks.
+// Batched draws: the counter substrate exposes block APIs that produce the
+// same values as repeated scalar draws — fill() on a CounterRng or on a
+// Stream evaluates Philox blocks two at a time so the ten-round latency
+// chains overlap. Every batched call is bit-identical to the equivalent scalar loop
+// (asserted in tests/test_rng.cpp); the CJZ core's backoff stages and the
+// binomial's coin branch draw their words this way.
 #pragma once
 
 #include <cmath>
@@ -172,11 +171,6 @@ class Rng {
   result_type operator()() { return next_u64(); }
 
   std::uint64_t next_u64();
-
-  /// Fill out[0..n) with the next n words — bit-identical to n sequential
-  /// next_u64() calls. One call amortises the cross-TU call cost over the
-  /// whole block (the plan path fills adversary-coin buffers this way).
-  void fill(std::uint64_t* out, std::size_t n);
 
   /// Uniform double in [0, 1) with 53 random bits.
   double uniform01();
@@ -319,7 +313,7 @@ class CounterRng {
     }
 
     /// Fill out[0..n) with the next n words — bit-identical to n sequential
-    /// operator() calls, with paired block evaluation (see CounterRng::fill).
+    /// operator() calls, with paired block evaluation (see CounterRng's fill()).
     void fill(std::uint64_t* out, std::size_t n) {
       std::size_t i = 0;
       while (i < n && (index_ & 1) != 0) out[i++] = (*this)();

@@ -41,10 +41,10 @@ inline constexpr std::uint64_t kBatchMain = 0xB0u;
 /// Cohort engines → send attribution under RecordingTier::kNodeStats. A
 /// dedicated stream so the recording tier never perturbs the trajectory.
 inline constexpr std::uint64_t kAttribution = 0xA7u;
-/// Plan-path sweeps → analytic quiescent-tail jam draws (the one
-/// Binomial(remaining, p) replacing per-slot i.i.d. coins once a seed has
-/// drained and its plan rules out further arrivals).
-inline constexpr std::uint64_t kPlanTail = 0x7Au;
+/// fast_cjz sweeps → the quiet tail's jam draw (the one Binomial(remaining,
+/// p) replacing per-slot i.i.d. coins once a seed has drained and its
+/// certificate rules out further arrivals), keyed by the tail's first slot.
+inline constexpr std::uint64_t kQuietTail = 0x7Au;
 /// `cr stream --synth` → synthetic arrival-feed generator (gaps, batch
 /// sizes, jam coins of the generated trace; independent of every engine
 /// stream so the same seed can drive both the feed and the simulation).
@@ -53,7 +53,7 @@ inline constexpr std::uint64_t kStreamSynth = 0x5Eu;
 /// Every tag above, for the uniqueness test. Keep in sync.
 inline constexpr std::array<std::uint64_t, 10> kAllTags = {
     kAdversary, kArrival,     kJammer,   kGenericNodes, kCjzMain,
-    kCjzStage,  kBatchMain, kAttribution, kPlanTail,   kStreamSynth,
+    kCjzStage,  kBatchMain, kAttribution, kQuietTail,  kStreamSynth,
 };
 
 }  // namespace cr::streams

@@ -93,20 +93,6 @@ class Calendar {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// A lower bound on the earliest scheduled slot (stale entries included):
-  /// the first slot of the earliest occupied bucket, exact when that bucket is
-  /// on level 0. Callers treat it as a wake-up hint, never as ground truth.
-  /// 0 when the calendar is empty; slots themselves start at 1.
-  slot_t next_due_slot() const {
-    if (size_ == 0) return 0;
-    int level = 0;
-    while (occupied_[level] == 0) ++level;
-    const unsigned shift = kDigitBits * static_cast<unsigned>(level);
-    const unsigned above = shift + kDigitBits;
-    const slot_t high = above >= 64 ? 0 : (now_ >> above) << above;
-    return high | (static_cast<slot_t>(std::countr_zero(occupied_[level])) << shift);
-  }
-
   /// Discard every event, visiting only occupied buckets.
   void clear() {
     for (int level = 0; level < kLevels; ++level) {

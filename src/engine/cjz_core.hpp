@@ -7,16 +7,16 @@
 /// (seed, tag): the per-slot streams take the slot number as the hi counter,
 /// and each backoff stage's offsets take (node id, phase, stage), so every
 /// draw is a pure function of its key and index and no generator state lives
-/// between slots. That is what lets the plan path (engine/plan_path.hpp) skip
-/// protocol-silent slots without replaying them, what makes the calendar's
-/// pop order irrelevant, and what makes every core snapshot-capable:
-/// save()/load() carry no RNG state at all.
+/// between slots. That is what lets a driver fold protocol-silent slots
+/// without replaying them, what makes the calendar's pop order irrelevant,
+/// and what makes every core snapshot-capable: save()/load() carry no RNG
+/// state at all.
 ///
 /// The core is slot-callable: the driver owns the adversary interaction and
 /// calls step(slot, action) once per slot (in order, starting at 1), then
-/// finish(). FastCjzSimulator steps every slot of a single run, the plan path
-/// steps only the slots where something happens, and StreamSim steps a
-/// horizon-free feed.
+/// finish(). FastCjzSimulator steps every slot of a run up to the horizon or
+/// a sweep's quiet tail (end_quiet_tail), and StreamSim steps a horizon-free
+/// feed, folding its silent runs (skip_silent).
 #pragma once
 
 #include <algorithm>
@@ -48,18 +48,18 @@ struct CjzCoreMemoryStats {
 
 /// The work a core did, counted on every run with no clock, so the counts are
 /// bit-reproducible (tests/test_work_gate.cpp pins them). Not in SimResult:
-/// stepped/skipped legitimately differ between the plan path and the per-slot
-/// loop. Not serialized: a restored core counts from its restore.
+/// silent/skipped legitimately differ between a sweep that takes its quiet
+/// tail and the single run. Not serialized: a restored core counts from its
+/// restore.
 struct CjzCoreWork {
   std::uint64_t slots_stepped = 0;    ///< step() calls that ran the full transition
   std::uint64_t slots_silent = 0;     ///< step() calls the silent-slot short-circuit answered
-  std::uint64_t slots_skipped = 0;    ///< slots the plan path never stepped, tail included
+  std::uint64_t slots_skipped = 0;    ///< silent slots folded without a step (skip_silent, end_quiet_tail)
   std::uint64_t calendar_pushes = 0;  ///< events begin_stage scheduled
   std::uint64_t calendar_stale = 0;   ///< stale events popped, or cleared with the last node
   std::uint64_t calendar_peak = 0;    ///< the calendar's largest size
   std::uint64_t cohort_draws = 0;     ///< cohort binomial draws
   std::uint64_t rng_words = 0;        ///< main + attribution + stage stream words drawn
-  bool plan_path = false;             ///< the run took the plan path
 };
 
 /// One CJZ run's state and per-slot transition. One instance per run.
@@ -173,7 +173,6 @@ class CjzCore {
         winner_idx = cohort.members[pos];
         cohort.members[pos] = cohort.members.back();
         cohort.members.pop_back();
-        --cohort_members_;
         cohort_winner = true;
       }
       winner = nodes_[winner_idx].id;
@@ -251,6 +250,22 @@ class CjzCore {
     (void)pass_silent(result_.slots + 1, last, false);
   }
 
+  /// End the run at a quiet tail: every slot from the one after the last
+  /// stepped through the horizon is protocol-silent (nobody live, nothing
+  /// arriving), and `jammed` of them are jammed. The counters move as
+  /// stepping them would, except that the slots count in work().slots_skipped
+  /// and neither the history nor an observer sees them, one by one or at
+  /// all: only for a driver with no observer, no per-slot trace and no stop
+  /// condition, after its last step() and before finish().
+  void end_quiet_tail(std::uint64_t jammed) {
+    CR_CHECK(live_ == 0 && jammed <= config_.horizon - result_.slots);
+    CR_DCHECK(!config_.recording.wants_trace() && !config_.stop_when_empty &&
+              !config_.stop_after_first_success);
+    work_.slots_skipped += config_.horizon - result_.slots;
+    result_.jammed_slots += jammed;
+    result_.slots = config_.horizon;
+  }
+
   /// Seal the run: backlog, stranded node stats, observer end hook. Call
   /// exactly once, after the last step().
   SimResult finish(SlotObserver* observer) {
@@ -279,24 +294,6 @@ class CjzCore {
   }
 
   std::uint64_t live() const { return live_; }
-
-  /// Capacity hint: the run injects `arrivals` nodes in all, so the table
-  /// never needs more slots than that.
-  void reserve_nodes(std::uint64_t arrivals) { nodes_.reserve(arrivals); }
-
-  /// Plan-path idle-skip hint: assuming no arrivals, a slot no later than
-  /// the earliest at which step() could consume a random draw or change any
-  /// counter beyond the slot count itself. Returns 0 ("step every slot")
-  /// while any cohort holds members — cohort binomials are drawn each slot —
-  /// and otherwise the calendar's lower bound on its next event (stepping
-  /// early, or for a stale event, is a draw-free step). A core with an empty
-  /// calendar and no cohort members can do nothing until the next arrival,
-  /// encoded as a wake-up beyond the horizon.
-  slot_t next_event_slot() const {
-    if (cohort_members_ > 0) return 0;
-    const slot_t due = calendar_.next_due_slot();
-    return due == 0 ? config_.horizon + 1 : due;
-  }
 
   /// History counters an adversary reads through PublicHistory.
   const Trace& trace() const { return trace_; }
@@ -358,7 +355,6 @@ class CjzCore {
     }
 
     w.u64(live_);
-    w.u64(cohort_members_);
     w.u64(peak_live_);
 
     nodes_.save(w);
@@ -452,7 +448,6 @@ class CjzCore {
     }
 
     live_ = r.u64("core.live");
-    cohort_members_ = r.u64("core.cohort_members");
     peak_live_ = r.u64("core.peak_live");
 
     nodes_.load(r);
@@ -564,7 +559,6 @@ class CjzCore {
     void release(std::uint32_t idx) { free_.push_back(idx); }
 
     std::size_t slot_count() const { return slots_.size(); }
-    void reserve(std::uint64_t n) { slots_.reserve(static_cast<std::size_t>(n)); }
 
     void save(SnapshotWriter& w) const {
       w.u64(next_id_);
@@ -759,7 +753,6 @@ class CjzCore {
       } else {
         n.phase = 3;
         joiners.push_back(idx);
-        ++cohort_members_;
       }
     }
     p1_nodes_.clear();
@@ -772,7 +765,6 @@ class CjzCore {
       ++n.gen;
       n.phase = 3;
       joiners.push_back(idx);
-      ++cohort_members_;
     }
     p2_nodes_[sp].clear();
 
@@ -821,10 +813,6 @@ class CjzCore {
   std::uint64_t live_ = 0;
   /// High-water mark of live_ (memory_stats; the node table's size).
   std::uint64_t peak_live_ = 0;
-  /// Total members across all cohorts — kept exact so next_event_slot() is
-  /// O(1). Members enter in handle_success (the two phase-3 pushes) and leave
-  /// only as a winning cohort draw; merges move them without changing the sum.
-  std::uint64_t cohort_members_ = 0;
   CjzCoreWork work_;
   static constexpr std::uint64_t kSendsMemo = 41;
   unsigned sends_memo_[kSendsMemo] = {};

@@ -80,9 +80,9 @@ class GenericEngine final : public Engine {
   }
 };
 
-/// Cohort engine specialised to the CJZ algorithm. Sweeps reach its plan
-/// path through the adversary (FastCjzSimulator::run), so run() is called
-/// once per seed on every path.
+/// Cohort engine specialised to the CJZ algorithm. A sweep's quiet tail
+/// reaches it through the adversary (FastCjzSimulator::run), so run() is
+/// called once per seed, sweep or single run.
 class FastCjzEngine final : public Engine {
  public:
   std::string name() const override { return "fast_cjz"; }

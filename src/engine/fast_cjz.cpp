@@ -1,11 +1,11 @@
 #include "engine/fast_cjz.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "common/rng.hpp"
 #include "common/stream_tags.hpp"
 #include "engine/cjz_core.hpp"
-#include "engine/plan_path.hpp"
 
 namespace cr {
 
@@ -14,17 +14,24 @@ FastCjzSimulator::FastCjzSimulator(FunctionSet fs, Adversary& adversary, SimConf
     : fs_(std::move(fs)), adversary_(adversary), config_(config), options_(options) {}
 
 SimResult FastCjzSimulator::run() {
-  // The plan path cannot feed an observer (it skips slots) nor materialize a
-  // per-slot trace or stop early; such runs keep the per-slot loop.
-  const AdversaryPlan* plan = adversary_.plan();
-  if (plan != nullptr && observer_ == nullptr && plan_path_allowed(config_))
-    return run_plan(fs_, options_, config_, *plan, &memory_stats_, &work_);
-
   Rng rng_adv = Rng(config_.seed).fork(streams::kAdversary);
   CjzCore core(&fs_, config_, options_);
   PublicHistory history(core.trace());
 
+  // The quiet tail skips slots, so a run whose observer or per-slot trace
+  // wants every slot, or whose stop flag may end it early, steps them all.
+  std::optional<QuietTail> tail;
+  if (observer_ == nullptr && !config_.recording.wants_trace() && !config_.stop_when_empty &&
+      !config_.stop_after_first_success)
+    tail = adversary_.quiet_tail();
+  const slot_t quiet_after = tail ? tail->quiet_after : config_.horizon;
+
   for (slot_t slot = 1; slot <= config_.horizon; ++slot) {
+    if (slot > quiet_after && core.live() == 0) {
+      core.end_quiet_tail(CounterRng(config_.seed).fork(streams::kQuietTail).stream(slot).binomial(
+          config_.horizon - slot + 1, tail->tail_jam));
+      break;
+    }
     const AdversaryAction action = adversary_.on_slot(slot, history, rng_adv);
     if (core.step(slot, action, observer_)) break;
   }

@@ -27,9 +27,14 @@
 ///
 /// The cohort/calendar machinery itself lives in engine/cjz_core.hpp
 /// (CjzCore, on the counter-based RNG substrate); this class is the driver.
-/// A single run steps the core once per slot against the live adversary; a
-/// sweep's run whose adversary carries a plan takes the event-driven plan
-/// path instead (engine/plan_path.hpp).
+/// Every run steps the core once per slot against the live adversary. A
+/// sweep's adversary may carry a quiet-tail certificate (QuietTail in
+/// adversary/adversary.hpp, attached by replicate_workload): the run then
+/// leaves the loop at the first slot past quiet_after with nobody live, and
+/// one Binomial(horizon - slot + 1, tail_jam) draw on the kQuietTail stream
+/// at that slot stands for the jam coins of the rest of the horizon. Every
+/// other counter is exactly the per-slot loop's; jammed_slots matches it in
+/// distribution. Single runs never carry a certificate.
 #pragma once
 
 #include "adversary/adversary.hpp"

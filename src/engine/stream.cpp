@@ -108,7 +108,7 @@ StreamRunSummary StreamSim::run(EventRing& ring, std::ostream& out) {
     // which flushes it through the sink.
     if (eof && cur_slot_ % opts_.window == 0) break;
     if (has_pending_ && pending_.slot <= cur_slot_) {
-      s.error = "stream: feed slot " + std::to_string(pending_.slot) +
+      s.error = "feed slot " + std::to_string(pending_.slot) +
                 " is not ahead of the simulation (at slot " + std::to_string(cur_slot_) +
                 "); feed slots must be strictly increasing";
       break;
@@ -231,14 +231,14 @@ bool parse_stream_event(std::string_view line, StreamEvent* ev, std::string* err
   if (count < 2 || count > 3 || !parse_digits(fields[0], &slot) ||
       !parse_digits(fields[1], &inject) ||
       (count == 3 && (!parse_digits(fields[2], &jam) || jam > 1)))
-    return fail("stream: malformed trace line \"" + std::string(line) +
+    return fail("malformed trace line \"" + std::string(line) +
                 "\" (want: slot inject [jam01])");
-  if (slot == 0) return fail("stream: trace slot 0 is invalid (slots are 1-based)");
+  if (slot == 0) return fail("trace slot 0 is invalid (slots are 1-based)");
   if (slot > kStreamHorizon)
-    return fail("stream: trace slot " + std::to_string(slot) + " is past the stream horizon " +
+    return fail("trace slot " + std::to_string(slot) + " is past the stream horizon " +
                 std::to_string(kStreamHorizon));
   if (const std::uint64_t cap = SimConfig{}.max_live_nodes; inject > cap)
-    return fail("stream: trace line injects " + std::to_string(inject) +
+    return fail("trace line injects " + std::to_string(inject) +
                 " nodes, more than the live-node cap " + std::to_string(cap));
   ev->slot = slot;
   ev->inject = inject;

@@ -48,7 +48,7 @@ namespace cr {
 /// Current CRSNAP schema version for stream snapshots. Bump on ANY layout
 /// change (docs/ARCHITECTURE.md has the add-a-snapshot-field recipe), and on
 /// any change to the draws a restored run would continue with.
-inline constexpr std::uint32_t kStreamSnapshotVersion = 3;
+inline constexpr std::uint32_t kStreamSnapshotVersion = 4;
 
 /// Effectively-unbounded horizon for streaming runs (the cohort core bounds
 /// calendar insertions by the config horizon; 2^62 keeps every shift in

@@ -5,7 +5,6 @@
 #include "adversary/component_registry.hpp"
 #include "common/check.hpp"
 #include "common/cli.hpp"
-#include "engine/plan_path.hpp"
 #include "exp/harness.hpp"
 #include "protocols/baselines.hpp"
 #include "protocols/batch.hpp"
@@ -179,7 +178,7 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
   return out;
 }
 
-Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan) {
+Scenario build_workload(const WorkloadSpec& spec, bool attach_quiet_tail) {
   const std::string error = validate_workload(spec);
   if (!error.empty()) std::fprintf(stderr, "build_workload: %s\n", error.c_str());
   CR_CHECK(error.empty());
@@ -196,7 +195,7 @@ Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan) {
                                                     "jammer \"" + spec.jammer.name + "\"");
   auto adversary = std::make_unique<ComposedAdversary>(arrival.make(arrival_params.values, ctx),
                                                        jammer.make(jammer_params.values, ctx));
-  adversary->set_plan(plan);
+  if (attach_quiet_tail) adversary->attach_quiet_tail();
   sc.adversary = std::move(adversary);
   sc.config.horizon = spec.horizon;
   sc.config.seed = spec.seed;
@@ -208,29 +207,20 @@ WorkloadSpec scenario_preset_workload(const std::string& scenario, const Scenari
   return ScenarioRegistry::instance().at(scenario).workload(p);
 }
 
-AdversaryPlan adversary_plan(const WorkloadSpec& spec) {
-  AdversaryPlan plan(spec.horizon);
-  plan.valid = build_workload(spec).adversary->fill_plan(plan);
-  return plan;
+std::optional<QuietTail> workload_quiet_tail(const WorkloadSpec& spec) {
+  return build_workload(spec, /*attach_quiet_tail=*/true).adversary->quiet_tail();
 }
 
 std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSpec& spec,
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template) {
   CR_CHECK(reps > 0);
-  // One plan per sweep, shared read-only by every seed's adversary. The
-  // engine decides per run whether to use it: fast_cjz takes the plan path,
-  // the other engines step the adversary slot by slot as always.
-  AdversaryPlan plan;
-  if (plan_path_allowed(config_template)) plan = adversary_plan(spec);
-  const AdversaryPlan* shared = plan.valid ? &plan : nullptr;
-
   return replicate(
       reps, base_seed,
       [&](std::uint64_t seed) {
         WorkloadSpec per = spec;
         per.seed = seed;
-        Scenario sc = build_workload(per, shared);
+        Scenario sc = build_workload(per, /*attach_quiet_tail=*/true);
         sc.config = config_template;
         sc.config.horizon = per.horizon;
         sc.config.seed = seed;

@@ -20,12 +20,12 @@
 /// tests/test_workload.cpp.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/param_schema.hpp"
-#include "adversary/plan.hpp"
 #include "common/registry.hpp"
 #include "exp/scenarios.hpp"
 
@@ -112,21 +112,22 @@ std::vector<std::pair<std::string, std::string>> workload_to_flags(const Workloa
 /// Materialise the workload: resolve both components through the registries,
 /// compose them into a ComposedAdversary and attach the named protocol on
 /// the regime's FunctionSet. CR_CHECKs validate_workload(spec) is clean.
-/// `plan`, when given, must be adversary_plan() of this spec (any seed) and
-/// outlive the scenario's runs; it is attached to the adversary
-/// (Adversary::plan()), which is how replicate_workload shares one plan
-/// across a sweep.
-Scenario build_workload(const WorkloadSpec& spec, const AdversaryPlan* plan = nullptr);
+/// With `attach_quiet_tail`, the adversary carries the components'
+/// quiet-tail certificate, if they state one (Adversary::quiet_tail()):
+/// that is how replicate_workload hands one to each seed.
+Scenario build_workload(const WorkloadSpec& spec, bool attach_quiet_tail = false);
 
 /// The WorkloadSpec a registered scenario preset maps `p` onto
 /// (ScenarioEntry::workload), so any scenario sweep is also expressible as
 /// a workload sweep. CR_CHECKs the scenario name.
 WorkloadSpec scenario_preset_workload(const std::string& scenario, const ScenarioParams& p);
 
-/// The sweep plan of `spec` (adversary/plan.hpp), filled by the adversary
-/// build_workload(spec) composes: each component fills its own side, and
-/// `valid` holds when both could.
-AdversaryPlan adversary_plan(const WorkloadSpec& spec);
+/// The quiet-tail certificate of `spec`'s adversary
+/// (ComposedAdversary::attach_quiet_tail): present when the arrival
+/// process states its last arrival slot (none, batch, bernoulli) and the
+/// jammer its i.i.d. rate past some slot (none, iid, prefix). The same for
+/// every seed.
+std::optional<QuietTail> workload_quiet_tail(const WorkloadSpec& spec);
 
 /// Replicate `spec` over seeds base_seed .. base_seed+reps-1 on `engine` and
 /// return the results in seed order. `config_template` supplies the run
@@ -134,11 +135,10 @@ AdversaryPlan adversary_plan(const WorkloadSpec& spec);
 /// cap), which are taken from the spec and the seed sweep.
 ///
 /// Every seed runs build_workload + run_scenario on replicate()'s threads, so
-/// `engine.run` is called exactly once per seed. When
-/// plan_path_allowed(config_template) holds and adversary_plan(spec) is valid,
-/// the plan is built once and attached to every seed's adversary, and
-/// fast_cjz takes the plan path (engine/plan_path.hpp); other engines ignore
-/// it.
+/// `engine.run` is called exactly once per seed. Each seed's adversary
+/// carries workload_quiet_tail(spec), if there is one; fast_cjz ends a run
+/// at its quiet tail when the config lets it (engine/fast_cjz.hpp), and the
+/// other engines ignore it.
 std::vector<SimResult> replicate_workload(const Engine& engine, const WorkloadSpec& spec,
                                           int reps, std::uint64_t base_seed, int threads,
                                           const SimConfig& config_template = {});

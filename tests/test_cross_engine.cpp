@@ -17,7 +17,8 @@
 //      adversaries are history-blind, so both engines must consume the
 //      identical 0xAD stream — and (c) full internal consistency of every
 //      recorded result, node stats and slot trace included; plus the same
-//      fuzz pitting fast_cjz's sweep plan path against its per-slot loop.
+//      fuzz pitting fast_cjz's sweeps, quiet tail included, against its
+//      single runs.
 //
 // The tests enumerate the EngineRegistry: for each spec, every compatible
 // engine other than the reference is validated against it. A newly
@@ -26,13 +27,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "adversary/arrivals.hpp"
 #include "adversary/jammers.hpp"
 #include "engine/engine.hpp"
-#include "engine/plan_path.hpp"
 #include "exp/harness.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
@@ -391,12 +392,12 @@ TEST(CrossEngineFuzz, RandomizedRegistrySweep) {
 }
 
 TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
-  // The sweep plan path (engine/plan_path.hpp) against the per-slot loop it
-  // stands in for: on ~100 randomized registry cases, a fast_cjz sweep
-  // through replicate_scenario must reproduce the per-seed single runs field
-  // for field, node stats included. Only where the analytic tail can fire
-  // (an i.i.d. jammer past the plan's quiet point) does jammed_slots match
-  // in distribution instead of exactly.
+  // fast_cjz's sweeps against its single runs: on ~100 randomized registry
+  // cases, a sweep through replicate_scenario must reproduce the per-seed
+  // single runs field for field, node stats included. Only where the quiet
+  // tail can fire (an i.i.d. jammer past the certificate's quiet point,
+  // engine/fast_cjz.hpp) does jammed_slots match in distribution instead of
+  // exactly.
   const std::vector<std::string> workloads = ScenarioRegistry::instance().names();
   const Engine& fast = *EngineRegistry::instance().at("fast_cjz");
   Rng fuzz(0x10C857E9u);
@@ -416,12 +417,11 @@ TEST(CrossEngineFuzz, LockstepRandomizedSweep) {
     p.gamma = (p.g_regime == std::string("exp_sqrt_log")) ? 1.0 : 2.0 + 4.0 * fuzz.uniform01();
     const std::string& workload = workloads[static_cast<std::size_t>(c) % workloads.size()];
     const std::string tag =
-        workload + " plan case=" + std::to_string(c) + " seed=" + std::to_string(p.seed);
+        workload + " sweep case=" + std::to_string(c) + " seed=" + std::to_string(p.seed);
 
-    // Every registry preset composes plannable components.
-    const AdversaryPlan plan = adversary_plan(scenario_preset_workload(workload, p));
-    ASSERT_TRUE(plan.valid) << tag;
-    const bool tail_may_fire = plan.tail_jam > 0.0 && plan.quiet_after < p.horizon;
+    const std::optional<QuietTail> tail =
+        workload_quiet_tail(scenario_preset_workload(workload, p));
+    const bool tail_may_fire = tail && tail->tail_jam > 0.0 && tail->quiet_after < p.horizon;
 
     SimConfig config;
     config.recording = c % 2 == 0 ? RecordingConfig::node_stats() : RecordingConfig::none();

@@ -103,20 +103,15 @@ TEST(Calendar, MatchesASortedReference) {
         ASSERT_EQ(again.seal(1), blob);
       }
 
-      const slot_t due = cal.next_due_slot();
       if (ref.empty()) {
         ASSERT_TRUE(cal.empty());
-        ASSERT_EQ(due, 0u);
         now = ahead(now + 1);
         continue;
       }
       const slot_t earliest = std::get<0>(*ref.begin());
-      ASSERT_GT(due, now);
-      ASSERT_LE(due, earliest) << "next_due_slot() must never pass the earliest event";
-      switch (rng.uniform_u64(4)) {
+      switch (rng.uniform_u64(3)) {
         case 0: now += 1; break;
-        case 1: now = due; break;
-        case 2: now = earliest; break;
+        case 1: now = earliest; break;
         default: now += 1 + rng.uniform_u64(earliest - now); break;
       }
     }

@@ -1,26 +1,32 @@
-// The plan path (engine/plan_path.hpp): replicate_workload hands every seed's
-// adversary one precomputed AdversaryPlan and fast_cjz steps only the slots
-// where something happens. A sweep must reproduce the per-slot loop (fast_cjz
-// without a plan, one run per seed; "generic" in the test names below) bit
-// for bit, except that the analytic tail matches jammed_slots only in
-// distribution. It must not depend on the thread count, must call Engine::run
-// once per seed, and must fall back to the per-slot loop whenever the plan
-// cannot apply. The plan's tail certificate (quiet_after/tail_jam) is
-// unit-tested against the component rules it encodes.
+// The quiet tail (engine/fast_cjz.hpp): replicate_workload attaches each
+// seed's quiet-tail certificate (QuietTail, adversary/adversary.hpp) to its
+// adversary, and fast_cjz leaves its per-slot loop at the first slot past
+// quiet_after with nobody live, drawing the rest of the horizon's jams at
+// once. A sweep must reproduce the per-seed single runs (fast_cjz without a
+// certificate; "generic" in the test names below) field for field, except
+// that jammed_slots matches only in distribution where the tail can fire.
+// It must not depend on the thread count, must call Engine::run once per
+// seed, and must step every slot whenever the run wants them all. The
+// certificate is unit-tested against the component facts it encodes.
+//
+// The Lockstep*/Plan* suite names are older than the quiet tail: they date
+// from the sweep plan path these tests first covered.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "adversary/component_registry.hpp"
 #include "engine/engine.hpp"
-#include "engine/plan_path.hpp"
+#include "engine/fast_cjz.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
 
@@ -47,27 +53,27 @@ SimConfig recording_config(RecordingConfig recording) {
   return cfg;
 }
 
-/// One fast_cjz run of `spec` at `seed`: the per-slot loop when `plan` is
-/// null, the plan path when the run can use it.
-SimResult run_seed(const WorkloadSpec& spec, std::uint64_t seed, const SimConfig& config,
-                   const AdversaryPlan* plan = nullptr) {
+/// One single fast_cjz run of `spec` at `seed`: it carries no certificate,
+/// so it never takes the quiet tail.
+SimResult run_seed(const WorkloadSpec& spec, std::uint64_t seed, const SimConfig& config) {
   WorkloadSpec per = spec;
   per.seed = seed;
-  Scenario sc = build_workload(per, plan);
+  Scenario sc = build_workload(per);
   sc.config = config;
   sc.config.horizon = spec.horizon;
   sc.config.seed = seed;
   return run_scenario(fast_cjz(), sc);
 }
 
-/// Can the plan's analytic tail replace jam coins before the horizon?
-bool tail_may_fire(const AdversaryPlan& plan) {
-  return plan.tail_jam > 0.0 && plan.quiet_after < plan.horizon;
+/// Can the quiet tail draw jams in place of coins before the horizon?
+bool tail_may_fire(const WorkloadSpec& spec) {
+  const std::optional<QuietTail> tail = workload_quiet_tail(spec);
+  return tail && tail->tail_jam > 0.0 && tail->quiet_after < spec.horizon;
 }
 
 /// replicate_workload of `spec` on fast_cjz against one per-slot run per
 /// seed: every field must match, jammed_slots too unless `tail` says the
-/// analytic tail may have replaced its coins.
+/// quiet tail may have replaced its coins.
 void expect_sweep_equals_runs(const WorkloadSpec& spec, const SimConfig& cfg, int reps,
                               std::uint64_t base, bool tail = false) {
   const auto sweep = replicate_workload(fast_cjz(), spec, reps, base, 2, cfg);
@@ -80,22 +86,11 @@ void expect_sweep_equals_runs(const WorkloadSpec& spec, const SimConfig& cfg, in
   }
 }
 
-/// A plannable `spec`'s sweep against its per-slot runs, node stats
-/// recorded; where the tail can fire, the same plan with its tail switched
-/// off must also match the per-slot run exactly, jams included.
+/// `spec`'s sweep against its per-slot runs, node stats recorded.
 void expect_sweep_matches_single_runs(const WorkloadSpec& spec,
                                       std::uint64_t base_seed = 60600) {
-  const int kReps = 12;
-  const AdversaryPlan plan = adversary_plan(spec);
-  ASSERT_TRUE(plan.valid) << label(spec);
-  const SimConfig cfg = recording_config(RecordingConfig::node_stats());
-  expect_sweep_equals_runs(spec, cfg, kReps, base_seed, tail_may_fire(plan));
-  if (!tail_may_fire(plan)) return;
-  AdversaryPlan no_tail = plan;
-  no_tail.tail_jam = -1.0;
-  for (std::uint64_t seed = base_seed; seed < base_seed + kReps; ++seed)
-    EXPECT_EQ(run_seed(spec, seed, cfg, &no_tail), run_seed(spec, seed, cfg))
-        << label(spec) << " seed " << seed;
+  expect_sweep_equals_runs(spec, recording_config(RecordingConfig::node_stats()), 12, base_seed,
+                           tail_may_fire(spec));
 }
 
 /// Sweeps fan seeds over replicate()'s pool; results must not depend on how
@@ -111,7 +106,7 @@ const WorkloadSpec kBatchIid =
     make_spec({"batch", {{"n", "64"}}}, {"iid", {{"fraction", "0.25"}}});
 
 TEST(Lockstep, SingleRunIsDeterministic) {
-  // Single runs never carry a plan: the per-slot loop on the counter
+  // Single runs never carry a certificate: the per-slot loop on the counter
   // substrate, bit-identical on a re-run, full slot trace included.
   const SimConfig cfg = recording_config(RecordingConfig::full_trace());
   const SimResult a = run_seed(kBatchIid, 99, cfg);
@@ -122,8 +117,8 @@ TEST(Lockstep, SingleRunIsDeterministic) {
 }
 
 TEST(Lockstep, ManyMatchesSingleExact) {
-  // A sweep that records the full slot trace cannot take the plan path; it
-  // falls back to the per-slot loop and equals the single runs exactly.
+  // A sweep that records the full slot trace wants every slot, so it never
+  // takes the tail and equals the single runs exactly.
   expect_sweep_equals_runs(kBatchIid, recording_config(RecordingConfig::full_trace()), 8, 4242);
 }
 
@@ -140,7 +135,7 @@ TEST(Lockstep, AnalyticTailPreservesNonJamCounters) {
   const int kReps = 32;
   const std::uint64_t kBase = 31337;
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
-  ASSERT_TRUE(tail_may_fire(adversary_plan(kBatchIid)));
+  ASSERT_TRUE(tail_may_fire(kBatchIid));
   const auto tail = replicate_workload(fast_cjz(), kBatchIid, kReps, kBase, 1, cfg);
   double jam_exact = 0.0, jam_tail = 0.0;
   for (int r = 0; r < kReps; ++r) {
@@ -158,16 +153,35 @@ TEST(Lockstep, AnalyticTailPreservesNonJamCounters) {
 }
 
 TEST(Lockstep, AnalyticTailDisabledUnderFullTrace) {
-  // A full slot trace wants every slot's outcome, so neither the plan path
-  // nor its tail may run: the sweep is bit-exact to the single runs.
+  // A full slot trace wants every slot's outcome, so the tail may not run:
+  // the sweep is bit-exact to the single runs.
   const WorkloadSpec spec = make_spec({"batch", {{"n", "64"}}},
                                       {"iid", {{"fraction", "0.25"}}}, 1024);
-  ASSERT_TRUE(tail_may_fire(adversary_plan(spec)));
+  ASSERT_TRUE(tail_may_fire(spec));
   expect_sweep_equals_runs(spec, recording_config(RecordingConfig::full_trace()), 6, 555);
 }
 
+TEST(Lockstep, TailStartsAtTheFirstQuietSlotWithNobodyLive) {
+  // A batch at slot 1 drains at its last success, so the tail takes over at
+  // the next slot: every slot up to the last success is stepped (nobody is
+  // silent before the drain), and every slot after it is skipped.
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    WorkloadSpec per = kBatchIid;
+    per.seed = seed;
+    Scenario sc = build_workload(per, /*attach_quiet_tail=*/true);
+    FastCjzSimulator sim(sc.protocol.fs, *sc.adversary, sc.config, sc.protocol.cjz_options);
+    const SimResult res = sim.run();
+    ASSERT_EQ(res.live_at_end, 0u) << "seed " << seed;
+    const CjzCoreWork work = sim.work();
+    EXPECT_EQ(work.slots_stepped, res.last_success) << "seed " << seed;
+    EXPECT_EQ(work.slots_silent, 0u) << "seed " << seed;
+    EXPECT_EQ(work.slots_skipped, kBatchIid.horizon - res.last_success) << "seed " << seed;
+    EXPECT_EQ(res.slots, kBatchIid.horizon) << "seed " << seed;
+  }
+}
+
 TEST(Lockstep, RegistryEntryAndPreference) {
-  // No separate sweep engine: sweeps reach the plan path through fast_cjz,
+  // No separate sweep engine: sweeps reach the quiet tail through fast_cjz,
   // which is also what preferred() picks for CJZ.
   EXPECT_EQ(EngineRegistry::instance().find("lockstep"), nullptr);
   const ProtocolSpec spec = cjz_protocol(functions_for_regime("const", 4.0));
@@ -176,10 +190,10 @@ TEST(Lockstep, RegistryEntryAndPreference) {
 
 TEST(Lockstep, ReplicateScenarioStatParityWithFastCjz) {
   // End-to-end through the preset layer: a batch sweep via
-  // replicate_scenario (plan path, analytic tail on) against fast_cjz run
-  // once per seed through ScenarioRegistry. Batch of 256 nodes, 25% jamming:
-  // every node succeeds well before the horizon, so successes are exactly
-  // 256 and every field but the tail's jam count agrees seed for seed.
+  // replicate_scenario (quiet tail on) against fast_cjz run once per seed
+  // through ScenarioRegistry. Batch of 256 nodes, 25% jamming: every node
+  // succeeds well before the horizon, so successes are exactly 256 and every
+  // field but the tail's jam count agrees seed for seed.
   ScenarioParams params;
   params.horizon = 1 << 14;
   const auto sweep = replicate_scenario(fast_cjz(), "batch", params, 24, 8800, 2);
@@ -199,7 +213,7 @@ TEST(Lockstep, DefaultSweepMatchesPinnedQuietTailRows) {
   // The quiet_tail benchmark shape on the preferred engine: batch of 256,
   // 25% jamming, 2^20 slots, 16 seeds. Pinned per seed (jammed slots,
   // sends, last success), so any change to the default sweep's output, the
-  // analytic tail's jam draw included, shows here by seed.
+  // quiet tail's jam draw included, shows here by seed.
   struct Pinned {
     std::uint64_t jammed, sends, last;
   };
@@ -229,7 +243,7 @@ TEST(Lockstep, DefaultSweepMatchesPinnedQuietTailRows) {
 }
 
 /// Forwards every call to `inner` and records, per run, its seed and whether
-/// its adversary carried a plan — the shape of a timing wrapper.
+/// its adversary carried a certificate — the shape of a timing wrapper.
 class RecordingEngine final : public Engine {
  public:
   explicit RecordingEngine(const Engine& inner) : inner_(inner) {}
@@ -240,12 +254,12 @@ class RecordingEngine final : public Engine {
                 SlotObserver* observer) const override {
     {
       const std::lock_guard<std::mutex> lock(mu_);
-      runs.emplace_back(config.seed, adversary.plan() != nullptr);
+      runs.emplace_back(config.seed, adversary.quiet_tail().has_value());
     }
     return inner_.run(spec, adversary, config, observer);
   }
 
-  /// (seed, adversary carried a plan) per run, in call order.
+  /// (seed, adversary carried a certificate) per run, in call order.
   mutable std::vector<std::pair<std::uint64_t, bool>> runs;
 
  private:
@@ -254,9 +268,9 @@ class RecordingEngine final : public Engine {
 };
 
 TEST(Lockstep, ForwardingEngineSeesOneRunPerSeed) {
-  // The plan path is chosen inside Engine::run, so a wrapper that only
-  // forwards run() — a timer, say — sees exactly one call per seed, every
-  // one carrying the plan, and changes no result.
+  // The tail is taken inside Engine::run, so a wrapper that only forwards
+  // run() — a timer, say — sees exactly one call per seed, every one
+  // carrying the certificate, and changes no result.
   const WorkloadSpec spec = make_spec({"batch", {{"n", "64"}}},
                                       {"iid", {{"fraction", "0.25"}}}, 1 << 16);
   const RecordingEngine wrapped(fast_cjz());
@@ -275,16 +289,16 @@ struct SlotCounter final : SlotObserver {
 };
 
 TEST(Lockstep, ObservedRunsIgnoreThePlan) {
-  // An observer wants every slot, which the plan path skips: a run with an
-  // observer keeps the per-slot loop even when its adversary carries a
-  // plan, and equals the plan-free run exactly, jammed_slots included.
-  const AdversaryPlan plan = adversary_plan(kBatchIid);
-  ASSERT_TRUE(plan.valid);
+  // An observer wants every slot, which the tail skips: a run with an
+  // observer steps every slot even when its adversary carries a
+  // certificate, and equals the certificate-free run exactly, jammed_slots
+  // included.
+  ASSERT_TRUE(tail_may_fire(kBatchIid));
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     WorkloadSpec per = kBatchIid;
     per.seed = seed;
-    Scenario sc = build_workload(per, &plan);
+    Scenario sc = build_workload(per, /*attach_quiet_tail=*/true);
     sc.config.recording = cfg.recording;
     SlotCounter counter;
     const SimResult observed = run_scenario(fast_cjz(), sc, &counter);
@@ -294,56 +308,49 @@ TEST(Lockstep, ObservedRunsIgnoreThePlan) {
 }
 
 // ---------------------------------------------------------------------------
-// The analytic-tail certificate: adversary_plan's quiet_after/tail_jam.
+// The certificate: workload_quiet_tail's quiet_after/tail_jam.
 
 TEST(LockstepCertificate, BatchPlusIidUsesBatchSlotAndFraction) {
-  const AdversaryPlan plan = adversary_plan(make_spec(
-      {"batch", {{"n", "32"}, {"at", "7"}}}, {"iid", {{"fraction", "0.3"}}}));
-  EXPECT_EQ(plan.quiet_after, 7);
-  EXPECT_DOUBLE_EQ(plan.tail_jam, 0.3);
+  EXPECT_EQ(workload_quiet_tail(make_spec({"batch", {{"n", "32"}, {"at", "7"}}},
+                                          {"iid", {{"fraction", "0.3"}}})),
+            (QuietTail{7, 0.3}));
 }
 
 TEST(LockstepCertificate, NonePlusNoneIsTriviallyQuiet) {
-  const AdversaryPlan plan = adversary_plan(make_spec({"none", {}}, {"none", {}}));
-  EXPECT_EQ(plan.quiet_after, 0);
-  EXPECT_DOUBLE_EQ(plan.tail_jam, 0.0);
+  EXPECT_EQ(workload_quiet_tail(make_spec({"none", {}}, {"none", {}})), (QuietTail{0, 0.0}));
 }
 
 TEST(LockstepCertificate, BernoulliWindowAndPrefixTakeTheMax) {
   // Arrivals stop at to=100 but the prefix jammer is only provably silent
   // past count=500 — the certificate must wait for both.
-  const AdversaryPlan plan =
-      adversary_plan(make_spec({"bernoulli", {{"rate", "0.1"}, {"to", "100"}}},
-                               {"prefix", {{"count", "500"}}}));
-  EXPECT_EQ(plan.quiet_after, 500);
-  EXPECT_DOUBLE_EQ(plan.tail_jam, 0.0);
+  EXPECT_EQ(workload_quiet_tail(make_spec({"bernoulli", {{"rate", "0.1"}, {"to", "100"}}},
+                                          {"prefix", {{"count", "500"}}})),
+            (QuietTail{500, 0.0}));
 }
 
 TEST(LockstepCertificate, OpenBernoulliWindowKeepsHorizon) {
   // to=0 means "until the horizon": the certificate stays correct (quiet ==
   // horizon) and the tail simply never fires.
-  const AdversaryPlan plan =
-      adversary_plan(make_spec({"bernoulli", {{"rate", "0.1"}}}, {"none", {}}, 9999));
-  EXPECT_GE(plan.tail_jam, 0.0);
-  EXPECT_EQ(plan.quiet_after, 9999);
+  EXPECT_EQ(workload_quiet_tail(make_spec({"bernoulli", {{"rate", "0.1"}}}, {"none", {}}, 9999)),
+            (QuietTail{9999, 0.0}));
 }
 
 TEST(LockstepCertificate, HistoryCoupledJammerIsIneligible) {
   for (const char* jammer : {"reactive", "periodic", "budget_paced"})
-    EXPECT_LT(adversary_plan(make_spec({"batch", {}}, {jammer, {}})).tail_jam, 0.0) << jammer;
+    EXPECT_FALSE(workload_quiet_tail(make_spec({"batch", {}}, {jammer, {}}))) << jammer;
 }
 
 TEST(LockstepCertificate, UnboundedArrivalKeepsHorizon) {
-  const AdversaryPlan plan =
-      adversary_plan(make_spec({"uniform_random", {{"total", "16"}}}, {"iid", {}}, 2048));
-  EXPECT_GE(plan.tail_jam, 0.0);
-  EXPECT_EQ(plan.quiet_after, 2048);
+  // Arrivals whose last slot only a run can tell state none, so there is no
+  // certificate and the run steps to the horizon.
+  for (const char* arrival : {"uniform_random", "paced", "bursty"})
+    EXPECT_FALSE(workload_quiet_tail(make_spec({arrival, {}}, {"iid", {}}, 2048))) << arrival;
 }
 
 // ---------------------------------------------------------------------------
-// Plan shapes — each spec below exercises one: shared schedule × shared jam
-// bitmap, shared schedule × i.i.d. coins, i.i.d. arrivals × i.i.d. jams, and
-// the stateful-deterministic components.
+// Sweeps against their single runs, one component shape per spec: with and
+// without a certificate, a tail that fires and one that cannot, and the
+// stateful components.
 
 TEST(LockstepPlanPath, BatchPlusNoneMatchesGeneric) {
   expect_sweep_matches_single_runs(
@@ -361,8 +368,8 @@ TEST(LockstepPlanPath, BatchPlusPeriodicMatchesGeneric) {
 }
 
 TEST(LockstepPlanPath, PacedPlusIidMatchesGeneric) {
-  // Stateful-deterministic arrivals (paced ignores history and rng but
-  // carries internal state) against per-seed i.i.d. jam coins.
+  // Stateful arrivals (paced ignores history and rng but carries internal
+  // state) against per-seed i.i.d. jam coins.
   expect_sweep_matches_single_runs(make_spec(
       {"paced", {{"margin", "2"}}}, {"iid", {{"fraction", "0.25"}}}, 2048));
 }
@@ -373,42 +380,39 @@ TEST(LockstepPlanPath, BurstyPlusBudgetPacedMatchesGeneric) {
 }
 
 TEST(LockstepPlanPath, BernoulliPlusIidMatchesGeneric) {
-  // Both axes i.i.d. — the bernoulli_stream shape: per-seed batched coin
-  // scans on both the arrival and jam sides.
+  // Both axes i.i.d. — the bernoulli_stream shape, whose certificate sits at
+  // the horizon.
   expect_sweep_matches_single_runs(make_spec(
       {"bernoulli", {{"rate", "0.15"}}}, {"iid", {{"fraction", "0.25"}}}, 2048));
 }
 
 TEST(LockstepPlanPath, BernoulliWindowMatchesGeneric) {
-  // A closed arrival window [from, to] — the coin scan must start and stop
-  // exactly where the scalar component does.
+  // A closed arrival window [from, to]: no tail before the window shuts.
   expect_sweep_matches_single_runs(make_spec(
       {"bernoulli", {{"rate", "0.3"}, {"from", "100"}, {"to", "700"}}},
       {"iid", {{"fraction", "0.1"}}}, 2048));
 }
 
 TEST(LockstepPlanPath, BernoulliFromZeroMatchesGeneric) {
-  // BernoulliArrivals is first asked at slot 1, so a window opening at
-  // from=0 must draw its first coin for slot 1, not slot 0 (every later coin
-  // would land one slot early).
+  // A window opening at from=0 (its first coin is slot 1's) ends at its
+  // `to` slot like any other.
   expect_sweep_matches_single_runs(
       make_spec({"bernoulli", {{"rate", "0.05"}, {"from", "0"}, {"to", "500"}}},
                 {"iid", {{"fraction", "0.2"}}}, 2048),
       100);
-  // Integral rate: certain arrivals, no coins — the same first slot.
+  // Integral rate: certain arrivals, no coins — the same last slot.
   expect_sweep_matches_single_runs(make_spec(
       {"bernoulli", {{"rate", "2"}, {"from", "0"}, {"to", "40"}}}, {"none", {}}, 1024));
 }
 
 void expect_tail_fires_and_matches(const WorkloadSpec& spec) {
-  ASSERT_TRUE(tail_may_fire(adversary_plan(spec))) << label(spec);
+  ASSERT_TRUE(tail_may_fire(spec)) << label(spec);
   expect_sweep_matches_single_runs(spec, 61600);
 }
 
 TEST(LockstepPlanPath, TailSkipMatchesGenericTailBatchIid) {
   // The perf-critical batch shape: quiet_after is the batch slot, so once
-  // the cohort drains almost the whole horizon is tail — the lazy coin fill
-  // must stop where the tail takes over.
+  // the cohort drains almost the whole horizon is tail.
   expect_tail_fires_and_matches(make_spec(
       {"batch", {{"n", "48"}, {"at", "3"}}}, {"iid", {{"fraction", "0.25"}}}, 4096));
 }
@@ -435,45 +439,58 @@ TEST(LockstepPlanPath, ThreadCountInvariance) {
 
 TEST(LockstepPlanPath, IneligibleComponentsFallBack) {
   // History-reading (reactive) and seed-dependent (uniform_random)
-  // components cannot be precomputed; the plan must refuse, and their
-  // sweeps run the per-slot loop — equal to the single runs, jams included.
+  // components state no tail fact, so their sweeps step every slot — equal
+  // to the single runs, jams included.
   const WorkloadSpec reactive = make_spec({"batch", {}}, {"reactive", {}}, 2048);
   const WorkloadSpec uniform =
       make_spec({"uniform_random", {{"total", "16"}}}, {"iid", {}}, 2048);
-  EXPECT_FALSE(adversary_plan(reactive).valid);
-  EXPECT_FALSE(adversary_plan(uniform).valid);
-  EXPECT_TRUE(adversary_plan(make_spec({"none", {}}, {"none", {}})).valid);
+  EXPECT_FALSE(workload_quiet_tail(reactive));
+  EXPECT_FALSE(workload_quiet_tail(uniform));
+  EXPECT_TRUE(workload_quiet_tail(make_spec({"none", {}}, {"none", {}})));
   for (const WorkloadSpec& spec : {reactive, uniform}) expect_sweep_equals_runs(spec, {}, 4, 70);
 }
 
 // ---------------------------------------------------------------------------
-// The plan contract over the registries: whether a sweep takes the plan path
-// is up to the components (fill_plan), and a component that fills a plan
-// must make the sweep reproduce its per-slot runs.
+// The certificate over the registries: which pairs take the tail is up to
+// the components' stated facts, and every sweep must reproduce its per-slot
+// runs.
 
 TEST(PlanContract, EveryRegisteredPairSweepsLikeItsSingleRuns) {
-  // Every (arrival, jammer) pair at default parameters. A pair is planned
-  // exactly when neither side reads the history (reactive) or draws from
-  // the run seed (uniform_random) — 25 of the 36 built-in pairs — and every
-  // sweep, planned or not, equals its single runs.
+  // Every (arrival, jammer) pair at default parameters (batch at slot 1,
+  // bernoulli open to the horizon, prefix over 1024 slots, iid at 0.25).
+  // The arrivals none, batch and bernoulli state their last arrival, and
+  // the jammers none, iid and prefix their rate past a slot: those 9 pairs
+  // carry a certificate, and the 6 whose quiet point falls before the
+  // horizon take the tail. Every sweep equals its single runs.
+  const slot_t horizon = 4096;
+  const std::map<std::string, QuietTail> want = {
+      {"none+none", {0, 0.0}},          {"none+iid", {0, 0.25}},
+      {"none+prefix", {1024, 0.0}},     {"batch+none", {1, 0.0}},
+      {"batch+iid", {1, 0.25}},         {"batch+prefix", {1024, 0.0}},
+      {"bernoulli+none", {horizon, 0.0}}, {"bernoulli+iid", {horizon, 0.25}},
+      {"bernoulli+prefix", {horizon, 0.0}}};
   const SimConfig cfg = recording_config(RecordingConfig::node_stats());
-  const auto& arrivals = ArrivalRegistry::instance().entries();
-  const auto& jammers = JammerRegistry::instance().entries();
-  std::size_t planned = 0;
-  for (const ArrivalEntry& arrival : arrivals)
-    for (const JammerEntry& jammer : jammers) {
-      const WorkloadSpec spec = make_spec({arrival.name, {}}, {jammer.name, {}});
-      const AdversaryPlan plan = adversary_plan(spec);
-      EXPECT_EQ(plan.valid, arrival.name != "uniform_random" && jammer.name != "reactive")
-          << label(spec);
-      planned += plan.valid ? 1 : 0;
-      expect_sweep_equals_runs(spec, cfg, 3, 4100, plan.valid && tail_may_fire(plan));
+  std::size_t certified = 0, tailed = 0;
+  for (const ArrivalEntry& arrival : ArrivalRegistry::instance().entries())
+    for (const JammerEntry& jammer : JammerRegistry::instance().entries()) {
+      const WorkloadSpec spec = make_spec({arrival.name, {}}, {jammer.name, {}}, horizon);
+      const std::optional<QuietTail> tail = workload_quiet_tail(spec);
+      const auto it = want.find(label(spec));
+      if (it == want.end()) {
+        EXPECT_FALSE(tail) << label(spec);
+      } else {
+        EXPECT_EQ(tail, it->second) << label(spec);
+      }
+      certified += tail ? 1 : 0;
+      tailed += tail && tail->quiet_after < horizon ? 1 : 0;
+      expect_sweep_equals_runs(spec, cfg, 3, 4100, tail_may_fire(spec));
     }
-  EXPECT_EQ(planned, (arrivals.size() - 1) * (jammers.size() - 1));
+  EXPECT_EQ(certified, want.size());
+  EXPECT_EQ(tailed, 6u);
 }
 
 /// Arrivals from outside the built-ins: two nodes every `every` slots up to
-/// slot `until`, planned in closed form.
+/// slot `until`, which is their stated last arrival.
 class Trickle final : public ArrivalProcess {
  public:
   Trickle(slot_t every, slot_t until) : every_(every), until_(until) {}
@@ -481,23 +498,17 @@ class Trickle final : public ArrivalProcess {
     return slot <= until_ && slot % every_ == 0 ? 2 : 0;
   }
   std::string name() const override { return "trickle"; }
-  bool fill_plan(AdversaryPlan& plan) override {
-    for (slot_t s = every_; s <= std::min(until_, plan.horizon); s += every_)
-      plan.schedule.emplace_back(s, 2);
-    plan.quiet_after = until_;
-    return true;
-  }
+  std::optional<slot_t> last_arrival() const override { return until_; }
 
  private:
   slot_t every_, until_;
 };
 
-/// A jammer from outside the built-ins, planned by the shared slot walk.
+/// A jammer from outside the built-ins that states no tail fact.
 class EveryThird final : public Jammer {
  public:
   bool jams(slot_t slot, const PublicHistory&, Rng&) override { return slot % 3 == 0; }
   std::string name() const override { return "every-third"; }
-  bool fill_plan(AdversaryPlan& plan) override { return walk_plan(*this, plan); }
 };
 
 void register_outside_components() {
@@ -521,22 +532,26 @@ void register_outside_components() {
 }
 
 TEST(PlanContract, OutsideComponentsTakeThePlanPath) {
-  // Registering a component that fills its plan is all it takes: its sweeps
-  // carry the plan (the tail included, after its last arrival) and
-  // reproduce the per-slot runs.
+  // Registering a component that states its tail fact is all it takes: its
+  // sweeps carry the certificate (the tail fires after its last arrival),
+  // and a component that states none keeps its sweeps on every slot. Either
+  // way the sweep reproduces the per-slot runs.
   register_outside_components();
+  const WorkloadSpec trickle_iid = make_spec({"test_trickle", {}}, {"iid", {}}, 2048);
+  EXPECT_EQ(workload_quiet_tail(trickle_iid), (QuietTail{600, 0.25}));
+  EXPECT_TRUE(tail_may_fire(trickle_iid));
   for (const WorkloadSpec& spec :
-       {make_spec({"test_trickle", {}}, {"iid", {}}, 2048),
-        make_spec({"batch", {{"n", "32"}}}, {"test_every_third", {}}, 2048),
+       {trickle_iid, make_spec({"batch", {{"n", "32"}}}, {"test_every_third", {}}, 2048),
         make_spec({"test_trickle", {{"every", "5"}}}, {"test_every_third", {}}, 2048)}) {
     expect_sweep_matches_single_runs(spec);
+    const bool certified = workload_quiet_tail(spec).has_value();
+    EXPECT_EQ(certified, spec.jammer.name == "iid") << label(spec);
     const RecordingEngine wrapped(fast_cjz());
     replicate_workload(wrapped, spec, 3, 1, 1);
     ASSERT_EQ(wrapped.runs.size(), 3u) << label(spec);
-    for (const auto& [seed, planned] : wrapped.runs)
-      EXPECT_TRUE(planned) << label(spec) << " seed " << seed;
+    for (const auto& [seed, carried] : wrapped.runs)
+      EXPECT_EQ(carried, certified) << label(spec) << " seed " << seed;
   }
-  EXPECT_TRUE(tail_may_fire(adversary_plan(make_spec({"test_trickle", {}}, {"iid", {}}))));
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for Registry<Entry> (src/common/registry.hpp), the shape every
 // name-keyed table shares: entries in registration order, unique non-empty
 // names, and one unknown-name diagnostic naming the kind, the name, a close
-// hint and the known names — checked here over every registry and table.
+// hint and the known names — checked here over every registry and table,
+// as is `cr list`, which names every entry of each.
 #include "common/registry.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 
 #include "adversary/component_registry.hpp"
 #include "cli/bench_registry.hpp"
+#include "cli/docs_gen.hpp"
 #include "engine/engine.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/workload.hpp"
@@ -79,6 +81,35 @@ TEST(Registry, EveryTableSharesTheUnknownNameDiagnostic) {
             "claims:" + ids);
   EXPECT_EQ(verify::ClaimRegistry::instance().unknown("zzz"),
             "unknown claim \"zzz\"; known claims:" + ids);
+}
+
+TEST(Registry, ListingNamesEveryEntryOfEveryTable) {
+  // `cr list` prints one section per table and one line per entry, each
+  // starting with two spaces and the entry's name.
+  const std::string text = registry_listing_text();
+  const auto expect_section = [&](const std::string& header,
+                                  const std::vector<std::string>& names) {
+    const std::size_t begin = text.find(header);
+    ASSERT_NE(begin, std::string::npos) << "no section \"" << header << "\" in:\n" << text;
+    const std::size_t end = text.find("\n\n", begin);
+    const std::string section = text.substr(begin, end - begin) + "\n";
+    ASSERT_FALSE(names.empty()) << header;
+    for (const std::string& name : names)
+      EXPECT_TRUE(section.find("\n  " + name + " ") != std::string::npos ||
+                  section.find("\n  " + name + "\n") != std::string::npos)
+          << header << " does not list " << name << ":\n" << section;
+  };
+  std::vector<std::string> benches, claims;
+  for (const BenchSpec& spec : BenchRegistry::instance().entries()) benches.push_back(spec.name);
+  for (const verify::ClaimSpec& spec : verify::ClaimRegistry::instance().entries())
+    claims.push_back(spec.id);
+  expect_section("benches (", benches);
+  expect_section("scenarios (", ScenarioRegistry::instance().names());
+  expect_section("arrivals (", ArrivalRegistry::instance().names());
+  expect_section("jammers (", JammerRegistry::instance().names());
+  expect_section("protocols (", workload_protocols().names());
+  expect_section("engines (", EngineRegistry::instance().names());
+  expect_section("claims (", claims);
 }
 
 }  // namespace

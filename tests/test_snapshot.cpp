@@ -190,7 +190,7 @@ TEST_F(SnapshotRejection, NodeStageOutOfRange) {
   const ReplayCase rc = make_case("batch", RecordingConfig::none());
   std::vector<std::uint8_t> b = snapshot_at(rc, 1);
   constexpr std::size_t kHeader = 32;
-  constexpr std::size_t kFirstNode = kHeader + 29 + 8 * 8 + 3 * 8 + 3 * 8 + 2 * 8;
+  constexpr std::size_t kFirstNode = kHeader + 29 + 8 * 8 + 3 * 8 + 2 * 8 + 2 * 8;
   constexpr std::size_t kStage = kFirstNode + 4 * 8;  // after id, arrival, from, sends
   ASSERT_GT(b.size(), kStage + 8);
   std::uint64_t arrival = 0, stage = 0;
@@ -272,7 +272,7 @@ TEST_F(SnapshotRejection, FreeListNamingALiveOrRepeatedSlot) {
   const std::vector<std::uint8_t> p = payload_of(snapshot_at(rc, k));
   // Config echo, result counters, three empty result vectors, core counters
   // and nodes.next_id precede nodes.size; each node record is 47 bytes.
-  constexpr std::size_t kNodesSize = 29 + 8 * 8 + 3 * 8 + 3 * 8 + 8;
+  constexpr std::size_t kNodesSize = 29 + 8 * 8 + 3 * 8 + 2 * 8 + 8;
   std::uint64_t n_slots = 0, n_free = 0;
   std::memcpy(&n_slots, p.data() + kNodesSize, sizeof(n_slots));
   const std::size_t free_at = kNodesSize + 8 + 47 * n_slots;

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
+#include <string>
 #include <vector>
 
+#include "common/stat_assert.hpp"
 #include "common/stats.hpp"
 
 namespace cr {
@@ -153,6 +156,71 @@ TEST(LinearFit, NoisyLineStillClose) {
 TEST(LinearFit, DegenerateXs) {
   const LinearFit fit = fit_linear({1.0, 1.0, 1.0}, {1.0, 2.0, 3.0});
   EXPECT_DOUBLE_EQ(fit.slope, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// The claim-gate predicates (common/stat_assert.hpp) that `cr verify` gates
+// on: one value just inside and one just outside each bound. The verdict
+// must follow the bound, and the message must name both sides and the
+// bound either way.
+
+void expect_verdict(const stat::CheckResult& result, bool passed,
+                    std::initializer_list<const char*> words) {
+  EXPECT_EQ(result.passed, passed) << result.message;
+  EXPECT_EQ(static_cast<bool>(result), passed);
+  for (const char* word : words)
+    EXPECT_NE(result.message.find(word), std::string::npos)
+        << "\"" << word << "\" is not in: " << result.message;
+}
+
+/// Two samples of `a` and `b`: mean (a + b) / 2, count 2.
+Accumulator sample(double a, double b) {
+  Accumulator acc;
+  acc.add(a);
+  acc.add(b);
+  return acc;
+}
+
+TEST(StatAssert, DescribeNamesMeanSpreadAndCount) {
+  EXPECT_EQ(stat::describe(sample(4.0, 6.0)), "5 (sd=1.41421, n=2)");
+  EXPECT_EQ(stat::describe(Accumulator{}), "0 (sd=0, n=0)");
+}
+
+TEST(StatAssert, GrowthAtLeastFailsJustBelowItsFactor) {
+  expect_verdict(stat::growth_at_least(4.0, 8.0, 2.0), true, {"4 -> 8", "is 2x", "(>= 2x)"});
+  expect_verdict(stat::growth_at_least(4.0, 7.999, 2.0), false,
+                 {"expected growth >= 2x", "4 -> 7.999", "only 1.99975x"});
+}
+
+TEST(StatAssert, WithinFactorFailsJustPastItsRatio) {
+  expect_verdict(stat::within_factor(3.0, 6.0, 2.0), true,
+                 {"3 vs 6", "differ by 2x", "(allowed 2x)"});
+  expect_verdict(stat::within_factor(6.003, 3.0, 2.0), false,
+                 {"6.003 vs 3", "differ by 2.001x", "(allowed 2x)"});
+  // A side at or below zero has no ratio: it fails whatever the bound.
+  expect_verdict(stat::within_factor(0.0, 3.0, 1e9), false, {"0 vs 3", "(allowed 1e+09x)"});
+}
+
+TEST(StatAssert, MeansAgreeFailsJustPastItsBound) {
+  // No spread: the bound is the slack alone.
+  expect_verdict(stat::means_agree(sample(5.0, 5.0), sample(6.0, 6.0), 3.0, 0.0, 1.0), true,
+                 {"means differ by 1", "<= bound 1"});
+  expect_verdict(stat::means_agree(sample(5.0, 5.0), sample(6.0, 6.0), 3.0, 0.0, 0.999), false,
+                 {"means differ by 1 > bound 0.999", "(z*SE=0)", "a=5 (sd=0, n=2)",
+                  "b=6 (sd=0, n=2)"});
+  // The standard error of {4, 6} is 1, so z is the bound.
+  expect_verdict(stat::means_agree(sample(4.0, 6.0), sample(6.0, 6.0), 1.0), true,
+                 {"means differ by 1", "<= bound 1"});
+  expect_verdict(stat::means_agree(sample(4.0, 6.0), sample(6.0, 6.0), 0.999), false,
+                 {"means differ by 1 > bound 0.999", "(z*SE=0.999)", "a=5 (sd=1.41421, n=2)",
+                  "b=6 (sd=0, n=2)"});
+}
+
+TEST(StatAssert, MeanAtMostFailsJustPastItsFactor) {
+  expect_verdict(stat::mean_at_most(sample(3.0, 3.0), sample(2.0, 2.0), 1.5), true,
+                 {"mean(a)=3", "<= 1.5*mean(b)=3"});
+  expect_verdict(stat::mean_at_most(sample(3.0, 3.0), sample(2.0, 2.0), 1.499), false,
+                 {"expected mean(a) <= 1.499*mean(b)", "a=3 (sd=0, n=2)", "b=2 (sd=0, n=2)"});
 }
 
 }  // namespace

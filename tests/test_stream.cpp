@@ -759,8 +759,9 @@ TEST(StreamSim, RefusesAVersionOneCheckpoint) {
   StreamSim head(opts);
   const DrainResult head_out = drain(head, synth_events(5, 100), 0);
   ASSERT_FALSE(head_out.last_checkpoint.empty());
-  // Version 2 carried a node-table echo byte that version 3 dropped.
-  for (const std::uint32_t version : {1u, 2u}) {
+  // Version 2 carried a node-table echo byte that version 3 dropped, and
+  // version 3 a cohort member total that version 4 dropped.
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     std::vector<std::uint8_t> blob = head_out.last_checkpoint;
     std::memcpy(blob.data() + 8, &version, sizeof(version));
     StreamSim tail(test_options());

@@ -6,10 +6,12 @@
 //
 // Every row runs on CountingEngine, which forwards to FastCjzSimulator and
 // keeps each seed's counts. Sweep rows go through replicate_workload, so the
-// gate also sees whether a sweep attaches its plan, at 1, 2 and 4 threads,
+// gate also sees where a sweep takes its quiet tail, at 1, 2 and 4 threads,
 // which must agree exactly. Single-run rows run the same presets through
-// run_scenario, the E-benches' per-slot path. A row's counts are summed over
-// its seeds; peaks take the maximum.
+// run_scenario, with no tail. A sweep row must equal its single-run row but
+// for the silent slots the tail skipped, and skip some exactly when its
+// certificate can fire. A row's counts are summed over its seeds; peaks take
+// the maximum.
 //
 // On a mismatch the test names the row and the counter, writes the
 // regenerated golden file next to the test binary and prints its path. A
@@ -24,6 +26,7 @@
 #include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -39,7 +42,7 @@
 namespace cr {
 namespace {
 
-constexpr const char* kSchema = "cr-work-gate/1";
+constexpr const char* kSchema = "cr-work-gate/2";
 constexpr int kSeeds = 3;
 constexpr std::uint64_t kBaseSeed = 9100;
 
@@ -99,7 +102,6 @@ const CounterDef kCounters[] = {
 /// One row's folded counts, as the golden file holds them.
 struct RowCounts {
   std::string row;
-  std::string path;  ///< "plan", "per_slot", or "mixed" when seeds disagree
   std::vector<std::uint64_t> values;  ///< in kCounters order
 };
 
@@ -107,22 +109,49 @@ RowCounts fold(const std::string& row, const std::map<std::uint64_t, Counts>& by
   RowCounts out;
   out.row = row;
   out.values.assign(std::size(kCounters), 0);
-  std::size_t plan_runs = 0;
   for (const auto& [seed, counts] : by_seed) {
-    if (counts.work.plan_path) ++plan_runs;
     for (std::size_t i = 0; i < std::size(kCounters); ++i) {
       const std::uint64_t v = kCounters[i].get(counts);
       out.values[i] = kCounters[i].peak ? std::max(out.values[i], v) : out.values[i] + v;
     }
   }
-  out.path = plan_runs == by_seed.size() ? "plan" : plan_runs == 0 ? "per_slot" : "mixed";
   return out;
+}
+
+/// Index of the counter `name` in kCounters.
+std::size_t counter_index(const std::string& name) {
+  for (std::size_t i = 0; i < std::size(kCounters); ++i)
+    if (name == kCounters[i].name) return i;
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+/// Every way `sweep` differs from `single` beyond what a quiet tail may
+/// change: the tail turns silent slots into skipped ones and moves nothing
+/// else, and a sweep skips slots exactly when `tail_fires`. Empty when they
+/// agree.
+std::vector<std::string> tail_diff(const RowCounts& sweep, const RowCounts& single,
+                                   bool tail_fires) {
+  std::vector<std::string> diffs;
+  const std::size_t silent = counter_index("slots_silent");
+  const std::size_t skipped = counter_index("slots_skipped");
+  for (std::size_t i = 0; i < std::size(kCounters); ++i)
+    if (i != silent && i != skipped && sweep.values[i] != single.values[i])
+      diffs.push_back(sweep.row + " " + kCounters[i].name + ": " +
+                      std::to_string(sweep.values[i]) + ", single run " +
+                      std::to_string(single.values[i]));
+  if (sweep.values[silent] + sweep.values[skipped] != single.values[silent] + single.values[skipped])
+    diffs.push_back(sweep.row + ": silent + skipped slots differ from the single run's");
+  if ((sweep.values[skipped] > single.values[skipped]) != tail_fires)
+    diffs.push_back(sweep.row + (tail_fires ? ": the quiet tail skipped no slot"
+                                            : ": skipped slots with no quiet tail to take"));
+  return diffs;
 }
 
 struct RowDef {
   std::string row;
   WorkloadSpec spec;
-  bool single = true;  ///< also run the preset as single runs, without a plan
+  bool single = true;  ///< also run the preset as single runs, with no quiet tail
 };
 
 WorkloadSpec preset(const std::string& scenario, slot_t horizon,
@@ -135,7 +164,7 @@ WorkloadSpec preset(const std::string& scenario, slot_t horizon,
 
 /// The traffic that matters: quiet_tail's and overload's shapes, E2's claim
 /// regime, a long Bernoulli stream, the log-g and bursty presets, and one
-/// composition the plan path cannot take.
+/// composition with a history-reading jammer.
 std::vector<RowDef> row_defs() {
   WorkloadSpec reactive;
   reactive.arrival = {"bernoulli", {{"rate", "0.05"}}};
@@ -189,7 +218,7 @@ std::string render(const std::vector<RowCounts>& rows) {
   std::ostringstream os;
   os << "{\"schema\": " << json_quote(kSchema) << ", \"rows\": [\n";
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    os << "{\"row\": " << json_quote(rows[r].row) << ", \"path\": " << json_quote(rows[r].path);
+    os << "{\"row\": " << json_quote(rows[r].row);
     for (std::size_t i = 0; i < std::size(kCounters); ++i)
       os << ", \"" << kCounters[i].name << "\": " << rows[r].values[i];
     os << "}" << (r + 1 < rows.size() ? "," : "") << "\n";
@@ -230,11 +259,6 @@ std::vector<std::string> golden_diff(const std::string& golden_text,
     }
     const JsonValue& want = *it->second;
     golden.erase(it);
-    const JsonValue* path = want.find("path");
-    const std::string golden_path = path != nullptr && path->is_string() ? path->as_string() : "";
-    if (golden_path != measured.path)
-      diffs.push_back("row \"" + measured.row + "\" path: golden " + golden_path + ", measured " +
-                      measured.path);
     for (std::size_t i = 0; i < std::size(kCounters); ++i) {
       const std::string where = "row \"" + measured.row + "\" " + kCounters[i].name + ": ";
       const JsonValue* v = want.find(kCounters[i].name);
@@ -260,8 +284,13 @@ TEST(WorkGate, CountsMatchTheGoldenFileAtOneTwoAndFourThreads) {
       EXPECT_EQ(render({run_sweep(def, threads)}), render({one})) << "at " << threads << " threads";
     rows.push_back(one);
   }
-  for (const RowDef& def : defs)
-    if (def.single) rows.push_back(run_single(def));
+  for (std::size_t d = 0; d < defs.size(); ++d) {
+    if (!defs[d].single) continue;
+    rows.push_back(run_single(defs[d]));
+    const std::optional<QuietTail> tail = workload_quiet_tail(defs[d].spec);
+    const bool fires = tail && tail->quiet_after < defs[d].spec.horizon;
+    for (const std::string& diff : tail_diff(rows[d], rows.back(), fires)) ADD_FAILURE() << diff;
+  }
 
   const std::string golden_path = std::string(CR_SOURCE_DIR) + "/tests/golden/work_gate.json";
   std::string golden;
@@ -282,11 +311,9 @@ TEST(WorkGate, CountsMatchTheGoldenFileAtOneTwoAndFourThreads) {
 std::vector<RowCounts> canned_rows() {
   RowCounts a;
   a.row = "sweep a";
-  a.path = "plan";
   a.values.assign(std::size(kCounters), 7);
   RowCounts b = a;
   b.row = "single a";
-  b.path = "per_slot";
   return {a, b};
 }
 
@@ -301,11 +328,35 @@ TEST(WorkGate, DiffNamesAChangedCounter) {
   std::vector<RowCounts> rows = canned_rows();
   const std::string golden = render(rows);
   rows[1].values[3] = 8;  // calendar_pushes
-  rows[0].path = "per_slot";
+  rows[0].values[2] = 9;  // slots_skipped
   const std::vector<std::string> diffs = golden_diff(golden, rows);
   ASSERT_EQ(diffs.size(), 2u);
-  EXPECT_EQ(diffs[0], "row \"sweep a\" path: golden plan, measured per_slot");
+  EXPECT_EQ(diffs[0], "row \"sweep a\" slots_skipped: golden 7, measured 9");
   EXPECT_EQ(diffs[1], "row \"single a\" calendar_pushes: golden 7, measured 8");
+}
+
+TEST(WorkGate, TailDiffAllowsOnlySilentSlotsTurnedSkipped) {
+  std::vector<RowCounts> rows = canned_rows();
+  RowCounts& sweep = rows[0];
+  const RowCounts& single = rows[1];
+  EXPECT_EQ(tail_diff(sweep, single, false), std::vector<std::string>{});
+  EXPECT_EQ(tail_diff(sweep, single, true),
+            std::vector<std::string>{"sweep a: the quiet tail skipped no slot"});
+
+  sweep.values[1] = 4;  // slots_silent: three silent slots ...
+  sweep.values[2] = 10;  // ... skipped by the tail instead
+  EXPECT_EQ(tail_diff(sweep, single, true), std::vector<std::string>{});
+  EXPECT_EQ(tail_diff(sweep, single, false),
+            std::vector<std::string>{"sweep a: skipped slots with no quiet tail to take"});
+
+  sweep.values[0] = 6;   // slots_stepped
+  sweep.values[2] = 11;  // one stepped slot skipped too
+  sweep.values[7] = 8;   // rng_words
+  EXPECT_EQ(tail_diff(sweep, single, true),
+            (std::vector<std::string>{"sweep a slots_stepped: 6, single run 7",
+                                      "sweep a rng_words: 8, single run 7",
+                                      "sweep a: silent + skipped slots differ from the single "
+                                      "run's"}));
 }
 
 TEST(WorkGate, DiffNamesAMissingRowAndAnExtraRow) {
@@ -324,9 +375,9 @@ TEST(WorkGate, DiffNamesAWrongSchemaAndANonExactCount) {
   const std::vector<RowCounts> rows = canned_rows();
   std::string golden = render(rows);
   std::string wrong = golden;
-  wrong.replace(wrong.find("/1"), 2, "/2");
+  wrong.replace(wrong.find("/2"), 2, "/1");
   EXPECT_EQ(golden_diff(wrong, rows),
-            std::vector<std::string>{"golden file schema is not \"cr-work-gate/1\""});
+            std::vector<std::string>{"golden file schema is not \"cr-work-gate/2\""});
   EXPECT_EQ(golden_diff("", rows).size(), 1u);
 
   golden.replace(golden.find("\"rng_words\": 7"), 14, "\"rng_words\": 7.5");
